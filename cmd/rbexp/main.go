@@ -24,12 +24,10 @@ func main() {
 		run          = flag.String("run", "", "run only experiments whose ID contains this substring")
 		parallel     = flag.Bool("parallel", false, "compute experiments concurrently")
 		exactWorkers = flag.Int("exact-workers", 0, "expand exact searches with this many hash-sharded workers (>1; async HDA* engine)")
-		exactSync    = flag.Bool("exact-sync", false, "use the synchronous-rounds parallel engine instead of async HDA*")
 		deadline     = flag.Duration("deadline", 0, "top rung of the anytime ablation's budget ladder (Ablation E; 0 = 200ms)")
 	)
 	flag.Parse()
 	experiments.ExactParallelism = *exactWorkers
-	experiments.ExactSyncRounds = *exactSync
 	experiments.AnytimeDeadline = *deadline
 
 	var reports []*experiments.Report

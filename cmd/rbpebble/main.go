@@ -53,9 +53,7 @@ func main() {
 		blueSrc   = flag.Bool("blue-sources", false, "sources start blue (Hong-Kung convention)")
 		blueSink  = flag.Bool("blue-sinks", false, "sinks must end blue")
 		workers   = flag.Int("workers", 0, "exact solver parallel workers (>1; async HDA* engine)")
-		syncPar   = flag.Bool("sync-rounds", false, "use the synchronous-rounds parallel engine instead of async HDA*")
 		heuristic = flag.String("heuristic", "auto", "exact solver lower bound: auto|off|lower-bound|s-partition")
-		dfsAlgo   = flag.String("dfs-algo", "auto", "dfs solver scheme: auto|ida-star|branch-and-bound")
 		maxVisits = flag.Int("maxvisits", 0, "dfs solver visit budget (0 = default)")
 		deadline  = flag.Duration("deadline", 0, "anytime budget: race heuristics and exact engines, print a certified [lower, upper] interval (overrides -solver)")
 		progress  = flag.Bool("progress", false, "with -deadline: print live certified [lower, upper] updates to stderr as the interval tightens (works with -workers > 1: the async engine streams its certified bound mid-flight)")
@@ -148,22 +146,14 @@ func main() {
 			MaxStates: *maxStates, Heuristic: h, Parallel: *workers,
 			MaxTableBytes: *maxTableB, Stats: &stats,
 		}
-		if *syncPar {
-			opts.ParallelAlgo = solve.ParallelSyncRounds
-		}
 		sol, err = solve.Exact(p, opts)
 		if errors.Is(err, solve.ErrMemoryBudget) {
 			fatalMemBudget(*maxTableB, stats.LowerBound, -1)
 		}
 	case *solver == "dfs":
-		a, aerr := parseDFSAlgo(*dfsAlgo)
-		if aerr != nil {
-			fatal(aerr)
-		}
 		var stats solve.ExactDFSStats
 		sol, err = solve.ExactDFS(p, solve.ExactDFSOptions{
-			MaxVisits: *maxVisits, Algorithm: a,
-			MaxTableBytes: *maxTableB, Stats: &stats,
+			MaxVisits: *maxVisits, MaxTableBytes: *maxTableB, Stats: &stats,
 		})
 		if errors.Is(err, solve.ErrMemoryBudget) {
 			fatalMemBudget(*maxTableB, stats.LowerBound, stats.Incumbent)
@@ -252,17 +242,6 @@ func parseHeuristic(name string) (solve.Heuristic, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown heuristic %q", name)
-}
-
-func parseDFSAlgo(name string) (solve.DFSAlgorithm, error) {
-	for _, a := range []solve.DFSAlgorithm{
-		solve.DFSAuto, solve.DFSIDAStar, solve.DFSBranchAndBound,
-	} {
-		if a.String() == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown dfs algorithm %q", name)
 }
 
 func parseRule(name string) (solve.GreedyRule, error) {

@@ -21,20 +21,14 @@ import (
 )
 
 // ExactParallelism, when set > 1, makes every exact solve inside the
-// harness expand states with that many hash-sharded workers (forwarded
-// to solve.ExactOptions.Parallel; the asynchronous HDA* engine by
-// default, the synchronous-rounds engine with ExactSyncRounds). The
-// regenerated costs are identical — only wall-clock time changes.
+// harness expand states with that many hash-sharded workers of the
+// asynchronous HDA* engine (forwarded to solve.ExactOptions.Parallel).
+// The regenerated costs are identical — only wall-clock time changes.
 // Experiments that publish search-effort counters (Ablations B and D)
 // always solve with their own fixed configurations so their
-// states-expanded columns stay comparable. The rbexp CLI exposes these
-// as -exact-workers and -exact-sync.
+// states-expanded columns stay comparable. The rbexp CLI exposes it as
+// -exact-workers.
 var ExactParallelism int
-
-// ExactSyncRounds selects the synchronous-rounds parallel engine for
-// harness solves instead of the default async HDA* (only meaningful
-// with ExactParallelism > 1).
-var ExactSyncRounds bool
 
 // Report is one regenerated table or figure.
 type Report struct {

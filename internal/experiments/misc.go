@@ -12,13 +12,9 @@ import (
 )
 
 // exactOpts returns the harness-wide exact-solver options (the
-// ExactParallelism and ExactSyncRounds knobs applied).
+// ExactParallelism knob applied).
 func exactOpts() solve.ExactOptions {
-	opts := solve.ExactOptions{Parallel: ExactParallelism}
-	if ExactSyncRounds {
-		opts.ParallelAlgo = solve.ParallelSyncRounds
-	}
-	return opts
+	return solve.ExactOptions{Parallel: ExactParallelism}
 }
 
 // NewGridInstance measures one row of the Theorem 4 table: whether greedy

@@ -86,6 +86,9 @@ type Stats struct {
 	// (drain handoff or proven-optimal replication) that carried new
 	// information.
 	Imported uint64
+	// ImportRejected counts imported entries dropped as structurally
+	// impossible certificates (see Import).
+	ImportRejected uint64
 }
 
 // flight is one in-progress solve that concurrent identical requests
@@ -114,7 +117,7 @@ type Cache struct {
 
 	hits, misses, shared, evictions           uint64
 	ihits, istores, ievictions, warms, tights uint64
-	imported                                  uint64
+	imported, importRejected                  uint64
 }
 
 type entry struct {
@@ -426,6 +429,7 @@ func (c *Cache) Stats() Stats {
 		WarmStarts:        c.warms,
 		Tightenings:       c.tights,
 		Imported:          c.imported,
+		ImportRejected:    c.importRejected,
 	}
 }
 
@@ -469,11 +473,22 @@ func (c *Cache) Export() []Entry {
 // solves — the cached interval only ever tightens, and a merge whose
 // bounds meet promotes to the optimal segment. Entries for instances
 // this node has already proven optimal are skipped outright.
+//
+// Peer input is not trusted blindly: an entry whose bounds cannot be a
+// certificate — a negative lower bound, a lower bound above the upper
+// bound, or an "optimal" value whose bounds differ — is rejected and
+// counted in Stats.ImportRejected. (The upper bound's witness trace is
+// not replayed here.)
 func (c *Cache) Import(entries []Entry) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	added := 0
 	for _, e := range entries {
+		if v := e.Value; v.LowerScaled < 0 || v.LowerScaled > v.UpperScaled ||
+			(v.Optimal && v.LowerScaled != v.UpperScaled) {
+			c.importRejected++
+			continue
+		}
 		if _, proven := c.entries[e.Key]; proven {
 			continue
 		}

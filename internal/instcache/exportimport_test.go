@@ -143,3 +143,28 @@ func TestImportOptimalDropsObsoleteIntervals(t *testing.T) {
 		t.Fatalf("optimal import should drop the key's intervals: %+v", st)
 	}
 }
+
+// TestImportRejectsImpossibleCertificates: peer entries whose bounds
+// cannot be a certificate are dropped and counted, never installed —
+// in particular an inverted interval must not be promoted to optimal.
+func TestImportRejectsImpossibleCertificates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		e    Entry
+	}{
+		{"negative lower", Entry{Key: "k", Tier: 7, Value: Value{UpperScaled: 9, LowerScaled: -1}}},
+		{"lower above upper", Entry{Key: "k", Tier: 7, Value: Value{UpperScaled: 5, LowerScaled: 10}}},
+		{"optimal with unequal bounds", Entry{Key: "k", Value: Value{UpperScaled: 9, LowerScaled: 3, Optimal: true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(8)
+			if added := c.Import([]Entry{tc.e}); added != 0 {
+				t.Fatalf("impossible entry accepted: added=%d", added)
+			}
+			st := c.Stats()
+			if st.ImportRejected != 1 || st.Imported != 0 || st.Entries != 0 || st.IntervalEntries != 0 {
+				t.Fatalf("stats after rejected import: %+v", st)
+			}
+		})
+	}
+}

@@ -10,7 +10,7 @@ type SearchSnapshot struct {
 	// Seq numbers the snapshots of one solve (strictly increasing).
 	Seq int `json:"seq"`
 	// Engine names the engine that produced the sample: astar,
-	// sync-rounds, async-hda, ida-star, branch-and-bound.
+	// async-hda, ida-star.
 	Engine string `json:"engine"`
 	// ElapsedMS is the wall time since the engine started.
 	ElapsedMS int64 `json:"elapsed_ms"`

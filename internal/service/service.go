@@ -1616,6 +1616,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"rbserve_interval_tightened_total", cs.Tightenings},
 		{"rbserve_warm_starts_total", cs.WarmStarts},
 		{"rbserve_cache_imported_total", cs.Imported},
+		{"rbserve_cache_import_rejected_total", cs.ImportRejected},
 		{"rbserve_jobs_submitted_total", s.m.jobsSubmitted.Load()},
 		{"rbserve_jobs_done_total", s.m.jobsDone.Load()},
 		{"rbserve_jobs_failed_total", s.m.jobsFailed.Load()},

@@ -330,20 +330,20 @@ func TestCancelRunningJob(t *testing.T) {
 	var jr JobResponse
 	json.NewDecoder(resp.Body).Decode(&jr)
 	resp.Body.Close()
+	// Wait until the job has certified a positive floor before canceling:
+	// fft(3) R=3's root bound is 0, so a cancel that lands before the
+	// engines' first streamed bound correctly harvests [0, upper], which
+	// carries no information to assert on.
+	gauge := fmt.Sprintf("rbserve_job_lower_bound{job=%q} ", jr.ID)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/solve/" + jr.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got JobResponse
-		json.NewDecoder(resp.Body).Decode(&got)
-		resp.Body.Close()
-		if got.Status == "running" {
+		m := scrapeMetrics(t, ts)
+		i := strings.Index(m, gauge)
+		if i >= 0 && !strings.HasPrefix(m[i+len(gauge):], "0\n") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job never started running: %+v", got)
+			t.Fatalf("job never certified a positive lower bound:\n%s", m)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -11,13 +11,12 @@ import (
 	"rbpebble/internal/pebble"
 )
 
-// Asynchronous HDA*-style parallel exact solver. Like the
-// synchronous-rounds engine (parallel.go) the state space is sharded by
-// state hash — owner = hashKey(packed state) mod P, each worker owning
-// its shard's open list, visited table and node log — but there are no
-// global barriers: every worker loops { drain mailboxes, relax, expand,
-// flush } continuously, so nobody idles at a round boundary waiting for
-// the slowest shard.
+// Asynchronous HDA*-style parallel exact solver. The state space is
+// sharded by state hash — owner = hashKey(packed state) mod P, each
+// worker owning its shard's open list, visited table and node log, so
+// no locks guard the hot structures — and there are no global barriers:
+// every worker loops { drain mailboxes, relax, expand, flush }
+// continuously, so nobody idles waiting for the slowest shard.
 //
 // Proposals travel through per-edge mailboxes (one deposit box per
 // ordered worker pair, so P^2 boxes and no cross-pair contention):
@@ -78,8 +77,34 @@ import (
 // "everyone passive" with the sent counter unchanged — any message
 // still in flight either keeps sent > received or bumps sent between
 // the two reads. At that point no state with f < incumbent exists
-// anywhere, so the incumbent is the proven optimum: the exact analogue
-// of the synchronous engine's "incumbent <= global f-min" rule.
+// anywhere, so the incumbent is the proven optimum — the standard
+// "incumbent <= global f-min" safety rule of parallel best-first search.
+
+// parNode mirrors searchNode for the sharded search; parents live in the
+// node log of another shard, so the reference is (shard, index).
+type parNode struct {
+	parentShard int32 // -1 for the root
+	parentNode  int32
+	ref         int32
+	move        pebble.Move
+}
+
+// proposal is one successor handed from an expanding worker to the
+// destination shard's owner. The packed key words travel in a parallel
+// flat buffer (kw words per proposal, same order). Only g travels: the
+// owning shard computes (and caches) the heuristic once per distinct
+// state, so senders never re-estimate shared states. pf is the f of the
+// generating expansion, used both as a pathmax floor on the child's
+// priority and as the certified in-flight watermark of pending mailbox
+// batches.
+type proposal struct {
+	hash       uint64
+	g          int64
+	pf         int64
+	srcShard   int32 // shard owning the parent node
+	parentNode int32
+	move       pebble.Move
+}
 
 const (
 	// asyncFlushBatch is the number of proposals buffered per
@@ -143,18 +168,17 @@ type asyncMailbox struct {
 
 // asyncShared is the state shared by all workers and the coordinator.
 type asyncShared struct {
-	nw        int
-	kw        int
-	prune     int64          // ExactOptions.PruneBound (0 = off); immutable
-	memBudget int64          // ExactOptions.MaxTableBytes (0 = off); immutable
-	boxes     []asyncMailbox // boxes[src*nw+dst]
+	nw       int
+	kw       int
+	prune    int64          // ExactOptions.PruneBound (0 = off); immutable
+	budgeted bool           // a table budget is set: workers publish tableBytes
+	boxes    []asyncMailbox // boxes[src*nw+dst]
 
 	sent     atomic.Int64 // proposals deposited
 	recv     atomic.Int64 // proposals consumed
 	expanded atomic.Int64 // states expanded (for the budget and stats)
 	done     atomic.Bool  // optimum proven
 	abort    atomic.Bool  // state budget exhausted
-	memAbort atomic.Bool  // table memory budget exhausted (abort is also set)
 	stop     atomic.Bool  // cancellation requested: drain to quiescence, expand nothing
 	passive  []atomic.Bool
 	// tableBytes mirrors each worker's table footprint for the
@@ -267,11 +291,12 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 	nw := opts.Parallel
 	kw := start.PackedWords()
 	base := newSearchCtx(p, opts, start)
+	guard := newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery)
 	sh := &asyncShared{
 		nw:         nw,
 		kw:         kw,
 		prune:      opts.PruneBound,
-		memBudget:  opts.MaxTableBytes,
+		budgeted:   guard.budgeted(),
 		boxes:      make([]asyncMailbox, nw*nw),
 		passive:    make([]atomic.Bool, nw),
 		fmins:      make([]atomic.Int64, nw),
@@ -375,33 +400,26 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 	// which every generated proposal sits relaxed in some shard heap, so
 	// the heap tops are the full open frontier and their minimum is the
 	// final (tightest) certified lower bound on the optimum.
-	var sampler *progressSampler
-	if opts.Progress != nil {
-		sampler = newProgressSampler(opts.ProgressEvery)
-	}
 	coSleep := 20 * time.Microsecond
+	var overBytes int64 // table footprint that tripped the budget (0: none)
 	for {
 		if sh.expanded.Load() > int64(maxStates) {
 			sh.abort.Store(true)
 			break
 		}
-		if sh.memBudget > 0 {
+		if sh.budgeted {
 			var tb int64
 			for i := range sh.tableBytes {
 				tb += sh.tableBytes[i].Load()
 			}
-			if tb > sh.memBudget {
-				sh.memAbort.Store(true)
+			if guard.overBudget(tb) {
+				overBytes = tb
 				sh.abort.Store(true)
 				break
 			}
 		}
-		if opts.Cancel != nil && !sh.stop.Load() {
-			select {
-			case <-opts.Cancel:
-				sh.stop.Store(true)
-			default:
-			}
+		if !sh.stop.Load() && guard.canceled() {
+			sh.stop.Store(true)
 		}
 		improved := false
 		if v := sh.certifiedMin(); v != costUnreached && v > certLower {
@@ -411,8 +429,8 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		// Snapshot on every certified-bound improvement (the anytime
 		// layer wants those promptly) and on the time cadence between
 		// improvements, so a long plateau still streams live stats.
-		if sampler != nil && (improved || sampler.due()) {
-			opts.Progress(sh.snapshot(sampler, certLower))
+		if guard.emit != nil && (improved || guard.due()) {
+			guard.emit(sh.snapshot(guard.sampler, certLower))
 		}
 		if sh.terminated() {
 			sh.done.Store(true)
@@ -431,9 +449,8 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		// survives the abort.
 		lowerBound = certLower
 		report()
-		if sh.memAbort.Load() {
-			return Solution{}, fmt.Errorf("%w: over budget %d after %d states (lower bound %d)",
-				ErrMemoryBudget, sh.memBudget, sh.expanded.Load(), lowerBound)
+		if overBytes > 0 {
+			return Solution{}, guard.budgetErr(overBytes, searchPoint{n: sh.expanded.Load(), unit: "states", incumbent: -1, lower: lowerBound})
 		}
 		return Solution{}, fmt.Errorf("%w: %d states", ErrStateLimit, maxStates)
 	}
@@ -460,7 +477,7 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		// max.
 		lowerBound = max(certLower, min(minTop, incG))
 		report()
-		return Solution{}, fmt.Errorf("%w after %d states (lower bound %d)", ErrCanceled, sh.expanded.Load(), lowerBound)
+		return Solution{}, guard.canceledErr(searchPoint{n: sh.expanded.Load(), unit: "states", incumbent: -1, lower: lowerBound})
 	}
 	if incG == costUnreached {
 		if sh.prune > 0 {
@@ -572,7 +589,7 @@ func (w *asyncWorker) publish(sh *asyncShared) {
 		f, g = w.open.top()
 	}
 	w.publishFloor(sh, min(f, w.outMin))
-	if sh.memBudget > 0 {
+	if sh.budgeted {
 		sh.tableBytes[w.id].Store(w.table.bytes())
 	}
 	if sh.wantStats {
@@ -712,8 +729,8 @@ func (w *asyncWorker) drain(sh *asyncShared) int {
 	return total
 }
 
-// relaxBatch merges one mailbox batch (same layout as the synchronous
-// engine's relax: kw key words per proposal, in order). The pushed
+// relaxBatch merges one mailbox batch (kw key words per proposal, in
+// order) into the local table and open list. The pushed
 // priority is the pathmax f = max(parent f, g + h): the parent's
 // admissible f never exceeds the cost of any completion through the
 // child, so raising the child to it keeps every certificate valid while
@@ -976,7 +993,7 @@ func (sh *asyncShared) snapshot(s *progressSampler, lower int64) ExactProgress {
 }
 
 // shardTrace reconstructs the incumbent's move chain across the
-// per-shard node logs (shared by the sync and async engines).
+// per-shard node logs.
 func shardTrace(p Problem, logs [][]parNode, shard, node int32) Solution {
 	var rev []pebble.Move
 	s, n := shard, node

@@ -97,26 +97,6 @@ func TestAsyncStateLimit(t *testing.T) {
 	}
 }
 
-// TestAsyncEngineSelection checks both engines answer identically on a
-// nontrivial instance (the sync-rounds engine remains selectable as the
-// ablation baseline).
-func TestAsyncEngineSelection(t *testing.T) {
-	p := Problem{G: daggen.Grid(3, 3), Model: pebble.NewModel(pebble.Oneshot), R: 3}
-	serial, err := Exact(p, ExactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []ParallelAlgo{ParallelAsyncHDA, ParallelSyncRounds} {
-		sol, err := Exact(p, ExactOptions{Parallel: 4, ParallelAlgo: algo})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if sol.Result.Cost != serial.Result.Cost {
-			t.Fatalf("%v: cost %v != serial %v", algo, sol.Result.Cost, serial.Result.Cost)
-		}
-	}
-}
-
 // TestAsyncStatsPopulated checks the stats out-parameter from the async
 // engine.
 func TestAsyncStatsPopulated(t *testing.T) {

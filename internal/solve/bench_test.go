@@ -35,33 +35,21 @@ import (
 //	pyramid(5) R=4 Dijkstra:  72 ms/op      200 allocs/op   65,689 states
 //	fft(3)     R=3 A*:       2.8  s/op      923 allocs/op  1.27M states
 //
-// PR 2 (S-partition bound, async HDA* engine, IDA* DFS), same machine
-// (a 1-core container — parallel wall-clock differences come from
-// engine overhead and search discipline, not hardware parallelism; see
-// Ablation D):
+// With the S-partition bound, the async HDA* engine and IDA*, same machine:
 //
 //	pyramid(5) R=3 lower-bound:    20 ms/op  12,704 states  (R = Δ+1)
 //	pyramid(5) R=3 s-partition:   5.6 ms/op   1,974 states  (6.4x fewer)
-//	pyramid(5) R=4 sync-rounds 4w: 26 ms/op  11,921 states
 //	pyramid(5) R=4 async-hda   4w: 20 ms/op   7,624 states
-//	pyramid(5) R=4 sync-rounds 8w: 41 ms/op  21,714 states
 //	pyramid(5) R=4 async-hda   8w: 22 ms/op   7,762 states
-//	fft(3)     R=3 sync-rounds 4w: 3.23 s/op 1.267M states
 //	fft(3)     R=3 async-hda   4w: 3.24 s/op 1.265M states
 //	fft(3)     R=3 IDA*:          7.9 s/op   6.17M visits — solves within
-//	    the 16M default budget; branch and bound exhausts it unfinished
-//	    (incumbent 39 > optimum 31 at 16M visits).
+//	    the 16M default budget.
 //
-// The async engine beats sync rounds outright on pyramid(5) R=4 at 4
-// and 8 workers (the sync engine's round batches overshoot the frontier
-// as workers grow; the async watermark holds expansions at the serial
-// count). On fft(3) R=3 the two engines are at parity on this 1-core
-// host — their CPU profiles are equal within 3% — with async expanding
-// slightly fewer states; the async design is the one with headroom on
-// real multicore hosts, where sync's barriers serialize every round.
+// The async watermark throttle holds parallel expansions near the
+// serial state count as workers grow (Ablation D).
 //
 // This PR (arena-slab state table, bucketed two-level frontier queue,
-// slab-backed heuristic masks), same 1-core machine, serial A* on the
+// slab-backed heuristic masks), same machine, serial A* on the
 // fft(3) R=3 memory row (1.37M distinct states):
 //
 //	allocs/op:  858 -> 429    (bucket recycling + bitset slabs)
@@ -72,11 +60,6 @@ import (
 //	ns/op:      3.22 s -> 2.99 s
 //	states/op:  1,265,002 — bit-identical to the committed row, as the
 //	    bucket queue preserves the (f asc, g desc) pop order
-//
-// The async-vs-sync scaling rows were re-measured per the ROADMAP
-// command (still a 1-core container): async 17.1 ms vs sync 21.2 ms at
-// 4 workers on pyramid(5) R=4 (18.1 vs 34.6 at 8), parity on fft(3)
-// R=3 (3.06 vs 2.99 s) — the multicore re-measure remains open.
 //
 // This PR (engine-introspection snapshots), re-measured on its own
 // container at -benchtime 3x:
@@ -174,30 +157,18 @@ func BenchmarkExactLowerBoundPyramid5R3(b *testing.B) {
 	benchExact(b, pyramid5R3(), ExactOptions{Heuristic: HeuristicLowerBound})
 }
 
-// Async HDA* vs synchronous rounds at 4 and 8 workers.
+// Async HDA* at 4 and 8 workers.
 
 func BenchmarkExactAsync4Pyramid5R4(b *testing.B) {
 	benchExact(b, pyramid5R4(), ExactOptions{Parallel: 4})
-}
-
-func BenchmarkExactSync4Pyramid5R4(b *testing.B) {
-	benchExact(b, pyramid5R4(), ExactOptions{Parallel: 4, ParallelAlgo: ParallelSyncRounds})
 }
 
 func BenchmarkExactAsync8Pyramid5R4(b *testing.B) {
 	benchExact(b, pyramid5R4(), ExactOptions{Parallel: 8})
 }
 
-func BenchmarkExactSync8Pyramid5R4(b *testing.B) {
-	benchExact(b, pyramid5R4(), ExactOptions{Parallel: 8, ParallelAlgo: ParallelSyncRounds})
-}
-
 func BenchmarkExactAsync4FFT3R3(b *testing.B) {
 	benchExact(b, fft3R3(), ExactOptions{Parallel: 4})
-}
-
-func BenchmarkExactSync4FFT3R3(b *testing.B) {
-	benchExact(b, fft3R3(), ExactOptions{Parallel: 4, ParallelAlgo: ParallelSyncRounds})
 }
 
 // Depth-first exact solvers.
@@ -224,19 +195,14 @@ func benchDFS(b *testing.B, p Problem, opts ExactDFSOptions) {
 }
 
 func BenchmarkExactIDAStarPyramid5R4(b *testing.B) {
-	benchDFS(b, pyramid5R4(), ExactDFSOptions{Algorithm: DFSIDAStar})
-}
-
-func BenchmarkExactDFSBnBPyramid5R4(b *testing.B) {
-	benchDFS(b, pyramid5R4(), ExactDFSOptions{Algorithm: DFSBranchAndBound})
+	benchDFS(b, pyramid5R4(), ExactDFSOptions{})
 }
 
 // BenchmarkExactIDAStarFFT3R3 is the acceptance demonstration for the
-// IDA* rebuild: fft(3) R=3, hopeless for branch and bound (it exhausts
-// the 16M default budget with its incumbent still at 39 > 31), solves
-// oneshot at ~6.2M visits — well within the default.
+// IDA* rebuild: fft(3) R=3 solves oneshot at ~6.2M visits — well within
+// the 16M default budget.
 func BenchmarkExactIDAStarFFT3R3(b *testing.B) {
-	benchDFS(b, fft3R3(), ExactDFSOptions{Algorithm: DFSIDAStar})
+	benchDFS(b, fft3R3(), ExactDFSOptions{})
 }
 
 func BenchmarkExactDFSGrid44R3(b *testing.B) {

@@ -76,7 +76,6 @@ func TestExactCancelEngines(t *testing.T) {
 	}{
 		{"serial", ExactOptions{}},
 		{"async", ExactOptions{Parallel: 2}},
-		{"sync-rounds", ExactOptions{Parallel: 2, ParallelAlgo: ParallelSyncRounds}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cancel := make(chan struct{})

@@ -8,39 +8,6 @@ import (
 	"rbpebble/internal/pebble"
 )
 
-// DFSAlgorithm selects the depth-first exact solver's search scheme.
-type DFSAlgorithm int
-
-const (
-	// DFSAuto (the zero value) behaves like DFSIDAStar.
-	DFSAuto DFSAlgorithm = iota
-	// DFSIDAStar is iterative-deepening A* on f = g+h: depth-first
-	// passes under a growing f-threshold, over the packed per-iteration
-	// memo. It shares the admissible lower bound with the best-first
-	// solver, and unlike plain branch and bound its pruning does not
-	// depend on stumbling onto a good incumbent early — fft(3) R=3,
-	// hopeless for branch and bound at any reasonable budget, finishes
-	// well inside the default one.
-	DFSIDAStar
-	// DFSBranchAndBound is the plain depth-first branch and bound
-	// (prune on cost + h >= incumbent), kept as the ablation baseline.
-	DFSBranchAndBound
-)
-
-// String names the DFS algorithm.
-func (a DFSAlgorithm) String() string {
-	switch a {
-	case DFSAuto:
-		return "auto"
-	case DFSIDAStar:
-		return "ida-star"
-	case DFSBranchAndBound:
-		return "branch-and-bound"
-	default:
-		return "DFSAlgorithm(?)"
-	}
-}
-
 // ExactDFSOptions configures the depth-first exact solver.
 type ExactDFSOptions struct {
 	// MaxVisits caps the number of state expansions (0 = 16,000,000),
@@ -65,13 +32,11 @@ type ExactDFSOptions struct {
 	// cost the CALLER has already certified (e.g. a cached interval from
 	// an earlier deadline-limited solve). IDA* starts its threshold
 	// schedule at max(root heuristic, InitialLowerBound) — skipping every
-	// pass a previous request already completed — and both algorithms
-	// seed their reported LowerBound with it. Soundness of the skipped
-	// passes rests entirely on the caller's certificate; an uncertified
-	// value can make the solver return a non-optimal trace as "optimal".
+	// pass a previous request already completed — and seeds its reported
+	// LowerBound with it. Soundness of the skipped passes rests entirely
+	// on the caller's certificate; an uncertified value can make the
+	// solver return a non-optimal trace as "optimal".
 	InitialLowerBound int64
-	// Algorithm selects the search scheme (DFSAuto = IDA*).
-	Algorithm DFSAlgorithm
 	// Stats, when non-nil, receives search counters after the solve —
 	// also on failure, so a visit-limited run still reports how far it
 	// got and what bounds it had proven.
@@ -107,11 +72,9 @@ type ExactDFSStats struct {
 	// Visits is the number of state expansions (cumulative across IDA*
 	// iterations; see ExactDFSOptions.MaxVisits for the semantics).
 	Visits int
-	// Iterations is the number of IDA* threshold passes (1 for branch
-	// and bound).
+	// Iterations is the number of IDA* threshold passes.
 	Iterations int
-	// Threshold is the last IDA* f-threshold searched (0 for branch and
-	// bound).
+	// Threshold is the last IDA* f-threshold searched.
 	Threshold int64
 	// Incumbent is the best achievable scaled cost known when the
 	// search stopped (the optimum on success; an upper bound on
@@ -142,9 +105,10 @@ type ExactDFSStats struct {
 var ErrVisitLimit = errors.New("solve: DFS visit limit exceeded")
 
 // ExactDFS finds a provably minimum-cost pebbling by depth-first search
-// with per-state memoization: iterative-deepening A* on f = g+h by
-// default, plain branch and bound as the ablation baseline
-// (ExactDFSOptions.Algorithm). It is an independent second
+// with per-state memoization: iterative-deepening A* on f = g+h. It
+// shares the admissible lower bound with the best-first solver, and
+// unlike plain branch and bound its pruning does not depend on
+// stumbling onto a good incumbent early. It is an independent second
 // implementation of the exact optimum (the first being the best-first
 // search in Exact) — the two cross-validate each other in the tests.
 //
@@ -191,35 +155,18 @@ func ExactDFS(p Problem, opts ExactDFSOptions) (Solution, error) {
 		memo:         newStateTable(start.PackedWords(), payloadBestOnly, 1024),
 		hcache:       newStateTable(start.PackedWords(), payloadBestOnly, 1024),
 		maxVisits:    maxVisits,
-		maxTableB:    opts.MaxTableBytes,
+		guard:        newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Search, opts.ProgressEvery),
 		bound:        bound,
 		bestMoves:    bestMoves,
 		maxDepth:     dfsMaxDepth(p),
 		initialLower: opts.InitialLowerBound,
-		cancel:       opts.Cancel,
 		onIncumbent:  opts.OnIncumbent,
 		onProgress:   opts.Progress,
-		onSearch:     opts.Search,
-		engine:       opts.Algorithm.String(),
 	}
-	if opts.Algorithm == DFSAuto {
-		d.engine = DFSIDAStar.String()
+	err = d.idaStar()
+	if opts.Stats != nil {
+		*opts.Stats = d.stats()
 	}
-	if d.onSearch != nil {
-		d.sampler = newProgressSampler(opts.ProgressEvery)
-	}
-	report := func() {
-		if opts.Stats != nil {
-			*opts.Stats = d.stats()
-		}
-	}
-	switch opts.Algorithm {
-	case DFSBranchAndBound:
-		err = d.branchAndBound()
-	default:
-		err = d.idaStar()
-	}
-	report()
 	if err != nil {
 		return Solution{}, err
 	}
@@ -261,7 +208,7 @@ type dfsSearch struct {
 	memo      *stateTable   // best entry cost per state, valid for one pass
 	hcache    *stateTable   // heuristic per state (best(ref) = h; dfsDeadH = dead), never reset
 	maxVisits int
-	maxTableB int64 // table memory budget (0 = unlimited)
+	guard     searchGuard // cancel, table budget and Search snapshot cadence
 	maxDepth  int
 
 	bound     int64 // best achievable scaled cost known (incumbent, exclusive upper bound on improvements)
@@ -276,12 +223,8 @@ type dfsSearch struct {
 	iterations   int
 	limitErr     error
 
-	cancel      <-chan struct{}
 	onIncumbent func(scaled int64, moves []pebble.Move)
 	onProgress  func(ExactDFSStats)
-	onSearch    func(ExactProgress)
-	sampler     *progressSampler
-	engine      string
 }
 
 // stats snapshots the search counters and bounds.
@@ -302,9 +245,9 @@ func (d *dfsSearch) stats() ExactDFSStats {
 // expansion counter, the transposition cache plays the state table, and
 // the threshold schedule stands in for the frontier.
 func (d *dfsSearch) searchProgress() ExactProgress {
-	elapsed, rate := d.sampler.tick(d.visits)
+	elapsed, rate := d.guard.sampler.tick(d.visits)
 	return ExactProgress{
-		Engine:     d.engine,
+		Engine:     "ida-star",
 		Expanded:   d.visits,
 		LowerBound: d.lower,
 		Elapsed:    elapsed,
@@ -336,28 +279,15 @@ func (d *dfsSearch) improved(cost int64) {
 func (d *dfsSearch) visitLimited() bool {
 	d.visits++
 	if d.visits&255 == 0 {
-		if d.cancel != nil {
-			select {
-			case <-d.cancel:
-				if d.limitErr == nil {
-					d.limitErr = fmt.Errorf("%w after %d visits (incumbent %d, lower bound %d)",
-						ErrCanceled, d.visits, d.bound, d.lower)
-				}
-				return true
-			default:
+		at := searchPoint{n: int64(d.visits), unit: "visits", incumbent: d.bound, lower: d.lower}
+		if err := d.guard.check(d.memo.bytes()+d.hcache.bytes(), at); err != nil {
+			if d.limitErr == nil {
+				d.limitErr = err
 			}
+			return true
 		}
-		if d.maxTableB > 0 {
-			if tb := d.memo.bytes() + d.hcache.bytes(); tb > d.maxTableB {
-				if d.limitErr == nil {
-					d.limitErr = fmt.Errorf("%w: %d table bytes over budget %d after %d visits (incumbent %d, lower bound %d)",
-						ErrMemoryBudget, tb, d.maxTableB, d.visits, d.bound, d.lower)
-				}
-				return true
-			}
-		}
-		if d.sampler != nil && d.sampler.due() {
-			d.onSearch(d.searchProgress())
+		if d.guard.due() {
+			d.guard.emit(d.searchProgress())
 		}
 	}
 	if d.visits <= d.maxVisits {
@@ -565,77 +495,4 @@ func orderMovesForDFS(c *searchCtx, moves []pebble.Move) {
 			w++
 		}
 	}
-}
-
-// branchAndBound is the PR 1 depth-first branch and bound: a single
-// pass pruned only against the incumbent (cost + h >= bound), with the
-// memo keyed on best entry cost.
-func (d *dfsSearch) branchAndBound() error {
-	d.iterations = 1
-	h0, dead := d.c.lb.estimate(d.st)
-	if dead {
-		return ErrInfeasible
-	}
-	d.lower = max(h0, d.initialLower)
-	d.recBnB()
-	if d.limitErr == nil {
-		d.lower = d.bound // exhausted: incumbent proven optimal
-	}
-	return d.limitErr
-}
-
-// recBnB is one branch-and-bound recursion step. Returns false on
-// budget exhaustion.
-func (d *dfsSearch) recBnB() bool {
-	if d.limitErr != nil {
-		return false
-	}
-	st, c := d.st, d.c
-	cost := st.Cost().Scaled(d.p.Model)
-	if cost >= d.bound {
-		return true
-	}
-	if st.Complete() {
-		d.improved(cost)
-		return true
-	}
-	if st.Steps() >= d.maxDepth {
-		return true
-	}
-	c.keyBuf = st.AppendPacked(c.keyBuf[:0])
-	hash := hashKey(c.keyBuf)
-	ref, _ := d.memo.lookupOrAdd(c.keyBuf, hash)
-	if d.memo.best(ref) <= cost {
-		return true
-	}
-	_, h := d.cachedH(hash)
-	if cost+h >= d.bound {
-		return true // no completion from here can beat the incumbent (or dead)
-	}
-	if d.visitLimited() {
-		return false
-	}
-	d.memo.setBest(ref, cost)
-
-	base := len(c.moveBuf)
-	c.appendMoves(st, c.keyBuf)
-	orderMovesForDFS(c, c.moveBuf[base:])
-	end := len(c.moveBuf)
-	ok := true
-	for i := base; i < end; i++ {
-		m := c.moveBuf[i]
-		undo, err := st.ApplyForUndo(m)
-		if err != nil {
-			panic("solve: appendMoves emitted illegal move: " + err.Error())
-		}
-		d.moves = append(d.moves, m)
-		ok = d.recBnB()
-		d.moves = d.moves[:len(d.moves)-1]
-		st.Undo(undo)
-		if !ok {
-			break
-		}
-	}
-	c.moveBuf = c.moveBuf[:base]
-	return ok
 }

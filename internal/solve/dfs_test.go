@@ -51,31 +51,29 @@ func TestExactDFSVisitLimit(t *testing.T) {
 // TestExactDFSVisitLimitStats checks the satellite contract: a
 // visit-limited run reports its search stats (visits, iterations, best
 // incumbent, threshold) alongside ErrVisitLimit instead of a bare
-// error, for both algorithms.
+// error.
 func TestExactDFSVisitLimitStats(t *testing.T) {
 	g := daggen.Pyramid(4)
 	p := prob(g, pebble.Oneshot, 3)
-	for _, algo := range []DFSAlgorithm{DFSIDAStar, DFSBranchAndBound} {
-		var s ExactDFSStats
-		_, err := ExactDFS(p, ExactDFSOptions{MaxVisits: 50, Algorithm: algo, Stats: &s})
-		if !errors.Is(err, ErrVisitLimit) {
-			t.Fatalf("%s: err = %v, want ErrVisitLimit", algo, err)
-		}
-		if s.Visits <= 50-10 || s.Visits > 51 {
-			t.Fatalf("%s: stats.Visits = %d, want ~50", algo, s.Visits)
-		}
-		if s.Iterations < 1 {
-			t.Fatalf("%s: stats.Iterations = %d", algo, s.Iterations)
-		}
-		if s.Incumbent <= 0 {
-			t.Fatalf("%s: stats.Incumbent = %d, want the seeded upper bound", algo, s.Incumbent)
-		}
+	var s ExactDFSStats
+	_, err := ExactDFS(p, ExactDFSOptions{MaxVisits: 50, Stats: &s})
+	if !errors.Is(err, ErrVisitLimit) {
+		t.Fatalf("err = %v, want ErrVisitLimit", err)
+	}
+	if s.Visits <= 50-10 || s.Visits > 51 {
+		t.Fatalf("stats.Visits = %d, want ~50", s.Visits)
+	}
+	if s.Iterations < 1 {
+		t.Fatalf("stats.Iterations = %d", s.Iterations)
+	}
+	if s.Incumbent <= 0 {
+		t.Fatalf("stats.Incumbent = %d, want the seeded upper bound", s.Incumbent)
 	}
 }
 
-// TestIDAStarMatchesBnB cross-validates the two DFS schemes and the
-// best-first solver on small instances in both supported models.
-func TestIDAStarMatchesBnB(t *testing.T) {
+// TestIDAStarMatchesAStar cross-validates IDA* against the best-first
+// solver on small instances in both supported models.
+func TestIDAStarMatchesAStar(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := daggen.RandomLayered(3, 3, 2, seed)
 		r := pebble.MinFeasibleR(g)
@@ -86,18 +84,16 @@ func TestIDAStarMatchesBnB(t *testing.T) {
 				t.Fatalf("seed %d %v astar: %v", seed, kind, err)
 			}
 			want := ref.Result.Cost.Scaled(p.Model)
-			for _, algo := range []DFSAlgorithm{DFSIDAStar, DFSBranchAndBound} {
-				var s ExactDFSStats
-				sol, err := ExactDFS(p, ExactDFSOptions{Algorithm: algo, Stats: &s})
-				if err != nil {
-					t.Fatalf("seed %d %v %s: %v", seed, kind, algo, err)
-				}
-				if got := sol.Result.Cost.Scaled(p.Model); got != want {
-					t.Fatalf("seed %d %v %s: cost %d != astar %d", seed, kind, algo, got, want)
-				}
-				if s.Incumbent != want {
-					t.Fatalf("seed %d %v %s: stats incumbent %d != optimum %d", seed, kind, algo, s.Incumbent, want)
-				}
+			var s ExactDFSStats
+			sol, err := ExactDFS(p, ExactDFSOptions{Stats: &s})
+			if err != nil {
+				t.Fatalf("seed %d %v ida-star: %v", seed, kind, err)
+			}
+			if got := sol.Result.Cost.Scaled(p.Model); got != want {
+				t.Fatalf("seed %d %v ida-star: cost %d != astar %d", seed, kind, got, want)
+			}
+			if s.Incumbent != want {
+				t.Fatalf("seed %d %v ida-star: stats incumbent %d != optimum %d", seed, kind, s.Incumbent, want)
 			}
 		}
 	}

@@ -79,21 +79,15 @@ type ExactOptions struct {
 	// are still discovered and proven. In the async engine the bound is
 	// enforced at proposal enqueue, at relaxation and at expansion, and
 	// exhaustion under it yields the same ErrBoundExhausted certificate
-	// as the serial engine. The synchronous-rounds ablation engine
-	// ignores it (pruning is only a speedup; correctness never depends
-	// on it).
+	// as the serial engine.
 	PruneBound int64
-	// Parallel, when > 1, expands states with that many workers, with
-	// the state space sharded by state hash (each worker owns its
-	// shard's open list and visited table). The proven optimal cost is
-	// identical to the sequential search; only the witness trace may
-	// differ. Values <= 1 run the sequential search.
+	// Parallel, when > 1, expands states with that many workers of the
+	// asynchronous HDA* engine, with the state space sharded by state
+	// hash (each worker owns its shard's open list and visited table;
+	// see async.go). The proven optimal cost is identical to the
+	// sequential search; only the witness trace may differ. Values <= 1
+	// run the sequential search.
 	Parallel int
-	// ParallelAlgo selects the parallel engine. The zero value is
-	// ParallelAsyncHDA (asynchronous HDA*-style search, the fastest);
-	// ParallelSyncRounds keeps the synchronous-rounds expander as an
-	// ablation reference. Ignored unless Parallel > 1.
-	ParallelAlgo ParallelAlgo
 	// Stats, when non-nil, receives search counters (states expanded,
 	// pushed, distinct) after the solve, successful or not.
 	Stats *ExactStats
@@ -105,18 +99,17 @@ type ExactOptions struct {
 	Cancel <-chan struct{}
 	// Progress, when non-nil, receives periodic search snapshots on a
 	// time-based cadence (ProgressEvery) from every engine: the serial
-	// loop and the synchronous-rounds engine sample at their natural
-	// gate points, and the async HDA* engine's coordinator additionally
-	// fires whenever its certified global f-min improves, so the
-	// streamed lower bound stays prompt. The async bound is certified
-	// without any stop-and-drain: every worker publishes an
-	// in-flight-aware floor (its heap minimum, lowered to cover
-	// proposals it has generated but not yet deposited and batches it
-	// is draining) and every mailbox already tracks the minimum parent
-	// f of its pending batches, so the merged minimum never overlooks
-	// work in flight — see async.go. The callback runs on a solver
-	// goroutine and must be fast. With Progress nil the engines build
-	// no snapshots and pay only a nil check at the gate.
+	// loop samples at its periodic gate, and the async HDA* engine's
+	// coordinator additionally fires whenever its certified global f-min
+	// improves, so the streamed lower bound stays prompt. The async
+	// bound is certified without any stop-and-drain: every worker
+	// publishes an in-flight-aware floor (its heap minimum, lowered to
+	// cover proposals it has generated but not yet deposited and batches
+	// it is draining) and every mailbox already tracks the minimum
+	// parent f of its pending batches, so the merged minimum never
+	// overlooks work in flight — see async.go. The callback runs on a
+	// solver goroutine and must be fast. With Progress nil the engines
+	// build no snapshots and pay only a nil check at the gate.
 	Progress func(ExactProgress)
 	// ProgressEvery is the snapshot cadence (default ~100ms). Ignored
 	// without a Progress listener.
@@ -134,7 +127,7 @@ type ExactProgress struct {
 	// cost proven so far (see ExactStats.LowerBound).
 	LowerBound int64
 	// Engine names the engine that built the snapshot: "astar",
-	// "sync-rounds", "async-hda" or "ida-star"/"branch-and-bound".
+	// "async-hda" or "ida-star".
 	Engine string
 	// Elapsed is the wall time since the search started.
 	Elapsed time.Duration
@@ -234,39 +227,9 @@ func Exact(p Problem, opts ExactOptions) (Solution, error) {
 		return verify(p, tr), nil
 	}
 	if opts.Parallel > 1 {
-		if opts.ParallelAlgo == ParallelSyncRounds {
-			return exactParallel(p, opts, start, maxStates)
-		}
 		return exactAsync(p, opts, start, maxStates)
 	}
 	return exactSerial(p, opts, start, maxStates)
-}
-
-// ParallelAlgo enumerates the parallel expansion engines of Exact.
-type ParallelAlgo int
-
-const (
-	// ParallelAsyncHDA (the zero value) is the asynchronous HDA*-style
-	// engine: shard owners pull proposals from per-edge mailboxes and
-	// expand continuously, with counting-based distributed termination
-	// detection instead of global round barriers (see async.go).
-	ParallelAsyncHDA ParallelAlgo = iota
-	// ParallelSyncRounds is the synchronous-rounds engine (expand and
-	// relax phases separated by global barriers; see parallel.go). Kept
-	// as the ablation baseline for the async engine.
-	ParallelSyncRounds
-)
-
-// String names the parallel engine.
-func (a ParallelAlgo) String() string {
-	switch a {
-	case ParallelAsyncHDA:
-		return "async-hda"
-	case ParallelSyncRounds:
-		return "sync-rounds"
-	default:
-		return "ParallelAlgo(?)"
-	}
 }
 
 // searchCtx bundles the scratch structures of one sequential search (or
@@ -469,10 +432,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	// Certified lower bound: running max of min open f, seeded from the
 	// caller's already-certified floor (warm start) when one is given.
 	lower := opts.InitialLowerBound
-	var sampler *progressSampler
-	if opts.Progress != nil {
-		sampler = newProgressSampler(opts.ProgressEvery)
-	}
+	guard := newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery)
 	report := func() {
 		if opts.Stats != nil {
 			*opts.Stats = ExactStats{Expanded: expanded, Pushed: pushed, Distinct: table.count(), LowerBound: lower, TableBytes: table.bytes()}
@@ -521,21 +481,12 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 			return Solution{}, fmt.Errorf("%w: %d states", ErrStateLimit, maxStates)
 		}
 		if expanded&1023 == 0 {
-			if opts.Cancel != nil {
-				select {
-				case <-opts.Cancel:
-					report()
-					return Solution{}, fmt.Errorf("%w after %d states (lower bound %d)", ErrCanceled, expanded, lower)
-				default:
-				}
-			}
-			if opts.MaxTableBytes > 0 && table.bytes() > opts.MaxTableBytes {
+			if err := guard.check(table.bytes(), searchPoint{n: int64(expanded), unit: "states", incumbent: -1, lower: lower}); err != nil {
 				report()
-				return Solution{}, fmt.Errorf("%w: %d table bytes over budget %d after %d states (lower bound %d)",
-					ErrMemoryBudget, table.bytes(), opts.MaxTableBytes, expanded, lower)
+				return Solution{}, err
 			}
-			if sampler != nil && sampler.due() {
-				opts.Progress(singleProgress(sampler, expanded, pushed, lower, table, &open))
+			if guard.due() {
+				guard.emit(singleProgress(guard.sampler, expanded, pushed, lower, table, &open))
 			}
 		}
 

@@ -25,7 +25,6 @@ func TestMaxTableBytesAllEngines(t *testing.T) {
 	}{
 		{"serial", ExactOptions{}},
 		{"async", ExactOptions{Parallel: 2}},
-		{"sync-rounds", ExactOptions{Parallel: 2, ParallelAlgo: ParallelSyncRounds}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
@@ -42,30 +41,23 @@ func TestMaxTableBytesAllEngines(t *testing.T) {
 		})
 	}
 
-	for _, algo := range []DFSAlgorithm{DFSIDAStar, DFSBranchAndBound} {
-		t.Run(algo.String(), func(t *testing.T) {
-			var stats ExactDFSStats
-			_, err := ExactDFS(p, ExactDFSOptions{
-				Algorithm:     algo,
-				MaxTableBytes: budget,
-				Stats:         &stats,
-			})
-			if !errors.Is(err, ErrMemoryBudget) {
-				t.Fatalf("err = %v, want ErrMemoryBudget", err)
-			}
-			// The interval is still a certificate: the lower bound never
-			// overshoots the optimum (fft(3) R=3's root estimate is 0, so
-			// branch and bound — which raises lower only via completed
-			// IDA* passes it does not have — may stop at 0), and the
-			// incumbent is achievable, so it is at least the optimum.
-			if stats.LowerBound < 0 || stats.LowerBound > fft3R3Optimum {
-				t.Fatalf("harvested lower bound %d outside [0, %d]", stats.LowerBound, fft3R3Optimum)
-			}
-			if stats.Incumbent < fft3R3Optimum {
-				t.Fatalf("incumbent %d below optimum %d", stats.Incumbent, fft3R3Optimum)
-			}
-		})
-	}
+	t.Run("ida-star", func(t *testing.T) {
+		var stats ExactDFSStats
+		_, err := ExactDFS(p, ExactDFSOptions{MaxTableBytes: budget, Stats: &stats})
+		if !errors.Is(err, ErrMemoryBudget) {
+			t.Fatalf("err = %v, want ErrMemoryBudget", err)
+		}
+		// The interval is still a certificate: the lower bound never
+		// overshoots the optimum (fft(3) R=3's root estimate is 0, so it
+		// rises only with completed IDA* passes), and the incumbent is
+		// achievable, so it is at least the optimum.
+		if stats.LowerBound < 0 || stats.LowerBound > fft3R3Optimum {
+			t.Fatalf("harvested lower bound %d outside [0, %d]", stats.LowerBound, fft3R3Optimum)
+		}
+		if stats.Incumbent < fft3R3Optimum {
+			t.Fatalf("incumbent %d below optimum %d", stats.Incumbent, fft3R3Optimum)
+		}
+	})
 }
 
 // TestMaxTableBytesGenerous checks a budget well above the instance's
@@ -83,7 +75,6 @@ func TestMaxTableBytesGenerous(t *testing.T) {
 	}{
 		{"serial", ExactOptions{}},
 		{"async", ExactOptions{Parallel: 2}},
-		{"sync-rounds", ExactOptions{Parallel: 2, ParallelAlgo: ParallelSyncRounds}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts

@@ -111,38 +111,6 @@ func TestSnapshotsSerialAStar(t *testing.T) {
 	}
 }
 
-func TestSnapshotsSyncRounds(t *testing.T) {
-	var c snapshotRun
-	var stats ExactStats
-	_, err := Exact(pyramid5R4(), ExactOptions{
-		Parallel:      2,
-		ParallelAlgo:  ParallelSyncRounds,
-		Progress:      c.listener(t),
-		ProgressEvery: time.Nanosecond,
-		Stats:         &stats,
-	})
-	c.done.Store(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := c.checkStream(t, "sync-rounds", stats.Expanded, stats.TableBytes)
-	for i, sn := range snaps {
-		if len(sn.Workers) != 2 {
-			t.Fatalf("snapshot %d: %d workers, want 2", i, len(sn.Workers))
-		}
-		distinct, open, bytes := 0, 0, int64(0)
-		for _, wk := range sn.Workers {
-			distinct += wk.TableCount
-			open += wk.OpenSize
-			bytes += wk.TableBytes
-		}
-		if distinct != sn.Distinct || open != sn.OpenSize || bytes != sn.TableBytes {
-			t.Errorf("snapshot %d: worker sums (%d, %d, %d) != aggregates (%d, %d, %d)",
-				i, distinct, open, bytes, sn.Distinct, sn.OpenSize, sn.TableBytes)
-		}
-	}
-}
-
 func TestSnapshotsAsyncHDA(t *testing.T) {
 	var c snapshotRun
 	var stats ExactStats
@@ -187,7 +155,6 @@ func TestSnapshotsIDAStar(t *testing.T) {
 	var c snapshotRun
 	var stats ExactDFSStats
 	_, err := ExactDFS(pyramid5R4(), ExactDFSOptions{
-		Algorithm:     DFSIDAStar,
 		Search:        c.listener(t),
 		ProgressEvery: time.Nanosecond,
 		Stats:         &stats,

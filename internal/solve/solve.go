@@ -1,7 +1,7 @@
 // Package solve provides pebbling solvers: an exact best-first search
 // over game states (A* with an admissible model-aware lower bound,
 // packed-state deduplication, optional hash-sharded parallel expansion;
-// small instances, all models), a depth-first branch-and-bound second
+// small instances, all models), a depth-first IDA* second
 // implementation, an exhaustive order-enumeration optimum for the
 // oneshot model, the three greedy strategies analyzed in §8 of the
 // paper, and the naive topological baseline realizing the (2Δ+1)·n

@@ -169,20 +169,15 @@ type (
 	Solution = solve.Solution
 	// ExactOptions configures the exact solver: state budget
 	// (MaxStates), A* lower-bound tier (Heuristic: S-partition by
-	// default), hash-sharded parallel expansion (Parallel workers,
-	// ParallelAlgo engine — async HDA* by default, synchronous rounds
-	// for ablation), search counters (Stats) and the dominance pruning
-	// ablation switch (DisablePruning).
+	// default), hash-sharded parallel expansion (Parallel workers of
+	// the async HDA* engine), search counters (Stats) and the dominance
+	// pruning ablation switch (DisablePruning).
 	ExactOptions = solve.ExactOptions
 	// ExactStats reports search-effort counters from one Exact run
 	// (states expanded, open-list pushes, distinct states reached).
 	ExactStats = solve.ExactStats
 	// Heuristic selects the exact solver's A* lower bound tier.
 	Heuristic = solve.Heuristic
-	// ParallelAlgo selects the parallel expansion engine of Exact.
-	ParallelAlgo = solve.ParallelAlgo
-	// DFSAlgorithm selects the depth-first exact solver's scheme.
-	DFSAlgorithm = solve.DFSAlgorithm
 	// ExactDFSStats reports search effort and bound progress from one
 	// ExactDFS run (also populated alongside ErrVisitLimit).
 	ExactDFSStats = solve.ExactDFSStats
@@ -192,12 +187,10 @@ type (
 	PackedKey = pebble.PackedKey
 	// OrderOptOptions configures the order-enumeration optimum.
 	OrderOptOptions = solve.OrderOptOptions
-	// ExactDFSOptions configures the branch-and-bound exact solver.
+	// ExactDFSOptions configures the depth-first (IDA*) exact solver.
 	ExactDFSOptions = solve.ExactDFSOptions
 	// RandomOrdersOptions configures the sampling heuristic.
 	RandomOrdersOptions = solve.RandomOrdersOptions
-	// PortfolioOptions configures the portfolio solver.
-	PortfolioOptions = solve.PortfolioOptions
 	// GreedyRule enumerates the §8 greedy heuristics.
 	GreedyRule = solve.GreedyRule
 )
@@ -221,33 +214,13 @@ const (
 	HeuristicSPartition = solve.HeuristicSPartition
 )
 
-// Parallel expansion engines for ExactOptions.ParallelAlgo.
-// ParallelAsyncHDA (the zero value) is the asynchronous HDA*-style
-// engine — per-edge mailboxes, no round barriers, counting-based
-// distributed termination detection; ParallelSyncRounds keeps the
-// synchronous-rounds expander as the ablation baseline.
-const (
-	ParallelAsyncHDA   = solve.ParallelAsyncHDA
-	ParallelSyncRounds = solve.ParallelSyncRounds
-)
-
-// Depth-first solver schemes for ExactDFSOptions.Algorithm. DFSAuto
-// (the zero value) runs iterative-deepening A* on f = g+h;
-// DFSBranchAndBound keeps the plain branch and bound as the ablation
-// baseline.
-const (
-	DFSAuto           = solve.DFSAuto
-	DFSIDAStar        = solve.DFSIDAStar
-	DFSBranchAndBound = solve.DFSBranchAndBound
-)
-
 var (
 	// Exact finds a provably optimal pebbling by best-first state-space
 	// search: A* under an admissible model-aware lower bound (the
 	// S-partition tier by default; Dijkstra with HeuristicOff), over
 	// packed states in an open-addressing table, with optional
-	// hash-sharded parallel expansion (ExactOptions.Parallel workers,
-	// async HDA* engine unless ParallelSyncRounds is selected).
+	// hash-sharded parallel expansion (ExactOptions.Parallel workers of
+	// the async HDA* engine).
 	Exact = solve.Exact
 	// OrderOpt finds the oneshot optimum by order enumeration + Belady.
 	OrderOpt = solve.OrderOpt
@@ -262,14 +235,10 @@ var (
 	// MinVisitOrder solves the minimum-cost visit-order DP (Held-Karp).
 	MinVisitOrder = solve.MinVisitOrder
 	// ExactDFS is the depth-first exact solver (oneshot/nodel):
-	// iterative-deepening A* by default, branch and bound via
-	// ExactDFSOptions.Algorithm.
+	// iterative-deepening A* on f = g+h.
 	ExactDFS = solve.ExactDFS
 	// RandomOrders samples random topological orders with Belady eviction.
 	RandomOrders = solve.RandomOrders
-	// Portfolio runs every heuristic (optionally exact search) and
-	// returns the cheapest verified pebbling.
-	Portfolio = solve.Portfolio
 )
 
 // ---- Anytime orchestration and serving ----
