@@ -1,7 +1,9 @@
 // Command rbserve serves red-blue pebbling solves over HTTP: a JSON API
 // backed by the anytime orchestrator, a canonical instance cache with
-// singleflight deduplication, and a worker-pool job queue for async
-// requests.
+// singleflight deduplication, and one two-lane scheduler for sync, async
+// and batched solves alike: cache-served work and work within
+// -fast-budget run on the fast lane, exact solves on the heavy lane, so
+// -heavy-workers bounds the node's concurrent exact solves.
 //
 // Usage:
 //
@@ -63,8 +65,6 @@ import (
 func main() {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		workers        = flag.Int("workers", 2, "async job worker-pool size")
-		queueDepth     = flag.Int("queue", 64, "async job queue depth")
 		cacheSize      = flag.Int("cache", 256, "solution cache entries (LRU)")
 		deadline       = flag.Duration("deadline", 2*time.Second, "default per-request solve budget")
 		maxDeadline    = flag.Duration("max-deadline", 30*time.Second, "largest accepted per-request budget")
@@ -75,8 +75,8 @@ func main() {
 		advertise      = flag.String("advertise", "", "address other cluster members reach this node at (default: 127.0.0.1 + -addr port)")
 		batchItems     = flag.Int("batch-items", 256, "largest accepted POST /solve/batch item count")
 		canonWorkers   = flag.Int("canon-workers", 0, "batch canonicalization pool size (0 = GOMAXPROCS)")
-		fastWorkers    = flag.Int("fast-workers", 4, "fast-lane workers (cache-served and sub-budget batch groups)")
-		heavyWorkers   = flag.Int("heavy-workers", 2, "heavy-lane workers (exact-solve batch groups)")
+		fastWorkers    = flag.Int("fast-workers", 4, "fast-lane workers (cache-served and sub-budget solves)")
+		heavyWorkers   = flag.Int("heavy-workers", 2, "heavy-lane workers: the node's concurrent exact solves, sync and async")
 		fastQueue      = flag.Int("fast-queue", 256, "fast-lane queue depth before shedding")
 		heavyQueue     = flag.Int("heavy-queue", 64, "heavy-lane queue depth before shedding")
 		fastBudget     = flag.Duration("fast-budget", 150*time.Millisecond, "largest per-item deadline the fast lane accepts for uncached work")
@@ -134,8 +134,6 @@ func main() {
 	var agentPtr atomic.Pointer[cluster.Agent]
 
 	s := service.New(service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
 		CacheSize:        *cacheSize,
 		DefaultDeadline:  *deadline,
 		MaxDeadline:      *maxDeadline,
@@ -178,7 +176,7 @@ func main() {
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("rbserve: listening",
 		slog.String("addr", *addr), slog.Duration("deadline", *deadline),
-		slog.Int("cache", *cacheSize), slog.Int("workers", *workers))
+		slog.Int("cache", *cacheSize), slog.Int("heavy_workers", *heavyWorkers))
 
 	if *pprofAddr != "" {
 		// pprof lives on its own listener and mux so profiling stays off
@@ -232,7 +230,7 @@ func main() {
 			agent.SetDraining(true)
 		}
 		// One grace window covers ALL teardown steps: the HTTP listener
-		// drain, the async worker drain, and (when joined) the cache
+		// drain, the lane worker drain, and (when joined) the cache
 		// handoff share the deadline, so the total never exceeds -grace
 		// (an operator aligning it with e.g. a kubelet termination grace
 		// must not see it spent twice). A slice of the window is reserved

@@ -311,17 +311,17 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runBatchGroup(ctx context.Context, g *batchGroup, states []batchItemState, out []BatchItem) {
 	defer close(g.done)
 	leader := g.members[0]
-	val, hit, shared, warmed := instcache.Value{}, true, false, false
+	var kr keyedResult
 	if g.probed != nil {
-		val = *g.probed
-		s.recordProbeHit(ctx, states[leader].p, val, g.deadline, time.Now())
+		kr = keyedResult{Val: *g.probed, Hit: true}
+		s.recordProbeHit(ctx, states[leader].p, kr.Val, g.deadline, time.Now())
 	} else {
 		var err error
 		// The solve runs under baseCtx (not the HTTP request context):
 		// like the sync path, a client that gives up mid-batch doesn't
 		// kill a solve whose result is about to land in the cache. The
 		// graft keeps the batch request's trace on it.
-		val, hit, shared, warmed, err = s.solveKeyed(obs.Graft(s.baseCtx, ctx), states[leader].p, g.key, states[leader].perm, g.deadline, nil, nil)
+		kr, err = s.solveKeyed(obs.Graft(s.baseCtx, ctx), states[leader].p, g.key, states[leader].perm, g.deadline, nil, nil)
 		if err != nil {
 			s.m.solveErrors.Add(1)
 			status := http.StatusUnprocessableEntity
@@ -337,7 +337,9 @@ func (s *Server) runBatchGroup(ctx context.Context, g *batchGroup, states []batc
 	for n, idx := range g.members {
 		st := &states[idx]
 		mStart := time.Now()
-		resp, err := s.buildResponse(ctx, st.p, val, st.perm, st.includeTrace, hit, shared || n > 0, warmed, mStart)
+		mr := kr
+		mr.Shared = kr.Shared || n > 0
+		resp, err := s.buildResponse(ctx, st.p, mr, st.perm, st.includeTrace, mStart)
 		s.reqSeconds.observe(time.Since(mStart))
 		if err != nil {
 			out[idx] = BatchItem{Index: idx, Lane: g.lane, Error: err.Error(), Status: http.StatusUnprocessableEntity}

@@ -10,20 +10,25 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rbpebble/internal/anytime"
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/instcache"
+	"rbpebble/internal/obs"
 	"rbpebble/internal/solve"
 )
 
-// TestAsyncQueueShedsWith429: once the worker pool is saturated a full
-// queue deep, further async submissions are shed with 429 and a
+// TestAsyncQueueShedsWith429: async jobs and sync solves share the
+// heavy lane's one backlog. With the single heavy worker held by a
+// gated async job and the lane's one queue slot taken by a sync
+// request, the next async submission is shed with 429 and a
 // Retry-After estimate instead of queuing unboundedly.
 func TestAsyncQueueShedsWith429(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1})
+	s := New(Config{HeavyLaneWorkers: 1, HeavyLaneQueue: 1})
 	defer s.Close()
 	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
 	started := make(chan struct{})
 	var startedOnce sync.Once
 	s.solveFn = func(ctx context.Context, p solve.Problem, opts anytime.Options) (anytime.Result, error) {
@@ -33,6 +38,7 @@ func TestAsyncQueueShedsWith429(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	defer release() // runs first: both Closes wait for the gated solves
 
 	submit := func(h int) (*http.Response, error) {
 		return http.Post(ts.URL+"/solve", "application/json",
@@ -40,22 +46,30 @@ func TestAsyncQueueShedsWith429(t *testing.T) {
 				dagJSON(t, daggen.Pyramid(h)))))
 	}
 
-	r1, err := submit(3) // occupies the single worker
+	r1, err := submit(3) // occupies the single heavy worker
 	if err != nil {
 		t.Fatal(err)
 	}
 	r1.Body.Close()
-	<-started
-	r2, err := submit(4) // fills the queue
-	if err != nil {
-		t.Fatal(err)
+	if r1.StatusCode != http.StatusAccepted {
+		t.Fatalf("first async submission: %d, want 202", r1.StatusCode)
 	}
-	r2.Body.Close()
-	if r1.StatusCode != http.StatusAccepted || r2.StatusCode != http.StatusAccepted {
-		t.Fatalf("setup submissions: %d, %d, want 202", r1.StatusCode, r2.StatusCode)
+	<-started
+	syncCode := make(chan int, 1)
+	go func() { // fills the heavy lane's queue; blocks until the gate opens
+		code, _, _ := postSolve(t, ts, fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":10000}`,
+			dagJSON(t, daggen.Pyramid(4))))
+		syncCode <- code
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.lanes.heavy.depth() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("sync request never queued behind the async job on the heavy lane")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
-	r3, err := submit(5) // queue full: shed
+	r3, err := submit(5) // heavy lane full: shed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +83,67 @@ func TestAsyncQueueShedsWith429(t *testing.T) {
 	if got := metric(t, ts, "rbserve_jobs_shed_total"); got != 1 {
 		t.Fatalf("jobs_shed_total = %d, want 1", got)
 	}
-	close(gate)
+	release()
+	if code := <-syncCode; code != http.StatusOK {
+		t.Fatalf("queued sync request status = %d, want 200", code)
+	}
+}
+
+// TestAsyncCacheHitRidesFastLane: an async job whose key the cache
+// probe can serve is classified like a sync request — it rides the fast
+// lane, finishes done with cached:true, and never reaches a solver.
+func TestAsyncCacheHitRidesFastLane(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	g := dagJSON(t, daggen.Pyramid(4))
+	if code, sr, raw := postSolve(t, ts, fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3}`, g)); code != http.StatusOK || !sr.Optimal {
+		t.Fatalf("warming solve: %d %s", code, raw)
+	}
+	solves := metric(t, ts, "rbserve_solves_total")
+
+	resp, err := http.Post(ts.URL+"/solve", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"async":true}`, g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jr JobResponse
+	json.NewDecoder(resp.Body).Decode(&jr)
+	resp.Body.Close()
+	traceID := resp.Header.Get(obs.TraceHeader)
+	if resp.StatusCode != http.StatusAccepted || jr.ID == "" || traceID == "" {
+		t.Fatalf("submit: status %d, job %+v, trace %q", resp.StatusCode, jr, traceID)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !terminal(jr.Status) {
+		if time.Now().After(deadline) {
+			t.Fatal("job did not finish")
+		}
+		time.Sleep(2 * time.Millisecond)
+		getJSON(t, ts.URL+"/solve/"+jr.ID, &jr)
+	}
+	if jr.Status != "done" || jr.Result == nil || !jr.Result.Cached || !jr.Result.Optimal {
+		t.Fatalf("cached async job = %+v, want done with a cached optimal result", jr)
+	}
+
+	code, tv := getTrace(t, ts, traceID)
+	if code != http.StatusOK {
+		t.Fatalf("/debug/trace status %d", code)
+	}
+	lane := ""
+	for _, sv := range tv.Spans {
+		if sv.Name == "lane-queue" {
+			lane = sv.Attrs["lane"]
+		}
+	}
+	if lane != laneFast {
+		t.Fatalf("async cache hit lane-queue lane = %q, want %q; spans %+v", lane, laneFast, tv.Spans)
+	}
+	if got := metric(t, ts, "rbserve_solves_total"); got != solves {
+		t.Fatalf("solves_total = %d after a cache-served job, want %d", got, solves)
+	}
 }
 
 // TestCacheImportEndpoint: entries exported from one node and POSTed to

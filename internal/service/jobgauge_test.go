@@ -40,7 +40,7 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
 // finishes. The solver is stubbed so the test controls both the
 // streamed values and the job's lifetime.
 func TestJobLowerBoundGauge(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{HeavyLaneWorkers: 1})
 	defer s.Close()
 	streamed := make(chan struct{})
 	gate := make(chan struct{})

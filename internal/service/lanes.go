@@ -11,7 +11,7 @@ const (
 	laneHeavy = "heavy"
 )
 
-// lane is one bounded worker pool of the two-lane batch scheduler: a
+// lane is one bounded worker pool of the two-lane scheduler: a
 // queue of closures drained by a fixed worker set. Submission is
 // non-blocking — a full queue is the lane's admission-control signal
 // (the caller sheds with 429 + Retry-After instead of queueing
@@ -62,15 +62,15 @@ func (l *lane) run(closed <-chan struct{}, wg *sync.WaitGroup) {
 	}
 }
 
-// lanes is the deadline-aware two-lane scheduler of the batched
-// request plane. Work units (one canonical-key group of batch items
-// each) are classified before they queue: groups a cache probe can
-// serve, and groups whose whole budget is below the fast-lane
-// threshold, ride the fast lane; everything that may hold a worker
-// for a multi-second exact solve queues on the heavy lane. The split
-// is what keeps a 2 ms cache hit from sitting behind a 3 s solve —
-// head-of-line blocking across cost classes is structural, not a
-// tuning accident.
+// lanes is the node's one deadline-aware scheduler. Every solve runs on
+// it: a single POST /solve, sync or async, is one work unit, and a
+// batch contributes one unit per canonical-key group. Units are
+// classified before they queue: work a cache probe can serve, and work
+// whose whole budget is below the fast-lane threshold, rides the fast
+// lane; everything that may hold a worker for a multi-second exact
+// solve queues on the heavy lane. The split is what keeps a 2 ms cache
+// hit from sitting behind a 3 s solve — head-of-line blocking across
+// cost classes is structural, not a tuning accident.
 type lanes struct {
 	fast, heavy *lane
 }

@@ -24,7 +24,7 @@ import (
 // stay retrievable alongside the terminal status. The solver is stubbed
 // so the test controls the snapshots and the job's lifetime.
 func TestJobSearchDebug(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{HeavyLaneWorkers: 1})
 	defer s.Close()
 	streamed := make(chan struct{})
 	gate := make(chan struct{})

@@ -1,7 +1,8 @@
 // Package service is the rbserve HTTP layer: a JSON API over the
 // anytime orchestrator with a canonical instance cache, singleflight
-// deduplication of concurrent identical solves, a worker-pool job queue
-// for async requests, per-request deadlines and operational metrics.
+// deduplication of concurrent identical solves, one two-lane scheduler
+// for sync, async and batched work, per-request deadlines and
+// operational metrics.
 //
 // Endpoints:
 //
@@ -40,11 +41,6 @@ import (
 
 // Config tunes a Server. Zero values select the defaults.
 type Config struct {
-	// Workers is the async job worker-pool size (default 2).
-	Workers int
-	// QueueDepth bounds the async job queue (default 64); beyond it
-	// POST /solve with async=true returns 503.
-	QueueDepth int
 	// CacheSize bounds the solution LRU (default 256 entries).
 	CacheSize int
 	// DefaultDeadline applies when a request has no deadline_ms
@@ -74,11 +70,12 @@ type Config struct {
 	// canonically labeled in parallel before any of them queues for a
 	// solve.
 	CanonWorkers int
-	// FastLaneWorkers/HeavyLaneWorkers size the two scheduling lanes of
-	// the batch plane (defaults 4 and 2). The fast lane runs groups a
-	// cache probe can serve and groups whose whole budget is below
-	// FastLaneBudget; the heavy lane runs everything that may hold a
-	// worker for a long exact solve.
+	// FastLaneWorkers/HeavyLaneWorkers size the two scheduling lanes
+	// (defaults 4 and 2) that run every solve: sync, async and batched.
+	// The fast lane runs work a cache probe can serve and work whose
+	// whole budget is below FastLaneBudget; the heavy lane runs
+	// everything that may hold a worker for a long exact solve, so
+	// HeavyLaneWorkers bounds the node's concurrent exact solves.
 	FastLaneWorkers, HeavyLaneWorkers int
 	// FastLaneQueue/HeavyLaneQueue bound the per-lane backlogs
 	// (defaults 256 and 64); a full lane sheds its items with 429 +
@@ -136,12 +133,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 256
 	}
@@ -254,14 +245,9 @@ type JobResponse struct {
 type job struct {
 	id string
 	// traceID correlates the job with the request that submitted it
-	// (the job context carries the full trace, so the worker's solve
-	// spans land on the submitting request's trace).
+	// (the job context carries the full trace, so the lane worker's
+	// solve spans land on the submitting request's trace).
 	traceID string
-	// The request is parsed once at submission; the worker reuses the
-	// materialized problem instead of re-decoding the DAG JSON.
-	p            solve.Problem
-	deadline     time.Duration
-	includeTrace bool
 
 	// ctx is canceled by DELETE /solve/{id} (and by server shutdown once
 	// the grace period expires); the solver layer turns the cancellation
@@ -322,7 +308,7 @@ func (j *job) set(status string, resp *SolveResponse, errMsg string) {
 	}
 }
 
-// startRunning atomically claims a queued job for a worker. It returns
+// startRunning atomically claims a queued job for a lane worker. It returns
 // false when a cancellation won the race (the job is already terminal
 // and must be skipped) — the check and the transition share the lock,
 // so DELETE can never interleave between them and later double-close
@@ -338,9 +324,9 @@ func (j *job) startRunning() bool {
 }
 
 // requestCancel flips the job to canceled: a queued job is finalized on
-// the spot (the worker will skip it), a running one has its context
+// the spot (its lane task will skip it), a running one has its context
 // canceled — the solve layer harvests a certified partial interval and
-// the worker finalizes with it.
+// the lane task finalizes with it.
 func (j *job) requestCancel() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -358,10 +344,10 @@ func (j *job) requestCancel() {
 // metrics are the server's monotone counters (cache counters live in
 // the cache itself).
 type metrics struct {
-	requests, solves, solveErrors                                   atomic.Uint64
-	jobsSubmitted, jobsDone, jobsFailed, jobsRejected, jobsCanceled atomic.Uint64
-	jobsShed                                                        atomic.Uint64
-	batchRequests, batchItems, batchDeduped, batchShed              atomic.Uint64
+	requests, solves, solveErrors                      atomic.Uint64
+	jobsSubmitted, jobsDone, jobsFailed, jobsCanceled  atomic.Uint64
+	jobsShed                                           atomic.Uint64
+	batchRequests, batchItems, batchDeduped, batchShed atomic.Uint64
 	// solvesMemLimited counts solves whose exact engines hit the
 	// node's table-memory governor and certified a partial interval.
 	solvesMemLimited atomic.Uint64
@@ -412,7 +398,6 @@ type Server struct {
 	cfg   Config
 	cache *instcache.Cache
 	mux   *http.ServeMux
-	queue chan *job
 	lanes *lanes
 	wg    sync.WaitGroup
 
@@ -502,7 +487,7 @@ type keyInterest struct {
 	cancelFlight context.CancelFunc
 }
 
-// New returns a started Server (its worker pool runs until Close).
+// New returns a started Server (its lane workers run until Close).
 func New(cfg Config) *Server {
 	var idSeed [6]byte
 	rand.Read(idSeed[:])
@@ -522,11 +507,6 @@ func New(cfg Config) *Server {
 	s.tel = obs.NewSolveLog(s.cfg.TelemetryCap, s.cfg.TelemetrySink)
 	s.log = s.cfg.Logger
 	s.cache = instcache.New(s.cfg.CacheSize)
-	s.queue = make(chan *job, s.cfg.QueueDepth)
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	s.lanes = newLanes(s.cfg)
 	s.lanes.run(s.closed, &s.wg)
 	s.mux = http.NewServeMux()
@@ -589,8 +569,9 @@ func (s *Server) Drain() {
 // Draining reports whether Drain (or Shutdown) has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the worker pool after its in-flight jobs complete. Jobs
-// still queued stay in "queued" state; the queue channel is never
+// Close stops the lane workers after their in-flight tasks complete.
+// Tasks still queued on a lane are dropped: a waiting sync request gets
+// a 503 and an async job stays "queued". The lane channels are never
 // closed, so submissions racing a shutdown get a 503 rather than a
 // panic.
 func (s *Server) Close() {
@@ -635,48 +616,6 @@ func (s *Server) ShutdownWithin(grace time.Duration) {
 		<-finished
 	}
 	s.baseCancel()
-}
-
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case j := <-s.queue:
-			if !j.startRunning() {
-				// Canceled while queued; requestCancel already finalized.
-				s.m.jobsCanceled.Add(1)
-				continue
-			}
-			resp, err := s.runSolve(j.ctx, j.p, j.deadline, j.includeTrace, j.lower.Store,
-				func(sn obs.SearchSnapshot) { j.search.Store(&sn) })
-			j.mu.Lock()
-			wasCanceled := j.canceled
-			j.mu.Unlock()
-			if err != nil {
-				if wasCanceled {
-					s.m.jobsCanceled.Add(1)
-				} else {
-					s.m.jobsFailed.Add(1)
-				}
-				j.set("error", nil, err.Error())
-				s.log.LogAttrs(j.ctx, slog.LevelWarn, "job failed",
-					slog.String("job", j.id), slog.String("trace", j.traceID),
-					slog.String("err", err.Error()))
-				continue
-			}
-			if wasCanceled {
-				s.m.jobsCanceled.Add(1)
-			} else {
-				s.m.jobsDone.Add(1)
-			}
-			j.set("done", &resp, "")
-			s.log.LogAttrs(j.ctx, slog.LevelInfo, "job finished",
-				slog.String("job", j.id), slog.String("trace", j.traceID),
-				slog.String("status", j.snapshot().Status))
-		}
-	}
 }
 
 // BuildProblem validates a solve request into a Problem. maxNodes <= 0
@@ -832,37 +771,6 @@ func (s *Server) flightDone(key string) {
 	s.interestMu.Unlock()
 }
 
-// runSolve is the shared sync/async solve path for an already-parsed
-// request: canonical key, cache and singleflight, then the anytime
-// orchestrator — warm-started from the cached certified interval when
-// one exists, so repeated hard instances tighten across requests. ctx
-// governs this request's own wait and its cancellation vote (job
-// cancellation, shutdown grace expiry); the shared solve itself stops
-// only when every request interested in it has canceled, and a
-// canceled solve still returns a certified partial interval. onLower,
-// when non-nil, receives every certified scaled lower-bound improvement
-// streamed by the orchestrator while the solve runs (async jobs feed it
-// into their live metrics gauge); it fires only when this request leads
-// the solve, not when it latches onto another request's flight. onSearch
-// likewise receives the orchestrator's live engine-introspection
-// snapshots when this request leads the solve (async jobs retain the
-// latest one for GET /debug/jobs/{id}/search).
-func (s *Server) runSolve(ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool, onLower func(int64), onSearch func(obs.SearchSnapshot)) (SolveResponse, error) {
-	start := time.Now()
-	_, csp := obs.StartSpan(ctx, "canonicalize")
-	inst := instcache.Instance{G: p.G, Model: p.Model, R: p.R, Convention: p.Convention}
-	key, perm := inst.Key()
-	csp.End()
-	val, hit, shared, warmed, err := s.solveKeyed(ctx, p, key, perm, deadline, onLower, onSearch)
-	if err != nil {
-		s.m.solveErrors.Add(1)
-		return SolveResponse{}, err
-	}
-	resp, err := s.buildResponse(ctx, p, val, perm, includeTrace, hit, shared, warmed, start)
-	s.reqSeconds.observe(time.Since(start))
-	return resp, err
-}
-
 // modelName maps a materialized model back to its wire name for the
 // telemetry record (the inverse of BuildProblem's model switch).
 func modelName(m pebble.Model) string {
@@ -908,12 +816,32 @@ type searchLogLine struct {
 	Snapshot obs.SearchSnapshot `json:"snapshot"`
 }
 
-// solveKeyed is runSolve after the canonical key is known: interest
-// registration, the cache/singleflight Do, and replication of freshly
-// produced entries. The batch plane computes keys up front (in its
-// amortized canonicalization pool) and calls this directly, once per
-// in-batch canonical class.
-func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, perm []dag.NodeID, deadline time.Duration, onLower func(int64), onSearch func(obs.SearchSnapshot)) (instcache.Value, bool, bool, bool, error) {
+// keyedResult is what one solveKeyed round trip served: the canonical
+// cache value and how it was obtained.
+type keyedResult struct {
+	Val instcache.Value
+	// Hit: served from the cache; Shared: latched onto another
+	// request's flight; Warmed: this request's solve warm-started from
+	// a cached interval.
+	Hit, Shared, Warmed bool
+}
+
+// solveKeyed is the solve path once the canonical key is known:
+// interest registration, the cache/singleflight Do — warm-started from
+// the cached certified interval when one exists, so repeated hard
+// instances tighten across requests — and replication of freshly
+// produced entries. ctx governs this request's own wait and its
+// cancellation vote (job cancellation, shutdown grace expiry); the
+// shared solve itself stops only when every request interested in it
+// has canceled, and a canceled solve still returns a certified partial
+// interval. onLower and onSearch, when non-nil, receive the
+// orchestrator's certified scaled lower-bound improvements and live
+// engine-introspection snapshots while the solve runs (async jobs feed
+// their live gauges and GET /debug/jobs/{id}/search from them); they
+// fire only when this request leads the solve, not when it latches
+// onto another request's flight. Single solves reach it through
+// runTask; the batch plane calls it once per in-batch canonical class.
+func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, perm []dag.NodeID, deadline time.Duration, onLower func(int64), onSearch func(obs.SearchSnapshot)) (keyedResult, error) {
 	start := time.Now()
 	tier := instcache.TierForBudget(deadline)
 	// Foreground work preempts background refinement the moment it
@@ -1073,7 +1001,7 @@ func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, pe
 			rec.Canceled = true
 		}
 		s.tel.Append(rec)
-		return instcache.Value{}, false, false, false, err
+		return keyedResult{}, err
 	}
 	s.tel.Append(rec)
 	if !hit && !shared && s.cfg.Replicate != nil {
@@ -1083,7 +1011,7 @@ func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, pe
 		// — waiters latched onto it would just duplicate the push.
 		s.cfg.Replicate(instcache.Entry{Key: key, Tier: val.Tier, Value: val})
 	}
-	return val, hit, shared, warmed, nil
+	return keyedResult{Val: val, Hit: hit, Shared: shared, Warmed: warmed}, nil
 }
 
 // rememberKey records the problem behind a cache key so the background
@@ -1119,12 +1047,10 @@ func (s *Server) lookupKey(key string) (keyedProblem, bool) {
 }
 
 // refinerBusy is the background refiner's admission gate: any live
-// foreground solve, queued async job, or lane backlog pauses
-// refinement scheduling — background work runs only on genuinely idle
-// cycles.
+// foreground solve or lane backlog pauses refinement scheduling —
+// background work runs only on genuinely idle cycles.
 func (s *Server) refinerBusy() bool {
-	return s.fgActive.Load() > 0 || len(s.queue) > 0 ||
-		s.lanes.fast.depth() > 0 || s.lanes.heavy.depth() > 0
+	return s.fgActive.Load() > 0 || s.lanes.fast.depth() > 0 || s.lanes.heavy.depth() > 0
 }
 
 // errUnknownKey marks a refinement request for a key whose problem this
@@ -1262,9 +1188,10 @@ func (s *Server) handleDebugRefiner(w http.ResponseWriter, r *http.Request) {
 // every member of a canonical-class group goes through its own
 // buildResponse (k isomorphic items = 1 solve, k translations), so a
 // translation failure poisons only its own item.
-func (s *Server) buildResponse(ctx context.Context, p solve.Problem, val instcache.Value, perm []dag.NodeID, includeTrace bool, hit, shared, warmed bool, start time.Time) (SolveResponse, error) {
+func (s *Server) buildResponse(ctx context.Context, p solve.Problem, kr keyedResult, perm []dag.NodeID, includeTrace bool, start time.Time) (SolveResponse, error) {
 	_, tsp := obs.StartSpan(ctx, "translate")
 	defer tsp.End()
+	val := kr.Val
 	moves := instcache.FromCanonical(val.Moves, perm)
 	// Replay-verify on the requester's own graph: the response is
 	// certified even when the moves crossed the cache through another
@@ -1284,9 +1211,9 @@ func (s *Server) buildResponse(ctx context.Context, p solve.Problem, val instcac
 		Gap:       anytime.Gap(val.UpperScaled, val.LowerScaled),
 		Optimal:   val.Optimal,
 		Source:    val.Source,
-		Cached:    hit,
-		Shared:    shared,
-		Warmed:    warmed,
+		Cached:    kr.Hit,
+		Shared:    kr.Shared,
+		Warmed:    kr.Warmed,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	}
 	if includeTrace {
@@ -1306,8 +1233,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, _ := obs.StartRequest(w, r, s.recorder)
 	if s.draining.Load() {
 		// The header lets the routing proxy tell "this node is going
-		// away, fail over" apart from per-request 503s (queue full,
-		// singleflight wait timeout) that a healthy node also emits.
+		// away, fail over" apart from per-request 503s (singleflight
+		// wait timeout, shutdown race) that a healthy node also emits.
+		// A saturated lane is not a 503: it sheds with 429.
 		w.Header().Set("X-Rbserve-Draining", "1")
 		httpError(w, http.StatusServiceUnavailable, "server draining")
 		return
@@ -1318,126 +1246,118 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	// Parse once; async jobs carry the materialized problem so the
-	// worker never re-decodes the DAG JSON.
+	// Parse once; the lane task reuses the materialized problem instead
+	// of re-decoding the DAG JSON.
 	p, deadline, err := s.parseRequest(req)
 	if err != nil {
-		if req.Async {
-			httpError(w, http.StatusBadRequest, err.Error())
-		} else {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
-		}
+		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
+	select {
+	case <-s.closed:
+		// Close has stopped the lane workers: nothing admitted now runs.
+		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+		return
+	default:
+	}
 	if req.Async {
-		jctx, jcancel := context.WithCancel(s.baseCtx)
-		j := &job{
-			id:           "job-" + s.jobPrefix + "-" + strconv.FormatUint(s.jobSeq.Add(1), 10),
-			traceID:      obs.TraceIDFrom(ctx),
-			p:            p,
-			deadline:     deadline,
-			includeTrace: req.IncludeTrace,
-			status:       "queued",
-			// The job context cancels with the job (DELETE, shutdown
-			// grace) but carries the submitting request's trace, so the
-			// worker's solve spans land on it after the 202 returns.
-			ctx:    obs.Graft(jctx, ctx),
-			cancel: jcancel,
-			done:   make(chan struct{}),
-		}
-		select {
-		case <-s.closed:
-			jcancel() // rejected: release the baseCtx child
-			httpError(w, http.StatusServiceUnavailable, "server shutting down")
-			return
-		default:
-		}
-		select {
-		case s.queue <- j:
-		default:
-			// Queue-depth-aware load shedding: the worker pool is
-			// saturated a full queue deep, so tell the client how long the
-			// backlog is worth instead of a bare refusal — a retry after
-			// that long lands in a drained queue instead of re-shedding.
-			jcancel() // rejected: release the baseCtx child
-			s.m.jobsShed.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			httpError(w, http.StatusTooManyRequests, "job queue saturated")
-			return
-		}
-		s.m.jobsSubmitted.Add(1)
-		s.registerJob(j)
-		s.log.LogAttrs(ctx, slog.LevelInfo, "job queued",
-			slog.String("job", j.id), slog.String("trace", j.traceID))
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(j.snapshot())
+		s.submitJob(w, ctx, p, deadline, req.IncludeTrace)
 		return
 	}
 	s.syncSolve(w, ctx, p, deadline, req.IncludeTrace)
 }
 
-// syncSolve serves a single synchronous solve through the two-lane
-// scheduler: a pre-dispatch cache probe (plus the fast-lane budget
-// threshold) classifies the request exactly like a batch group, the
-// lane-queue wait is a span on the trace, and a saturated lane sheds
-// with 429 + Retry-After instead of queueing a cache hit behind
+// solveTask is one admitted POST /solve on its way to a lane worker:
+// the parsed problem, its canonical key and the pre-dispatch probe.
+type solveTask struct {
+	p            solve.Problem
+	key          string
+	perm         []dag.NodeID
+	deadline     time.Duration
+	includeTrace bool
+	probed       *instcache.Value // cache probe hit, if any
+	lane         string
+	queued       *obs.Span // lane-queue span, ended when a worker picks the task up
+	start        time.Time
+}
+
+// dispatch is the one admission path of POST /solve, sync and async
+// alike: canonicalize, probe the cache, and classify the solve exactly
+// like a batch group — probe-served work and work whose budget fits
+// FastLaneBudget ride the fast lane, everything else the heavy lane —
+// then submit run(t) to that lane, its wait recorded as a lane-queue
+// span. A saturated lane sheds: dispatch answers 429 + Retry-After
+// itself and returns nil, instead of queueing a cache hit behind
 // multi-second exact solves.
-func (s *Server) syncSolve(w http.ResponseWriter, ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool) {
-	start := time.Now()
+func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool, run func(t *solveTask)) *solveTask {
+	t := &solveTask{p: p, deadline: deadline, includeTrace: includeTrace, start: time.Now()}
 	_, csp := obs.StartSpan(ctx, "canonicalize")
 	inst := instcache.Instance{G: p.G, Model: p.Model, R: p.R, Convention: p.Convention}
-	key, perm := inst.Key()
+	t.key, t.perm = inst.Key()
 	csp.End()
 
 	_, psp := obs.StartSpan(ctx, "cache-probe")
-	tier := instcache.TierForBudget(deadline)
-	probedVal, probeHit := s.cache.Probe(key, tier)
-	psp.SetAttr("hit", strconv.FormatBool(probeHit))
+	if v, hit := s.cache.Probe(t.key, instcache.TierForBudget(deadline)); hit {
+		t.probed = &v
+	}
+	psp.SetAttr("hit", strconv.FormatBool(t.probed != nil))
 	psp.End()
-	laneName := laneHeavy
-	if probeHit || deadline <= s.cfg.FastLaneBudget {
-		laneName = laneFast
+	t.lane = laneHeavy
+	if t.probed != nil || deadline <= s.cfg.FastLaneBudget {
+		t.lane = laneFast
 	}
 
-	_, qsp := obs.StartSpan(ctx, "lane-queue")
-	qsp.SetAttr("lane", laneName)
+	_, t.queued = obs.StartSpan(ctx, "lane-queue")
+	t.queued.SetAttr("lane", t.lane)
+	if !s.lanes.byName(t.lane).submit(func() { t.queued.End(); run(t) }) {
+		t.queued.SetAttr("shed", "true")
+		t.queued.End()
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		httpError(w, http.StatusTooManyRequests, t.lane+" lane saturated")
+		return nil
+	}
+	return t
+}
+
+// runTask is the solve a lane worker runs for an admitted task: the
+// probe-served value as is, otherwise one solveKeyed round trip under
+// ctx; then the requester's translated, replay-verified response.
+func (s *Server) runTask(ctx context.Context, t *solveTask, onLower func(int64), onSearch func(obs.SearchSnapshot)) (SolveResponse, error) {
+	var kr keyedResult
+	if t.probed != nil {
+		kr = keyedResult{Val: *t.probed, Hit: true}
+		// Deferred so the record's wall time covers the translation.
+		defer s.recordProbeHit(ctx, t.p, kr.Val, t.deadline, t.start)
+	} else {
+		var err error
+		if kr, err = s.solveKeyed(ctx, t.p, t.key, t.perm, t.deadline, onLower, onSearch); err != nil {
+			s.m.solveErrors.Add(1)
+			return SolveResponse{}, err
+		}
+	}
+	resp, err := s.buildResponse(ctx, t.p, kr, t.perm, t.includeTrace, t.start)
+	s.reqSeconds.observe(time.Since(t.start))
+	return resp, err
+}
+
+// syncSolve dispatches a synchronous solve and waits for its lane task.
+func (s *Server) syncSolve(w http.ResponseWriter, ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool) {
 	var (
-		resp SolveResponse
-		err  error
+		resp    SolveResponse
+		err     error
+		started atomic.Bool
 	)
 	done := make(chan struct{})
-	var started atomic.Bool
-	task := func() {
+	t := s.dispatch(w, ctx, p, deadline, includeTrace, func(t *solveTask) {
 		started.Store(true)
-		qsp.End()
 		defer close(done)
-		if probeHit {
-			resp, err = s.buildResponse(ctx, p, probedVal, perm, includeTrace, true, false, false, start)
-			s.reqSeconds.observe(time.Since(start))
-			s.recordProbeHit(ctx, p, probedVal, deadline, start)
-			return
-		}
 		// The solve runs under baseCtx with the request's trace grafted
 		// on: a client that disconnects mid-solve doesn't kill a solve
 		// whose result is about to land in the cache.
-		sctx := obs.Graft(s.baseCtx, ctx)
-		var val instcache.Value
-		var hit, shared, warmed bool
-		val, hit, shared, warmed, err = s.solveKeyed(sctx, p, key, perm, deadline, nil, nil)
-		if err != nil {
-			s.m.solveErrors.Add(1)
-			return
-		}
-		resp, err = s.buildResponse(ctx, p, val, perm, includeTrace, hit, shared, warmed, start)
-		s.reqSeconds.observe(time.Since(start))
-	}
-	if !s.lanes.byName(laneName).submit(task) {
-		qsp.SetAttr("shed", "true")
-		qsp.End()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, laneName+" lane saturated")
-		return
+		resp, err = s.runTask(obs.Graft(s.baseCtx, ctx), t, nil, nil)
+	})
+	if t == nil {
+		return // shed
 	}
 	select {
 	case <-done:
@@ -1448,7 +1368,7 @@ func (s *Server) syncSolve(w http.ResponseWriter, ctx context.Context, p solve.P
 		if started.Load() {
 			<-done
 		} else {
-			qsp.End()
+			t.queued.End()
 			httpError(w, http.StatusServiceUnavailable, "server shutting down")
 			return
 		}
@@ -1463,6 +1383,72 @@ func (s *Server) syncSolve(w http.ResponseWriter, ctx context.Context, p solve.P
 		return
 	}
 	writeJSON(w, resp)
+}
+
+// submitJob dispatches an async solve as a job and answers 202 with its
+// ID without waiting; a shed job is never registered.
+func (s *Server) submitJob(w http.ResponseWriter, ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool) {
+	jctx, jcancel := context.WithCancel(s.baseCtx)
+	j := &job{
+		id:      "job-" + s.jobPrefix + "-" + strconv.FormatUint(s.jobSeq.Add(1), 10),
+		traceID: obs.TraceIDFrom(ctx),
+		status:  "queued",
+		// The job context cancels with the job (DELETE, shutdown grace)
+		// but carries the submitting request's trace, so the lane
+		// worker's solve spans land on it after the 202 returns.
+		ctx:    obs.Graft(jctx, ctx),
+		cancel: jcancel,
+		done:   make(chan struct{}),
+	}
+	if s.dispatch(w, ctx, p, deadline, includeTrace, func(t *solveTask) { s.runJob(j, t) }) == nil {
+		jcancel() // shed: release the baseCtx child
+		s.m.jobsShed.Add(1)
+		return
+	}
+	s.m.jobsSubmitted.Add(1)
+	s.registerJob(j)
+	s.log.LogAttrs(ctx, slog.LevelInfo, "job queued",
+		slog.String("job", j.id), slog.String("trace", j.traceID))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	json.NewEncoder(w).Encode(j.snapshot())
+}
+
+// runJob is an async job's lane task: the solve under the job's own
+// context, feeding its live lower-bound gauge and search snapshot, then
+// the job's terminal status.
+func (s *Server) runJob(j *job, t *solveTask) {
+	if !j.startRunning() {
+		// Canceled while queued; requestCancel already finalized.
+		s.m.jobsCanceled.Add(1)
+		return
+	}
+	resp, err := s.runTask(j.ctx, t, j.lower.Store,
+		func(sn obs.SearchSnapshot) { j.search.Store(&sn) })
+	j.mu.Lock()
+	wasCanceled := j.canceled
+	j.mu.Unlock()
+	if err != nil {
+		if wasCanceled {
+			s.m.jobsCanceled.Add(1)
+		} else {
+			s.m.jobsFailed.Add(1)
+		}
+		j.set("error", nil, err.Error())
+		s.log.LogAttrs(j.ctx, slog.LevelWarn, "job failed",
+			slog.String("job", j.id), slog.String("trace", j.traceID),
+			slog.String("err", err.Error()))
+		return
+	}
+	if wasCanceled {
+		s.m.jobsCanceled.Add(1)
+	} else {
+		s.m.jobsDone.Add(1)
+	}
+	j.set("done", &resp, "")
+	s.log.LogAttrs(j.ctx, slog.LevelInfo, "job finished",
+		slog.String("job", j.id), slog.String("trace", j.traceID),
+		slog.String("status", j.snapshot().Status))
 }
 
 func (s *Server) registerJob(j *job) {
@@ -1535,16 +1521,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]bool{"ok": true})
 }
 
-// retryAfterSeconds estimates how long the current backlog is worth
-// across every pool that can hold a solve: async jobs and the heavy
-// batch lane share the multi-second cost class (each queued unit is
-// worth roughly a default budget), while the fast lane drains in
-// FastLaneBudget-sized slices. The estimate is the max of the two —
-// a shed request retries when the pool it would land in has drained,
-// not when the other one has. Clamped to [1s, 60s].
+// retryAfterSeconds estimates how long the current lane backlog is
+// worth: each unit queued on the heavy lane is worth roughly a default
+// budget, while the fast lane drains in FastLaneBudget-sized slices.
+// The estimate is the max of the two — a shed request retries when the
+// lane it would land in has drained, not when the other one has.
+// Clamped to [1s, 60s].
 func (s *Server) retryAfterSeconds() int {
-	heavy := float64(len(s.queue)+s.lanes.heavy.depth()+1) * s.cfg.DefaultDeadline.Seconds() /
-		float64(s.cfg.Workers+s.cfg.HeavyLaneWorkers)
+	heavy := float64(s.lanes.heavy.depth()+1) * s.cfg.DefaultDeadline.Seconds() /
+		float64(s.cfg.HeavyLaneWorkers)
 	fast := float64(s.lanes.fast.depth()) * s.cfg.FastLaneBudget.Seconds() /
 		float64(s.cfg.FastLaneWorkers)
 	backlog := heavy
@@ -1620,7 +1605,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"rbserve_jobs_submitted_total", s.m.jobsSubmitted.Load()},
 		{"rbserve_jobs_done_total", s.m.jobsDone.Load()},
 		{"rbserve_jobs_failed_total", s.m.jobsFailed.Load()},
-		{"rbserve_jobs_rejected_total", s.m.jobsRejected.Load()},
 		{"rbserve_jobs_shed_total", s.m.jobsShed.Load()},
 		{"rbserve_jobs_canceled_total", s.m.jobsCanceled.Load()},
 		{"rbserve_batch_requests_total", s.m.batchRequests.Load()},
@@ -1645,12 +1629,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "rbserve_uptime_seconds %s\n",
 		strconv.FormatFloat(time.Since(s.start).Seconds(), 'g', -1, 64))
 	// Per-lane queued backlog (instantaneous gauge) — the admission
-	// signal behind 429 shedding, exported so operators can see which
-	// lane is saturating. "jobs" is the async-solve queue that predates
-	// the two-lane batch scheduler.
+	// signal behind every 429 shed (sync, async and batch work share the
+	// two lanes), exported so operators can see which lane is saturating.
 	fmt.Fprintf(w, "rbserve_queue_depth{lane=%q} %d\n", laneFast, s.lanes.fast.depth())
 	fmt.Fprintf(w, "rbserve_queue_depth{lane=%q} %d\n", laneHeavy, s.lanes.heavy.depth())
-	fmt.Fprintf(w, "rbserve_queue_depth{lane=%q} %d\n", "jobs", len(s.queue))
 	s.reqSeconds.write(w, "rbserve_request_seconds")
 	// Per-running-job live certified lower bound (scaled cost units),
 	// streamed from the orchestrator mid-flight — the async engine

@@ -179,7 +179,7 @@ func TestSingleflightConcurrentRequests(t *testing.T) {
 // TestAsyncJob exercises the queue: enqueue, poll until done, check
 // the certified result.
 func TestAsyncJob(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{HeavyLaneWorkers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -314,7 +314,7 @@ func TestDrainFailsHealthzAndRefusesWork(t *testing.T) {
 // solve through the cooperative cancellation layer and returns the
 // partial certified interval harvested at cancellation.
 func TestCancelRunningJob(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{HeavyLaneWorkers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -376,7 +376,7 @@ func TestCancelRunningJob(t *testing.T) {
 // TestCancelQueuedJob: canceling a job that has not started yet
 // finalizes it immediately and the worker skips it.
 func TestCancelQueuedJob(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{HeavyLaneWorkers: 1})
 	defer s.Close()
 	gate := make(chan struct{})
 	started := make(chan struct{})
@@ -422,7 +422,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // grace period expires, with the in-flight solve canceled
 // cooperatively (it produced a certified partial answer, not a hang).
 func TestShutdownGraceCancelsInflight(t *testing.T) {
-	s := New(Config{Workers: 1, GracePeriod: 50 * time.Millisecond})
+	s := New(Config{HeavyLaneWorkers: 1, GracePeriod: 50 * time.Millisecond})
 	running := make(chan struct{})
 	s.solveFn = func(ctx context.Context, p solve.Problem, opts anytime.Options) (anytime.Result, error) {
 		close(running)
@@ -474,7 +474,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad json", `{`, http.StatusBadRequest},
 		{"bad model", fmt.Sprintf(`{"dag":%s,"model":"nope"}`, dagJSON(t, daggen.Chain(3))), http.StatusUnprocessableEntity},
 		{"r too small", fmt.Sprintf(`{"dag":%s,"r":1}`, dagJSON(t, daggen.Pyramid(3))), http.StatusUnprocessableEntity},
-		{"bad async", `{"async":true}`, http.StatusBadRequest},
+		{"bad async", `{"async":true}`, http.StatusUnprocessableEntity},
 		// The declared node count is rejected before the graph is
 		// materialized — a 50-byte body must not allocate 2B nodes.
 		{"huge node count", `{"dag":{"nodes":2000000000,"edges":[]}}`, http.StatusUnprocessableEntity},
@@ -517,7 +517,9 @@ func TestHealthz(t *testing.T) {
 // the shared solve — the flight is canceled only when every interested
 // request has canceled.
 func TestCancelSharedFlightProtectsWaiters(t *testing.T) {
-	s := New(Config{Workers: 1})
+	// Two heavy workers: the leader job holds one, and the sync waiter
+	// needs the other to reach (and latch onto) the flight.
+	s := New(Config{HeavyLaneWorkers: 2})
 	defer s.Close()
 	gate := make(chan struct{})
 	leaderCtx := make(chan context.Context, 1)
