@@ -19,13 +19,14 @@
 // any node numbering) share one solve through the cache.
 //
 // Every request is traced end to end (X-Rbpebble-Trace): span trees are
-// served from GET /debug/trace/{id}, per-solve telemetry records from
-// GET /debug/solves, and -telemetry-log appends each record as JSONL
-// for offline scheduler training. Running async jobs additionally
-// expose live engine introspection on GET /debug/jobs/{id}/search and
-// per-job search gauges on /metrics; -search-log appends every sampled
-// snapshot as JSONL. -pprof-addr exposes net/http/pprof on a separate
-// listener.
+// served from GET /debug/trace/{id} and per-solve telemetry records from
+// GET /debug/solves. Running async jobs additionally expose live engine
+// introspection on GET /debug/jobs/{id}/search and per-job search gauges
+// on /metrics. -event-log appends the node's event log as JSONL: one
+// "solve" row per telemetry record (for offline scheduler training) and
+// one "snapshot" row per sampled engine snapshot, each with its trace
+// ID; -log-max-bytes rotates it. -pprof-addr exposes net/http/pprof on a
+// separate listener.
 //
 // With -join, the node registers itself with an rbproxy's membership
 // API, heartbeats its lease, replicates freshly stored cache entries to
@@ -85,10 +86,9 @@ func main() {
 		refineMaxTier  = flag.Int("refine-max-tier", 12, "highest budget tier background refinement may escalate a cached interval to")
 		logFormat      = flag.String("log-format", "text", "structured log format: text or json")
 		pprofAddr      = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty = disabled)")
-		telemetryLog   = flag.String("telemetry-log", "", "append per-solve telemetry records as JSONL to this file")
-		searchLog      = flag.String("search-log", "", "append live search-engine snapshots as JSONL to this file")
-		logMaxBytes    = flag.Int64("log-max-bytes", 0, "rotate the -telemetry-log and -search-log files at this size (0 = never rotate)")
-		logKeep        = flag.Int("log-keep", 3, "rotated generations to keep per JSONL log")
+		eventLog       = flag.String("event-log", "", "append solve records and live search-engine snapshots as JSONL to this file")
+		logMaxBytes    = flag.Int64("log-max-bytes", 0, "rotate the -event-log file at this size (0 = never rotate)")
+		logKeep        = flag.Int("log-keep", 3, "rotated generations of the -event-log file to keep")
 		traceCap       = flag.Int("trace-cap", 0, "retained solve traces for /debug/trace (0 = default 256)")
 		telemetryCap   = flag.Int("telemetry-cap", 0, "retained telemetry records for /debug/solves (0 = default 512)")
 	)
@@ -97,36 +97,17 @@ func main() {
 	logger := obs.NewLogger(*logFormat, os.Stderr)
 	slog.SetDefault(logger)
 
-	// JSONL sinks append forever by default; -log-max-bytes switches them
-	// to size-rotated writers so a long-lived node's telemetry cannot
-	// fill the disk.
-	openSink := func(path, name string) io.Writer {
-		var (
-			w   io.WriteCloser
-			err error
-		)
-		if *logMaxBytes > 0 {
-			w, err = obs.NewRotatingWriter(path, *logMaxBytes, *logKeep)
-		} else {
-			w, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		}
+	// The event log appends forever by default; -log-max-bytes rotates
+	// it so a long-lived node's telemetry cannot fill the disk.
+	var eventSink io.Writer
+	if *eventLog != "" {
+		w, err := obs.NewRotatingWriter(*eventLog, *logMaxBytes, *logKeep)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rbserve: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "rbserve: event-log: %v\n", err)
 			os.Exit(1)
 		}
-		return w
-	}
-	var telemetrySink io.Writer
-	if *telemetryLog != "" {
-		w := openSink(*telemetryLog, "telemetry-log")
-		defer w.(io.Closer).Close()
-		telemetrySink = w
-	}
-	var searchSink io.Writer
-	if *searchLog != "" {
-		w := openSink(*searchLog, "search-log")
-		defer w.(io.Closer).Close()
-		searchSink = w
+		defer w.Close()
+		eventSink = w
 	}
 
 	// The agent pointer is set only in -join mode, after the server
@@ -152,8 +133,7 @@ func main() {
 		RefinerMaxTier:   *refineMaxTier,
 		TraceCap:         *traceCap,
 		TelemetryCap:     *telemetryCap,
-		TelemetrySink:    telemetrySink,
-		SearchSink:       searchSink,
+		EventSink:        eventSink,
 		Logger:           logger,
 		Replicate: func(e instcache.Entry) {
 			if a := agentPtr.Load(); a != nil {

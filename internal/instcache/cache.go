@@ -476,7 +476,8 @@ func (c *Cache) Export() []Entry {
 //
 // Peer input is not trusted blindly: an entry whose bounds cannot be a
 // certificate — a negative lower bound, a lower bound above the upper
-// bound, or an "optimal" value whose bounds differ — is rejected and
+// bound, an "optimal" value whose bounds differ, or an interval
+// disjoint from the one already cached for the key — is rejected and
 // counted in Stats.ImportRejected. (The upper bound's witness trace is
 // not replayed here.)
 func (c *Cache) Import(entries []Entry) int {
@@ -510,6 +511,13 @@ func (c *Cache) Import(entries []Entry) int {
 		}
 		var warm *Value
 		if w, ok := c.mergedIntervalLocked(e.Key); ok {
+			if v.UpperScaled < w.LowerScaled || v.LowerScaled > w.UpperScaled {
+				// Disjoint from what this node already certified: one of
+				// the two certificates is wrong, and merging them would
+				// invert the interval and promote it to a bogus optimum.
+				c.importRejected++
+				continue
+			}
 			if w.LowerScaled >= v.LowerScaled && w.UpperScaled <= v.UpperScaled {
 				if _, have := c.tiers[e.Key][tier]; have {
 					continue // nothing new: already at least this tight at this tier

@@ -168,3 +168,49 @@ func TestImportRejectsImpossibleCertificates(t *testing.T) {
 		})
 	}
 }
+
+// TestImportRejectsContradictoryIntervals: a well-formed peer interval
+// that is disjoint from the locally certified one contradicts it; the
+// merge would invert the bounds and promote a bogus optimum, so it is
+// rejected and counted. Touching bounds still close the interval.
+func TestImportRejectsContradictoryIntervals(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		peer        Value
+		wantOptimal bool
+		wantCost    int64
+	}{
+		{"peer below local", Value{LowerScaled: 2, UpperScaled: 6}, false, 0},
+		{"peer above local", Value{LowerScaled: 16, UpperScaled: 20}, false, 0},
+		{"peer touching local upper", Value{LowerScaled: 15, UpperScaled: 20}, true, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(8)
+			put(t, c, "k", 7, Value{LowerScaled: 8, UpperScaled: 15})
+			added := c.Import([]Entry{{Key: "k", Tier: 7, Value: tc.peer}})
+			st := c.Stats()
+			v, hit, _, _, _ := c.Do(context.Background(), "k", 1, func(*Value) (Value, error) {
+				t.Fatal("the key must still be served from the cache")
+				return Value{}, nil
+			})
+			if !hit {
+				t.Fatal("cached key missed")
+			}
+			if !tc.wantOptimal {
+				if added != 0 || st.ImportRejected != 1 || st.Imported != 0 || st.Entries != 0 {
+					t.Fatalf("contradictory interval accepted: added=%d stats=%+v", added, st)
+				}
+				if v.Optimal || v.LowerScaled != 8 || v.UpperScaled != 15 {
+					t.Fatalf("cached value = %+v, want the local [8, 15] still open", v)
+				}
+				return
+			}
+			if added != 1 || st.ImportRejected != 0 || st.Entries != 1 || st.IntervalEntries != 0 {
+				t.Fatalf("closing interval not promoted: added=%d stats=%+v", added, st)
+			}
+			if !v.Optimal || v.LowerScaled != tc.wantCost || v.UpperScaled != tc.wantCost {
+				t.Fatalf("cached value = %+v, want optimal at %d", v, tc.wantCost)
+			}
+		})
+	}
+}

@@ -204,10 +204,10 @@ func TestRecorderEviction(t *testing.T) {
 }
 
 // TestSolveLogRing: wraparound retention, newest-first Recent, total
-// count, and the JSONL sink.
+// count, and the solve rows mirrored to the event log.
 func TestSolveLogRing(t *testing.T) {
 	var sink bytes.Buffer
-	l := NewSolveLog(3, &sink)
+	l := NewSolveLog(3, NewEventLog(&sink))
 	for i := 0; i < 5; i++ {
 		l.Append(SolveRecord{TraceID: fmt.Sprintf("t%d", i), Disposition: "cold"})
 	}
@@ -229,18 +229,23 @@ func TestSolveLogRing(t *testing.T) {
 	if recs := l.Recent(100); len(recs) != 3 {
 		t.Fatalf("recent(100) returned %d records", len(recs))
 	}
-	// Sink got one JSON line per append, in append order.
+	// Sink got one solve row per append, in append order, carrying the
+	// whole record.
 	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("sink has %d lines, want 5", len(lines))
 	}
 	for i, line := range lines {
-		var rec SolveRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		var row EventRow
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
 			t.Fatalf("sink line %d not JSON: %v", i, err)
 		}
-		if rec.TraceID != fmt.Sprintf("t%d", i) {
-			t.Fatalf("sink line %d = %s", i, rec.TraceID)
+		want := fmt.Sprintf("t%d", i)
+		if row.Kind != "solve" || row.TraceID != want || row.Time.IsZero() || row.Snapshot != nil {
+			t.Fatalf("sink line %d = %s, want a timestamped solve row for %s", i, line, want)
+		}
+		if row.Solve == nil || row.Solve.TraceID != want || row.Solve.Disposition != "cold" {
+			t.Fatalf("sink line %d record = %+v", i, row.Solve)
 		}
 	}
 }

@@ -8,12 +8,14 @@ import (
 )
 
 // RotatingWriter is a size-rotated append-only file sink for the JSONL
-// logs (-telemetry-log, -search-log): when the current file would
-// outgrow maxBytes, it is renamed to path.1 (shifting path.1 -> path.2
-// and so on, dropping the oldest beyond keep) and a fresh file is
-// opened. A long-running node's search telemetry is unbounded by
-// construction; rotation bounds its disk footprint instead of trusting
-// an operator to remember logrotate. Safe for concurrent use.
+// event log (rbserve -event-log): when the current file would outgrow
+// maxBytes, it is renamed to path.1 (shifting path.1 -> path.2 and so
+// on, dropping the oldest beyond keep) and a fresh file is opened. A
+// long-running node's event stream is unbounded by construction;
+// rotation bounds its disk footprint instead of trusting an operator
+// to remember logrotate. With maxBytes <= 0 it is a plain append sink,
+// so rbserve opens the event log through it either way. Safe for
+// concurrent use.
 type RotatingWriter struct {
 	mu       sync.Mutex
 	path     string

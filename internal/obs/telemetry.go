@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 
@@ -103,7 +101,7 @@ type SolveRecord struct {
 	// BudgetMS is the solve budget; Tier its cache credit bucket.
 	BudgetMS int64 `json:"budget_ms"`
 	Tier     int   `json:"tier"`
-	// Disposition: hit | warm | shared | cold.
+	// Disposition: hit | warm | shared | cold | refine.
 	Disposition string `json:"disposition"`
 	Canceled    bool   `json:"canceled,omitempty"`
 	Expanded    uint64 `json:"expanded,omitempty"`
@@ -122,27 +120,27 @@ type SolveRecord struct {
 	Err         string  `json:"err,omitempty"`
 }
 
-// SolveLog is the in-memory telemetry ring plus an optional JSONL
-// sink. Append is safe for concurrent use; the sink is written under
-// the same lock so lines never interleave.
+// SolveLog is the in-memory telemetry ring, mirrored to an optional
+// event log. Append is safe for concurrent use; the mirror is written
+// under the same lock, so solve rows land in append order.
 type SolveLog struct {
-	mu    sync.Mutex
-	cap   int
-	ring  []SolveRecord
-	next  int // ring write cursor
-	full  bool
-	total uint64
-	sink  io.Writer
+	mu     sync.Mutex
+	cap    int
+	ring   []SolveRecord
+	next   int // ring write cursor
+	full   bool
+	total  uint64
+	events *EventLog
 }
 
 // NewSolveLog creates a ring retaining up to capacity records
 // (non-positive capacity gets the default of 512) mirroring each
-// record to sink as one JSON line when sink is non-nil.
-func NewSolveLog(capacity int, sink io.Writer) *SolveLog {
+// record to events as a solve row (nil events: no mirror).
+func NewSolveLog(capacity int, events *EventLog) *SolveLog {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	return &SolveLog{cap: capacity, ring: make([]SolveRecord, capacity), sink: sink}
+	return &SolveLog{cap: capacity, ring: make([]SolveRecord, capacity), events: events}
 }
 
 // Append records one solve.
@@ -159,11 +157,7 @@ func (l *SolveLog) Append(rec SolveRecord) {
 		l.full = true
 	}
 	l.total++
-	if l.sink != nil {
-		if b, err := json.Marshal(rec); err == nil {
-			l.sink.Write(append(b, '\n'))
-		}
-	}
+	l.events.Solve(rec)
 }
 
 // Recent returns up to n records, newest first. n <= 0 means all

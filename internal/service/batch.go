@@ -303,36 +303,29 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `}`)
 }
 
-// runBatchGroup serves one canonical-class group: one cache/
-// singleflight round trip (skipped entirely when the pre-dispatch
-// probe already holds a servable value), then one per-member
-// translation + replay verification. A member's translation failure
-// poisons only that member.
+// runBatchGroup serves one canonical-class group: the leader's
+// serveKey — the pre-dispatch probe's value when it hit, otherwise one
+// cache/singleflight round trip — then one per-member translation +
+// replay verification. A member's translation failure poisons only
+// that member.
 func (s *Server) runBatchGroup(ctx context.Context, g *batchGroup, states []batchItemState, out []BatchItem) {
 	defer close(g.done)
-	leader := g.members[0]
-	var kr keyedResult
-	if g.probed != nil {
-		kr = keyedResult{Val: *g.probed, Hit: true}
-		s.recordProbeHit(ctx, states[leader].p, kr.Val, g.deadline, time.Now())
-	} else {
-		var err error
-		// The solve runs under baseCtx (not the HTTP request context):
-		// like the sync path, a client that gives up mid-batch doesn't
-		// kill a solve whose result is about to land in the cache. The
-		// graft keeps the batch request's trace on it.
-		kr, err = s.solveKeyed(obs.Graft(s.baseCtx, ctx), states[leader].p, g.key, states[leader].perm, g.deadline, nil, nil)
-		if err != nil {
-			s.m.solveErrors.Add(1)
-			status := http.StatusUnprocessableEntity
-			if errors.Is(err, context.DeadlineExceeded) {
-				status = http.StatusServiceUnavailable
-			}
-			for _, idx := range g.members {
-				out[idx] = BatchItem{Index: idx, Lane: g.lane, Error: err.Error(), Status: status}
-			}
-			return
+	leader := &states[g.members[0]]
+	// The solve runs under baseCtx (not the HTTP request context): like
+	// the sync path, a client that gives up mid-batch doesn't kill a
+	// solve whose result is about to land in the cache. The graft keeps
+	// the batch request's trace on it.
+	kr, err := s.serveKey(obs.Graft(s.baseCtx, ctx),
+		s.foregroundSolve(g.key, leader.p, leader.perm, g.deadline), g.probed, time.Now())
+	if err != nil {
+		status := http.StatusUnprocessableEntity
+		if errors.Is(err, context.DeadlineExceeded) {
+			status = http.StatusServiceUnavailable
 		}
+		for _, idx := range g.members {
+			out[idx] = BatchItem{Index: idx, Lane: g.lane, Error: err.Error(), Status: status}
+		}
+		return
 	}
 	for n, idx := range g.members {
 		st := &states[idx]

@@ -21,11 +21,7 @@ type SolvesDebugResponse struct {
 // absent or non-positive).
 func (s *Server) handleDebugSolves(w http.ResponseWriter, r *http.Request) {
 	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-	recs := s.tel.Recent(n)
-	if recs == nil {
-		recs = []obs.SolveRecord{}
-	}
-	writeJSON(w, SolvesDebugResponse{Total: s.tel.Total(), Records: recs})
+	writeJSON(w, SolvesDebugResponse{Total: s.tel.Total(), Records: s.tel.Recent(n)})
 }
 
 // handleDebugTrace serves one retained trace's span tree:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,9 @@ import (
 
 	"rbpebble/internal/anytime"
 	"rbpebble/internal/daggen"
+	"rbpebble/internal/instcache"
+	"rbpebble/internal/obs"
+	"rbpebble/internal/pebble"
 	"rbpebble/internal/solve"
 )
 
@@ -171,6 +175,102 @@ func TestRefinerAdmissionGateUnderLoad(t *testing.T) {
 			t.Fatal("refiner never resumed after the foreground solve finished")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRefineKeyThroughSharedCore: a background refinement runs through
+// the keyed-solve core foreground requests use. The refinement's solve
+// gets its tier's nominal deadline, half the node's table-memory budget
+// and a warm start taken from the cached interval; its telemetry record
+// carries the refine disposition; and the tightened entry reaches
+// Config.Replicate.
+func TestRefineKeyThroughSharedCore(t *testing.T) {
+	const tableBytes = 1 << 20
+	replicated := make(chan instcache.Entry, 16)
+	s := New(Config{
+		RefinerInterval: 5 * time.Millisecond,
+		RefinerMaxTier:  8,
+		MaxTableBytes:   tableBytes,
+		Replicate: func(e instcache.Entry) {
+			select {
+			case replicated <- e:
+			default:
+			}
+		},
+	})
+	defer s.Close()
+
+	g := daggen.Pyramid(3)
+	var calls atomic.Int64
+	refineOpts := make(chan anytime.Options, 1)
+	s.solveFn = func(ctx context.Context, p solve.Problem, opts anytime.Options) (anytime.Result, error) {
+		if calls.Add(1) == 1 {
+			// The seeding foreground solve: full budget, cold.
+			if opts.MaxTableBytes != tableBytes || opts.Warm != nil {
+				t.Errorf("foreground solve got MaxTableBytes=%d warm=%v, want %d and no warm start",
+					opts.MaxTableBytes, opts.Warm != nil, tableBytes)
+			}
+			return stubResult(p, 10, 100, false, "stub-wide")
+		}
+		select {
+		case refineOpts <- opts:
+		default:
+		}
+		return stubResult(p, 20, 100, false, "stub-refine")
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Seed at 100 ms (tier 7); the refiner escalates to tier 8.
+	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":100}`, dagJSON(t, g))
+	if code, sr, raw := postSolve(t, ts, body); code != http.StatusOK || sr.Lower != 10 || sr.Upper != 100 {
+		t.Fatalf("seed solve: %d %s", code, raw)
+	}
+
+	var opts anytime.Options
+	select {
+	case opts = <-refineOpts:
+	case <-time.After(5 * time.Second):
+		t.Fatal("refiner never ran a refinement")
+	}
+	if want := 128 * time.Millisecond; opts.Budget != want {
+		t.Errorf("refinement budget %s, want tier 8's nominal %s", opts.Budget, want)
+	}
+	if opts.MaxTableBytes != tableBytes/2 {
+		t.Errorf("refinement MaxTableBytes %d, want %d", opts.MaxTableBytes, tableBytes/2)
+	}
+	seed, err := solve.TopoBelady(solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := opts.Warm; w == nil || w.LowerScaled != 10 || w.Source != "cache:stub-wide" ||
+		!reflect.DeepEqual(w.Moves, seed.Trace.Moves) {
+		t.Errorf("refinement warm start = %+v, want the cached [10, 100] with its incumbent trace", w)
+	}
+
+	// The tightened entry is replicated like a foreground result.
+	deadline := time.After(5 * time.Second)
+	for tightened := false; !tightened; {
+		select {
+		case e := <-replicated:
+			tightened = e.Tier == 8 && e.Value.LowerScaled == 20 && e.Value.UpperScaled == 100
+		case <-deadline:
+			t.Fatal("the refinement's tightened entry never reached Config.Replicate")
+		}
+	}
+
+	var rec *obs.SolveRecord
+	for _, r := range getSolves(t, ts, 0).Records {
+		if r.Disposition == "refine" {
+			rec = &r
+			break
+		}
+	}
+	if rec == nil {
+		t.Fatal("no refine record on /debug/solves")
+	}
+	if rec.Tier != 8 || rec.BudgetMS != 128 || rec.LowerScaled != 20 || rec.UpperScaled != 100 || rec.Err != "" {
+		t.Errorf("refine record = %+v", *rec)
 	}
 }
 

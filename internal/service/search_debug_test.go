@@ -135,17 +135,18 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 }
 
-// TestSearchSinkJSONL: with Config.SearchSink set, every snapshot the
-// orchestrator streams — sync solves included — lands in the sink as
-// one JSON line carrying the solve's trace ID, and the solve's peak
-// snapshot values land on its telemetry record.
-func TestSearchSinkJSONL(t *testing.T) {
+// TestEventSinkJSONL: with Config.EventSink set, every snapshot the
+// orchestrator streams — sync solves included — lands in the event log
+// as one "snapshot" row carrying the solve's trace ID, the solve's
+// telemetry record lands as one "solve" row with the same trace ID,
+// and the solve's peak snapshot values land on its telemetry record.
+func TestEventSinkJSONL(t *testing.T) {
 	var sink bytes.Buffer
-	s := New(Config{SearchSink: &sink})
+	s := New(Config{EventSink: &sink})
 	defer s.Close()
 	s.solveFn = func(ctx context.Context, p solve.Problem, opts anytime.Options) (anytime.Result, error) {
 		if opts.OnSearch == nil {
-			t.Error("SearchSink configured but solve got no OnSearch hook")
+			t.Error("EventSink configured but solve got no OnSearch hook")
 		} else {
 			opts.OnSearch(obs.SearchSnapshot{Seq: 1, Engine: "astar", Expanded: 100, FrontierSize: 12})
 			opts.OnSearch(obs.SearchSnapshot{Seq: 2, Engine: "astar", Expanded: 900, FrontierSize: 30})
@@ -166,27 +167,48 @@ func TestSearchSinkJSONL(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d", resp.StatusCode)
 	}
-
-	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("sink got %d lines, want 2:\n%s", len(lines), sink.String())
+	traceID := resp.Header.Get(obs.TraceHeader)
+	if traceID == "" {
+		t.Fatal("response carries no trace ID")
 	}
-	for i, line := range lines {
-		var row searchLogLine
+
+	var snapshots, solves []obs.EventRow
+	for i, line := range strings.Split(strings.TrimSpace(sink.String()), "\n") {
+		var row obs.EventRow
 		if err := json.Unmarshal([]byte(line), &row); err != nil {
 			t.Fatalf("sink line %d is not JSON: %v", i, err)
 		}
-		if row.Snapshot.Seq != i+1 || row.TraceID == "" || row.Time.IsZero() {
-			t.Errorf("sink line %d = %+v, want seq %d with trace and time", i, row, i+1)
+		switch row.Kind {
+		case "snapshot":
+			snapshots = append(snapshots, row)
+		case "solve":
+			solves = append(solves, row)
+		default:
+			t.Fatalf("sink line %d has kind %q", i, row.Kind)
 		}
 	}
+	if len(snapshots) != 2 {
+		t.Fatalf("sink got %d snapshot rows, want 2:\n%s", len(snapshots), sink.String())
+	}
+	for i, row := range snapshots {
+		if row.Snapshot == nil || row.Snapshot.Seq != i+1 || row.TraceID != traceID || row.Time.IsZero() {
+			t.Errorf("snapshot row %d = %+v, want seq %d with trace %s and time", i, row, i+1, traceID)
+		}
+	}
+	if len(solves) != 1 {
+		t.Fatalf("sink got %d solve rows, want 1:\n%s", len(solves), sink.String())
+	}
+	if row := solves[0]; row.Solve == nil || row.TraceID != traceID || row.Solve.TraceID != traceID ||
+		row.Time.IsZero() || row.Solve.Disposition != "cold" {
+		t.Errorf("solve row = %+v, want the cold solve's record with trace %s and time", row, traceID)
+	}
 
-	var solves SolvesDebugResponse
-	getJSON(t, ts.URL+"/debug/solves", &solves)
-	if len(solves.Records) == 0 {
+	var records SolvesDebugResponse
+	getJSON(t, ts.URL+"/debug/solves", &records)
+	if len(records.Records) == 0 {
 		t.Fatal("no telemetry record")
 	}
-	rec := solves.Records[0]
+	rec := records.Records[0]
 	if rec.PeakFrontier != 30 || rec.PeakRate != 4200 {
 		t.Errorf("telemetry peaks (%d, %f), want (30, 4200)", rec.PeakFrontier, rec.PeakRate)
 	}

@@ -55,9 +55,6 @@ type Config struct {
 	MaxNodes int
 	// MaxBodyBytes caps the request body (default 64 MiB).
 	MaxBodyBytes int64
-	// KeepJobs bounds how many finished async jobs stay pollable
-	// (default 1024; the oldest finished jobs are dropped beyond it).
-	KeepJobs int
 	// GracePeriod bounds how long Shutdown waits for in-flight solves
 	// before canceling them cooperatively (default 10s). Canceled
 	// solves still return certified partial intervals.
@@ -98,9 +95,11 @@ type Config struct {
 	// TelemetryCap bounds the /debug/solves telemetry ring (default 512
 	// most recent solve records).
 	TelemetryCap int
-	// TelemetrySink, when non-nil, additionally receives every solve
-	// record as one JSON line (rbserve -telemetry-log).
-	TelemetrySink io.Writer
+	// EventSink, when non-nil, receives the node's event log (rbserve
+	// -event-log): one JSON line per solve record and per live engine
+	// snapshot sampled during a solve, each stamped with the solve's
+	// trace ID (see obs.EventRow).
+	EventSink io.Writer
 	// MaxTableBytes caps each foreground solve's visited-table memory
 	// (0 = unlimited): an exact engine that outgrows the budget aborts
 	// with a certified partial interval instead of taking the node down.
@@ -114,19 +113,9 @@ type Config struct {
 	// RefinerMaxTier caps the budget tier a background refinement may
 	// escalate to (default 12: budgets up to ~4s).
 	RefinerMaxTier int
-	// RefinerTableBytes is the refiner's per-solve table-memory
-	// sub-budget (default MaxTableBytes/2 when a node budget is set):
-	// background work runs under a tighter governor than foreground so
-	// an ambitious refinement cannot pressure live traffic.
-	RefinerTableBytes int64
 	// RefinerOwns, when set, filters background refinement to keys this
 	// node owns on the cluster ring (nil = solo node: refine all).
 	RefinerOwns func(key string) bool
-	// SearchSink, when non-nil, receives every live engine-introspection
-	// snapshot sampled during this node's solves as one JSON line
-	// (rbserve -search-log). Lines are written under a server-wide lock
-	// so concurrent solves never interleave.
-	SearchSink io.Writer
 	// Logger receives structured request/job lifecycle logs with trace
 	// and job IDs attached (default: discard).
 	Logger *slog.Logger
@@ -144,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 100000
-	}
-	if c.KeepJobs <= 0 {
-		c.KeepJobs = 1024
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
@@ -178,14 +164,15 @@ func (c Config) withDefaults() Config {
 	if c.RefinerMaxTier <= 0 {
 		c.RefinerMaxTier = 12
 	}
-	if c.RefinerTableBytes <= 0 && c.MaxTableBytes > 0 {
-		c.RefinerTableBytes = c.MaxTableBytes / 2
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
+
+// keepJobs bounds how many finished async jobs stay pollable; the
+// oldest finished jobs are dropped beyond it.
+const keepJobs = 1024
 
 // SolveRequest is the POST /solve body.
 type SolveRequest struct {
@@ -443,9 +430,12 @@ type Server struct {
 
 	// recorder retains recent traces for GET /debug/trace/{id}; tel is
 	// the per-solve telemetry ring behind GET /debug/solves — the
-	// feature store the learned portfolio scheduler consumes.
+	// feature store the learned portfolio scheduler consumes; events is
+	// the event log (nil without Config.EventSink) that tel mirrors its
+	// records to and the flight leaders write their snapshots to.
 	recorder *obs.Recorder
 	tel      *obs.SolveLog
+	events   *obs.EventLog
 	log      *slog.Logger
 
 	// solveFn is the underlying solver, swappable in tests (e.g. to
@@ -456,10 +446,6 @@ type Server struct {
 	// the main module version for rbserve_build_info.
 	start   time.Time
 	version string
-
-	// searchMu serializes SearchSink writes so snapshot lines from
-	// concurrent solves never interleave.
-	searchMu sync.Mutex
 
 	// baseCtx parents every solve; baseCancel fires when a graceful
 	// shutdown exhausts its grace period, turning the surviving
@@ -504,7 +490,8 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.recorder = obs.NewRecorder(s.cfg.TraceCap)
-	s.tel = obs.NewSolveLog(s.cfg.TelemetryCap, s.cfg.TelemetrySink)
+	s.events = obs.NewEventLog(s.cfg.EventSink)
+	s.tel = obs.NewSolveLog(s.cfg.TelemetryCap, s.events)
 	s.log = s.cfg.Logger
 	s.cache = instcache.New(s.cfg.CacheSize)
 	s.lanes = newLanes(s.cfg)
@@ -786,38 +773,8 @@ func modelName(m pebble.Model) string {
 	}
 }
 
-// recordProbeHit appends the telemetry record for a request served
-// entirely by a pre-dispatch cache probe (solveKeyed records every
-// other disposition itself).
-func (s *Server) recordProbeHit(ctx context.Context, p solve.Problem, val instcache.Value, deadline time.Duration, start time.Time) {
-	s.tel.Append(obs.SolveRecord{
-		TraceID:     obs.TraceIDFrom(ctx),
-		Start:       start,
-		Features:    obs.ComputeFeatures(p.G, p.R),
-		Model:       modelName(p.Model),
-		Engine:      val.Source,
-		Workers:     s.cfg.SolveWorkers,
-		BudgetMS:    deadline.Milliseconds(),
-		Tier:        instcache.TierForBudget(deadline),
-		Disposition: "hit",
-		LowerScaled: val.LowerScaled,
-		UpperScaled: val.UpperScaled,
-		Optimal:     val.Optimal,
-		WallMS:      float64(time.Since(start).Microseconds()) / 1000,
-	})
-}
-
-// searchLogLine is one -search-log JSONL row: a live engine snapshot
-// stamped with its solve's trace ID for correlation against the
-// telemetry log and /debug/trace/{id}.
-type searchLogLine struct {
-	Time     time.Time          `json:"time"`
-	TraceID  string             `json:"trace_id,omitempty"`
-	Snapshot obs.SearchSnapshot `json:"snapshot"`
-}
-
-// keyedResult is what one solveKeyed round trip served: the canonical
-// cache value and how it was obtained.
+// keyedResult is what one keyed solve served: the canonical cache
+// value and how it was obtained.
 type keyedResult struct {
 	Val instcache.Value
 	// Hit: served from the cache; Shared: latched onto another
@@ -826,169 +783,235 @@ type keyedResult struct {
 	Hit, Shared, Warmed bool
 }
 
-// solveKeyed is the solve path once the canonical key is known:
-// interest registration, the cache/singleflight Do — warm-started from
-// the cached certified interval when one exists, so repeated hard
-// instances tighten across requests — and replication of freshly
-// produced entries. ctx governs this request's own wait and its
-// cancellation vote (job cancellation, shutdown grace expiry); the
-// shared solve itself stops only when every request interested in it
-// has canceled, and a canceled solve still returns a certified partial
-// interval. onLower and onSearch, when non-nil, receive the
-// orchestrator's certified scaled lower-bound improvements and live
-// engine-introspection snapshots while the solve runs (async jobs feed
-// their live gauges and GET /debug/jobs/{id}/search from them); they
-// fire only when this request leads the solve, not when it latches
-// onto another request's flight. Single solves reach it through
-// runTask; the batch plane calls it once per in-batch canonical class.
-func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, perm []dag.NodeID, deadline time.Duration, onLower func(int64), onSearch func(obs.SearchSnapshot)) (keyedResult, error) {
-	start := time.Now()
-	tier := instcache.TierForBudget(deadline)
+// keyedSolve is one solve of a canonical cache key, foreground or
+// background: the problem in its requester's numbering, the
+// permutation into canonical numbering, and what the solve may spend.
+type keyedSolve struct {
+	key      string
+	p        solve.Problem
+	perm     []dag.NodeID
+	deadline time.Duration
+	// tier is the cache tier the solve probes and is credited at.
+	tier int
+	// tableBytes caps the solve's visited-table memory (0 = unlimited).
+	tableBytes int64
+	// refine marks a background refinement (see refineKey).
+	refine bool
+	// onLower and onSearch, when non-nil, receive the orchestrator's
+	// certified scaled lower-bound improvements and live engine
+	// snapshots while the solve runs (async jobs feed their live gauges
+	// and GET /debug/jobs/{id}/search from them). They fire only when
+	// this caller leads the flight, not when it latches onto another's.
+	onLower  func(int64)
+	onSearch func(obs.SearchSnapshot)
+}
+
+// foregroundSolve describes a request's solve of key under its
+// deadline and the node's table-memory budget.
+func (s *Server) foregroundSolve(key string, p solve.Problem, perm []dag.NodeID, deadline time.Duration) keyedSolve {
+	return keyedSolve{
+		key: key, p: p, perm: perm, deadline: deadline,
+		tier:       instcache.TierForBudget(deadline),
+		tableBytes: s.cfg.MaxTableBytes,
+	}
+}
+
+// serveKey is the foreground solve of a lane task — sync, async and
+// batched alike: the pre-dispatch probe's value when the probe hit,
+// otherwise one solveKey round trip. ctx governs this request's own
+// wait and its cancellation vote (job cancellation, shutdown grace
+// expiry); the shared solve itself stops only when every request
+// interested in it has canceled. start stamps a probe hit's record.
+func (s *Server) serveKey(ctx context.Context, k keyedSolve, probed *instcache.Value, start time.Time) (keyedResult, error) {
+	if probed != nil {
+		s.record(ctx, k, "hit", *probed, nil, start, nil)
+		return keyedResult{Val: *probed, Hit: true}, nil
+	}
 	// Foreground work preempts background refinement the moment it
 	// arrives: the refiner's in-flight solve is canceled cooperatively
 	// (it still certifies its partial interval) and its admission gate
 	// sees fgActive > 0 until this request's solve is done.
-	s.rememberKey(key, p, perm)
+	s.rememberKey(k.key, k.p, k.perm)
 	s.fgActive.Add(1)
 	defer s.fgActive.Add(-1)
 	if s.refiner != nil {
 		s.refiner.Preempt()
 	}
-	release := s.registerInterest(key, ctx)
+	release := s.registerInterest(k.key, ctx)
 	defer release()
 	// The wait on another request's in-flight solve is bounded by this
 	// request's own deadline (plus grace for the orchestrator's
 	// non-interruptible heuristic phase) and by its cancellation —
 	// joining a long-budget flight must not stall a short-deadline
 	// client past its budget, nor pin a canceled job's worker.
-	waitCtx, cancelWait := context.WithTimeout(ctx, deadline+2*time.Second)
+	waitCtx, cancelWait := context.WithTimeout(ctx, k.deadline+2*time.Second)
 	defer cancelWait()
+	kr, err := s.solveKey(waitCtx, k)
+	if err != nil {
+		s.m.solveErrors.Add(1)
+	}
+	return kr, err
+}
+
+// flightRun is what a flight body observed, kept for the telemetry
+// record of the caller that led the flight.
+type flightRun struct {
+	res      anytime.Result
+	canceled bool
+}
+
+// solveKey is the keyed-solve core every solve on this node runs
+// through: the cache/singleflight Do — warm-started from the cached
+// certified interval when one exists, so repeated hard instances
+// tighten across requests and refinements — then the telemetry record
+// and, when this caller's own flight produced the stored entry, its
+// replication. ctx bounds this caller's wait. A foreground flight runs
+// under a flight context that stops only once every request
+// interested in it has canceled; a refinement's flight runs under ctx
+// itself. A canceled solve still returns a certified partial interval.
+func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error) {
+	start := time.Now()
 	// The cache span covers the whole Do: a hit ends it in
 	// microseconds, a latched waiter spends it inside the nested
 	// cache-wait span, and a flight leader nests the engine spans
 	// under it.
-	dctx, dsp := obs.StartSpan(waitCtx, "cache")
-	// run captures what the flight actually did when THIS request led
-	// it, for the telemetry record (waiters latch on and see none of
-	// it). Written inside fn, read after Do returns — fn runs
+	dctx, dsp := obs.StartSpan(ctx, "cache")
+	// run is set only when this caller leads the flight; fn runs
 	// synchronously on this goroutine when it runs at all.
-	var run struct {
-		res      anytime.Result
-		canceled bool
-		ran      bool
-	}
-	val, hit, shared, warmed, err := s.cache.Do(dctx, key, tier, func(warm *instcache.Value) (instcache.Value, error) {
+	var run *flightRun
+	val, hit, shared, warmed, err := s.cache.Do(dctx, k.key, k.tier, func(warm *instcache.Value) (instcache.Value, error) {
 		s.m.solves.Add(1)
-		fctx, cancelFlight := s.flightContext(key)
-		defer cancelFlight()
-		defer s.flightDone(key)
-		// The flight context is rooted at baseCtx (concurrent identical
-		// requests share one solve, so no single request's cancellation
-		// may govern it); grafting transplants the leader's trace onto
-		// it so the engine spans land under this request's cache span.
-		fctx = obs.Graft(fctx, dctx)
-		opts := anytime.Options{
-			Budget:        deadline,
-			Workers:       s.cfg.SolveWorkers,
-			MaxTableBytes: s.cfg.MaxTableBytes,
+		fctx := dctx
+		if !k.refine {
+			// Concurrent identical requests share one solve, so no single
+			// request's cancellation may govern it: the flight context is
+			// rooted at baseCtx, and grafting transplants the leader's
+			// trace onto it so the engine spans land under its cache span.
+			flight, cancelFlight := s.flightContext(k.key)
+			defer cancelFlight()
+			defer s.flightDone(k.key)
+			fctx = obs.Graft(flight, dctx)
 		}
-		if onLower != nil {
-			opts.OnProgress = func(sn anytime.Snapshot) {
-				if sn.LowerScaled > 0 {
-					onLower(sn.LowerScaled)
-				}
-			}
-		}
-		if onSearch != nil || s.cfg.SearchSink != nil {
-			// Live engine introspection fans out to the caller (async
-			// jobs retain the latest snapshot) and to the -search-log
-			// JSONL sink. Like onLower, only the flight leader samples —
-			// latched waiters see nothing, which is exactly right: there
-			// is one search, and one stream describing it.
-			traceID := obs.TraceIDFrom(dctx)
-			opts.OnSearch = func(sn obs.SearchSnapshot) {
-				if onSearch != nil {
-					onSearch(sn)
-				}
-				if s.cfg.SearchSink != nil {
-					line := searchLogLine{Time: time.Now(), TraceID: traceID, Snapshot: sn}
-					if b, jerr := json.Marshal(line); jerr == nil {
-						s.searchMu.Lock()
-						s.cfg.SearchSink.Write(append(b, '\n'))
-						s.searchMu.Unlock()
-					}
-				}
-			}
-		}
-		if warm != nil {
-			// Resume refinement from the cached certified interval: the
-			// incumbent trace (translated back to this requester's node
-			// IDs) seeds the engines' bounds, the cached lower bound
-			// skips already-completed work.
-			opts.Warm = &anytime.WarmStart{
-				Moves:       instcache.FromCanonical(warm.Moves, perm),
-				LowerScaled: warm.LowerScaled,
-				Source:      "cache:" + warm.Source,
-			}
-		}
-		res, err := s.solveFn(fctx, p, opts)
+		res, err := s.solveFn(fctx, k.p, s.solveOptions(k, warm, obs.TraceIDFrom(dctx)))
 		if err != nil {
 			return instcache.Value{}, err
 		}
 		if res.MemoryLimited {
 			s.m.solvesMemLimited.Add(1)
 		}
-		run.res, run.canceled, run.ran = res, fctx.Err() != nil, true
+		run = &flightRun{res: res, canceled: fctx.Err() != nil}
 		// A solve canceled well short of its budget (DELETE, shutdown
-		// grace) only earned a lower tier: crediting the full requested
-		// tier would let its weak interval be served to smaller-budget
-		// requests that could genuinely tighten it. The half-budget
-		// threshold keeps normal deadline-limited solves (elapsed ≈
-		// budget, possibly a hair under) at their requested tier.
-		effTier := tier
-		if res.Elapsed > 0 && res.Elapsed*2 < deadline {
-			if t := instcache.TierForBudget(res.Elapsed); t < effTier {
-				effTier = t
+		// grace, refiner preemption) only earned a lower tier: crediting
+		// the full tier would let its weak interval be served to
+		// smaller-budget requests that could genuinely tighten it. The
+		// half-budget threshold keeps normal deadline-limited solves
+		// (elapsed ≈ budget, possibly a hair under) at their tier.
+		tier := k.tier
+		if res.Elapsed > 0 && res.Elapsed*2 < k.deadline {
+			if t := instcache.TierForBudget(res.Elapsed); t < tier {
+				tier = t
 			}
 		}
 		return instcache.Value{
-			Moves:       instcache.ToCanonical(res.Solution.Trace.Moves, perm),
+			Moves:       instcache.ToCanonical(res.Solution.Trace.Moves, k.perm),
 			UpperScaled: res.UpperScaled,
 			LowerScaled: res.LowerScaled,
 			Optimal:     res.Optimal,
 			Source:      res.Source,
-			Tier:        effTier,
+			Tier:        tier,
 		}, nil
 	})
 	dsp.End()
-	// Every completion — hit, warm, shared, cold, canceled, failed —
-	// appends one telemetry record: the feature store the portfolio
-	// scheduler trains on must see the failures and cancellations too.
+	disposition := "cold"
+	switch {
+	case k.refine:
+		disposition = "refine"
+	case hit:
+		disposition = "hit"
+	case shared:
+		disposition = "shared"
+	case warmed:
+		disposition = "warm"
+	}
+	s.record(ctx, k, disposition, val, run, start, err)
+	if err != nil {
+		return keyedResult{}, err
+	}
+	if !hit && !shared && s.cfg.Replicate != nil {
+		// This caller's own flight produced (or tightened) the stored
+		// entry — a foreground result or a background tightening alike:
+		// push it toward the key's next ring owner so a hard crash of
+		// this node doesn't lose it. Waiters latched onto the flight
+		// would just duplicate the push.
+		s.cfg.Replicate(instcache.Entry{Key: k.key, Tier: val.Tier, Value: val})
+	}
+	return keyedResult{Val: val, Hit: hit, Shared: shared, Warmed: warmed}, nil
+}
+
+// solveOptions builds one flight's orchestrator options: the deadline
+// and table-memory budget of k, its live progress hooks, and the warm
+// start from the cached certified interval (its incumbent trace
+// translated back into k's numbering seeds the engines' bounds; its
+// lower bound skips already-completed work).
+func (s *Server) solveOptions(k keyedSolve, warm *instcache.Value, traceID string) anytime.Options {
+	opts := anytime.Options{
+		Budget:        k.deadline,
+		Workers:       s.cfg.SolveWorkers,
+		MaxTableBytes: k.tableBytes,
+	}
+	if k.onLower != nil {
+		opts.OnProgress = func(sn anytime.Snapshot) {
+			if sn.LowerScaled > 0 {
+				k.onLower(sn.LowerScaled)
+			}
+		}
+	}
+	if k.onSearch != nil || s.events != nil {
+		// Live engine introspection fans out to the caller (async jobs
+		// retain the latest snapshot) and to the event log. Only the
+		// flight leader samples — latched waiters see nothing, which is
+		// exactly right: there is one search, and one stream describing
+		// it.
+		opts.OnSearch = func(sn obs.SearchSnapshot) {
+			if k.onSearch != nil {
+				k.onSearch(sn)
+			}
+			s.events.Snapshot(traceID, sn)
+		}
+	}
+	if warm != nil {
+		opts.Warm = &anytime.WarmStart{
+			Moves:       instcache.FromCanonical(warm.Moves, k.perm),
+			LowerScaled: warm.LowerScaled,
+			Source:      "cache:" + warm.Source,
+		}
+	}
+	return opts
+}
+
+// record appends the telemetry record of one served key. Every
+// completion — hit, cold, warm, shared or refine; finished, canceled
+// or failed — appends one: the feature store the portfolio scheduler
+// trains on must see the failures and cancellations too. run is nil
+// unless this caller led the flight.
+func (s *Server) record(ctx context.Context, k keyedSolve, disposition string, val instcache.Value, run *flightRun, start time.Time, err error) {
 	rec := obs.SolveRecord{
 		TraceID:     obs.TraceIDFrom(ctx),
 		Start:       start,
-		Features:    obs.ComputeFeatures(p.G, p.R),
-		Model:       modelName(p.Model),
+		Features:    obs.ComputeFeatures(k.p.G, k.p.R),
+		Model:       modelName(k.p.Model),
 		Engine:      val.Source,
 		Workers:     s.cfg.SolveWorkers,
-		BudgetMS:    deadline.Milliseconds(),
-		Tier:        tier,
-		Disposition: "cold",
-		Canceled:    run.canceled,
+		BudgetMS:    k.deadline.Milliseconds(),
+		Tier:        k.tier,
+		Disposition: disposition,
 		LowerScaled: val.LowerScaled,
 		UpperScaled: val.UpperScaled,
 		Optimal:     val.Optimal,
 		WallMS:      float64(time.Since(start).Microseconds()) / 1000,
 	}
-	switch {
-	case hit:
-		rec.Disposition = "hit"
-	case shared:
-		rec.Disposition = "shared"
-	case warmed:
-		rec.Disposition = "warm"
-	}
-	if run.ran {
+	if run != nil {
+		rec.Canceled = run.canceled
 		rec.Expanded = uint64(run.res.Expanded)
 		rec.Visits = uint64(run.res.Visits)
 		rec.TableBytes = uint64(run.res.TableBytes)
@@ -1000,18 +1023,8 @@ func (s *Server) solveKeyed(ctx context.Context, p solve.Problem, key string, pe
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			rec.Canceled = true
 		}
-		s.tel.Append(rec)
-		return keyedResult{}, err
 	}
 	s.tel.Append(rec)
-	if !hit && !shared && s.cfg.Replicate != nil {
-		// This request's own solve produced (or tightened) the stored
-		// entry: push it toward the key's next ring owner so a hard crash
-		// of this node doesn't lose it. Only the flight leader replicates
-		// — waiters latched onto it would just duplicate the push.
-		s.cfg.Replicate(instcache.Entry{Key: key, Tier: val.Tier, Value: val})
-	}
-	return keyedResult{Val: val, Hit: hit, Shared: shared, Warmed: warmed}, nil
 }
 
 // rememberKey records the problem behind a cache key so the background
@@ -1059,13 +1072,15 @@ func (s *Server) refinerBusy() bool {
 var errUnknownKey = errors.New("service: no problem registered for cache key")
 
 // refineKey is the background refiner's solve path: re-solve key at
-// the given budget tier through the same Cache.Do pipeline foreground
+// the given budget tier through the same solveKey core foreground
 // requests use (warm start from the stored interval, effective-tier
-// demotion, replication of the tightened entry), under the refiner's
-// tighter table-memory sub-budget. ctx is the refiner's run context —
-// canceled on preemption or drain, which the orchestrator turns into
-// a certified partial interval that still lands in the cache. Returns
-// the scaled gap of the stored interval after the attempt.
+// demotion, replication of the tightened entry), under half the node's
+// table-memory budget so an ambitious refinement cannot pressure live
+// traffic. ctx is the refiner's run context — canceled on preemption
+// or drain, which the orchestrator turns into a certified partial
+// interval that still lands in the cache. A refinement casts no
+// interest vote and does not count as foreground work. Returns the
+// scaled gap of the stored interval after the attempt.
 func (s *Server) refineKey(ctx context.Context, key string, tier int) (int64, error) {
 	kp, ok := s.lookupKey(key)
 	if !ok {
@@ -1077,89 +1092,18 @@ func (s *Server) refineKey(ctx context.Context, key string, tier int) (int64, er
 	if deadline > s.cfg.MaxDeadline {
 		deadline = s.cfg.MaxDeadline
 	}
-	start := time.Now()
-	var run struct {
-		res anytime.Result
-		ran bool
-	}
-	val, hit, shared, _, err := s.cache.Do(ctx, key, tier, func(warm *instcache.Value) (instcache.Value, error) {
-		s.m.solves.Add(1)
-		opts := anytime.Options{
-			Budget:        deadline,
-			Workers:       s.cfg.SolveWorkers,
-			MaxTableBytes: s.cfg.RefinerTableBytes,
-		}
-		if warm != nil {
-			opts.Warm = &anytime.WarmStart{
-				Moves:       instcache.FromCanonical(warm.Moves, kp.perm),
-				LowerScaled: warm.LowerScaled,
-				Source:      "cache:" + warm.Source,
-			}
-		}
-		res, err := s.solveFn(ctx, kp.p, opts)
-		if err != nil {
-			return instcache.Value{}, err
-		}
-		if res.MemoryLimited {
-			s.m.solvesMemLimited.Add(1)
-		}
-		run.res, run.ran = res, true
-		// A preempted refinement earned only the tier its elapsed time
-		// paid for (same demotion rule as foreground cancellations).
-		effTier := tier
-		if res.Elapsed > 0 && res.Elapsed*2 < deadline {
-			if t := instcache.TierForBudget(res.Elapsed); t < effTier {
-				effTier = t
-			}
-		}
-		return instcache.Value{
-			Moves:       instcache.ToCanonical(res.Solution.Trace.Moves, kp.perm),
-			UpperScaled: res.UpperScaled,
-			LowerScaled: res.LowerScaled,
-			Optimal:     res.Optimal,
-			Source:      res.Source,
-			Tier:        effTier,
-		}, nil
+	kr, err := s.solveKey(ctx, keyedSolve{
+		key: key, p: kp.p, perm: kp.perm, deadline: deadline, tier: tier,
+		tableBytes: s.cfg.MaxTableBytes / 2,
+		refine:     true,
 	})
-	rec := obs.SolveRecord{
-		TraceID:     obs.TraceIDFrom(ctx),
-		Start:       start,
-		Features:    obs.ComputeFeatures(kp.p.G, kp.p.R),
-		Model:       modelName(kp.p.Model),
-		Engine:      val.Source,
-		Workers:     s.cfg.SolveWorkers,
-		BudgetMS:    deadline.Milliseconds(),
-		Tier:        tier,
-		Disposition: "refine",
-		Canceled:    ctx.Err() != nil,
-		LowerScaled: val.LowerScaled,
-		UpperScaled: val.UpperScaled,
-		Optimal:     val.Optimal,
-		WallMS:      float64(time.Since(start).Microseconds()) / 1000,
-	}
-	if run.ran {
-		rec.Expanded = uint64(run.res.Expanded)
-		rec.Visits = uint64(run.res.Visits)
-		rec.TableBytes = uint64(run.res.TableBytes)
-		rec.PeakFrontier = run.res.PeakFrontier
-		rec.PeakRate = run.res.PeakRate
-	}
 	if err != nil {
-		rec.Err = err.Error()
-		s.tel.Append(rec)
 		return 0, err
 	}
-	s.tel.Append(rec)
-	if !hit && !shared && s.cfg.Replicate != nil {
-		// Every background tightening is replicated exactly like a
-		// foreground result: the point of refining is to make the
-		// fleet's cached interval narrower, crash or no crash.
-		s.cfg.Replicate(instcache.Entry{Key: key, Tier: val.Tier, Value: val})
-	}
-	if val.Optimal {
+	if kr.Val.Optimal {
 		return 0, nil
 	}
-	return val.UpperScaled - val.LowerScaled, nil
+	return kr.Val.UpperScaled - kr.Val.LowerScaled, nil
 }
 
 // RefinerStatus reports the background refiner's live state; ok is
@@ -1270,10 +1214,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // solveTask is one admitted POST /solve on its way to a lane worker:
 // the parsed problem, its canonical key and the pre-dispatch probe.
 type solveTask struct {
-	p            solve.Problem
-	key          string
-	perm         []dag.NodeID
-	deadline     time.Duration
+	keyedSolve
 	includeTrace bool
 	probed       *instcache.Value // cache probe hit, if any
 	lane         string
@@ -1290,14 +1231,15 @@ type solveTask struct {
 // itself and returns nil, instead of queueing a cache hit behind
 // multi-second exact solves.
 func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool, run func(t *solveTask)) *solveTask {
-	t := &solveTask{p: p, deadline: deadline, includeTrace: includeTrace, start: time.Now()}
+	start := time.Now()
 	_, csp := obs.StartSpan(ctx, "canonicalize")
 	inst := instcache.Instance{G: p.G, Model: p.Model, R: p.R, Convention: p.Convention}
-	t.key, t.perm = inst.Key()
+	key, perm := inst.Key()
 	csp.End()
+	t := &solveTask{keyedSolve: s.foregroundSolve(key, p, perm, deadline), includeTrace: includeTrace, start: start}
 
 	_, psp := obs.StartSpan(ctx, "cache-probe")
-	if v, hit := s.cache.Probe(t.key, instcache.TierForBudget(deadline)); hit {
+	if v, hit := s.cache.Probe(t.key, t.tier); hit {
 		t.probed = &v
 	}
 	psp.SetAttr("hit", strconv.FormatBool(t.probed != nil))
@@ -1319,21 +1261,13 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, p solve.Pr
 	return t
 }
 
-// runTask is the solve a lane worker runs for an admitted task: the
-// probe-served value as is, otherwise one solveKeyed round trip under
-// ctx; then the requester's translated, replay-verified response.
-func (s *Server) runTask(ctx context.Context, t *solveTask, onLower func(int64), onSearch func(obs.SearchSnapshot)) (SolveResponse, error) {
-	var kr keyedResult
-	if t.probed != nil {
-		kr = keyedResult{Val: *t.probed, Hit: true}
-		// Deferred so the record's wall time covers the translation.
-		defer s.recordProbeHit(ctx, t.p, kr.Val, t.deadline, t.start)
-	} else {
-		var err error
-		if kr, err = s.solveKeyed(ctx, t.p, t.key, t.perm, t.deadline, onLower, onSearch); err != nil {
-			s.m.solveErrors.Add(1)
-			return SolveResponse{}, err
-		}
+// runTask is the solve a lane worker runs for an admitted task: one
+// serveKey under ctx, then the requester's translated, replay-verified
+// response.
+func (s *Server) runTask(ctx context.Context, t *solveTask) (SolveResponse, error) {
+	kr, err := s.serveKey(ctx, t.keyedSolve, t.probed, t.start)
+	if err != nil {
+		return SolveResponse{}, err
 	}
 	resp, err := s.buildResponse(ctx, t.p, kr, t.perm, t.includeTrace, t.start)
 	s.reqSeconds.observe(time.Since(t.start))
@@ -1354,7 +1288,7 @@ func (s *Server) syncSolve(w http.ResponseWriter, ctx context.Context, p solve.P
 		// The solve runs under baseCtx with the request's trace grafted
 		// on: a client that disconnects mid-solve doesn't kill a solve
 		// whose result is about to land in the cache.
-		resp, err = s.runTask(obs.Graft(s.baseCtx, ctx), t, nil, nil)
+		resp, err = s.runTask(obs.Graft(s.baseCtx, ctx), t)
 	})
 	if t == nil {
 		return // shed
@@ -1423,8 +1357,9 @@ func (s *Server) runJob(j *job, t *solveTask) {
 		s.m.jobsCanceled.Add(1)
 		return
 	}
-	resp, err := s.runTask(j.ctx, t, j.lower.Store,
-		func(sn obs.SearchSnapshot) { j.search.Store(&sn) })
+	t.onLower = j.lower.Store
+	t.onSearch = func(sn obs.SearchSnapshot) { j.search.Store(&sn) }
+	resp, err := s.runTask(j.ctx, t)
 	j.mu.Lock()
 	wasCanceled := j.canceled
 	j.mu.Unlock()
@@ -1456,7 +1391,7 @@ func (s *Server) registerJob(j *job) {
 	defer s.jobMu.Unlock()
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
-	for len(s.jobOrder) > s.cfg.KeepJobs {
+	for len(s.jobOrder) > keepJobs {
 		// Drop the oldest finished job; stop if the oldest is still live
 		// (it must stay pollable).
 		old := s.jobs[s.jobOrder[0]]
