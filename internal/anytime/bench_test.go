@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"rbpebble/internal/benchharness"
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/pebble"
 	"rbpebble/internal/solve"
@@ -17,17 +16,10 @@ import (
 // outputs are upper/lower/optimal rather than ns/op (which tracks the
 // deadline by construction). The full-budget rows measure orchestration
 // overhead against the bare exact engine on instances it closes fast.
-//
-// Refresh the repo-root artifact together with the solver suite:
-//
-//	go test ./internal/solve ./internal/anytime -p 1 -bench . -benchtime 1x -benchjson "$PWD"/BENCH_solver.json
-
-func TestMain(m *testing.M) { benchharness.Main(m) }
 
 func benchAnytime(b *testing.B, p solve.Problem, opts Options) {
 	b.Helper()
 	b.ReportAllocs()
-	m0 := benchharness.Before()
 	var res Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -38,13 +30,6 @@ func benchAnytime(b *testing.B, p solve.Problem, opts Options) {
 	}
 	b.ReportMetric(float64(res.UpperScaled), "upper/op")
 	b.ReportMetric(float64(res.LowerScaled), "lower/op")
-	benchharness.Capture(b, m0, benchharness.Record{
-		UpperScaled:    res.UpperScaled,
-		LowerScaled:    res.LowerScaled,
-		Optimal:        res.Optimal,
-		StatesExpanded: res.Expanded,
-		Visits:         res.Visits,
-	})
 }
 
 // Deadline rows: the gap-vs-budget curve on the hard instance.
@@ -76,13 +61,11 @@ func BenchmarkAnytimeGrid44R3Full(b *testing.B) {
 // buys across requests: two 300ms deadline-limited solves of fft(3)
 // R=3, the second warm-started from the first's certified interval
 // (exactly what rbserve's interval cache does between repeated
-// requests). The recorded gap_first_solve / gap_second_solve pair is
-// the convergence row; the committed interval is the merged (tightest)
-// one, as the cache would store it.
+// requests). gap1/op is the first solve's relative gap, gap2/op the
+// gap of the merged (tightest) interval, as the cache would store it.
 func BenchmarkIntervalConvergenceFFT3R3(b *testing.B) {
 	p := solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.Oneshot), R: 3}
 	b.ReportAllocs()
-	m0 := benchharness.Before()
 	var first, second Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -112,11 +95,4 @@ func BenchmarkIntervalConvergenceFFT3R3(b *testing.B) {
 	}
 	b.ReportMetric(first.Gap(), "gap1/op")
 	b.ReportMetric(Gap(upper, lower), "gap2/op")
-	benchharness.Capture(b, m0, benchharness.Record{
-		UpperScaled: upper,
-		LowerScaled: lower,
-		Optimal:     lower >= upper,
-		GapFirst:    first.Gap(),
-		GapSecond:   Gap(upper, lower),
-	})
 }

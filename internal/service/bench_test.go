@@ -9,21 +9,17 @@ import (
 	"testing"
 	"time"
 
-	"rbpebble/internal/benchharness"
 	"rbpebble/internal/dag"
 	"rbpebble/internal/daggen"
 )
 
-func TestMain(m *testing.M) { benchharness.Main(m) }
-
 // BenchmarkBatchThroughputPyramid measures the batched request plane's
 // amortization: one POST /solve/batch of 16 isomorphic pyramid(5)
 // relabelings (one canonical-class solve, 16 translations) against the
-// no-request-plane fleet baseline — 16 sequential single POSTs, each
+// fleet shape without a batch plane — 16 sequential single POSTs, each
 // to a cold node, so every request pays its own canonicalization AND
-// its own exact solve. That is the fleet shape this PR replaces: with
-// no batch endpoint and no canonical routing, isomorphic requests land
-// on arbitrary cache-cold replicas and nothing is shared.
+// its own exact solve. It fails unless the batch performs exactly one
+// solve and amortizes at least 5x per item.
 func BenchmarkBatchThroughputPyramid(b *testing.B) {
 	const items = 16
 	base := daggen.Pyramid(5)
@@ -42,8 +38,6 @@ func BenchmarkBatchThroughputPyramid(b *testing.B) {
 	}
 	batchBody := fmt.Sprintf(`{"items":[%s]}`, strings.Join(bodies, ","))
 
-	var rec benchharness.Record
-	before := benchharness.Before()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		// Batched: one server, one request, in-batch canonical dedup.
@@ -90,13 +84,16 @@ func BenchmarkBatchThroughputPyramid(b *testing.B) {
 		}
 		seqNs := float64(time.Since(t0).Nanoseconds())
 
-		rec.BatchItems = items
-		rec.BatchSolves = solves
-		rec.NsPerItemBatch = batchNs / items
-		rec.NsPerItemSequential = seqNs / items
-		b.ReportMetric(rec.NsPerItemBatch, "ns/item-batch")
-		b.ReportMetric(rec.NsPerItemSequential, "ns/item-seq")
-		b.ReportMetric(rec.NsPerItemSequential/rec.NsPerItemBatch, "speedup")
+		perBatch, perSeq := batchNs/items, seqNs/items
+		b.ReportMetric(perBatch, "ns/item-batch")
+		b.ReportMetric(perSeq, "ns/item-seq")
+		b.ReportMetric(perSeq/perBatch, "speedup")
+		if solves != 1 {
+			b.Fatalf("batch of %d isomorphic items performed %d solves, want 1", items, solves)
+		}
+		if perSeq < 5*perBatch {
+			b.Fatalf("batch amortization %.1fx below the 5x floor (%.0f ns/item batched, %.0f sequential)",
+				perSeq/perBatch, perBatch, perSeq)
+		}
 	}
-	benchharness.Capture(b, before, rec)
 }

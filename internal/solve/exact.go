@@ -182,7 +182,7 @@ type ExactStats struct {
 	// TableBytes is the visited-state tables' backing-store footprint
 	// (probe slots plus arena capacity, summed over parallel shards)
 	// when the search stopped. Tables only grow within a run, so this is
-	// the peak — the bench harness records it as peak_table_bytes.
+	// the peak.
 	TableBytes int64
 }
 

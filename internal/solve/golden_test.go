@@ -1,0 +1,191 @@
+package solve
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"rbpebble/internal/daggen"
+	"rbpebble/internal/pebble"
+)
+
+// The golden table pins the deterministic cost of every exact engine on
+// the canonical instances: states expanded, distinct states, IDA*
+// visits and the scaled optimum. The engines are exact, so any change
+// to these numbers is a change of search order, pruning or heuristic;
+// a change that means to alter them updates its rows here in the same
+// commit. TestGoldenCounts checks every row that solves in well under a
+// second; the fft(3) full solves take seconds, so the benchmark named
+// after the row checks it instead and fails when the counts move.
+
+func pyramid5R4() Problem {
+	return Problem{G: daggen.Pyramid(5), Model: pebble.NewModel(pebble.Oneshot), R: 4}
+}
+
+func pyramid5R3() Problem {
+	return Problem{G: daggen.Pyramid(5), Model: pebble.NewModel(pebble.Oneshot), R: 3}
+}
+
+func fft3R3() Problem {
+	return Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.Oneshot), R: 3}
+}
+
+func grid44R3() Problem {
+	return Problem{G: daggen.Grid(4, 4), Model: pebble.NewModel(pebble.Oneshot), R: 3}
+}
+
+// goldenRow is one pinned solve.
+type goldenRow struct {
+	// name identifies the row; Benchmark<name>, where it exists, runs
+	// the row with benchGolden.
+	name string
+	p    func() Problem
+	// ida selects ExactDFS (IDA*); otherwise Exact runs with opts.
+	ida  bool
+	opts ExactOptions
+	// slow rows (fft(3) full solves) are checked by their benchmark
+	// only: too slow for tier-1 and the race job.
+	slow bool
+
+	// Pinned results. Async rows (opts.Parallel > 1) pin the optimum
+	// only: their counts depend on the worker schedule. A row with
+	// lower > 0 must abort with ErrMemoryBudget, certifying lower.
+	expanded, distinct, visits int
+	optimum, lower             int64
+}
+
+var goldenRows = []goldenRow{
+	{name: "ExactAStarPyramid5R4", p: pyramid5R4, expanded: 7385, distinct: 11020, optimum: 8},
+	{name: "ExactDijkstraPyramid5R4", p: pyramid5R4, opts: ExactOptions{Heuristic: HeuristicOff},
+		expanded: 61651, distinct: 71935, optimum: 8},
+	{name: "ExactAStarGrid44R3", p: grid44R3, expanded: 702, distinct: 852, optimum: 12},
+	{name: "ExactDijkstraGrid44R3", p: grid44R3, opts: ExactOptions{Heuristic: HeuristicOff},
+		expanded: 2253, distinct: 2293, optimum: 12},
+	{name: "ExactSPartitionPyramid5R3", p: pyramid5R3, opts: ExactOptions{Heuristic: HeuristicSPartition},
+		expanded: 1970, distinct: 4679, optimum: 20},
+	{name: "ExactLowerBoundPyramid5R3", p: pyramid5R3, opts: ExactOptions{Heuristic: HeuristicLowerBound},
+		expanded: 12703, distinct: 13185, optimum: 20},
+	{name: "ExactIDAStarPyramid5R4", p: pyramid5R4, ida: true, visits: 18376, optimum: 8},
+	{name: "ExactDFSGrid44R3", p: grid44R3, ida: true, visits: 2163, optimum: 12},
+	{name: "ExactAsync4Pyramid5R4", p: pyramid5R4, opts: ExactOptions{Parallel: 4}, optimum: 8},
+	{name: "ExactAsync8Pyramid5R4", p: pyramid5R4, opts: ExactOptions{Parallel: 8}, optimum: 8},
+	// A listener sampling at every gate must not change the search.
+	{name: "ExactAStarPyramid5R4Listener", p: pyramid5R4,
+		opts:     ExactOptions{Progress: func(ExactProgress) {}, ProgressEvery: time.Nanosecond},
+		expanded: 7385, distinct: 11020, optimum: 8},
+	// fft(3) under a 1 MiB table budget aborts within milliseconds.
+	{name: "MemBudgetAbort", p: fft3R3, opts: ExactOptions{MaxTableBytes: 1 << 20},
+		expanded: 11264, distinct: 19077, lower: 8},
+
+	{name: "ExactAStarFFT3R3", p: fft3R3, slow: true, expanded: 1265002, distinct: 1372250, optimum: 31},
+	{name: "ExactDijkstraFFT3R3", p: fft3R3, slow: true, opts: ExactOptions{Heuristic: HeuristicOff},
+		expanded: 4021352, distinct: 4135674, optimum: 31},
+	{name: "ExactIDAStarFFT3R3", p: fft3R3, slow: true, ida: true, visits: 6171412, optimum: 31},
+	{name: "ExactAsync4FFT3R3", p: fft3R3, slow: true, opts: ExactOptions{Parallel: 4}, optimum: 31},
+	{name: "SearchSnapshotOverhead", p: fft3R3, slow: true, opts: ExactOptions{Progress: func(ExactProgress) {}},
+		expanded: 1265002, distinct: 1372250, optimum: 31},
+}
+
+// goldenResult is what one run of a row measured.
+type goldenResult struct {
+	expanded, distinct, visits int
+	scaled, lower              int64
+	tableBytes                 int64
+}
+
+// run solves the row's instance once.
+func (row goldenRow) run() (goldenResult, error) {
+	p := row.p()
+	if row.ida {
+		var stats ExactDFSStats
+		sol, err := ExactDFS(p, ExactDFSOptions{MaxVisits: 50_000_000, Stats: &stats})
+		if err != nil {
+			return goldenResult{}, err
+		}
+		return goldenResult{visits: stats.Visits, scaled: sol.Result.Cost.Scaled(p.Model), tableBytes: stats.TableBytes}, nil
+	}
+	var stats ExactStats
+	opts := row.opts
+	opts.MaxStates = 50_000_000
+	opts.Stats = &stats
+	sol, err := Exact(p, opts)
+	got := goldenResult{expanded: stats.Expanded, distinct: stats.Distinct, lower: stats.LowerBound, tableBytes: stats.TableBytes}
+	if row.lower > 0 {
+		if !errors.Is(err, ErrMemoryBudget) {
+			return got, fmt.Errorf("err = %v, want ErrMemoryBudget", err)
+		}
+		return got, nil
+	}
+	if err != nil {
+		return got, err
+	}
+	got.scaled = sol.Result.Cost.Scaled(p.Model)
+	return got, nil
+}
+
+// check compares a run against the numbers the row pins.
+func (row goldenRow) check(got goldenResult) error {
+	pinned := goldenResult{visits: got.visits, scaled: got.scaled}
+	if row.opts.Parallel <= 1 {
+		pinned.expanded, pinned.distinct = got.expanded, got.distinct
+	}
+	if row.lower > 0 {
+		pinned.lower = got.lower
+	}
+	want := goldenResult{expanded: row.expanded, distinct: row.distinct, visits: row.visits, scaled: row.optimum, lower: row.lower}
+	if pinned != want {
+		return fmt.Errorf("%s: got %+v, want %+v", row.name, pinned, want)
+	}
+	return nil
+}
+
+func TestGoldenCounts(t *testing.T) {
+	for _, row := range goldenRows {
+		if row.slow {
+			continue
+		}
+		t.Run(row.name, func(t *testing.T) {
+			got, err := row.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := row.check(got); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// benchGolden runs the named golden row b.N times, reports its counts
+// and fails when they differ from the table.
+func benchGolden(b *testing.B, name string) {
+	b.Helper()
+	var row goldenRow
+	for _, r := range goldenRows {
+		if r.name == name {
+			row = r
+		}
+	}
+	if row.name == "" {
+		b.Fatalf("no golden row %q", name)
+	}
+	b.ReportAllocs()
+	var got goldenResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if got, err = row.run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if row.ida {
+		b.ReportMetric(float64(got.visits), "visits/op")
+	} else {
+		b.ReportMetric(float64(got.expanded), "states/op")
+		b.ReportMetric(float64(got.distinct), "distinct/op")
+	}
+	b.ReportMetric(float64(got.tableBytes), "table-bytes/op")
+	if err := row.check(got); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -188,10 +188,9 @@ func TestSnapshotsNilListener(t *testing.T) {
 }
 
 // TestNilListenerAllocGuard pins the contract in allocation terms: a
-// listener-less serial A* solve must stay at the committed baseline
-// (the BENCH_solver.json fft(3) R=3 row holds 429 allocs/op; the
-// pyramid(5) R=4 proxy measured here sits at ~263). The bound has
-// headroom for runtime noise, not for a regression that attaches
+// listener-less serial A* solve must stay near its baseline (the
+// pyramid(5) R=4 solve measured here sits at ~263 allocs/op). The bound
+// has headroom for runtime noise, not for a regression that attaches
 // sampling machinery to runs nobody is watching.
 func TestNilListenerAllocGuard(t *testing.T) {
 	p := pyramid5R4()

@@ -81,8 +81,7 @@ func (t *stateTable) count() int { return len(t.arena) / t.stride }
 
 // bytes returns the table's current backing-store footprint (probe
 // slots plus arena capacity). The table only grows between resets, so
-// at search end this is the peak — the number the bench harness
-// records as peak_table_bytes.
+// at search end this is the peak.
 func (t *stateTable) bytes() int64 {
 	return int64(len(t.slots)+cap(t.arena)) * 8
 }
