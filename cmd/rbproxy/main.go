@@ -89,7 +89,6 @@ func main() {
 		TenantBurst:   *tenantBurst,
 		TraceCap:      *traceCap,
 		Logger:        logger,
-		Client:        &http.Client{Timeout: *fwdLimit},
 		Comm: cluster.CommConfig{
 			AttemptTimeout:   *fwdLimit,
 			MaxAttempts:      *retries,

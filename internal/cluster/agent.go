@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -104,18 +101,9 @@ func (a *Agent) loop() {
 
 // join registers/renews once and returns the proxy's lease TTL.
 func (a *Agent) join(ctx context.Context) (time.Duration, error) {
-	body, _ := json.Marshal(map[string]any{"member": a.cfg.Self, "draining": a.draining.Load()})
-	resp, err := a.comm.Post(ctx, a.cfg.Proxy, "/cluster/join", "application/json", body)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return 0, fmt.Errorf("join status %d", resp.StatusCode)
-	}
 	var jr JoinResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	in := joinRequest{Member: a.cfg.Self, Draining: a.draining.Load()}
+	if err := a.comm.Call(ctx, a.cfg.Proxy, http.MethodPost, "/cluster/join", in, &jr); err != nil {
 		return 0, err
 	}
 	a.updateRing(jr)
@@ -175,18 +163,9 @@ func (a *Agent) Handoff(ctx context.Context) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	body, err := json.Marshal(ImportPayload{From: a.cfg.Self, Entries: entries})
-	if err != nil {
+	in := ImportPayload{From: a.cfg.Self, Entries: entries}
+	if err := a.comm.Call(ctx, a.cfg.Proxy, http.MethodPost, "/cluster/handoff", in, nil); err != nil {
 		return 0, err
-	}
-	resp, err := a.comm.Post(ctx, a.cfg.Proxy, "/cluster/handoff", "application/json", body)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("handoff status %d", resp.StatusCode)
 	}
 	return len(entries), nil
 }
@@ -207,31 +186,17 @@ func (a *Agent) Replicate(e instcache.Entry) {
 		defer a.wg.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		body, err := json.Marshal(ImportPayload{From: a.cfg.Self, Entries: []instcache.Entry{e}})
-		if err != nil {
-			return
-		}
-		resp, err := a.comm.Post(ctx, a.cfg.Proxy, "/cluster/replicate", "application/json", body)
-		if err != nil {
+		in := ImportPayload{From: a.cfg.Self, Entries: []instcache.Entry{e}}
+		if err := a.comm.Call(ctx, a.cfg.Proxy, http.MethodPost, "/cluster/replicate", in, nil); err != nil {
 			a.cfg.Logf("cluster agent: replicate: %v", err)
-			return
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}()
 }
 
 // Leave deregisters the node (the final step of a graceful shutdown,
-// after the handoff).
+// after the handoff). A refused goodbye is an error.
 func (a *Agent) Leave(ctx context.Context) error {
-	body, _ := json.Marshal(map[string]string{"member": a.cfg.Self})
-	resp, err := a.comm.Post(ctx, a.cfg.Proxy, "/cluster/leave", "application/json", body)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return nil
+	return a.comm.Call(ctx, a.cfg.Proxy, http.MethodPost, "/cluster/leave", joinRequest{Member: a.cfg.Self}, nil)
 }
 
 // Stop ends the heartbeat loop and waits for in-flight replications.

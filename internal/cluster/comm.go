@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -190,6 +192,44 @@ func (c *CommClient) Do(ctx context.Context, member, method, path, contentType s
 	}
 	return nil, lastErr
 }
+
+// Call is the one JSON call: it marshals in (no body when nil), makes
+// one Do, turns a non-200 reply into an errStatus, and decodes the reply
+// into out (drains it when out is nil).
+func (c *CommClient) Call(ctx context.Context, member, method, path string, in, out any) error {
+	var body []byte
+	contentType := ""
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body, contentType = b, "application/json"
+	}
+	resp, err := c.Do(ctx, member, method, path, contentType, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		err = errStatus(resp.StatusCode)
+	} else if out != nil {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	} else {
+		io.Copy(io.Discard, resp.Body)
+	}
+	if err != nil {
+		return fmt.Errorf("%s %s%s: %w", method, member, path, err)
+	}
+	return nil
+}
+
+// errStatus is a member's non-200 reply to a Call: the member was
+// reached and refused, as opposed to a transport failure.
+type errStatus int
+
+func (e errStatus) Error() string { return "status " + strconv.Itoa(int(e)) }
 
 // BreakerOpen reports whether member's breaker is currently open
 // (ignoring the half-open trial window: an open breaker stays "open"

@@ -3,11 +3,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 
 	"rbpebble/internal/obs"
 	"rbpebble/internal/service"
@@ -24,30 +22,21 @@ func (p *Proxy) handleDebugSolves(w http.ResponseWriter, r *http.Request) {
 	p.m.requests.Add(1)
 	p.m.fanouts.Add(1)
 	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-	members := healthyMembers(p.ring)
-
-	merged := service.SolvesDebugResponse{Records: []obs.SolveRecord{}}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, member := range members {
-		wg.Add(1)
-		go func(member string) {
-			defer wg.Done()
-			part, err := p.fetchSolves(r.Context(), member, n)
-			if err != nil {
-				return
-			}
-			for i := range part.Records {
-				part.Records[i].Node = member
-			}
-			mu.Lock()
-			merged.Total += part.Total
-			merged.Records = append(merged.Records, part.Records...)
-			mu.Unlock()
-		}(member)
+	path := "/debug/solves"
+	if n > 0 {
+		path += "?n=" + strconv.Itoa(n)
 	}
-	wg.Wait()
-
+	parts := gather(p, r.Context(), func(ctx context.Context, member string) (part service.SolvesDebugResponse, err error) {
+		return part, p.comm.Call(ctx, member, http.MethodGet, path, nil, &part)
+	})
+	merged := service.SolvesDebugResponse{Records: []obs.SolveRecord{}}
+	for member, part := range parts {
+		for i := range part.Records {
+			part.Records[i].Node = member
+		}
+		merged.Total += part.Total
+		merged.Records = append(merged.Records, part.Records...)
+	}
 	sort.SliceStable(merged.Records, func(i, j int) bool {
 		return merged.Records[i].Start.After(merged.Records[j].Start)
 	})
@@ -55,26 +44,6 @@ func (p *Proxy) handleDebugSolves(w http.ResponseWriter, r *http.Request) {
 		merged.Records = merged.Records[:n]
 	}
 	writeJSON(w, merged)
-}
-
-// fetchSolves pulls one member's telemetry ring slice.
-func (p *Proxy) fetchSolves(ctx context.Context, member string, n int) (service.SolvesDebugResponse, error) {
-	path := "/debug/solves"
-	if n > 0 {
-		path += "?n=" + strconv.Itoa(n)
-	}
-	var out service.SolvesDebugResponse
-	resp, err := p.comm.Get(ctx, member, path)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return out, errStatus(resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	return out, err
 }
 
 // handleDebugTrace resolves a trace ID anywhere in the fleet: the
@@ -92,16 +61,7 @@ func (p *Proxy) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.m.fanouts.Add(1)
-	for _, member := range healthyMembers(p.ring) {
-		resp, err := p.comm.Get(r.Context(), member, "/debug/trace/"+id)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
+	if resp, member := p.firstAnswer(r.Context(), http.MethodGet, "/debug/trace/"+id, known); resp != nil {
 		relayResponse(w, resp, member)
 		return
 	}
@@ -110,39 +70,26 @@ func (p *Proxy) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugJobSearch resolves an async job's live search telemetry
 // anywhere in the fleet: job IDs carry a per-node random prefix, so the
-// healthy members are simply asked in order and the first non-404
-// answer wins. The owning node's name is stamped into the body (and the
-// X-Rbproxy-Node header), so a dashboard polling a running job knows
-// which member's gauges to watch.
+// healthy members are simply asked in order and the first 200 answer
+// wins (a body that does not decode is a 502). The owning node's name
+// is stamped into the body (and the X-Rbproxy-Node header), so a
+// dashboard polling a running job knows which member's gauges to watch.
 func (p *Proxy) handleDebugJobSearch(w http.ResponseWriter, r *http.Request) {
 	p.m.requests.Add(1)
 	p.m.fanouts.Add(1)
-	id := r.PathValue("id")
-	for _, member := range healthyMembers(p.ring) {
-		resp, err := p.comm.Get(r.Context(), member, "/debug/jobs/"+id+"/search")
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		var body service.SearchDebugResponse
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		body.Node = member
-		w.Header().Set("X-Rbproxy-Node", member)
-		writeJSON(w, body)
+	resp, member := p.firstAnswer(r.Context(), http.MethodGet, "/debug/jobs/"+r.PathValue("id")+"/search",
+		func(resp *http.Response) bool { return resp.StatusCode == http.StatusOK })
+	if resp == nil {
+		httpError(w, http.StatusNotFound, "unknown job on every cluster member")
 		return
 	}
-	httpError(w, http.StatusNotFound, "unknown job on every cluster member")
+	defer resp.Body.Close()
+	var body service.SearchDebugResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		httpError(w, http.StatusBadGateway, "malformed job search from "+member+": "+err.Error())
+		return
+	}
+	body.Node = member
+	w.Header().Set("X-Rbproxy-Node", member)
+	writeJSON(w, body)
 }
-
-// errStatus wraps a non-200 downstream status as an error.
-type errStatus int
-
-func (e errStatus) Error() string { return "status " + strconv.Itoa(int(e)) }

@@ -42,17 +42,14 @@ type Prober struct {
 // maxProbeBackoff caps the failure backoff at this many intervals.
 const maxProbeBackoff = 16
 
-// NewProber returns a started prober (poll loop runs until Stop).
-// interval <= 0 selects 2s. client nil selects a 1s-timeout client.
-// onStatus may be nil.
-func NewProber(ring *Ring, interval time.Duration, client *http.Client, onStatus func(member string, healthy, draining bool)) *Prober {
+// NewProber returns a started prober (poll loop runs until Stop) that
+// probes with a 1s-timeout client. interval <= 0 selects 2s. onStatus
+// may be nil.
+func NewProber(ring *Ring, interval time.Duration, onStatus func(member string, healthy, draining bool)) *Prober {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	if client == nil {
-		client = &http.Client{Timeout: time.Second}
-	}
-	p := &Prober{ring: ring, client: client, interval: interval, onStatus: onStatus, stop: make(chan struct{})}
+	p := &Prober{ring: ring, client: &http.Client{Timeout: time.Second}, interval: interval, onStatus: onStatus, stop: make(chan struct{})}
 	p.wg.Add(1)
 	go p.loop()
 	return p

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -52,14 +53,10 @@ type ProxyConfig struct {
 	// maps to the "default" bucket.
 	TenantRate  float64
 	TenantBurst int
-	// Client performs the forwards (default: 60s-timeout client — it
-	// must outlive the longest node-side solve deadline). It becomes
-	// the transport under the retry/breaker comm layer.
-	Client *http.Client
 	// Comm tunes the retry/backoff/circuit-breaker policy of every
-	// proxy->node call (see CommConfig). Comm.Client defaults to
-	// Client; Comm.OnBreakerOpen is chained so an opening breaker also
-	// demotes the member in the ring.
+	// proxy->node call (see CommConfig). The proxy sets
+	// Comm.OnBreakerOpen itself: an opening breaker demotes the member
+	// in the ring.
 	Comm CommConfig
 	// TraceCap bounds the proxy's /debug/trace/{id} recorder ring
 	// (default 256 most recent traces).
@@ -113,9 +110,6 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = 100000
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 60 * time.Second}
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -128,23 +122,16 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 	}
 	p.membership = NewMembership(p.ring, cfg.MemberTTL)
 	p.membership.AddStatic(cfg.Members...)
-	comm := cfg.Comm
-	if comm.Client == nil {
-		comm.Client = cfg.Client
-	}
 	// An opening breaker demotes the member immediately — faster than
 	// waiting for the prober to notice the flapping.
-	userOnOpen := comm.OnBreakerOpen
+	comm := cfg.Comm
 	comm.OnBreakerOpen = func(member string) {
 		p.ring.SetHealthy(member, false)
 		p.log.Warn("circuit breaker opened; member demoted", slog.String("member", member))
-		if userOnOpen != nil {
-			userOnOpen(member)
-		}
 	}
 	p.comm = NewComm(comm)
 	if cfg.ProbeInterval >= 0 {
-		p.prober = NewProber(p.ring, cfg.ProbeInterval, nil, func(member string, healthy, draining bool) {
+		p.prober = NewProber(p.ring, cfg.ProbeInterval, func(member string, healthy, draining bool) {
 			p.membership.SetDraining(member, draining)
 		})
 		p.wg.Add(1)
@@ -161,8 +148,8 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 	p.mux.HandleFunc("POST /cluster/join", p.handleJoin)
 	p.mux.HandleFunc("POST /cluster/leave", p.handleLeave)
 	p.mux.HandleFunc("GET /cluster/members", p.handleMembers)
-	p.mux.HandleFunc("POST /cluster/handoff", p.handleHandoff)
-	p.mux.HandleFunc("POST /cluster/replicate", p.handleReplicate)
+	p.mux.HandleFunc("POST /cluster/handoff", p.handleImport(true, &p.m.handoffEntries, &p.m.handoffDropped))
+	p.mux.HandleFunc("POST /cluster/replicate", p.handleImport(false, &p.m.replicatedEntries, &p.m.replicatedDropped))
 	p.mux.HandleFunc("GET /debug/solves", p.handleDebugSolves)
 	p.mux.HandleFunc("GET /debug/trace/{id}", p.handleDebugTrace)
 	p.mux.HandleFunc("GET /debug/jobs/{id}/search", p.handleDebugJobSearch)
@@ -176,9 +163,6 @@ func (p *Proxy) Ring() *Ring { return p.ring }
 // Membership exposes the dynamic-member registry (tests drive lease
 // expiry through it when the background sweeper is disabled).
 func (p *Proxy) Membership() *Membership { return p.membership }
-
-// Comm exposes the hardened node client (tests inspect breaker state).
-func (p *Proxy) Comm() *CommClient { return p.comm }
 
 // Handler returns the HTTP handler.
 func (p *Proxy) Handler() http.Handler { return p.mux }
@@ -287,15 +271,8 @@ func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		fsp.SetAttr("status", strconv.Itoa(resp.StatusCode))
-		if resp.StatusCode == http.StatusBadGateway ||
-			(resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("X-Rbserve-Draining") == "1") {
-			// The node is going away (draining) or fronting something
-			// broken: demote and fail over. Per-request 503s WITHOUT the
-			// draining header (queue full, singleflight wait timeout) are
-			// relayed instead — a healthy node emits those under load,
-			// and demoting it would cascade the whole keyspace onto
-			// cache-cold members. The body is drained so the connection
-			// can be reused.
+		if memberGone(resp) {
+			// The body is drained so the connection can be reused.
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			fsp.SetAttr("failover", "true")
@@ -321,22 +298,11 @@ func (p *Proxy) handleJob(w http.ResponseWriter, r *http.Request) {
 	p.m.requests.Add(1)
 	p.m.fanouts.Add(1)
 	ctx, _ := obs.StartRequest(w, r, nil)
-	members := healthyMembers(p.ring)
-	if len(members) == 0 {
+	if len(healthyMembers(p.ring)) == 0 {
 		httpError(w, http.StatusServiceUnavailable, "no healthy cluster members")
 		return
 	}
-	for _, member := range members {
-		resp, err := p.comm.Do(ctx, member, r.Method, "/solve/"+r.PathValue("id"), "", nil)
-		if err != nil {
-			p.ring.SetHealthy(member, false)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
+	if resp, member := p.firstAnswer(ctx, r.Method, "/solve/"+r.PathValue("id"), known); resp != nil {
 		relayResponse(w, resp, member)
 		return
 	}
@@ -380,34 +346,17 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // and the proxy's own counters.
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	members := p.ring.Members()
+	up := gather(p, r.Context(), p.fetchMetrics)
 	sums := map[string]float64{}
 	var names []string
-	up := map[string]bool{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for m, healthy := range members {
-		if !healthy {
-			continue
+	for _, vals := range up {
+		for name, v := range vals {
+			if _, ok := sums[name]; !ok {
+				names = append(names, name)
+			}
+			sums[name] += v
 		}
-		wg.Add(1)
-		go func(m string) {
-			defer wg.Done()
-			vals, err := p.fetchMetrics(r.Context(), m)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				return
-			}
-			up[m] = true
-			for name, v := range vals {
-				if _, ok := sums[name]; !ok {
-					names = append(names, name)
-				}
-				sums[name] += v
-			}
-		}(m)
 	}
-	wg.Wait()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	sort.Strings(names)
@@ -418,7 +367,7 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, m := range sortedKeys(members) {
 		v := 0
-		if members[m] && up[m] {
+		if _, ok := up[m]; ok && members[m] {
 			v = 1
 		}
 		fmt.Fprintf(w, "rbproxy_node_up{node=%q} %d\n", m, v)
@@ -524,111 +473,53 @@ func (p *Proxy) handleMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, p.membership.View())
 }
 
-// handleHandoff receives a draining node's cache export and pushes
-// each entry to the ring owner that will serve its key once the
-// drainer is gone — so failover warm-starts refinement instead of
-// re-searching from scratch. Receiving a handoff also marks the sender
-// draining and demotes it, even if no probe has noticed yet.
-func (p *Proxy) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	payload, ok := p.decodeImport(w, r)
-	if !ok {
-		return
-	}
-	if payload.From != "" {
-		p.membership.SetDraining(payload.From, true)
-		p.ring.SetHealthy(payload.From, false)
-	}
-	delivered, dropped := p.routeImports(r.Context(), payload.Entries, payload.From)
-	p.m.handoffEntries.Add(delivered)
-	p.m.handoffDropped.Add(dropped)
-	writeJSON(w, map[string]uint64{"delivered": delivered, "dropped": dropped})
-}
-
-// handleReplicate receives freshly stored entries (proven-optimal
-// values above all) from a live node and forwards each to the next
-// ring owner of its key, so a hard crash — no graceful drain — still
-// leaves the most valuable cache tier servable.
-func (p *Proxy) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	payload, ok := p.decodeImport(w, r)
-	if !ok {
-		return
-	}
-	delivered, dropped := p.routeImports(r.Context(), payload.Entries, payload.From)
-	p.m.replicatedEntries.Add(delivered)
-	p.m.replicatedDropped.Add(dropped)
-	writeJSON(w, map[string]uint64{"delivered": delivered, "dropped": dropped})
-}
-
-func (p *Proxy) decodeImport(w http.ResponseWriter, r *http.Request) (ImportPayload, bool) {
-	var payload ImportPayload
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes)).Decode(&payload); err != nil {
-		httpError(w, http.StatusBadRequest, "bad import body: "+err.Error())
-		return payload, false
-	}
-	return payload, true
-}
-
-// routeImports delivers entries to each key's first eligible ring
-// owner — skipping the excluded sender, draining members, demoted
-// members and open breakers — batched per target node. A target that
-// fails its batch is excluded and the batch re-routed (up to three
-// rounds); entries with no eligible target are dropped (counted, and
-// the membership churn that caused it will usually re-derive them).
-func (p *Proxy) routeImports(ctx context.Context, entries []instcache.Entry, exclude string) (delivered, dropped uint64) {
-	failed := map[string]bool{}
-	pending := entries
-	for round := 0; round < 3 && len(pending) > 0; round++ {
-		groups := map[string][]instcache.Entry{}
-		for _, e := range pending {
-			target := p.importTarget(e.Key, exclude, failed)
-			if target == "" {
-				dropped++
-				continue
-			}
-			groups[target] = append(groups[target], e)
+// handleImport serves POST /cluster/handoff and POST
+// /cluster/replicate: the one path by which a node's cache entries
+// reach Cache.Import on its peers. A handoff is a draining node's cache
+// export, pushed so failover warm-starts refinement instead of
+// re-searching from scratch; it also marks the sender draining and
+// demotes it, even if no probe has noticed yet. A replication is a live
+// node's freshly stored entries (proven optima above all), pushed so a
+// hard crash — no graceful drain — still leaves them servable. Either
+// way each entry goes to its key's owner, never the sender, through the
+// keyed fan-out: an unreachable target is demoted, one that refuses is
+// only skipped, and entries no target took are dropped (counted; the
+// membership churn that caused it will usually re-derive them).
+func (p *Proxy) handleImport(handoff bool, delivered, dropped *atomic.Uint64) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var in ImportPayload
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes)).Decode(&in); err != nil {
+			httpError(w, http.StatusBadRequest, "bad import body: "+err.Error())
+			return
 		}
-		var retry []instcache.Entry
-		for target, group := range groups {
-			body, err := json.Marshal(ImportPayload{From: exclude, Entries: group})
-			if err != nil {
-				dropped += uint64(len(group))
-				continue
+		if handoff && in.From != "" {
+			p.membership.SetDraining(in.From, true)
+			p.ring.SetHealthy(in.From, false)
+		}
+		keys := make([]string, len(in.Entries))
+		for i, e := range in.Entries {
+			keys[i] = e.Key
+		}
+		var sent atomic.Uint64
+		p.scatter(keys, in.From, func(target string, idxs []int) bool {
+			group := make([]instcache.Entry, len(idxs))
+			for j, i := range idxs {
+				group[j] = in.Entries[i]
 			}
-			resp, err := p.comm.Post(ctx, target, "/cache/import", "application/json", body)
-			if err != nil {
+			err := p.comm.Call(r.Context(), target, http.MethodPost, "/cache/import", ImportPayload{From: in.From, Entries: group}, nil)
+			if err == nil {
+				sent.Add(uint64(len(idxs)))
+			} else if !errors.As(err, new(errStatus)) {
 				p.ring.SetHealthy(target, false)
-				failed[target] = true
-				retry = append(retry, group...)
-				continue
 			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				failed[target] = true
-				retry = append(retry, group...)
-				continue
-			}
-			delivered += uint64(len(group))
-		}
-		pending = retry
+			return err != nil
+		})
+		n := sent.Load()
+		lost := uint64(len(in.Entries)) - n
+		delivered.Add(n)
+		dropped.Add(lost)
+		writeJSON(w, map[string]uint64{"delivered": n, "dropped": lost})
 	}
-	dropped += uint64(len(pending))
-	return delivered, dropped
-}
-
-// importTarget picks the member that should receive an imported entry
-// for key: the first ring owner that is not the sender, not draining,
-// not demoted, not behind an open breaker, and not already failed this
-// routing pass.
-func (p *Proxy) importTarget(key, exclude string, failed map[string]bool) string {
-	for _, m := range p.ring.Owners(key, len(p.ring.Members())) {
-		if m == exclude || failed[m] || !p.ring.Healthy(m) ||
-			p.membership.Draining(m) || p.comm.BreakerOpen(m) {
-			continue
-		}
-		return m
-	}
-	return ""
 }
 
 // labelPreservedMetrics are downstream series whose labels survive the
@@ -680,19 +571,6 @@ func (p *Proxy) fetchMetrics(ctx context.Context, member string) (map[string]flo
 		out[name] += v
 	}
 	return out, sc.Err()
-}
-
-// healthyMembers lists the currently-healthy members in a
-// deterministic order for fan-out endpoints.
-func healthyMembers(r *Ring) []string {
-	members := r.Members()
-	out := make([]string, 0, len(members))
-	for _, m := range sortedKeys(members) {
-		if members[m] {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 func sortedKeys(m map[string]bool) []string {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rbpebble/internal/obs"
@@ -35,14 +36,6 @@ func (p *Proxy) admitTenant(w http.ResponseWriter, r *http.Request, n int) bool 
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	httpError(w, http.StatusTooManyRequests, "tenant quota exhausted")
 	return false
-}
-
-// subBatch is one node's share of a client batch: the items it owns
-// plus the mapping from its local result indices back to positions in
-// the original request.
-type subBatch struct {
-	items []service.SolveRequest
-	idxs  []int // idxs[local] = original index
 }
 
 // handleSolveBatch splits a client batch by canonical instance key
@@ -103,65 +96,39 @@ func (p *Proxy) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Fan out with ring-order failover: a sub-batch whose target fails
-	// (transport error, 502, draining 503) is re-split among the
-	// remaining members, up to three rounds — mirroring the single-solve
-	// and cache-import failover discipline.
-	pending := make([]int, 0, len(req.Items))
-	for i := range req.Items {
-		if keys[i] != "" {
-			pending = append(pending, i)
+	// Fan out through the keyed fan-out: a sub-batch whose target is
+	// gone (transport error, 502, draining 503) is re-split among the
+	// remaining members. Only the items the routing parse accepted are
+	// routed; pos maps a routed index back to its request position.
+	var pos []int
+	var routed []string
+	for i, key := range keys {
+		if key != "" {
+			pos, routed = append(pos, i), append(routed, key)
 		}
 	}
-	failed := map[string]bool{}
-	solves := 0 // canonical-class solves the nodes reported across sub-batches
-	for round := 0; round < 3 && len(pending) > 0; round++ {
-		if round > 0 {
-			p.m.failovers.Add(1)
+	var solves atomic.Int64 // canonical-class solves the nodes reported across sub-batches
+	unsent, rounds := p.scatter(routed, "", func(target string, idxs []int) bool {
+		at := make([]int, len(idxs))
+		for j, k := range idxs {
+			at[j] = pos[k]
 		}
-		groups := map[string]*subBatch{}
-		var unroutable []int
-		for _, i := range pending {
-			target := p.batchTarget(keys[i], failed)
-			if target == "" {
-				unroutable = append(unroutable, i)
-				continue
-			}
-			g := groups[target]
-			if g == nil {
-				g = &subBatch{}
-				groups[target] = g
-			}
-			g.items = append(g.items, req.Items[i])
-			g.idxs = append(g.idxs, i)
-		}
-		pending = unroutable
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for target, g := range groups {
-			wg.Add(1)
-			go func(target string, g *subBatch) {
-				defer wg.Done()
-				retry, nodeSolves := p.forwardSubBatch(ctx, target, g, req, out)
-				mu.Lock()
-				solves += nodeSolves
-				if len(retry) > 0 {
-					failed[target] = true
-					pending = append(pending, retry...)
-				}
-				mu.Unlock()
-			}(target, g)
-		}
-		wg.Wait()
+		reroute, n := p.forwardSubBatch(ctx, target, at, req, out)
+		solves.Add(int64(n))
+		return reroute
+	})
+	if rounds > 1 {
+		p.m.failovers.Add(uint64(rounds - 1))
 	}
-	for _, i := range pending {
+	for _, k := range unsent {
+		i := pos[k]
 		out[i] = service.BatchItem{Index: i, Error: "all cluster members failed", Status: http.StatusBadGateway}
 	}
 
 	// Reassemble in request order and recompute the cluster-level
 	// summary (node-local summaries describe sub-batches; the client
 	// sees the whole).
-	sum := service.BatchSummary{Items: len(req.Items), Solves: solves}
+	sum := service.BatchSummary{Items: len(req.Items), Solves: int(solves.Load())}
 	for i := range out {
 		if out[i].Error != "" {
 			sum.Errors++
@@ -178,40 +145,44 @@ func (p *Proxy) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, service.BatchResponse{Items: out, Summary: sum})
 }
 
-// forwardSubBatch posts one node's sub-batch and folds its per-item
-// results back into the client-order slice. The returned indices must
-// be retried on another member (the node is unreachable or going
-// away); per-item errors from a healthy node are final. solves is the
-// canonical-class solve count the node's summary reported, folded into
-// the cluster-level summary.
-func (p *Proxy) forwardSubBatch(ctx context.Context, target string, g *subBatch, req service.BatchRequest, out []service.BatchItem) (retry []int, solves int) {
+// forwardSubBatch posts one node's sub-batch — the request items at
+// positions idxs — and folds its per-item results back into the
+// client-order slice. reroute asks for the items to be retried on
+// another member (the node is unreachable or going away); per-item
+// errors from a healthy node are final. solves is the canonical-class
+// solve count the node's summary reported, folded into the
+// cluster-level summary.
+func (p *Proxy) forwardSubBatch(ctx context.Context, target string, idxs []int, req service.BatchRequest, out []service.BatchItem) (reroute bool, solves int) {
 	p.m.subBatches.Add(1)
 	ctx, fsp := obs.StartSpan(ctx, "forward")
 	fsp.SetAttr("member", target)
-	fsp.SetAttr("items", strconv.Itoa(len(g.items)))
+	fsp.SetAttr("items", strconv.Itoa(len(idxs)))
 	defer fsp.End()
+	items := make([]service.SolveRequest, len(idxs))
+	for j, i := range idxs {
+		items[j] = req.Items[i]
+	}
 	body, err := json.Marshal(service.BatchRequest{
-		Items:        g.items,
+		Items:        items,
 		DeadlineMS:   req.DeadlineMS,
 		IncludeTrace: req.IncludeTrace,
 	})
 	if err != nil {
-		for _, i := range g.idxs {
+		for _, i := range idxs {
 			out[i] = service.BatchItem{Index: i, Error: err.Error(), Status: http.StatusInternalServerError}
 		}
-		return nil, 0
+		return false, 0
 	}
 	resp, err := p.comm.Post(ctx, target, "/solve/batch", "application/json", body)
 	if err != nil {
 		p.ring.SetHealthy(target, false)
-		return g.idxs, 0
+		return true, 0
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusBadGateway ||
-		(resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("X-Rbserve-Draining") == "1") {
+	if memberGone(resp) {
 		io.Copy(io.Discard, resp.Body)
 		p.ring.SetHealthy(target, false)
-		return g.idxs, 0
+		return true, 0
 	}
 	if resp.StatusCode != http.StatusOK {
 		// A per-node refusal from a healthy node (whole-batch 429, size
@@ -221,37 +192,24 @@ func (p *Proxy) forwardSubBatch(ctx context.Context, target string, g *subBatch,
 		if b, rerr := io.ReadAll(io.LimitReader(resp.Body, 512)); rerr == nil && len(bytes.TrimSpace(b)) > 0 {
 			msg = string(bytes.TrimSpace(b))
 		}
-		for _, i := range g.idxs {
+		for _, i := range idxs {
 			out[i] = service.BatchItem{Index: i, Error: msg, Status: resp.StatusCode}
 		}
-		return nil, 0
+		return false, 0
 	}
 	var br service.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		p.ring.SetHealthy(target, false)
-		return g.idxs, 0
+		return true, 0
 	}
 	p.m.routed.Add(1)
 	for _, item := range br.Items {
-		if item.Index < 0 || item.Index >= len(g.idxs) {
+		if item.Index < 0 || item.Index >= len(idxs) {
 			continue
 		}
-		orig := g.idxs[item.Index]
+		orig := idxs[item.Index]
 		item.Index = orig
 		out[orig] = item
 	}
-	return nil, br.Summary.Solves
-}
-
-// batchTarget picks the first eligible ring owner for one batch item's
-// key: not demoted, not draining, not behind an open breaker, not
-// already failed during this request's fan-out.
-func (p *Proxy) batchTarget(key string, failed map[string]bool) string {
-	for _, m := range p.ring.Owners(key, len(p.ring.Members())) {
-		if failed[m] || !p.ring.Healthy(m) || p.membership.Draining(m) || p.comm.BreakerOpen(m) {
-			continue
-		}
-		return m
-	}
-	return ""
+	return false, br.Summary.Solves
 }

@@ -297,9 +297,6 @@ func (r *Refiner) cycle() {
 		if r.cfg.Busy != nil && r.cfg.Busy() {
 			return // a burst arrived mid-cycle: yield immediately
 		}
-		if !r.admit(c.Key) {
-			continue
-		}
 		refined++
 		r.refine(c)
 	}
@@ -335,17 +332,6 @@ func (r *Refiner) scan() []Candidate {
 	}
 	r.mu.Unlock()
 	return cands
-}
-
-// admit registers a run's cancel func under the current key; false if
-// the refiner is stopping.
-func (r *Refiner) admit(key string) bool {
-	select {
-	case <-r.base.Done():
-		return false
-	default:
-		return true
-	}
 }
 
 // refine escalates one candidate a tier and accounts the outcome.
