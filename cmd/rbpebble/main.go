@@ -113,7 +113,7 @@ func main() {
 			opts.OnSearch = func(sn obs.SearchSnapshot) {
 				watching = true
 				fmt.Fprintf(os.Stderr, "\rwatch:     %-12s %6.1fs  %9d expanded  %8.0f st/s  frontier %-8d lower %-6d table %s   ",
-					sn.Engine, float64(sn.ElapsedMS)/1000, sn.Expanded, sn.Rate,
+					sn.Engine, sn.ElapsedMS/1000, sn.Expanded, sn.Rate,
 					sn.FrontierSize, sn.LowerBound, fmtBytes(sn.TableBytes))
 			}
 		}

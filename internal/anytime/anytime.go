@@ -227,12 +227,12 @@ func refinementOptions(opts Options, incumbentScaled, lowerScaled int64) (solve.
 }
 
 // searchRelay funnels both racing engines' search snapshots into one
-// ordered stream: it converts the solve-layer snapshot to the wire
-// form, assigns a strictly increasing Seq, tracks the peak frontier
-// size and expansion rate for the Result, mirrors each sample as a
-// search-snapshot span event, and fans out to the caller's OnSearch.
-// One mutex serializes everything so the observer never sees Seq go
-// backward even when the A* and IDA* engines sample concurrently.
+// ordered stream: it assigns a strictly increasing Seq, tracks the peak
+// frontier size and expansion rate for the Result, mirrors each sample
+// as a search-snapshot span event, and fans out to the caller's
+// OnSearch. One mutex serializes everything so the observer never sees
+// Seq go backward even when the A* and IDA* engines sample
+// concurrently.
 type searchRelay struct {
 	mu           sync.Mutex
 	seq          int
@@ -241,11 +241,10 @@ type searchRelay struct {
 	on           func(obs.SearchSnapshot)
 }
 
-func (r *searchRelay) relay(sp *obs.Span, pr solve.ExactProgress) {
+func (r *searchRelay) relay(sp *obs.Span, snap obs.SearchSnapshot) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	snap := searchSnapshotFrom(pr)
 	snap.Seq = r.seq
 	if snap.FrontierSize > r.peakFrontier {
 		r.peakFrontier = snap.FrontierSize
@@ -264,54 +263,6 @@ func (r *searchRelay) peaks() (frontier int64, rate float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.peakFrontier, r.peakRate
-}
-
-// searchSnapshotFrom converts the solve layer's engine snapshot into
-// the wire form shared by the service, proxy, CLI and JSONL sinks.
-func searchSnapshotFrom(pr solve.ExactProgress) obs.SearchSnapshot {
-	s := obs.SearchSnapshot{
-		Engine:       pr.Engine,
-		ElapsedMS:    pr.Elapsed.Milliseconds(),
-		Expanded:     int64(pr.Expanded),
-		Rate:         pr.Rate,
-		Pushed:       int64(pr.Pushed),
-		Distinct:     int64(pr.Distinct),
-		LowerBound:   pr.LowerBound,
-		FrontierSize: int64(pr.OpenSize),
-		FrontierF:    pr.FrontierF,
-		FrontierG:    pr.FrontierG,
-		TableStates:  int64(pr.Distinct),
-		TableBytes:   pr.TableBytes,
-		TableLoad:    pr.TableLoad,
-		SafraSent:    pr.SafraSent,
-		SafraRecv:    pr.SafraRecv,
-		Threshold:    pr.Threshold,
-		Pass:         pr.Pass,
-	}
-	if len(pr.OpenBuckets) > 0 {
-		s.OpenBuckets = make([]obs.SearchBucket, len(pr.OpenBuckets))
-		for i, b := range pr.OpenBuckets {
-			s.OpenBuckets[i] = obs.SearchBucket{F: b.F, Count: b.Count}
-		}
-	}
-	if len(pr.Workers) > 0 {
-		s.Workers = make([]obs.SearchWorker, len(pr.Workers))
-		for i, w := range pr.Workers {
-			s.Workers[i] = obs.SearchWorker{
-				ID:           w.ID,
-				Expanded:     int64(w.Expanded),
-				Pushed:       int64(w.Pushed),
-				HeapSize:     int64(w.OpenSize),
-				HeapMinF:     w.HeapMinF,
-				Floor:        w.Floor,
-				MailboxDepth: int64(w.MailboxDepth),
-				TableStates:  int64(w.TableCount),
-				TableBytes:   w.TableBytes,
-				Passive:      w.Passive,
-			}
-		}
-	}
-	return s
 }
 
 // collector accumulates the certified interval across phases and
@@ -530,6 +481,16 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 		incumbent, floor := c.upper, c.lower
 		c.mu.Unlock()
 		exactOpts, dfsOpts := refinementOptions(opts, incumbent, floor)
+		// Both engines stream through the same listener: each snapshot's
+		// certified lower bound becomes a span event and ratchets the
+		// interval, and the snapshot joins the ordered search stream.
+		progress := func(sp *obs.Span, source string) func(solve.ExactProgress) {
+			return func(sn solve.ExactProgress) {
+				sp.Event("lower-bound", sn.LowerBound)
+				c.raiseLower(sn.LowerBound, source)
+				relay.relay(sp, sn)
+			}
+		}
 
 		wg.Add(1)
 		go func() {
@@ -542,11 +503,7 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 			defer asp.End()
 			exactOpts.Cancel = rctx.Done()
 			exactOpts.Stats = &exactStats
-			exactOpts.Progress = func(pr solve.ExactProgress) {
-				asp.Event("lower-bound", pr.LowerBound)
-				c.raiseLower(pr.LowerBound, "astar")
-				relay.relay(asp, pr)
-			}
+			exactOpts.Progress = progress(asp, "astar")
 			sol, err := solve.Exact(p, exactOpts)
 			defer func() {
 				asp.SetAttr("expanded", strconv.Itoa(exactStats.Expanded))
@@ -584,13 +541,7 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 				dfsOpts.OnIncumbent = func(scaled int64, moves []pebble.Move) {
 					c.improveUpperMoves(moves, "ida*")
 				}
-				dfsOpts.Progress = func(st solve.ExactDFSStats) {
-					dsp.Event("lower-bound", st.LowerBound)
-					c.raiseLower(st.LowerBound, "ida*")
-				}
-				dfsOpts.Search = func(pr solve.ExactProgress) {
-					relay.relay(dsp, pr)
-				}
+				dfsOpts.Progress = progress(dsp, "ida*")
 				sol, err := solve.ExactDFS(p, dfsOpts)
 				defer func() {
 					dsp.SetAttr("visits", strconv.Itoa(dfsStats.Visits))

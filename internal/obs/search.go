@@ -1,19 +1,20 @@
 package obs
 
-// SearchSnapshot is the wire form of one live engine-introspection
-// sample: what a running exact search looks like right now. The solve
-// layer emits its own internal snapshot type; the anytime orchestrator
-// converts to this shape so the service, proxy, CLI and JSONL sinks
-// share one JSON schema. Fields an engine cannot observe are zero, and
-// f-valued fields use -1 for "none".
+// SearchSnapshot is one live engine-introspection sample: what a
+// running exact search looks like right now. It is the only snapshot
+// type — the exact engines build it directly (solve.ExactProgress is an
+// alias), the anytime orchestrator stamps Seq, and the service, proxy,
+// CLI and JSONL sinks share its JSON schema. Fields an engine cannot
+// observe are zero, and f-valued fields use -1 for "none".
 type SearchSnapshot struct {
 	// Seq numbers the snapshots of one solve (strictly increasing).
 	Seq int `json:"seq"`
 	// Engine names the engine that produced the sample: astar,
 	// async-hda, ida-star.
 	Engine string `json:"engine"`
-	// ElapsedMS is the wall time since the engine started.
-	ElapsedMS int64 `json:"elapsed_ms"`
+	// ElapsedMS is the wall time since the engine started, in
+	// fractional milliseconds.
+	ElapsedMS float64 `json:"elapsed_ms"`
 	// Expanded is the cumulative state-expansion count.
 	Expanded int64 `json:"expanded"`
 	// Rate is the expansion rate (states/s) over the sampling window.

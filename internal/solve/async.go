@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rbpebble/internal/obs"
 	"rbpebble/internal/pebble"
 )
 
@@ -403,6 +404,16 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 	coSleep := 20 * time.Microsecond
 	var overBytes int64 // table footprint that tripped the budget (0: none)
 	for {
+		// Sample the certified bound before the abort checks, while the
+		// workers still run: a budget trip on this turn must not lose
+		// the bound proven up to it. (After the abort's wg.Wait an
+		// entry popped but not yet expanded can have been dropped while
+		// its worker's floor rose past it, so no sample is taken there.)
+		improved := false
+		if v := sh.certifiedMin(); v != costUnreached && v > certLower {
+			certLower = v
+			improved = true
+		}
 		if sh.expanded.Load() > int64(maxStates) {
 			sh.abort.Store(true)
 			break
@@ -420,11 +431,6 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 		}
 		if !sh.stop.Load() && guard.canceled() {
 			sh.stop.Store(true)
-		}
-		improved := false
-		if v := sh.certifiedMin(); v != costUnreached && v > certLower {
-			certLower = v
-			improved = true
 		}
 		// Snapshot on every certified-bound improvement (the anytime
 		// layer wants those promptly) and on the time cadence between
@@ -944,40 +950,40 @@ func (w *asyncWorker) flushAll(sh *asyncShared) {
 // snapshot is a consistent-enough instant without stopping anyone.
 // Only called with wantStats set (wstats non-nil).
 func (sh *asyncShared) snapshot(s *progressSampler, lower int64) ExactProgress {
-	expanded := int(sh.expanded.Load())
-	elapsed, rate := s.tick(expanded)
+	expanded := sh.expanded.Load()
+	elapsedMS, rate := s.tick(int(expanded))
 	pr := ExactProgress{
 		Engine:     "async-hda",
+		ElapsedMS:  elapsedMS,
 		Expanded:   expanded,
-		LowerBound: lower,
-		Elapsed:    elapsed,
 		Rate:       rate,
+		LowerBound: lower,
 		FrontierF:  -1,
 		FrontierG:  -1,
 		SafraSent:  sh.sent.Load(),
 		SafraRecv:  sh.recv.Load(),
-		Workers:    make([]WorkerProgress, sh.nw),
+		Workers:    make([]obs.SearchWorker, sh.nw),
 	}
 	var slots int64
 	for i := 0; i < sh.nw; i++ {
 		ws := &sh.wstats[i]
-		wp := WorkerProgress{
-			ID:         i,
-			Expanded:   int(ws.expanded.Load()),
-			Pushed:     int(ws.pushed.Load()),
-			OpenSize:   int(ws.openLen.Load()),
-			HeapMinF:   normF(sh.fmins[i].Load()),
-			Floor:      normF(sh.floors[i].Load()),
-			TableCount: int(ws.tableCount.Load()),
-			TableBytes: ws.tableBytes.Load(),
-			Passive:    sh.passive[i].Load(),
+		wp := obs.SearchWorker{
+			ID:          i,
+			Expanded:    ws.expanded.Load(),
+			Pushed:      ws.pushed.Load(),
+			HeapSize:    ws.openLen.Load(),
+			HeapMinF:    normF(sh.fmins[i].Load()),
+			Floor:       normF(sh.floors[i].Load()),
+			TableStates: ws.tableCount.Load(),
+			TableBytes:  ws.tableBytes.Load(),
+			Passive:     sh.passive[i].Load(),
 		}
 		for src := 0; src < sh.nw; src++ {
-			wp.MailboxDepth += int(sh.boxes[src*sh.nw+i].pendN.Load())
+			wp.MailboxDepth += sh.boxes[src*sh.nw+i].pendN.Load()
 		}
 		pr.Pushed += wp.Pushed
-		pr.Distinct += wp.TableCount
-		pr.OpenSize += wp.OpenSize
+		pr.TableStates += wp.TableStates
+		pr.FrontierSize += wp.HeapSize
 		pr.TableBytes += wp.TableBytes
 		slots += ws.tableSlots.Load()
 		if f := sh.fmins[i].Load(); f != costUnreached && (pr.FrontierF < 0 || f < pr.FrontierF) {
@@ -986,8 +992,9 @@ func (sh *asyncShared) snapshot(s *progressSampler, lower int64) ExactProgress {
 		}
 		pr.Workers[i] = wp
 	}
+	pr.Distinct = pr.TableStates
 	if slots > 0 {
-		pr.TableLoad = float64(pr.Distinct) / float64(slots)
+		pr.TableLoad = float64(pr.TableStates) / float64(slots)
 	}
 	return pr
 }

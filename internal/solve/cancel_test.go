@@ -104,22 +104,25 @@ func TestExactCancelEngines(t *testing.T) {
 }
 
 // TestExactDFSCancelAndCallbacks cancels an IDA* run and checks the
-// partial certificate: stats carry a lower bound and an incumbent, and
-// OnIncumbent delivered a replayable trace for that incumbent.
+// partial certificate: stats carry a lower bound and an incumbent,
+// OnIncumbent delivered a replayable trace for that incumbent, and the
+// last Progress snapshot carries the harvested lower bound (the bound
+// moves only at pass completion, and every completion emits).
 func TestExactDFSCancelAndCallbacks(t *testing.T) {
 	p := Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.Oneshot), R: 3}
 	cancel := make(chan struct{})
 	var stats ExactDFSStats
 	var gotInc int64
 	var gotMoves []pebble.Move
-	passes := 0
+	var snaps []ExactProgress
 	opts := ExactDFSOptions{
 		Cancel: cancel,
 		Stats:  &stats,
 		OnIncumbent: func(scaled int64, moves []pebble.Move) {
 			gotInc, gotMoves = scaled, moves
 		},
-		Progress: func(st ExactDFSStats) { passes++ },
+		Progress:      func(sn ExactProgress) { snaps = append(snaps, sn) },
+		ProgressEvery: time.Millisecond,
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -145,6 +148,12 @@ func TestExactDFSCancelAndCallbacks(t *testing.T) {
 	}
 	if stats.Incumbent < stats.LowerBound {
 		t.Fatalf("incumbent %d below lower bound %d", stats.Incumbent, stats.LowerBound)
+	}
+	if len(snaps) == 0 {
+		t.Fatal("no Progress snapshot before the cancel")
+	}
+	if last := snaps[len(snaps)-1]; last.LowerBound != stats.LowerBound {
+		t.Fatalf("last snapshot lower bound %d, stats %d", last.LowerBound, stats.LowerBound)
 	}
 	if gotMoves != nil {
 		tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: gotMoves}

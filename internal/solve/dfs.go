@@ -13,9 +13,7 @@ type ExactDFSOptions struct {
 	// MaxVisits caps the number of state expansions (0 = 16,000,000),
 	// cumulative across IDA* iterations. Note the semantics: expansions
 	// — states whose successors are generated — matching the best-first
-	// solver's Expanded counter. (The PR 1 budget counted every
-	// recursion entry including memo-pruned re-entries, roughly 8x
-	// more numerous; the default is recalibrated for the new meaning.)
+	// solver's Expanded counter.
 	MaxVisits int
 	// MaxTableBytes caps the memo and transposition tables' combined
 	// backing-store footprint (0 = unlimited). Growth past the budget
@@ -51,18 +49,16 @@ type ExactDFSOptions struct {
 	// scaled cost and the move sequence. The slice is owned by the
 	// solver and must be treated as read-only.
 	OnIncumbent func(scaled int64, moves []pebble.Move)
-	// Progress, when non-nil, is called after every completed IDA*
-	// threshold pass with the current stats snapshot (whose LowerBound
-	// ratchets up as passes complete).
-	Progress func(ExactDFSStats)
-	// Search, when non-nil, receives uniform mid-pass search snapshots
-	// on a time-based cadence (ProgressEvery, default ~100ms): the
-	// current threshold, pass number, visit count and transposition-
-	// cache occupancy, in the same ExactProgress shape the best-first
-	// engines emit. Passes can run for seconds, so this is the only
-	// live view inside one. Runs on the solver goroutine; must be fast.
-	Search func(ExactProgress)
-	// ProgressEvery is the Search snapshot cadence (default ~100ms).
+	// Progress, when non-nil, receives search snapshots with the same
+	// contract as ExactOptions.Progress: one after every completed IDA*
+	// threshold pass (once the threshold has advanced; its LowerBound
+	// ratchets up as passes complete), and mid-pass ones on a time-based
+	// cadence (ProgressEvery), since passes can run for seconds. Visits
+	// play the expansion counter and the transposition cache the state
+	// table. Runs on the solver goroutine; must be fast.
+	Progress func(ExactProgress)
+	// ProgressEvery is the mid-pass snapshot cadence (default ~100ms).
+	// Ignored without a Progress listener.
 	ProgressEvery time.Duration
 }
 
@@ -155,13 +151,12 @@ func ExactDFS(p Problem, opts ExactDFSOptions) (Solution, error) {
 		memo:         newStateTable(start.PackedWords(), payloadBestOnly, 1024),
 		hcache:       newStateTable(start.PackedWords(), payloadBestOnly, 1024),
 		maxVisits:    maxVisits,
-		guard:        newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Search, opts.ProgressEvery),
+		guard:        newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery),
 		bound:        bound,
 		bestMoves:    bestMoves,
 		maxDepth:     dfsMaxDepth(p),
 		initialLower: opts.InitialLowerBound,
 		onIncumbent:  opts.OnIncumbent,
-		onProgress:   opts.Progress,
 	}
 	err = d.idaStar()
 	if opts.Stats != nil {
@@ -208,7 +203,7 @@ type dfsSearch struct {
 	memo      *stateTable   // best entry cost per state, valid for one pass
 	hcache    *stateTable   // heuristic per state (best(ref) = h; dfsDeadH = dead), never reset
 	maxVisits int
-	guard     searchGuard // cancel, table budget and Search snapshot cadence
+	guard     searchGuard // cancel, table budget and Progress snapshot cadence
 	maxDepth  int
 
 	bound     int64 // best achievable scaled cost known (incumbent, exclusive upper bound on improvements)
@@ -224,7 +219,6 @@ type dfsSearch struct {
 	limitErr     error
 
 	onIncumbent func(scaled int64, moves []pebble.Move)
-	onProgress  func(ExactDFSStats)
 }
 
 // stats snapshots the search counters and bounds.
@@ -241,24 +235,25 @@ func (d *dfsSearch) stats() ExactDFSStats {
 	}
 }
 
-// searchProgress builds the uniform mid-pass snapshot: visits play the
+// searchProgress builds the uniform snapshot: visits play the
 // expansion counter, the transposition cache plays the state table, and
 // the threshold schedule stands in for the frontier.
 func (d *dfsSearch) searchProgress() ExactProgress {
-	elapsed, rate := d.guard.sampler.tick(d.visits)
+	elapsedMS, rate := d.guard.sampler.tick(d.visits)
 	return ExactProgress{
-		Engine:     "ida-star",
-		Expanded:   d.visits,
-		LowerBound: d.lower,
-		Elapsed:    elapsed,
-		Rate:       rate,
-		Distinct:   d.hcache.count(),
-		FrontierF:  -1,
-		FrontierG:  -1,
-		TableBytes: d.memo.bytes() + d.hcache.bytes(),
-		TableLoad:  d.hcache.load(),
-		Threshold:  d.threshold,
-		Pass:       d.iterations,
+		Engine:      "ida-star",
+		ElapsedMS:   elapsedMS,
+		Expanded:    int64(d.visits),
+		Rate:        rate,
+		Distinct:    int64(d.hcache.count()),
+		LowerBound:  d.lower,
+		FrontierF:   -1,
+		FrontierG:   -1,
+		TableStates: int64(d.hcache.count()),
+		TableBytes:  d.memo.bytes() + d.hcache.bytes(),
+		TableLoad:   d.hcache.load(),
+		Threshold:   d.threshold,
+		Pass:        d.iterations,
 	}
 }
 
@@ -382,9 +377,6 @@ func (d *dfsSearch) idaStar() error {
 		if d.minExceed > d.lower {
 			d.lower = d.minExceed
 		}
-		if d.onProgress != nil {
-			d.onProgress(d.stats())
-		}
 		next := d.threshold + gap*int64(d.c.scale)
 		if d.minExceed > next {
 			next = d.minExceed
@@ -392,6 +384,9 @@ func (d *dfsSearch) idaStar() error {
 		d.threshold = next
 		if gap < maxGap {
 			gap *= 2
+		}
+		if d.guard.emit != nil {
+			d.guard.emit(d.searchProgress())
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"rbpebble/internal/bitset"
 	"rbpebble/internal/dag"
+	"rbpebble/internal/obs"
 	"rbpebble/internal/pebble"
 )
 
@@ -116,52 +117,11 @@ type ExactOptions struct {
 	ProgressEvery time.Duration
 }
 
-// ExactProgress is one periodic snapshot of a running exact search:
-// the live shape of the search, not just its counters. Field coverage
-// varies by engine (Engine names which one filled it); fields an engine
-// cannot observe are zero, and f-valued fields use -1 for "none".
-type ExactProgress struct {
-	// Expanded is the number of states expanded so far.
-	Expanded int
-	// LowerBound is the certified scaled lower bound on the optimal
-	// cost proven so far (see ExactStats.LowerBound).
-	LowerBound int64
-	// Engine names the engine that built the snapshot: "astar",
-	// "async-hda" or "ida-star".
-	Engine string
-	// Elapsed is the wall time since the search started.
-	Elapsed time.Duration
-	// Rate is the expansion rate (states/s) over the window since the
-	// previous snapshot.
-	Rate float64
-	// Pushed is the number of open-list insertions so far.
-	Pushed int
-	// Distinct is the number of distinct states reached so far.
-	Distinct int
-	// OpenSize is the total open-list length (summed over shards).
-	OpenSize int
-	// FrontierF/FrontierG are the current cheapest open entry's f and g
-	// (-1 when the frontier is empty or not observable).
-	FrontierF int64
-	FrontierG int64
-	// OpenBuckets is the open queue's per-f histogram (serial engine
-	// only; ascending f, capped at 32 levels).
-	OpenBuckets []QueueBucket
-	// TableBytes/TableLoad are the visited-table footprint and probe
-	// load factor (summed/aggregated over shards).
-	TableBytes int64
-	TableLoad  float64
-	// Workers is the per-worker breakdown (parallel engines only).
-	Workers []WorkerProgress
-	// SafraSent/SafraRecv are the async termination protocol's global
-	// proposal counters (async engine only).
-	SafraSent int64
-	SafraRecv int64
-	// Threshold and Pass are the current IDA* f-threshold and pass
-	// number (IDA* only).
-	Threshold int64
-	Pass      int
-}
+// ExactProgress is one periodic snapshot of a running exact search —
+// the live shape of the search, not just its counters. The engines
+// build the wire type directly (see snapshot.go); Engine names which
+// one filled it.
+type ExactProgress = obs.SearchSnapshot
 
 // ExactStats reports search-effort counters from one Exact run.
 type ExactStats struct {

@@ -1,17 +1,23 @@
 package solve
 
-import "time"
+import (
+	"time"
+
+	"rbpebble/internal/obs"
+)
 
 // Engine-introspection snapshots. Every exact engine periodically fills
-// an ExactProgress (exact.go) with the live shape of its search —
-// expansion rate, open-queue size and per-f histogram, state-table
-// occupancy, frontier f/g, per-worker heap/mailbox/floor data, IDA*
-// threshold schedule — on a time-based cadence controlled by
-// ExactOptions.ProgressEvery. The machinery here is shared: the sampler
-// that turns wall-clock windows into rates, the queue/table accessors
-// the builders read, and the f-value normalization (the engines use
-// costUnreached internally; snapshots report -1 for "no frontier" so
-// the values survive JSON encoding unscathed).
+// an obs.SearchSnapshot (aliased as ExactProgress) with the live shape
+// of its search — expansion rate, open-queue size and per-f histogram,
+// state-table occupancy, frontier f/g, per-worker heap/mailbox/floor
+// data, IDA* threshold schedule — on a time-based cadence controlled by
+// ProgressEvery; IDA* also emits one at every completed threshold pass.
+// The engines build the wire type directly, so there is no conversion
+// layer between engine and client. The machinery here is shared: the
+// sampler that turns wall-clock windows into rates, the queue/table
+// accessors the builders read, and the f-value normalization (the
+// engines use costUnreached internally; snapshots report -1 for "no
+// frontier" so the values survive JSON encoding unscathed).
 
 // defaultProgressEvery is the snapshot cadence when a Progress listener
 // is attached but no explicit ProgressEvery is configured.
@@ -21,39 +27,6 @@ const defaultProgressEvery = 100 * time.Millisecond
 // (the live bucket range is tiny for every sane model, but pathological
 // compcost scales could spread the frontier over thousands of levels).
 const maxSnapshotBuckets = 32
-
-// QueueBucket is one f-level of the open queue in a snapshot.
-type QueueBucket struct {
-	// F is the bucket's f value (priority level).
-	F int64 `json:"f"`
-	// Count is the number of open entries at that level.
-	Count int `json:"count"`
-}
-
-// WorkerProgress is one parallel worker's slot in a snapshot.
-type WorkerProgress struct {
-	// ID is the shard/worker index.
-	ID int `json:"id"`
-	// Expanded and Pushed are the worker's cumulative counters.
-	Expanded int `json:"expanded"`
-	Pushed   int `json:"pushed"`
-	// OpenSize is the worker's open-list length.
-	OpenSize int `json:"open_size"`
-	// HeapMinF is the worker's published heap minimum f (-1: empty).
-	HeapMinF int64 `json:"heap_min_f"`
-	// Floor is the worker's certified in-flight floor (-1: none) —
-	// async engine only.
-	Floor int64 `json:"floor"`
-	// MailboxDepth is the number of proposals pending in mailboxes
-	// addressed to this worker — async engine only.
-	MailboxDepth int `json:"mailbox_depth"`
-	// TableCount/TableBytes are the worker's shard table occupancy.
-	TableCount int   `json:"table_count"`
-	TableBytes int64 `json:"table_bytes"`
-	// Passive reports the worker idle in the termination protocol —
-	// async engine only.
-	Passive bool `json:"passive,omitempty"`
-}
 
 // progressSampler owns the time-based snapshot cadence of one engine
 // run: due() is the cheap gate the hot loop polls (one monotonic clock
@@ -82,16 +55,17 @@ func (s *progressSampler) due() bool {
 }
 
 // tick advances the rate window: it returns the elapsed time since the
-// search started and the expansion rate (states/s) over the window
-// since the previous tick, given the cumulative expansion count n.
-func (s *progressSampler) tick(n int) (elapsed time.Duration, rate float64) {
+// search started in fractional milliseconds and the expansion rate
+// (states/s) over the window since the previous tick, given the
+// cumulative expansion count n.
+func (s *progressSampler) tick(n int) (elapsedMS, rate float64) {
 	now := time.Now()
-	elapsed = now.Sub(s.start)
+	elapsedMS = float64(now.Sub(s.start)) / float64(time.Millisecond)
 	if dt := now.Sub(s.last).Seconds(); dt > 0 {
 		rate = float64(n-s.lastN) / dt
 	}
 	s.last, s.lastN = now, n
-	return elapsed, rate
+	return elapsedMS, rate
 }
 
 // normF maps the internal "no value" sentinel to -1 for snapshots.
@@ -110,18 +84,18 @@ func (t *stateTable) load() float64 {
 	return float64(t.count()) / float64(len(t.slots))
 }
 
-// histogram appends one QueueBucket per nonempty f level (ascending f,
+// histogram appends one SearchBucket per nonempty f level (ascending f,
 // at most maxSnapshotBuckets; the overflow heap — f >= bqMaxF — is
 // summarized as a single bucket at its minimum f). Owner-thread only,
 // like every other bucketQueue method.
-func (q *bucketQueue) histogram(dst []QueueBucket) []QueueBucket {
+func (q *bucketQueue) histogram(dst []obs.SearchBucket) []obs.SearchBucket {
 	for f := q.cur; f < len(q.bks) && len(dst) < maxSnapshotBuckets; f++ {
 		if n := len(q.bks[f].a); n > 0 {
-			dst = append(dst, QueueBucket{F: int64(f), Count: n})
+			dst = append(dst, obs.SearchBucket{F: int64(f), Count: n})
 		}
 	}
 	if len(q.over) > 0 && len(dst) < maxSnapshotBuckets {
-		dst = append(dst, QueueBucket{F: q.over[0].f, Count: len(q.over)})
+		dst = append(dst, obs.SearchBucket{F: q.over[0].f, Count: len(q.over)})
 	}
 	return dst
 }
@@ -130,20 +104,21 @@ func (q *bucketQueue) histogram(dst []QueueBucket) []QueueBucket {
 // engine (the serial A* loop). Called on the solver goroutine with the
 // structures quiescent.
 func singleProgress(s *progressSampler, expanded, pushed int, lower int64, table *stateTable, open *bucketQueue) ExactProgress {
-	elapsed, rate := s.tick(expanded)
+	elapsedMS, rate := s.tick(expanded)
 	pr := ExactProgress{
-		Engine:     "astar",
-		Expanded:   expanded,
-		LowerBound: lower,
-		Elapsed:    elapsed,
-		Rate:       rate,
-		Pushed:     pushed,
-		Distinct:   table.count(),
-		OpenSize:   open.len(),
-		FrontierF:  -1,
-		FrontierG:  -1,
-		TableBytes: table.bytes(),
-		TableLoad:  table.load(),
+		Engine:       "astar",
+		ElapsedMS:    elapsedMS,
+		Expanded:     int64(expanded),
+		Rate:         rate,
+		Pushed:       int64(pushed),
+		Distinct:     int64(table.count()),
+		LowerBound:   lower,
+		FrontierSize: int64(open.len()),
+		FrontierF:    -1,
+		FrontierG:    -1,
+		TableStates:  int64(table.count()),
+		TableBytes:   table.bytes(),
+		TableLoad:    table.load(),
 	}
 	if open.len() > 0 {
 		pr.FrontierF, pr.FrontierG = open.top()

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,8 @@ import (
 // cadence (so each emission gate fires) and checks the introspection
 // stream's invariants: at least two snapshots on a non-trivial
 // instance, non-decreasing expansion counts, internally consistent
-// table/frontier numbers, and silence after the solve returns.
+// table/frontier numbers, the wire keys every client reads, and silence
+// after the solve returns.
 
 // snapshotRun collects the snapshots emitted while run executes. Any
 // snapshot arriving after run returns fails the test.
@@ -40,8 +42,26 @@ func (c *snapshotRun) checkStream(t *testing.T, engine string, finalExpanded int
 	if len(snaps) < 2 {
 		t.Fatalf("got %d snapshots, want >= 2", len(snaps))
 	}
-	prev := -1
+	keys := []string{"engine", "elapsed_ms", "expanded", "expansion_rate", "lower_bound",
+		"frontier_size", "frontier_f", "frontier_g", "table_states", "table_bytes"}
+	if engine == "ida-star" {
+		keys = append(keys, "threshold", "pass")
+	}
+	prev := int64(-1)
 	for i, sn := range snaps {
+		b, err := json.Marshal(sn)
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		var wire map[string]any
+		if err := json.Unmarshal(b, &wire); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		for _, k := range keys {
+			if _, ok := wire[k]; !ok {
+				t.Errorf("snapshot %d: JSON lacks key %q: %s", i, k, b)
+			}
+		}
 		if sn.Engine != engine {
 			t.Errorf("snapshot %d: engine %q, want %q", i, sn.Engine, engine)
 		}
@@ -49,8 +69,8 @@ func (c *snapshotRun) checkStream(t *testing.T, engine string, finalExpanded int
 			t.Errorf("snapshot %d: expanded %d < previous %d (not monotone)", i, sn.Expanded, prev)
 		}
 		prev = sn.Expanded
-		if sn.Elapsed <= 0 {
-			t.Errorf("snapshot %d: non-positive elapsed %v", i, sn.Elapsed)
+		if sn.ElapsedMS <= 0 {
+			t.Errorf("snapshot %d: non-positive elapsed %v", i, sn.ElapsedMS)
 		}
 		if sn.Rate < 0 {
 			t.Errorf("snapshot %d: negative rate %f", i, sn.Rate)
@@ -63,7 +83,7 @@ func (c *snapshotRun) checkStream(t *testing.T, engine string, finalExpanded int
 		}
 	}
 	last := snaps[len(snaps)-1]
-	if last.Expanded > finalExpanded {
+	if last.Expanded > int64(finalExpanded) {
 		t.Errorf("last snapshot expanded %d > final stats %d", last.Expanded, finalExpanded)
 	}
 	if last.TableBytes <= 0 || last.TableBytes > finalTableBytes {
@@ -86,7 +106,7 @@ func TestSnapshotsSerialAStar(t *testing.T) {
 	}
 	snaps := c.checkStream(t, "astar", stats.Expanded, stats.TableBytes)
 	for i, sn := range snaps {
-		if sn.OpenSize > 0 {
+		if sn.FrontierSize > 0 {
 			if sn.FrontierF < 0 {
 				t.Errorf("snapshot %d: open queue non-empty but no frontier f", i)
 			}
@@ -98,8 +118,8 @@ func TestSnapshotsSerialAStar(t *testing.T) {
 			for _, bk := range sn.OpenBuckets {
 				sum += bk.Count
 			}
-			if len(sn.OpenBuckets) < maxSnapshotBuckets && sum != sn.OpenSize {
-				t.Errorf("snapshot %d: histogram sums to %d, open size %d", i, sum, sn.OpenSize)
+			if len(sn.OpenBuckets) < maxSnapshotBuckets && int64(sum) != sn.FrontierSize {
+				t.Errorf("snapshot %d: histogram sums to %d, open size %d", i, sum, sn.FrontierSize)
 			}
 			if sn.OpenBuckets[0].F != sn.FrontierF {
 				t.Errorf("snapshot %d: first bucket f %d != frontier f %d", i, sn.OpenBuckets[0].F, sn.FrontierF)
@@ -155,7 +175,7 @@ func TestSnapshotsIDAStar(t *testing.T) {
 	var c snapshotRun
 	var stats ExactDFSStats
 	_, err := ExactDFS(pyramid5R4(), ExactDFSOptions{
-		Search:        c.listener(t),
+		Progress:      c.listener(t),
 		ProgressEvery: time.Nanosecond,
 		Stats:         &stats,
 	})

@@ -256,8 +256,10 @@ type (
 	// AnytimeWarmStart resumes refinement from a previously certified
 	// interval of the same instance (AnytimeOptions.Warm).
 	AnytimeWarmStart = anytime.WarmStart
-	// ExactProgress is a periodic snapshot of a running exact search
-	// (ExactOptions.Progress).
+	// ExactProgress is a periodic snapshot of a running exact search,
+	// delivered by ExactOptions.Progress and ExactDFSOptions.Progress.
+	// It is the same type the anytime orchestrator streams through
+	// AnytimeOptions.OnSearch and the service serves as JSON.
 	ExactProgress = solve.ExactProgress
 	// ServiceConfig tunes an embedded rbserve HTTP server.
 	ServiceConfig = service.Config
