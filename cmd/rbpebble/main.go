@@ -218,18 +218,15 @@ func readGraph(path string) (*dag.DAG, error) {
 }
 
 func parseModel(name string, epsDenom int) (pebble.Model, error) {
-	switch name {
-	case "base":
-		return pebble.NewModel(pebble.Base), nil
-	case "oneshot":
-		return pebble.NewModel(pebble.Oneshot), nil
-	case "nodel":
-		return pebble.NewModel(pebble.NoDel), nil
-	case "compcost":
-		return pebble.Model{Kind: pebble.CompCost, EpsDenom: epsDenom}, nil
-	default:
-		return pebble.Model{}, fmt.Errorf("unknown model %q", name)
+	kind, err := pebble.ParseModelKind(name)
+	if err != nil {
+		return pebble.Model{}, err
 	}
+	m := pebble.Model{Kind: kind}
+	if kind == pebble.CompCost {
+		m.EpsDenom = epsDenom
+	}
+	return m, nil
 }
 
 func parseHeuristic(name string) (solve.Heuristic, error) {

@@ -55,6 +55,16 @@ func (k ModelKind) String() string {
 // AllKinds lists the four model variants in paper order.
 func AllKinds() []ModelKind { return []ModelKind{Base, Oneshot, NoDel, CompCost} }
 
+// ParseModelKind is the inverse of ModelKind.String.
+func ParseModelKind(name string) (ModelKind, error) {
+	for _, k := range AllKinds() {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown model %q", name)
+}
+
 // Model is a fully specified cost model. For CompCost, ε is the rational
 // 1/EpsDenom, which keeps every cost an exact integer multiple of ε and
 // lets solvers compare costs without floating-point error.

@@ -95,19 +95,28 @@ type State struct {
 	sinks []dag.NodeID // cached g.Sinks(), shared across Clones: Complete is solver-hot
 }
 
-// NewState returns the initial state for pebbling g with R red pebbles
-// under the given model and convention. It returns an error for invalid
-// models or an R that makes pebbling impossible (R < Δ+1, unless the DAG
-// has no edges).
-func NewState(g *dag.DAG, model Model, r int, conv Convention) (*State, error) {
+// ValidateInstance reports whether g can be pebbled with R red pebbles
+// under model at all: the model parameters must be valid and R must be
+// at least Δ+1 (at least 1 when the DAG has no edges).
+func ValidateInstance(g *dag.DAG, model Model, r int) error {
 	if err := model.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if r < 1 {
-		return nil, ErrInvalidR
+		return ErrInvalidR
 	}
 	if d := g.MaxInDegree(); r < d+1 {
-		return nil, fmt.Errorf("%w: R=%d, Δ=%d", ErrInfeasibleR, r, d)
+		return fmt.Errorf("%w: R=%d, Δ=%d", ErrInfeasibleR, r, d)
+	}
+	return nil
+}
+
+// NewState returns the initial state for pebbling g with R red pebbles
+// under the given model and convention. It returns ValidateInstance's
+// error for an instance that cannot be pebbled.
+func NewState(g *dag.DAG, model Model, r int, conv Convention) (*State, error) {
+	if err := ValidateInstance(g, model, r); err != nil {
+		return nil, err
 	}
 	s := &State{
 		g:        g,

@@ -45,6 +45,20 @@ func TestNewStateValidation(t *testing.T) {
 	}
 }
 
+// TestParseModelKindRoundTrip: every kind parses back from its String
+// form, and an unknown name is rejected.
+func TestParseModelKindRoundTrip(t *testing.T) {
+	for _, k := range AllKinds() {
+		got, err := ParseModelKind(k.String())
+		if err != nil || got != k {
+			t.Fatalf("ParseModelKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	if _, err := ParseModelKind("warp-drive"); err == nil {
+		t.Fatal("unknown model name accepted")
+	}
+}
+
 func TestComputeSourceAlwaysAllowed(t *testing.T) {
 	st := newState(t, diamond(), Base, 3)
 	if err := st.Apply(Move{Compute, 0}); err != nil {

@@ -152,14 +152,12 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("pebble: line %d: model wants a name", lineNo)
 			}
-			switch fields[1] {
-			case "base":
-				t.Model = Model{Kind: Base}
-			case "oneshot":
-				t.Model = Model{Kind: Oneshot}
-			case "nodel":
-				t.Model = Model{Kind: NoDel}
-			case "compcost":
+			kind, err := ParseModelKind(fields[1])
+			if err != nil {
+				return nil, fmt.Errorf("pebble: line %d: %w", lineNo, err)
+			}
+			t.Model = Model{Kind: kind}
+			if kind == CompCost {
 				if len(fields) != 3 {
 					return nil, fmt.Errorf("pebble: line %d: compcost wants epsdenom", lineNo)
 				}
@@ -167,9 +165,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				if err != nil {
 					return nil, fmt.Errorf("pebble: line %d: bad epsdenom %q", lineNo, fields[2])
 				}
-				t.Model = Model{Kind: CompCost, EpsDenom: d}
-			default:
-				return nil, fmt.Errorf("pebble: line %d: unknown model %q", lineNo, fields[1])
+				t.Model.EpsDenom = d
 			}
 			sawModel = true
 		case "r":

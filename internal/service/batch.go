@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rbpebble/internal/dag"
@@ -60,22 +61,10 @@ type BatchResponse struct {
 	Summary BatchSummary `json:"summary"`
 }
 
-// batchGroup is one canonical-equivalence class within a batch: all
-// member items share the canonical key, so the group performs exactly
-// one cache/singleflight round trip and k per-member trace
-// translations.
-type batchGroup struct {
-	key      string
-	members  []int // item indices, request order
-	deadline time.Duration
-	probed   *instcache.Value // pre-dispatch cache probe hit, if any
-	lane     string
-	shed     bool
-	done     chan struct{}
-}
-
-// batchItemState carries one item through the canonicalization pool.
-type batchItemState struct {
+// reqItem carries one requested instance through prepare: the parsed
+// problem, its clamped deadline and its canonical key and permutation,
+// or the error that rejects it.
+type reqItem struct {
 	p            solve.Problem
 	deadline     time.Duration
 	includeTrace bool
@@ -84,11 +73,31 @@ type batchItemState struct {
 	err          error
 }
 
+// unit is one canonical-equivalence class of a request on its way to
+// and through a lane worker: every member item shares the canonical
+// key, so the unit performs exactly one cache/singleflight round trip
+// and one trace translation per member. A single POST /solve is a unit
+// of one.
+type unit struct {
+	keyedSolve
+	members []int     // item indices, request order
+	start   time.Time // request start: every member's latency runs from here
+	probed  *instcache.Value
+	lane    string
+	queued  *obs.Span // lane-queue span, ended when a worker picks the unit up
+	// started is claimed by whichever comes first: the lane worker that
+	// runs the unit, or an await that gives it up at shutdown.
+	started atomic.Bool
+	shed    bool // refused by lane admission control; never runs
+	dropped bool // given up by await while still queued; never runs
+	done    chan struct{}
+}
+
 // handleSolveBatch is POST /solve/batch: the amortized request plane.
 // The body is decoded once; items are canonicalized concurrently
 // through a bounded pool, deduplicated within the batch by canonical
 // key, classified onto the fast or heavy lane, and streamed back in
-// request order as each item's group completes.
+// request order as each item's unit completes.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	s.m.batchRequests.Add(1)
@@ -116,130 +125,49 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.batchItems.Add(uint64(len(req.Items)))
 
-	// Phase 1 — amortized canonicalization: every item is validated and
-	// canonically labeled concurrently under a bounded worker pool. This
-	// is the per-request fixed cost the batch exists to amortize; it
-	// never touches the cache or the lanes, so it can run at full
-	// parallelism without admission control.
-	states := make([]batchItemState, len(req.Items))
-	_, csp := obs.StartSpan(ctx, "canonicalize")
-	csp.SetAttr("items", strconv.Itoa(len(req.Items)))
-	sem := make(chan struct{}, s.cfg.CanonWorkers)
-	var canonWG sync.WaitGroup
-	for i := range req.Items {
-		canonWG.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer canonWG.Done()
-			defer func() { <-sem }()
-			item := req.Items[i]
-			if item.DeadlineMS == 0 {
-				item.DeadlineMS = req.DeadlineMS
-			}
-			st := &states[i]
-			st.includeTrace = req.IncludeTrace || item.IncludeTrace
-			st.p, st.deadline, st.err = s.parseRequest(item)
-			if st.err != nil {
-				return
-			}
-			if item.Async {
-				st.err = errors.New("async is not supported in batch mode")
-				return
-			}
-			inst := instcache.Instance{G: st.p.G, Model: st.p.Model, R: st.p.R, Convention: st.p.Convention}
-			st.key, st.perm = inst.Key()
-		}(i)
-	}
-	canonWG.Wait()
-	csp.End()
-
-	// Phase 2 — in-batch dedup: group items by canonical key. k
-	// isomorphic instances become one group = one canonicalization-class
-	// solve; each member still gets its own translation back into its
-	// own labeling. The group budget is the widest member deadline, so
-	// no member is served a weaker tier than it asked for.
-	var groups []*batchGroup
-	groupOf := make(map[string]*batchGroup)
-	for i := range states {
-		st := &states[i]
-		if st.err != nil {
-			continue
-		}
-		g := groupOf[st.key]
-		if g == nil {
-			g = &batchGroup{key: st.key, deadline: st.deadline, done: make(chan struct{})}
-			groupOf[st.key] = g
-			groups = append(groups, g)
-		} else if st.deadline > g.deadline {
-			g.deadline = st.deadline
-		}
-		g.members = append(g.members, i)
-	}
-
-	// Phase 3 — one batched cache probe under a single lock acquisition,
-	// then lane classification: probe-served groups and groups whose
-	// whole budget fits the fast-lane threshold ride the fast lane;
-	// anything that may hold a worker for a long exact solve queues on
-	// the heavy lane, where admission control can shed it.
-	keys := make([]string, len(groups))
-	tiers := make([]int, len(groups))
-	for i, g := range groups {
-		keys[i] = g.key
-		tiers[i] = instcache.TierForBudget(g.deadline)
-	}
-	_, psp := obs.StartSpan(ctx, "cache-probe")
-	psp.SetAttr("groups", strconv.Itoa(len(groups)))
-	for i, v := range s.cache.ProbeBatch(keys, tiers) {
-		groups[i].probed = v
-		if v != nil || groups[i].deadline <= s.cfg.FastLaneBudget {
-			groups[i].lane = laneFast
-		} else {
-			groups[i].lane = laneHeavy
+	items := s.prepare(ctx, req.Items, req.DeadlineMS, req.IncludeTrace)
+	out := make([]BatchItem, len(items))
+	for i, it := range items {
+		if it.err != nil {
+			out[i] = BatchItem{Index: i, Error: it.err.Error(), Status: http.StatusUnprocessableEntity}
 		}
 	}
-	psp.End()
-
-	// Phase 4 — dispatch each group to its lane. A full lane sheds the
-	// whole group (429-class per-item errors with a backlog-derived
-	// retry estimate): under saturation, refusing early beats queueing
-	// cheap items behind multi-second solves.
-	out := make([]BatchItem, len(req.Items))
-	for i := range states {
-		if err := states[i].err; err != nil {
-			out[i] = BatchItem{Index: i, Error: err.Error(), Status: http.StatusUnprocessableEntity}
-		}
-	}
-	var solvesDispatched, shedItems int
-	for _, g := range groups {
-		g := g
-		// Per-group lane-queue span: starts at submission, ends when a
-		// lane worker picks the group up — the queue-wait is exactly the
-		// gap admission control exists to bound.
-		gctx, qsp := obs.StartSpan(ctx, "lane-queue")
-		qsp.SetAttr("lane", g.lane)
-		if !s.lanes.byName(g.lane).submit(func() { qsp.End(); s.runBatchGroup(gctx, g, states, out) }) {
-			qsp.SetAttr("shed", "true")
-			qsp.End()
+	// The units run under baseCtx (not the HTTP request context): a
+	// client that gives up mid-batch doesn't kill a solve whose result
+	// is about to land in the cache. The graft keeps the batch request's
+	// trace on it.
+	sctx := obs.Graft(s.baseCtx, ctx)
+	units := s.admit(ctx, items, start, func(u *unit) { s.runUnit(sctx, u, items, out) })
+	unitOf := make([]*unit, len(items)) // the admitted unit serving each item
+	var solves, deduped, shed int
+	for _, u := range units {
+		if u.shed {
+			// A full lane sheds the whole unit (429-class per-item errors
+			// with a backlog-derived retry estimate): under saturation,
+			// refusing early beats queueing cheap items behind
+			// multi-second solves.
 			retry := s.retryAfterSeconds()
-			for _, idx := range g.members {
+			for _, idx := range u.members {
 				out[idx] = BatchItem{
 					Index:  idx,
-					Lane:   g.lane,
-					Error:  fmt.Sprintf("%s lane saturated; retry after %ds", g.lane, retry),
+					Lane:   u.lane,
+					Error:  fmt.Sprintf("%s lane saturated; retry after %ds", u.lane, retry),
 					Status: http.StatusTooManyRequests,
 				}
 			}
-			s.m.batchShed.Add(uint64(len(g.members)))
-			shedItems += len(g.members)
-			g.shed = true
-			close(g.done)
+			shed += len(u.members)
 			continue
 		}
-		if g.probed == nil {
-			solvesDispatched++
+		for _, idx := range u.members {
+			unitOf[idx] = u
+		}
+		deduped += len(u.members) - 1
+		if u.probed == nil {
+			solves++
 		}
 	}
-	if shedItems == len(req.Items) {
+	s.m.batchShed.Add(uint64(shed))
+	if shed == len(items) {
 		// Nothing was admitted: make the whole request a retryable 429 so
 		// clients and the routing proxy can back off without parsing the
 		// per-item stream.
@@ -248,10 +176,10 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Phase 5 — stream results in request order as each item's group
-	// completes. Item i is written (and flushed) as soon as groups
-	// 0..i's work allows, so early fast-lane completions reach the
-	// client while heavy solves are still running.
+	// Stream results in request order as each item's unit completes.
+	// Item i is written (and flushed) as soon as units 0..i's work
+	// allows, so early fast-lane completions reach the client while
+	// heavy solves are still running.
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -259,43 +187,33 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `{"items":[`)
 	var ok, errs int
 	for i := range out {
-		g := groupOf[states[i].key]
-		if g != nil && states[i].err == nil {
-			select {
-			case <-g.done:
-			case <-s.closed:
-				// Lane workers are gone; anything not yet done never will
-				// be. Don't read the slot (the group task may still be
-				// mid-write) — synthesize the refusal.
-				out[i] = BatchItem{Index: i, Lane: g.lane, Error: "server shutting down", Status: http.StatusServiceUnavailable}
-			}
+		// out[i] is the unit's to write until await returns.
+		var item BatchItem
+		if u := unitOf[i]; u != nil && !s.await(u) {
+			item = BatchItem{Index: i, Lane: u.lane, Error: "server shutting down", Status: http.StatusServiceUnavailable}
+		} else {
+			item = out[i]
 		}
 		if i > 0 {
 			fmt.Fprint(w, ",")
 		}
-		if out[i].Error != "" {
+		if item.Error != "" {
 			errs++
 		} else {
 			ok++
 		}
-		enc.Encode(out[i]) // Encode appends \n — harmless inside the array
+		enc.Encode(item) // Encode appends \n — harmless inside the array
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	var deduped int
-	for _, g := range groups {
-		if !g.shed {
-			deduped += len(g.members) - 1
-		}
-	}
 	sum := BatchSummary{
-		Items:     len(req.Items),
+		Items:     len(items),
 		OK:        ok,
 		Errors:    errs,
-		Solves:    solvesDispatched,
+		Solves:    solves,
 		Deduped:   deduped,
-		Shed:      shedItems,
+		Shed:      shed,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	}
 	fmt.Fprint(w, `],"summary":`)
@@ -303,44 +221,165 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `}`)
 }
 
-// runBatchGroup serves one canonical-class group: the leader's
-// serveKey — the pre-dispatch probe's value when it hit, otherwise one
-// cache/singleflight round trip — then one per-member translation +
-// replay verification. A member's translation failure poisons only
-// that member.
-func (s *Server) runBatchGroup(ctx context.Context, g *batchGroup, states []batchItemState, out []BatchItem) {
-	defer close(g.done)
-	leader := &states[g.members[0]]
-	// The solve runs under baseCtx (not the HTTP request context): like
-	// the sync path, a client that gives up mid-batch doesn't kill a
-	// solve whose result is about to land in the cache. The graft keeps
-	// the batch request's trace on it.
-	kr, err := s.serveKey(obs.Graft(s.baseCtx, ctx),
-		s.foregroundSolve(g.key, leader.p, leader.perm, g.deadline), g.probed, time.Now())
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusServiceUnavailable
-		}
-		for _, idx := range g.members {
-			out[idx] = BatchItem{Index: idx, Lane: g.lane, Error: err.Error(), Status: status}
-		}
-		return
+// prepare validates and canonically labels every requested instance
+// concurrently under a bounded worker pool, inside one canonicalize
+// span. This is the per-request fixed cost a batch exists to amortize;
+// it never touches the cache or the lanes, so it runs at full
+// parallelism without admission control. deadlineMS and includeTrace
+// are the batch-wide defaults an item's own fields override.
+func (s *Server) prepare(ctx context.Context, reqs []SolveRequest, deadlineMS int, includeTrace bool) []reqItem {
+	items := make([]reqItem, len(reqs))
+	_, csp := obs.StartSpan(ctx, "canonicalize")
+	defer csp.End()
+	csp.SetAttr("items", strconv.Itoa(len(reqs)))
+	sem := make(chan struct{}, s.cfg.CanonWorkers)
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			req, it := reqs[i], &items[i]
+			if req.DeadlineMS == 0 {
+				req.DeadlineMS = deadlineMS
+			}
+			it.includeTrace = includeTrace || req.IncludeTrace
+			it.p, it.deadline, it.err = s.parseRequest(req)
+			if it.err == nil && req.Async {
+				it.err = errors.New("async is not supported in batch mode")
+			}
+			if it.err != nil {
+				return
+			}
+			inst := instcache.Instance{G: it.p.G, Model: it.p.Model, R: it.p.R, Convention: it.p.Convention}
+			it.key, it.perm = inst.Key()
+		}()
 	}
-	for n, idx := range g.members {
-		st := &states[idx]
-		mStart := time.Now()
-		mr := kr
-		mr.Shared = kr.Shared || n > 0
-		resp, err := s.buildResponse(ctx, st.p, mr, st.perm, st.includeTrace, mStart)
-		s.reqSeconds.observe(time.Since(mStart))
-		if err != nil {
-			out[idx] = BatchItem{Index: idx, Lane: g.lane, Error: err.Error(), Status: http.StatusUnprocessableEntity}
+	wg.Wait()
+	return items
+}
+
+// admit is the one admission path of the node, for a single POST
+// /solve (sync or async) and a batch alike. It groups the valid items
+// by canonical key — k isomorphic instances become one unit, solved
+// under its widest member deadline so no member is served a weaker
+// tier than it asked for — probes every unit with one batched cache
+// probe, and classifies each: probe-served units and units whose whole
+// budget fits FastLaneBudget ride the fast lane, anything that may
+// hold a worker for a long exact solve queues on the heavy lane. Each
+// unit is then submitted as run(u) under a lane-queue span, or marked
+// shed when its lane is full. Units are returned in order of their
+// first member.
+func (s *Server) admit(ctx context.Context, items []reqItem, start time.Time, run func(*unit)) []*unit {
+	var units []*unit
+	byKey := make(map[string]*unit)
+	for i, it := range items {
+		if it.err != nil {
 			continue
 		}
-		if n > 0 {
-			s.m.batchDeduped.Add(1)
+		u := byKey[it.key]
+		if u == nil {
+			u = &unit{
+				keyedSolve: keyedSolve{key: it.key, p: it.p, perm: it.perm, tableBytes: s.cfg.MaxTableBytes},
+				start:      start,
+				done:       make(chan struct{}),
+			}
+			byKey[it.key] = u
+			units = append(units, u)
 		}
-		out[idx] = BatchItem{Index: idx, Lane: g.lane, Result: &resp}
+		u.deadline = max(u.deadline, it.deadline)
+		u.members = append(u.members, i)
+	}
+
+	keys := make([]string, len(units))
+	tiers := make([]int, len(units))
+	for i, u := range units {
+		u.tier = instcache.TierForBudget(u.deadline)
+		keys[i], tiers[i] = u.key, u.tier
+	}
+	_, psp := obs.StartSpan(ctx, "cache-probe")
+	psp.SetAttr("groups", strconv.Itoa(len(units)))
+	for i, v := range s.cache.ProbeBatch(keys, tiers) {
+		u := units[i]
+		u.probed = v
+		u.lane = laneHeavy
+		if v != nil || u.deadline <= s.cfg.FastLaneBudget {
+			u.lane = laneFast
+		}
+	}
+	psp.End()
+
+	for _, u := range units {
+		// The lane-queue span starts at submission and ends when a lane
+		// worker picks the unit up — the queue wait is exactly the gap
+		// admission control exists to bound.
+		_, u.queued = obs.StartSpan(ctx, "lane-queue")
+		u.queued.SetAttr("lane", u.lane)
+		if !s.lanes.byName(u.lane).submit(func() {
+			if !u.started.CompareAndSwap(false, true) {
+				return // given up at shutdown
+			}
+			defer close(u.done)
+			u.queued.End()
+			run(u)
+		}) {
+			u.queued.SetAttr("shed", "true")
+			u.queued.End()
+			u.shed = true
+		}
+	}
+	return units
+}
+
+// await blocks until an admitted (not shed) unit's run is over and
+// reports whether it ran. It is the one shutdown rule: a unit already
+// running when Close fires still delivers its interval, but a unit
+// still queued never runs — await gives it up, and its members answer
+// 503.
+func (s *Server) await(u *unit) bool {
+	select {
+	case <-u.done:
+	case <-s.closed:
+		if u.started.CompareAndSwap(false, true) {
+			u.queued.End()
+			u.dropped = true
+			close(u.done)
+		}
+		<-u.done
+	}
+	return !u.dropped
+}
+
+// runUnit is what a lane worker runs for an admitted unit: one
+// serveKey — the probe's value when the probe hit, otherwise one
+// cache/singleflight round trip — then one translated, replay-verified
+// response per member into out. Every member's latency runs from the
+// request start; a member's translation failure poisons only that
+// member.
+func (s *Server) runUnit(ctx context.Context, u *unit, items []reqItem, out []BatchItem) {
+	kr, err := s.serveKey(ctx, u.keyedSolve, u.probed, u.start)
+	for n, idx := range u.members {
+		item := BatchItem{Index: idx, Lane: u.lane}
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			item.Error, item.Status = "an identical solve is in flight and exceeded this request's deadline; retry shortly", http.StatusServiceUnavailable
+		case err != nil:
+			item.Error, item.Status = err.Error(), http.StatusUnprocessableEntity
+		default:
+			mr := kr
+			mr.Shared = kr.Shared || n > 0
+			resp, err := s.buildResponse(ctx, items[idx].p, mr, items[idx].perm, items[idx].includeTrace, u.start)
+			s.reqSeconds.observe(time.Since(u.start))
+			if err != nil {
+				item.Error, item.Status = err.Error(), http.StatusUnprocessableEntity
+				break
+			}
+			if n > 0 {
+				s.m.batchDeduped.Add(1)
+			}
+			item.Result = &resp
+		}
+		out[idx] = item
 	}
 }

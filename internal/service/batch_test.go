@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -293,5 +294,77 @@ func TestBatchAdmissionControlSheds(t *testing.T) {
 	}
 	if shed != 2 {
 		t.Fatalf("mixed batch shed %d items, want 2: %+v", shed, br.Items)
+	}
+}
+
+// TestBatchItemLatencyFromRequestStart: a batch item's elapsed_ms and
+// its rbserve_request_seconds sample run from the request start, so
+// they cover the item's solve, not just its translation.
+func TestBatchItemLatencyFromRequestStart(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	s.solveFn = func(ctx context.Context, p solve.Problem, opts anytime.Options) (anytime.Result, error) {
+		time.Sleep(50 * time.Millisecond)
+		return anytime.Solve(ctx, p, opts)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, br, raw := postBatch(t, ts, batchBody(t, 2000, daggen.Pyramid(4)))
+	if code != http.StatusOK || len(br.Items) != 1 || br.Items[0].Result == nil {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	if res := br.Items[0].Result; res.Cached || res.ElapsedMS < 50 {
+		t.Fatalf("cold item elapsed_ms = %v (cached %v), want >= 50", res.ElapsedMS, res.Cached)
+	}
+	const name = "rbserve_request_seconds_sum "
+	m := scrapeMetrics(t, ts)
+	i := strings.Index(m, "\n"+name)
+	if i < 0 {
+		t.Fatalf("%s missing:\n%s", name, m)
+	}
+	line, _, _ := strings.Cut(m[i+1+len(name):], "\n")
+	if sum, err := strconv.ParseFloat(line, 64); err != nil || sum < 0.05 {
+		t.Fatalf("%s= %q, want >= 0.05", name, line)
+	}
+}
+
+// TestBatchRunningUnitSurvivesClose: the shutdown rule of a single
+// solve holds for batches too — a unit already running when Close
+// fires still delivers its interval instead of "server shutting down".
+func TestBatchRunningUnitSurvivesClose(t *testing.T) {
+	s := New(Config{})
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	s.solveFn = func(ctx context.Context, p solve.Problem, opts anytime.Options) (anytime.Result, error) {
+		close(started)
+		<-gate
+		return anytime.Solve(ctx, p, anytime.Options{})
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	done := make(chan BatchResponse, 1)
+	go func() {
+		_, br, _ := postBatch(t, ts, batchBody(t, 2000, daggen.Pyramid(4)))
+		done <- br
+	}()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("solve never started")
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	<-s.closed
+	time.Sleep(20 * time.Millisecond) // let the stream see Close first
+	close(gate)
+	br := <-done
+	<-closed
+	if len(br.Items) != 1 || br.Items[0].Error != "" || br.Items[0].Result == nil || !br.Items[0].Result.Optimal {
+		t.Fatalf("running unit lost its result at Close: %+v", br.Items)
 	}
 }

@@ -6,11 +6,20 @@
 //
 // Endpoints:
 //
-//	POST /solve            solve an instance (async=true enqueues a job)
-//	GET  /solve/{id}       poll an async job
-//	GET  /healthz          liveness probe
-//	GET  /metrics          Prometheus-style counters
-//	POST /cache/import     merge cache entries pushed by cluster peers
+//	POST   /solve                     solve an instance (async=true enqueues a job)
+//	POST   /solve/batch               solve many instances, streamed in request order
+//	GET    /solve/{id}                poll an async job
+//	DELETE /solve/{id}                cancel an async job, keeping its partial interval
+//	GET    /healthz                   liveness probe
+//	GET    /metrics                   Prometheus-style counters
+//	POST   /cache/import              merge cache entries pushed by cluster peers
+//	GET    /debug/solves              recent per-solve telemetry records
+//	GET    /debug/trace/{id}          one request's span tree
+//	GET    /debug/jobs/{id}/search    a job's live engine snapshot
+//	GET    /debug/refiner             the background refiner's state
+//
+// A POST /solve is a one-item batch: both endpoints run the same
+// prepare → admit → runUnit path (see batch.go).
 package service
 
 import (
@@ -556,11 +565,11 @@ func (s *Server) Drain() {
 // Draining reports whether Drain (or Shutdown) has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the lane workers after their in-flight tasks complete.
-// Tasks still queued on a lane are dropped: a waiting sync request gets
-// a 503 and an async job stays "queued". The lane channels are never
-// closed, so submissions racing a shutdown get a 503 rather than a
-// panic.
+// Close stops the lane workers after their in-flight units complete.
+// Units still queued on a lane are dropped (see await): a waiting sync
+// request or batch item gets a 503 and an async job stays "queued". The
+// lane channels are never closed, so submissions racing a shutdown get
+// a 503 rather than a panic.
 func (s *Server) Close() {
 	if s.refiner != nil {
 		s.refiner.Stop()
@@ -631,26 +640,26 @@ func BuildProblem(req SolveRequest, maxNodes int) (solve.Problem, error) {
 	if maxNodes > 0 && g.N() > maxNodes {
 		return solve.Problem{}, fmt.Errorf("instance has %d nodes, limit %d", g.N(), maxNodes)
 	}
-	var model pebble.Model
-	switch req.Model {
-	case "", "oneshot":
-		model = pebble.NewModel(pebble.Oneshot)
-	case "base":
-		model = pebble.NewModel(pebble.Base)
-	case "nodel":
-		model = pebble.NewModel(pebble.NoDel)
-	case "compcost":
-		eps := req.EpsDenom
-		if eps == 0 {
-			eps = 100
-		}
-		model = pebble.Model{Kind: pebble.CompCost, EpsDenom: eps}
-	default:
-		return solve.Problem{}, fmt.Errorf("unknown model %q", req.Model)
+	name := req.Model
+	if name == "" {
+		name = pebble.Oneshot.String()
+	}
+	kind, err := pebble.ParseModelKind(name)
+	if err != nil {
+		return solve.Problem{}, err
+	}
+	model := pebble.NewModel(kind)
+	if kind == pebble.CompCost && req.EpsDenom != 0 {
+		model.EpsDenom = req.EpsDenom
 	}
 	r := req.R
 	if r == 0 {
 		r = pebble.MinFeasibleR(g)
+	}
+	// Reject what no solve could pebble here, before the instance takes
+	// a lane slot and a cache flight.
+	if err = pebble.ValidateInstance(g, model, r); err != nil {
+		return solve.Problem{}, err
 	}
 	return solve.Problem{
 		G: g, Model: model, R: r,
@@ -758,21 +767,6 @@ func (s *Server) flightDone(key string) {
 	s.interestMu.Unlock()
 }
 
-// modelName maps a materialized model back to its wire name for the
-// telemetry record (the inverse of BuildProblem's model switch).
-func modelName(m pebble.Model) string {
-	switch m.Kind {
-	case pebble.Base:
-		return "base"
-	case pebble.NoDel:
-		return "nodel"
-	case pebble.CompCost:
-		return "compcost"
-	default:
-		return "oneshot"
-	}
-}
-
 // keyedResult is what one keyed solve served: the canonical cache
 // value and how it was obtained.
 type keyedResult struct {
@@ -806,18 +800,8 @@ type keyedSolve struct {
 	onSearch func(obs.SearchSnapshot)
 }
 
-// foregroundSolve describes a request's solve of key under its
-// deadline and the node's table-memory budget.
-func (s *Server) foregroundSolve(key string, p solve.Problem, perm []dag.NodeID, deadline time.Duration) keyedSolve {
-	return keyedSolve{
-		key: key, p: p, perm: perm, deadline: deadline,
-		tier:       instcache.TierForBudget(deadline),
-		tableBytes: s.cfg.MaxTableBytes,
-	}
-}
-
-// serveKey is the foreground solve of a lane task — sync, async and
-// batched alike: the pre-dispatch probe's value when the probe hit,
+// serveKey is the foreground solve of a lane unit — sync, async and
+// batched alike: the admission probe's value when the probe hit,
 // otherwise one solveKey round trip. ctx governs this request's own
 // wait and its cancellation vote (job cancellation, shutdown grace
 // expiry); the shared solve itself stops only when every request
@@ -999,7 +983,7 @@ func (s *Server) record(ctx context.Context, k keyedSolve, disposition string, v
 		TraceID:     obs.TraceIDFrom(ctx),
 		Start:       start,
 		Features:    obs.ComputeFeatures(k.p.G, k.p.R),
-		Model:       modelName(k.p.Model),
+		Model:       k.p.Model.Kind.String(),
 		Engine:      val.Source,
 		Workers:     s.cfg.SolveWorkers,
 		BudgetMS:    k.deadline.Milliseconds(),
@@ -1171,6 +1155,7 @@ func (s *Server) buildResponse(ctx context.Context, p solve.Problem, kr keyedRes
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
+	start := time.Now()
 	// The trace starts (or continues, when the proxy minted the ID)
 	// before any rejection path, so even a draining 503 or a shed 429
 	// carries the X-Rbpebble-Trace correlation header.
@@ -1190,10 +1175,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	// Parse once; the lane task reuses the materialized problem instead
-	// of re-decoding the DAG JSON.
-	p, deadline, err := s.parseRequest(req)
-	if err != nil {
+	// A single solve is a one-item batch: the same prepare → admit →
+	// runUnit path. Asynchrony belongs to the request, not to its item.
+	async := req.Async
+	req.Async = false
+	items := s.prepare(ctx, []SolveRequest{req}, 0, false)
+	if err := items[0].err; err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
@@ -1204,124 +1191,38 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
-	if req.Async {
-		s.submitJob(w, ctx, p, deadline, req.IncludeTrace)
+	if async {
+		s.submitJob(w, ctx, items, start)
 		return
 	}
-	s.syncSolve(w, ctx, p, deadline, req.IncludeTrace)
+	out := make([]BatchItem, 1)
+	// The solve runs under baseCtx with the request's trace grafted on:
+	// a client that disconnects mid-solve doesn't kill a solve whose
+	// result is about to land in the cache.
+	sctx := obs.Graft(s.baseCtx, ctx)
+	u := s.admit(ctx, items, start, func(u *unit) { s.runUnit(sctx, u, items, out) })[0]
+	switch {
+	case u.shed:
+		s.writeShed(w, u)
+	case !s.await(u):
+		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+	case out[0].Error != "":
+		httpError(w, out[0].Status, out[0].Error)
+	default:
+		writeJSON(w, out[0].Result)
+	}
 }
 
-// solveTask is one admitted POST /solve on its way to a lane worker:
-// the parsed problem, its canonical key and the pre-dispatch probe.
-type solveTask struct {
-	keyedSolve
-	includeTrace bool
-	probed       *instcache.Value // cache probe hit, if any
-	lane         string
-	queued       *obs.Span // lane-queue span, ended when a worker picks the task up
-	start        time.Time
+// writeShed answers a single solve its lane refused: 429 + Retry-After,
+// instead of queueing a cache hit behind multi-second exact solves.
+func (s *Server) writeShed(w http.ResponseWriter, u *unit) {
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	httpError(w, http.StatusTooManyRequests, u.lane+" lane saturated")
 }
 
-// dispatch is the one admission path of POST /solve, sync and async
-// alike: canonicalize, probe the cache, and classify the solve exactly
-// like a batch group — probe-served work and work whose budget fits
-// FastLaneBudget ride the fast lane, everything else the heavy lane —
-// then submit run(t) to that lane, its wait recorded as a lane-queue
-// span. A saturated lane sheds: dispatch answers 429 + Retry-After
-// itself and returns nil, instead of queueing a cache hit behind
-// multi-second exact solves.
-func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool, run func(t *solveTask)) *solveTask {
-	start := time.Now()
-	_, csp := obs.StartSpan(ctx, "canonicalize")
-	inst := instcache.Instance{G: p.G, Model: p.Model, R: p.R, Convention: p.Convention}
-	key, perm := inst.Key()
-	csp.End()
-	t := &solveTask{keyedSolve: s.foregroundSolve(key, p, perm, deadline), includeTrace: includeTrace, start: start}
-
-	_, psp := obs.StartSpan(ctx, "cache-probe")
-	if v, hit := s.cache.Probe(t.key, t.tier); hit {
-		t.probed = &v
-	}
-	psp.SetAttr("hit", strconv.FormatBool(t.probed != nil))
-	psp.End()
-	t.lane = laneHeavy
-	if t.probed != nil || deadline <= s.cfg.FastLaneBudget {
-		t.lane = laneFast
-	}
-
-	_, t.queued = obs.StartSpan(ctx, "lane-queue")
-	t.queued.SetAttr("lane", t.lane)
-	if !s.lanes.byName(t.lane).submit(func() { t.queued.End(); run(t) }) {
-		t.queued.SetAttr("shed", "true")
-		t.queued.End()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, t.lane+" lane saturated")
-		return nil
-	}
-	return t
-}
-
-// runTask is the solve a lane worker runs for an admitted task: one
-// serveKey under ctx, then the requester's translated, replay-verified
-// response.
-func (s *Server) runTask(ctx context.Context, t *solveTask) (SolveResponse, error) {
-	kr, err := s.serveKey(ctx, t.keyedSolve, t.probed, t.start)
-	if err != nil {
-		return SolveResponse{}, err
-	}
-	resp, err := s.buildResponse(ctx, t.p, kr, t.perm, t.includeTrace, t.start)
-	s.reqSeconds.observe(time.Since(t.start))
-	return resp, err
-}
-
-// syncSolve dispatches a synchronous solve and waits for its lane task.
-func (s *Server) syncSolve(w http.ResponseWriter, ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool) {
-	var (
-		resp    SolveResponse
-		err     error
-		started atomic.Bool
-	)
-	done := make(chan struct{})
-	t := s.dispatch(w, ctx, p, deadline, includeTrace, func(t *solveTask) {
-		started.Store(true)
-		defer close(done)
-		// The solve runs under baseCtx with the request's trace grafted
-		// on: a client that disconnects mid-solve doesn't kill a solve
-		// whose result is about to land in the cache.
-		resp, err = s.runTask(obs.Graft(s.baseCtx, ctx), t)
-	})
-	if t == nil {
-		return // shed
-	}
-	select {
-	case <-done:
-	case <-s.closed:
-		// Lane workers are gone or going. A task that already started
-		// still finishes — its partial certified interval must reach the
-		// client — but one still queued never runs.
-		if started.Load() {
-			<-done
-		} else {
-			t.queued.End()
-			httpError(w, http.StatusServiceUnavailable, "server shutting down")
-			return
-		}
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			httpError(w, http.StatusServiceUnavailable,
-				"an identical solve is in flight and exceeded this request's deadline; retry shortly")
-			return
-		}
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// submitJob dispatches an async solve as a job and answers 202 with its
-// ID without waiting; a shed job is never registered.
-func (s *Server) submitJob(w http.ResponseWriter, ctx context.Context, p solve.Problem, deadline time.Duration, includeTrace bool) {
+// submitJob admits an async solve as a job and answers 202 with its ID
+// without waiting; a shed job is never registered.
+func (s *Server) submitJob(w http.ResponseWriter, ctx context.Context, items []reqItem, start time.Time) {
 	jctx, jcancel := context.WithCancel(s.baseCtx)
 	j := &job{
 		id:      "job-" + s.jobPrefix + "-" + strconv.FormatUint(s.jobSeq.Add(1), 10),
@@ -1334,9 +1235,10 @@ func (s *Server) submitJob(w http.ResponseWriter, ctx context.Context, p solve.P
 		cancel: jcancel,
 		done:   make(chan struct{}),
 	}
-	if s.dispatch(w, ctx, p, deadline, includeTrace, func(t *solveTask) { s.runJob(j, t) }) == nil {
-		jcancel() // shed: release the baseCtx child
+	if u := s.admit(ctx, items, start, func(u *unit) { s.runJob(j, u, items) })[0]; u.shed {
+		jcancel() // release the baseCtx child
 		s.m.jobsShed.Add(1)
+		s.writeShed(w, u)
 		return
 	}
 	s.m.jobsSubmitted.Add(1)
@@ -1348,39 +1250,38 @@ func (s *Server) submitJob(w http.ResponseWriter, ctx context.Context, p solve.P
 	json.NewEncoder(w).Encode(j.snapshot())
 }
 
-// runJob is an async job's lane task: the solve under the job's own
+// runJob is an async job's lane task: the unit under the job's own
 // context, feeding its live lower-bound gauge and search snapshot, then
 // the job's terminal status.
-func (s *Server) runJob(j *job, t *solveTask) {
+func (s *Server) runJob(j *job, u *unit, items []reqItem) {
 	if !j.startRunning() {
 		// Canceled while queued; requestCancel already finalized.
 		s.m.jobsCanceled.Add(1)
 		return
 	}
-	t.onLower = j.lower.Store
-	t.onSearch = func(sn obs.SearchSnapshot) { j.search.Store(&sn) }
-	resp, err := s.runTask(j.ctx, t)
+	u.onLower = j.lower.Store
+	u.onSearch = func(sn obs.SearchSnapshot) { j.search.Store(&sn) }
+	out := make([]BatchItem, 1)
+	s.runUnit(j.ctx, u, items, out)
 	j.mu.Lock()
 	wasCanceled := j.canceled
 	j.mu.Unlock()
-	if err != nil {
-		if wasCanceled {
-			s.m.jobsCanceled.Add(1)
-		} else {
-			s.m.jobsFailed.Add(1)
-		}
-		j.set("error", nil, err.Error())
-		s.log.LogAttrs(j.ctx, slog.LevelWarn, "job failed",
-			slog.String("job", j.id), slog.String("trace", j.traceID),
-			slog.String("err", err.Error()))
-		return
-	}
-	if wasCanceled {
+	switch {
+	case wasCanceled:
 		s.m.jobsCanceled.Add(1)
-	} else {
+	case out[0].Error != "":
+		s.m.jobsFailed.Add(1)
+	default:
 		s.m.jobsDone.Add(1)
 	}
-	j.set("done", &resp, "")
+	if out[0].Error != "" {
+		j.set("error", nil, out[0].Error)
+		s.log.LogAttrs(j.ctx, slog.LevelWarn, "job failed",
+			slog.String("job", j.id), slog.String("trace", j.traceID),
+			slog.String("err", out[0].Error))
+		return
+	}
+	j.set("done", out[0].Result, "")
 	s.log.LogAttrs(j.ctx, slog.LevelInfo, "job finished",
 		slog.String("job", j.id), slog.String("trace", j.traceID),
 		slog.String("status", j.snapshot().Status))

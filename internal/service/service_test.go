@@ -474,6 +474,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad json", `{`, http.StatusBadRequest},
 		{"bad model", fmt.Sprintf(`{"dag":%s,"model":"nope"}`, dagJSON(t, daggen.Chain(3))), http.StatusUnprocessableEntity},
 		{"r too small", fmt.Sprintf(`{"dag":%s,"r":1}`, dagJSON(t, daggen.Pyramid(3))), http.StatusUnprocessableEntity},
+		{"negative r", fmt.Sprintf(`{"dag":%s,"r":-1}`, dagJSON(t, daggen.Pyramid(3))), http.StatusUnprocessableEntity},
+		{"eps too small", fmt.Sprintf(`{"dag":%s,"model":"compcost","eps_denom":1}`, dagJSON(t, daggen.Chain(3))), http.StatusUnprocessableEntity},
 		{"bad async", `{"async":true}`, http.StatusUnprocessableEntity},
 		// The declared node count is rejected before the graph is
 		// materialized — a 50-byte body must not allocate 2B nodes.
@@ -485,6 +487,13 @@ func TestBadRequests(t *testing.T) {
 				t.Fatalf("status %d, want %d (%s)", code, tc.wantCode, raw)
 			}
 		})
+	}
+	// Instances no solve could pebble are rejected at parse time: none
+	// reaches the cache or counts as a solve.
+	for _, name := range []string{"rbserve_solves_total", "rbserve_cache_misses_total"} {
+		if got := metric(t, ts, name); got != 0 {
+			t.Fatalf("%s = %d after bad requests, want 0", name, got)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/solve/job-999")
 	if err != nil {
