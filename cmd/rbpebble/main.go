@@ -55,9 +55,9 @@ func main() {
 		workers   = flag.Int("workers", 0, "exact solver parallel workers (>1; async HDA* engine)")
 		heuristic = flag.String("heuristic", "auto", "exact solver lower bound: auto|off|lower-bound|s-partition")
 		maxVisits = flag.Int("maxvisits", 0, "dfs solver visit budget (0 = default)")
-		deadline  = flag.Duration("deadline", 0, "anytime budget: race heuristics and exact engines, print a certified [lower, upper] interval (overrides -solver)")
+		deadline  = flag.Duration("deadline", 0, "anytime budget: run heuristics, then A* (async HDA* with -workers > 1) to refine a certified [lower, upper] interval (overrides -solver)")
 		progress  = flag.Bool("progress", false, "with -deadline: print live certified [lower, upper] updates to stderr as the interval tightens (works with -workers > 1: the async engine streams its certified bound mid-flight)")
-		watch     = flag.Bool("watch", false, "with -deadline: live single-line search view on stderr (engine, expansion rate, frontier, table size), refreshed from the engines' sampled snapshots")
+		watch     = flag.Bool("watch", false, "with -deadline: live single-line search view on stderr (engine, expansion rate, frontier, table size), refreshed from the engine's sampled snapshots")
 	)
 	flag.Parse()
 	if *graphPath == "" {
@@ -107,8 +107,8 @@ func main() {
 		}
 		watching := false
 		if *watch {
-			// Live single-line search view, refreshed in place. Snapshots
-			// from the racing exact engines share one stream with strictly
+			// Live single-line search view, refreshed in place. The one
+			// exact engine's snapshots arrive in one stream with strictly
 			// increasing Seq, so the line simply shows the latest sample.
 			opts.OnSearch = func(sn obs.SearchSnapshot) {
 				watching = true

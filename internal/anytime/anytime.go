@@ -1,7 +1,7 @@
 // Package anytime orchestrates the library's solvers under a deadline:
-// it races the cheap upper-bound heuristics (topological+Belady, the
-// greedy rules) against the exact refinement engines (best-first A* and
-// iterative-deepening A*), tracking the best incumbent trace and the
+// it runs the cheap upper-bound heuristics (topological+Belady, the
+// greedy rules) and then one exact refinement engine (best-first A*,
+// serial or async HDA*), tracking the best incumbent trace and the
 // best certified lower bound the whole time. When the budget runs out
 // it returns the certified [lower, upper] interval and the incumbent's
 // verified trace instead of an error — the contract a serving system
@@ -15,12 +15,9 @@
 //   - the A* engine raises it continuously (the min f on its open
 //     frontier never exceeds the optimum) and harvests a final frontier
 //     bound when canceled;
-//   - each completed IDA* pass raises it further (a pass at threshold T
-//     that finds nothing cheaper proves no completion below the
-//     smallest f it pruned);
 //   - every upper bound is a replay-verified trace.
 //
-// The upper and lower streams meet exactly when either engine proves
+// The upper and lower streams meet exactly when the engine proves
 // optimality; a Result with Gap() == 0 carries a proven optimum.
 package anytime
 
@@ -31,7 +28,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rbpebble/internal/obs"
@@ -52,47 +48,38 @@ type Options struct {
 	// reports every improvement, so OnProgress sees monotone certified
 	// progress under any worker count.
 	Workers int
-	// MaxStates caps the best-first engine's expansions (0 = 1<<40,
-	// effectively unbounded: the deadline is the real budget).
-	MaxStates int
-	// MaxVisits caps the depth-first engine's expansions (0 = 1<<40).
-	MaxVisits int
-	// MaxTableBytes caps EACH refinement engine's table footprint
-	// (solve.ExactOptions.MaxTableBytes / ExactDFSOptions.MaxTableBytes;
-	// 0 = unlimited). An engine tripping the budget aborts with
-	// solve.ErrMemoryBudget, its certified bounds are harvested into the
-	// interval like any other early stop, and Result.MemoryLimited is
-	// set — the node-wide memory governor rests on this.
+	// MaxTableBytes caps the refinement engine's table footprint
+	// (solve.ExactOptions.MaxTableBytes; 0 = unlimited). An engine
+	// tripping the budget aborts with solve.ErrMemoryBudget, its
+	// certified bounds are harvested into the interval like any other
+	// early stop, and Result.MemoryLimited is set — the node-wide
+	// memory governor rests on this.
 	MaxTableBytes int64
-	// DisableDFS turns off the IDA* refinement engine (it only runs for
-	// the oneshot and nodel models regardless).
-	DisableDFS bool
 	// OnProgress, when non-nil, receives a snapshot every time the
 	// certified interval tightens (new incumbent or higher lower
 	// bound). Emissions are serialized, deduplicated and monotone: each
 	// snapshot strictly improves at least one end of the previously
 	// delivered interval and never regresses either end, even when
-	// several engines report the same bound concurrently. Called from
-	// solver goroutines; must be fast.
+	// async HDA* reports the same bound from several goroutines. Called
+	// from solver goroutines; must be fast.
 	OnProgress func(Snapshot)
-	// OnSearch, when non-nil, receives the exact engines' live search
+	// OnSearch, when non-nil, receives the exact engine's live search
 	// snapshots (expansion rate, frontier shape, table occupancy,
 	// per-worker mailbox/heap data — see obs.SearchSnapshot) on a
 	// time-based cadence during phase 2. Emissions are serialized with
-	// strictly increasing Seq across both racing engines. Called from
-	// solver goroutines; must be fast.
+	// strictly increasing Seq. Called from solver goroutines; must be
+	// fast.
 	OnSearch func(obs.SearchSnapshot)
-	// SnapshotEvery is the engines' search-snapshot cadence (zero =
-	// the engines' ~100ms default).
+	// SnapshotEvery is the engine's search-snapshot cadence (zero =
+	// the engine's ~100ms default).
 	SnapshotEvery time.Duration
 	// Warm, when non-nil, resumes refinement from a previously certified
 	// interval of the SAME instance (e.g. a cached deadline-limited
 	// result): the cached incumbent is replay-verified and installed
-	// before any heuristic runs, its cost seeds the depth-first engine's
-	// ExactDFSOptions.InitialBound and the best-first engine's
-	// PruneBound, and the cached lower bound seeds both engines'
-	// InitialLowerBound — so a repeated hard instance picks up exactly
-	// where the previous request's budget died instead of starting over.
+	// before any heuristic runs, its cost seeds the engine's PruneBound,
+	// and the cached lower bound seeds its InitialLowerBound — so a
+	// repeated hard instance keeps the previous request's interval
+	// instead of starting over.
 	Warm *WarmStart
 }
 
@@ -121,7 +108,7 @@ type Snapshot struct {
 	// math.MaxInt64 until a first incumbent exists.
 	UpperScaled, LowerScaled int64
 	// Source names what produced this tightening ("root-bound",
-	// "topo-belady", "greedy/most-red-inputs", "astar", "ida*", ...).
+	// "topo-belady", "greedy/most-red-inputs", "astar", ...).
 	Source string
 }
 
@@ -141,12 +128,14 @@ type Result struct {
 	Source string
 	// Elapsed is the wall-clock time the solve used.
 	Elapsed time.Duration
-	// Expanded and Visits report the refinement engines' search effort
-	// (best-first expansions, depth-first visits).
-	Expanded, Visits int
-	// TableBytes is the engines' combined peak table footprint (the
-	// best-first visited tables plus the depth-first memo/heuristic
-	// tables) — the memory half of the per-solve telemetry record.
+	// Expanded is the refinement engine's search effort (best-first
+	// expansions).
+	Expanded int
+	// Visits is always 0: no depth-first engine runs in an anytime
+	// solve. It stays for callers that still read it.
+	Visits int
+	// TableBytes is the engine's peak visited-table footprint — the
+	// memory half of the per-solve telemetry record.
 	TableBytes int64
 	// PeakFrontier and PeakRate are the largest open-frontier size and
 	// expansion rate (states/s) observed across the solve's search
@@ -154,8 +143,8 @@ type Result struct {
 	// samples) — the SolveRecord fields the portfolio scheduler wants.
 	PeakFrontier int64
 	PeakRate     float64
-	// MemoryLimited reports that at least one refinement engine aborted
-	// on Options.MaxTableBytes (solve.ErrMemoryBudget): the interval is
+	// MemoryLimited reports that the refinement engine aborted on
+	// Options.MaxTableBytes (solve.ErrMemoryBudget): the interval is
 	// still certified, but it stopped where the memory governor cut the
 	// search rather than where the deadline did.
 	MemoryLimited bool
@@ -189,50 +178,34 @@ const unbounded = 1 << 40
 
 // refinementOptions assembles the phase-2 engine options from the
 // orchestrator options and the certified interval at phase-2 start:
-// the incumbent (warm-started or heuristic) seeds the depth-first
-// engine's InitialBound and the best-first engine's PruneBound
-// (both incumbent+1, so equal-cost optima are still found and proven),
-// and the certified floor seeds both engines' InitialLowerBound. It is
-// a separate function so tests can assert the warm-start values really
-// reach the exact engines.
-func refinementOptions(opts Options, incumbentScaled, lowerScaled int64) (solve.ExactOptions, solve.ExactDFSOptions) {
-	maxStates := opts.MaxStates
-	if maxStates == 0 {
-		maxStates = unbounded
-	}
-	maxVisits := opts.MaxVisits
-	if maxVisits == 0 {
-		maxVisits = unbounded
-	}
+// the incumbent (warm-started or heuristic) seeds PruneBound
+// (incumbent+1, so equal-cost optima are still found and proven), and
+// the certified floor seeds InitialLowerBound. It is a separate
+// function so tests can assert the warm-start values really reach the
+// engine.
+func refinementOptions(opts Options, incumbentScaled, lowerScaled int64) solve.ExactOptions {
 	exact := solve.ExactOptions{
-		MaxStates:         maxStates,
+		MaxStates:         unbounded,
 		MaxTableBytes:     opts.MaxTableBytes,
 		Parallel:          opts.Workers,
 		InitialLowerBound: lowerScaled,
+		ProgressEvery:     opts.SnapshotEvery,
 	}
-	dfs := solve.ExactDFSOptions{
-		MaxVisits:         maxVisits,
-		MaxTableBytes:     opts.MaxTableBytes,
-		InitialLowerBound: lowerScaled,
-	}
-	exact.ProgressEvery = opts.SnapshotEvery
-	dfs.ProgressEvery = opts.SnapshotEvery
 	if incumbentScaled < math.MaxInt64 {
-		// Exclusive bounds: keep equal-cost completions so the engines
+		// Exclusive bound: keep equal-cost completions so the engine
 		// can still PROVE the incumbent optimal, prune anything worse.
 		exact.PruneBound = incumbentScaled + 1
-		dfs.InitialBound = incumbentScaled + 1
 	}
-	return exact, dfs
+	return exact
 }
 
-// searchRelay funnels both racing engines' search snapshots into one
-// ordered stream: it assigns a strictly increasing Seq, tracks the peak
+// searchRelay funnels the engine's search snapshots into one ordered
+// stream: it assigns a strictly increasing Seq, tracks the peak
 // frontier size and expansion rate for the Result, mirrors each sample
 // as a search-snapshot span event, and fans out to the caller's
 // OnSearch. One mutex serializes everything so the observer never sees
-// Seq go backward even when the A* and IDA* engines sample
-// concurrently.
+// Seq go backward, and the peaks read after the solve see every
+// sample.
 type searchRelay struct {
 	mu           sync.Mutex
 	seq          int
@@ -265,8 +238,8 @@ func (r *searchRelay) peaks() (frontier int64, rate float64) {
 	return r.peakFrontier, r.peakRate
 }
 
-// collector accumulates the certified interval across phases and
-// engines, emitting a snapshot whenever it tightens.
+// collector accumulates the certified interval across phases, emitting
+// a snapshot whenever it tightens.
 type collector struct {
 	p     solve.Problem
 	start time.Time
@@ -280,11 +253,10 @@ type collector struct {
 	found  bool
 
 	// The emission gate serializes OnProgress deliveries and remembers
-	// the last pair handed to the caller, so concurrent engines
-	// reporting the same bound (or snapshots built under c.mu but
-	// racing to the callback) can never produce duplicate or regressing
-	// (upper, lower) pairs: the caller only ever observes strict
-	// improvement.
+	// the last pair handed to the caller, so concurrent reports of the
+	// same bound (or snapshots built under c.mu but racing to the
+	// callback) can never produce duplicate or regressing (upper,
+	// lower) pairs: the caller only ever observes strict improvement.
 	emitMu sync.Mutex
 	sentU  int64
 	sentL  int64
@@ -344,8 +316,8 @@ func (c *collector) improveUpper(sol solve.Solution, source string) {
 	}
 }
 
-// improveUpperMoves verifies a raw move sequence (from the DFS
-// incumbent callback) and installs it.
+// improveUpperMoves verifies a raw move sequence (a warm-start
+// incumbent) and installs it.
 func (c *collector) improveUpperMoves(moves []pebble.Move, source string) {
 	tr := &pebble.Trace{Model: c.p.Model, R: c.p.R, Convention: c.p.Convention, Moves: moves}
 	res, err := tr.Run(c.p.G)
@@ -380,8 +352,8 @@ func (c *collector) closed() bool {
 }
 
 // Solve runs the orchestration: instant root bound, fast upper-bound
-// heuristics, then concurrent exact refinement until optimality, the
-// budget, or ctx. It returns an error only when the instance is
+// heuristics, then exact refinement until optimality, the budget, or
+// ctx. It returns an error only when the instance is
 // invalid, infeasible, or no heuristic produced any pebbling within the
 // budget; a deadline alone yields a certified non-optimal Result.
 func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
@@ -391,11 +363,6 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
 		defer cancel()
 	}
-	// The refinement engines race under their own cancelable context so
-	// that the first proof of optimality stops the other engine.
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-
 	// upper starts at MaxInt64 (the documented "no incumbent yet"
 	// sentinel for snapshots) so pre-incumbent snapshots never show an
 	// inverted [lower, 0] interval.
@@ -469,100 +436,43 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 	hsp.End()
 
 	// Phase 2: exact refinement, unless the interval already met (or
-	// the budget died during phase 1).
-	var exactStats solve.ExactStats
-	var dfsStats solve.ExactDFSStats
-	var memLimited atomic.Bool
+	// the budget died during phase 1). One engine runs on this
+	// goroutine: serial A*, or async HDA* under Workers > 1.
+	var stats solve.ExactStats
+	memLimited := false
 	relay := &searchRelay{on: opts.OnSearch}
 	if !c.closed() && ctx.Err() == nil {
-		var wg sync.WaitGroup
-
 		c.mu.Lock()
 		incumbent, floor := c.upper, c.lower
 		c.mu.Unlock()
-		exactOpts, dfsOpts := refinementOptions(opts, incumbent, floor)
-		// Both engines stream through the same listener: each snapshot's
-		// certified lower bound becomes a span event and ratchets the
-		// interval, and the snapshot joins the ordered search stream.
-		progress := func(sp *obs.Span, source string) func(solve.ExactProgress) {
-			return func(sn solve.ExactProgress) {
-				sp.Event("lower-bound", sn.LowerBound)
-				c.raiseLower(sn.LowerBound, source)
-				relay.relay(sp, sn)
-			}
+		// The engine-attempt span lives on the request's trace; each
+		// snapshot's certified lower bound becomes a span event and
+		// ratchets the interval, so /debug/trace shows the convergence
+		// curve inline.
+		_, asp := obs.StartSpan(ctx, "engine:astar")
+		exactOpts := refinementOptions(opts, incumbent, floor)
+		exactOpts.Cancel = ctx.Done()
+		exactOpts.Stats = &stats
+		exactOpts.Progress = func(sn solve.ExactProgress) {
+			asp.Event("lower-bound", sn.LowerBound)
+			c.raiseLower(sn.LowerBound, "astar")
+			relay.relay(asp, sn)
 		}
-
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The engine-attempt span lives on the request's trace (via
-			// rctx); certified lower-bound improvements streamed by the
-			// engine become span events, so /debug/trace shows the
-			// convergence curve inline.
-			_, asp := obs.StartSpan(rctx, "engine:astar")
-			defer asp.End()
-			exactOpts.Cancel = rctx.Done()
-			exactOpts.Stats = &exactStats
-			exactOpts.Progress = progress(asp, "astar")
-			sol, err := solve.Exact(p, exactOpts)
-			defer func() {
-				asp.SetAttr("expanded", strconv.Itoa(exactStats.Expanded))
-			}()
-			if err == nil {
-				asp.SetAttr("outcome", "optimal")
-				c.improveUpper(sol, "astar")
-				c.raiseLower(sol.Result.Cost.Scaled(p.Model), "astar")
-				rcancel() // optimum proven: stop the DFS
-				return
-			}
+		sol, err := solve.Exact(p, exactOpts)
+		if err == nil {
+			asp.SetAttr("outcome", "optimal")
+			c.improveUpper(sol, "astar")
+			c.raiseLower(sol.Result.Cost.Scaled(p.Model), "astar")
+		} else {
 			// Canceled, out of budget, or bound-exhausted (every branch
 			// at or above the incumbent cut: the incumbent is optimal) —
 			// harvest the certified bound either way.
 			asp.SetAttr("outcome", err.Error())
-			c.raiseLower(exactStats.LowerBound, "astar")
-			if errors.Is(err, solve.ErrMemoryBudget) {
-				memLimited.Store(true)
-			}
-			if errors.Is(err, solve.ErrBoundExhausted) {
-				rcancel()
-			}
-		}()
-
-		runDFS := !opts.DisableDFS &&
-			(p.Model.Kind == pebble.Oneshot || p.Model.Kind == pebble.NoDel)
-		if runDFS {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, dsp := obs.StartSpan(rctx, "engine:ida*")
-				defer dsp.End()
-				dfsOpts.Cancel = rctx.Done()
-				dfsOpts.Stats = &dfsStats
-				dfsOpts.OnIncumbent = func(scaled int64, moves []pebble.Move) {
-					c.improveUpperMoves(moves, "ida*")
-				}
-				dfsOpts.Progress = progress(dsp, "ida*")
-				sol, err := solve.ExactDFS(p, dfsOpts)
-				defer func() {
-					dsp.SetAttr("visits", strconv.Itoa(dfsStats.Visits))
-				}()
-				if err == nil {
-					dsp.SetAttr("outcome", "optimal")
-					if sol.Trace != nil {
-						c.improveUpper(sol, "ida*")
-					}
-					c.raiseLower(dfsStats.LowerBound, "ida*")
-					rcancel() // optimum proven: stop the A* engine
-					return
-				}
-				dsp.SetAttr("outcome", err.Error())
-				c.raiseLower(dfsStats.LowerBound, "ida*")
-				if errors.Is(err, solve.ErrMemoryBudget) {
-					memLimited.Store(true)
-				}
-			}()
+			c.raiseLower(stats.LowerBound, "astar")
+			memLimited = errors.Is(err, solve.ErrMemoryBudget)
 		}
-		wg.Wait()
+		asp.SetAttr("expanded", strconv.Itoa(stats.Expanded))
+		asp.End()
 	}
 
 	c.mu.Lock()
@@ -574,10 +484,9 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 		Optimal:       c.upper <= c.lower,
 		Source:        c.source,
 		Elapsed:       time.Since(start),
-		Expanded:      exactStats.Expanded,
-		Visits:        dfsStats.Visits,
-		TableBytes:    exactStats.TableBytes + dfsStats.TableBytes,
-		MemoryLimited: memLimited.Load(),
+		Expanded:      stats.Expanded,
+		TableBytes:    stats.TableBytes,
+		MemoryLimited: memLimited,
 	}
 	res.PeakFrontier, res.PeakRate = relay.peaks()
 	res.Upper = float64(res.UpperScaled) / CostScale(p.Model)

@@ -176,12 +176,12 @@ func TestInfeasible(t *testing.T) {
 }
 
 // TestRefinementOptionsSeedEngines is the warm-start plumbing proof the
-// acceptance criterion asks for: the values handed to the exact engines
-// (ExactDFSOptions.InitialBound, both engines' InitialLowerBound, the
-// best-first PruneBound) must carry the certified interval at phase-2
-// start — which, for a warm-started solve, is the cached interval.
+// acceptance criterion asks for: the values handed to the exact engine
+// (InitialLowerBound and PruneBound) must carry the certified interval
+// at phase-2 start — which, for a warm-started solve, is the cached
+// interval.
 func TestRefinementOptionsSeedEngines(t *testing.T) {
-	exact, dfs := refinementOptions(Options{Workers: 3}, 31, 8)
+	exact := refinementOptions(Options{Workers: 3}, 31, 8)
 	if exact.PruneBound != 32 {
 		t.Fatalf("ExactOptions.PruneBound = %d, want 32", exact.PruneBound)
 	}
@@ -191,16 +191,10 @@ func TestRefinementOptionsSeedEngines(t *testing.T) {
 	if exact.Parallel != 3 {
 		t.Fatalf("ExactOptions.Parallel = %d, want 3", exact.Parallel)
 	}
-	if dfs.InitialBound != 32 {
-		t.Fatalf("ExactDFSOptions.InitialBound = %d, want 32", dfs.InitialBound)
-	}
-	if dfs.InitialLowerBound != 8 {
-		t.Fatalf("ExactDFSOptions.InitialLowerBound = %d, want 8", dfs.InitialLowerBound)
-	}
 	// No incumbent yet (MaxInt64 sentinel): no bound seeding at all.
-	exact, dfs = refinementOptions(Options{}, math.MaxInt64, 5)
-	if exact.PruneBound != 0 || dfs.InitialBound != 0 {
-		t.Fatalf("sentinel incumbent leaked into bounds: prune=%d initial=%d", exact.PruneBound, dfs.InitialBound)
+	exact = refinementOptions(Options{}, math.MaxInt64, 5)
+	if exact.PruneBound != 0 {
+		t.Fatalf("sentinel incumbent leaked into bounds: prune=%d", exact.PruneBound)
 	}
 }
 
@@ -257,8 +251,8 @@ func TestWarmStartClosedIntervalShortCircuits(t *testing.T) {
 	if res.Source != "cache:astar" {
 		t.Fatalf("source = %q, want the warm provenance", res.Source)
 	}
-	if res.Expanded != 0 || res.Visits != 0 {
-		t.Fatalf("engines ran despite closed warm interval: expanded=%d visits=%d", res.Expanded, res.Visits)
+	if res.Expanded != 0 {
+		t.Fatalf("engine ran despite closed warm interval: expanded=%d", res.Expanded)
 	}
 }
 

@@ -94,8 +94,9 @@ type SolveRecord struct {
 	Node     string    `json:"node,omitempty"` // filled by the proxy's fleet merge
 	Features Features  `json:"features"`
 	Model    string    `json:"model"`
-	// Engine is the source of the served value: astar, ida*, greedy,
-	// cache, warm, shared...
+	// Engine is the source of the served value: astar (the one exact
+	// engine, serial or async HDA*), a heuristic such as topo-belady or
+	// greedy/..., or the cache/warm provenance of a reused interval.
 	Engine  string `json:"engine"`
 	Workers int    `json:"workers,omitempty"`
 	// BudgetMS is the solve budget; Tier its cache credit bucket.
@@ -105,7 +106,6 @@ type SolveRecord struct {
 	Disposition string `json:"disposition"`
 	Canceled    bool   `json:"canceled,omitempty"`
 	Expanded    uint64 `json:"expanded,omitempty"`
-	Visits      uint64 `json:"visits,omitempty"`
 	TableBytes  uint64 `json:"table_bytes,omitempty"`
 	// PeakFrontier/PeakRate are the largest open-frontier size and
 	// expansion rate (states/s) observed across the solve's search

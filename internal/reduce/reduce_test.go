@@ -147,23 +147,49 @@ func minPermCostOneshot(r *HamPath) int {
 }
 
 func TestHamPathExactSolverAgreesSmall(t *testing.T) {
-	// Full cross-validation against the state-space optimum on N=3
-	// sources: the reduction's threshold must be the true optimal cost.
-	for _, src := range []*ugraph.Graph{ugraph.Path(3), ugraph.Complete(3)} {
-		r := NewHamPath(src)
-		for _, kind := range []pebble.ModelKind{pebble.Oneshot, pebble.NoDel} {
+	// Full cross-validation against the state-space optimum: the
+	// reduction's threshold must be the true optimal cost exactly when
+	// the source has a Hamiltonian path (hampath is the oracle), and
+	// the optimum must exceed it when not. Sources up to N=5; the N=5
+	// rows are the ones that close in under a second (nodel Path(5),
+	// Cycle(5), Star(5) and random N=5 sources run past 20M states).
+	planted, _ := ugraph.RandomWithHamPath(4, 0.3, 7)
+	both := []pebble.ModelKind{pebble.Oneshot, pebble.NoDel}
+	for _, tc := range []struct {
+		name   string
+		src    *ugraph.Graph
+		models []pebble.ModelKind
+	}{
+		{"Path(3)", ugraph.Path(3), both},
+		{"K3", ugraph.Complete(3), both},
+		{"Path(4)", ugraph.Path(4), both},
+		{"Cycle(4)", ugraph.Cycle(4), both},
+		{"Star(4)", ugraph.Star(4), both},
+		{"K4", ugraph.Complete(4), both},
+		{"RandomWithHamPath(4)", planted, both},
+		{"Path(5)", ugraph.Path(5), []pebble.ModelKind{pebble.Oneshot}},
+		{"K5", ugraph.Complete(5), both},
+	} {
+		r := NewHamPath(tc.src)
+		hasPath, _ := hampath.Solve(tc.src)
+		for _, kind := range tc.models {
 			opt, err := solve.Exact(solve.Problem{G: r.G, Model: pebble.NewModel(kind), R: r.R},
 				solve.ExactOptions{MaxStates: 4_000_000})
 			if err != nil {
-				t.Fatalf("%v: %v", kind, err)
+				t.Fatalf("%s %v: %v", tc.name, kind, err)
 			}
-			want := r.ThresholdOneshot()
+			threshold := r.ThresholdOneshot()
 			if kind == pebble.NoDel {
-				want = r.ThresholdNoDel()
+				threshold = r.ThresholdNoDel()
 			}
-			if opt.Result.Cost.Transfers != want {
-				t.Fatalf("%v: exact optimum %d != threshold %d (src %s)",
-					kind, opt.Result.Cost.Transfers, want, src)
+			got := opt.Result.Cost.Transfers
+			if hasPath && got != threshold {
+				t.Fatalf("%s %v: exact optimum %d != threshold %d, but a Hamiltonian path exists",
+					tc.name, kind, got, threshold)
+			}
+			if !hasPath && got <= threshold {
+				t.Fatalf("%s %v: exact optimum %d <= threshold %d, but no Hamiltonian path exists",
+					tc.name, kind, got, threshold)
 			}
 		}
 	}

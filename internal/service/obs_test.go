@@ -247,7 +247,7 @@ func TestTelemetryDispositions(t *testing.T) {
 	if cold.Features.Delta <= 0 || cold.Features.Depth <= 0 || cold.TraceID == "" {
 		t.Fatalf("cold record incomplete: %+v", cold)
 	}
-	if cold.Expanded == 0 && cold.Visits == 0 {
+	if cold.Expanded == 0 {
 		t.Fatalf("cold record reports no search effort: %+v", cold)
 	}
 

@@ -997,7 +997,6 @@ func (s *Server) record(ctx context.Context, k keyedSolve, disposition string, v
 	if run != nil {
 		rec.Canceled = run.canceled
 		rec.Expanded = uint64(run.res.Expanded)
-		rec.Visits = uint64(run.res.Visits)
 		rec.TableBytes = uint64(run.res.TableBytes)
 		rec.PeakFrontier = run.res.PeakFrontier
 		rec.PeakRate = run.res.PeakRate

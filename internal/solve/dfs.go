@@ -22,33 +22,14 @@ type ExactDFSOptions struct {
 	// certificate. Checked at the periodic expansion gate, so the real
 	// peak can overshoot by one gate interval's growth.
 	MaxTableBytes int64
-	// InitialBound, if nonzero, seeds the search with a known achievable
-	// scaled cost (e.g. from TopoBelady). Otherwise the solver computes
-	// one itself.
-	InitialBound int64
-	// InitialLowerBound, if > 0, is a lower bound on the optimal scaled
-	// cost the CALLER has already certified (e.g. a cached interval from
-	// an earlier deadline-limited solve). IDA* starts its threshold
-	// schedule at max(root heuristic, InitialLowerBound) — skipping every
-	// pass a previous request already completed — and seeds its reported
-	// LowerBound with it. Soundness of the skipped passes rests entirely
-	// on the caller's certificate; an uncertified value can make the
-	// solver return a non-optimal trace as "optimal".
-	InitialLowerBound int64
 	// Stats, when non-nil, receives search counters after the solve —
 	// also on failure, so a visit-limited run still reports how far it
 	// got and what bounds it had proven.
 	Stats *ExactDFSStats
 	// Cancel, when non-nil, makes the search stop cooperatively once
 	// the channel is closed: ExactDFS returns ErrCanceled with Stats
-	// filled. The incumbent found so far remains harvestable through
-	// OnIncumbent, which always fires before the cancellation lands.
+	// filled, including the incumbent's cost and the certified bound.
 	Cancel <-chan struct{}
-	// OnIncumbent, when non-nil, is called (from the solver goroutine)
-	// each time the search improves its incumbent, with the achieved
-	// scaled cost and the move sequence. The slice is owned by the
-	// solver and must be treated as read-only.
-	OnIncumbent func(scaled int64, moves []pebble.Move)
 	// Progress, when non-nil, receives search snapshots with the same
 	// contract as ExactOptions.Progress: one after every completed IDA*
 	// threshold pass (once the threshold has advanced; its LowerBound
@@ -133,30 +114,22 @@ func ExactDFS(p Problem, opts ExactDFSOptions) (Solution, error) {
 
 	// Seed the incumbent with an achievable solution so pruning bites
 	// from the first pass.
-	bound := opts.InitialBound
-	var bestMoves []pebble.Move
-	if bound == 0 {
-		seed, err := TopoBelady(p)
-		if err != nil {
-			return Solution{}, err
-		}
-		bound = seed.Result.Cost.Scaled(p.Model) + 1 // strict improvement wanted
-		bestMoves = seed.Trace.Moves
+	seed, err := TopoBelady(p)
+	if err != nil {
+		return Solution{}, err
 	}
 
 	d := &dfsSearch{
-		p:            p,
-		c:            newSearchCtx(p, ExactOptions{}, start),
-		st:           start,
-		memo:         newStateTable(start.PackedWords(), payloadBestOnly, 1024),
-		hcache:       newStateTable(start.PackedWords(), payloadBestOnly, 1024),
-		maxVisits:    maxVisits,
-		guard:        newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery),
-		bound:        bound,
-		bestMoves:    bestMoves,
-		maxDepth:     dfsMaxDepth(p),
-		initialLower: opts.InitialLowerBound,
-		onIncumbent:  opts.OnIncumbent,
+		p:         p,
+		c:         newSearchCtx(p, ExactOptions{}, start),
+		st:        start,
+		memo:      newStateTable(start.PackedWords(), payloadBestOnly, 1024),
+		hcache:    newStateTable(start.PackedWords(), payloadBestOnly, 1024),
+		maxVisits: maxVisits,
+		guard:     newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery),
+		bound:     seed.Result.Cost.Scaled(p.Model) + 1, // strict improvement wanted
+		bestMoves: seed.Trace.Moves,
+		maxDepth:  dfsMaxDepth(p),
 	}
 	err = d.idaStar()
 	if opts.Stats != nil {
@@ -210,15 +183,12 @@ type dfsSearch struct {
 	bestMoves []pebble.Move
 	moves     []pebble.Move // live move prefix of the recursion
 
-	threshold    int64 // current IDA* f-threshold
-	minExceed    int64 // smallest f seen above the threshold this pass
-	lower        int64 // certified lower bound (root estimate, raised per completed pass)
-	initialLower int64 // caller-certified floor (warm start); seeds threshold and lower
-	visits       int
-	iterations   int
-	limitErr     error
-
-	onIncumbent func(scaled int64, moves []pebble.Move)
+	threshold  int64 // current IDA* f-threshold
+	minExceed  int64 // smallest f seen above the threshold this pass
+	lower      int64 // certified lower bound (root estimate, raised per completed pass)
+	visits     int
+	iterations int
+	limitErr   error
 }
 
 // stats snapshots the search counters and bounds.
@@ -254,16 +224,6 @@ func (d *dfsSearch) searchProgress() ExactProgress {
 		TableLoad:   d.hcache.load(),
 		Threshold:   d.threshold,
 		Pass:        d.iterations,
-	}
-}
-
-// improved records a new incumbent (a complete pebbling of scaled cost
-// `cost` along the live move prefix) and notifies the callback.
-func (d *dfsSearch) improved(cost int64) {
-	d.bound = cost
-	d.bestMoves = append([]pebble.Move(nil), d.moves...)
-	if d.onIncumbent != nil {
-		d.onIncumbent(cost, d.bestMoves)
 	}
 }
 
@@ -333,13 +293,8 @@ func (d *dfsSearch) idaStar() error {
 	if dead {
 		return ErrInfeasible
 	}
-	// A caller-certified floor starts the threshold schedule where the
-	// previous request left off: passes below it were proven empty there
-	// and need not be re-run. A pass at threshold T still explores every
-	// prefix with f <= T, so an incumbent at or below T remains a sound
-	// optimality proof.
-	d.threshold = max(h0, d.initialLower)
-	d.lower = d.threshold
+	d.threshold = h0
+	d.lower = h0
 	// The threshold grows by a doubling gap (capped) rather than to the
 	// minimal exceeding f. Minimal steps are safe but hopeless on wide
 	// searches: the per-pass cost grows roughly geometrically in f, so
@@ -403,7 +358,9 @@ func (d *dfsSearch) recIDA() bool {
 		return true
 	}
 	if st.Complete() {
-		d.improved(cost)
+		// A new incumbent: the live move prefix completes the pebbling.
+		d.bound = cost
+		d.bestMoves = append([]pebble.Move(nil), d.moves...)
 		return true
 	}
 	if st.Steps() >= d.maxDepth {

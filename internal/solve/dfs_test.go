@@ -99,23 +99,6 @@ func TestIDAStarMatchesAStar(t *testing.T) {
 	}
 }
 
-func TestExactDFSSeededBound(t *testing.T) {
-	// Seeding with a tight known bound must not change the optimum.
-	g := daggen.Pyramid(2)
-	p := prob(g, pebble.Oneshot, 3)
-	plain, err := ExactDFS(p, ExactDFSOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded, err := ExactDFS(p, ExactDFSOptions{InitialBound: plain.Result.Cost.Scaled(p.Model) + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Result.Cost != seeded.Result.Cost {
-		t.Fatalf("seeded bound changed optimum: %v vs %v", plain.Result.Cost, seeded.Result.Cost)
-	}
-}
-
 func TestRandomOrdersNeverWorseThanTopoBelady(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := daggen.RandomLayered(4, 5, 3, seed)

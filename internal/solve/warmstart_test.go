@@ -78,62 +78,3 @@ func TestExactInitialLowerBoundSeedsCertificate(t *testing.T) {
 		t.Fatalf("LowerBound = %d, want >= seeded %d", s.LowerBound, opt)
 	}
 }
-
-// TestExactDFSInitialLowerBoundSkipsPasses: seeding IDA* with a
-// certified floor at the optimum must collapse the threshold schedule
-// to a single pass while preserving the proven optimum.
-func TestExactDFSInitialLowerBoundSkipsPasses(t *testing.T) {
-	g := daggen.Pyramid(5)
-	p := prob(g, pebble.Oneshot, 4)
-	var base ExactDFSStats
-	ref, err := ExactDFS(p, ExactDFSOptions{Stats: &base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := ref.Result.Cost.Scaled(p.Model)
-	if base.Iterations <= 1 {
-		t.Fatalf("baseline ran %d iterations; instance too easy to show pass skipping", base.Iterations)
-	}
-
-	var warm ExactDFSStats
-	sol, err := ExactDFS(p, ExactDFSOptions{InitialLowerBound: opt, Stats: &warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sol.Result.Cost.Scaled(p.Model); got != opt {
-		t.Fatalf("warm optimum %d != %d", got, opt)
-	}
-	if warm.Iterations != 1 {
-		t.Fatalf("warm-seeded IDA* ran %d passes, want 1", warm.Iterations)
-	}
-	if warm.LowerBound != opt {
-		t.Fatalf("warm LowerBound = %d, want %d", warm.LowerBound, opt)
-	}
-}
-
-// TestExactDFSInitialLowerBoundPartialFloor: a floor strictly between
-// the root estimate and the optimum is also honored (the realistic
-// warm-start case: the previous request's interval had not closed).
-func TestExactDFSInitialLowerBoundPartialFloor(t *testing.T) {
-	g := daggen.Pyramid(5)
-	p := prob(g, pebble.Oneshot, 4)
-	ref, err := ExactDFS(p, ExactDFSOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := ref.Result.Cost.Scaled(p.Model)
-	if opt < 2 {
-		t.Skip("optimum too small for a partial floor")
-	}
-	var warm ExactDFSStats
-	sol, err := ExactDFS(p, ExactDFSOptions{InitialLowerBound: opt - 1, Stats: &warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sol.Result.Cost.Scaled(p.Model); got != opt {
-		t.Fatalf("warm optimum %d != %d", got, opt)
-	}
-	if warm.LowerBound != opt {
-		t.Fatalf("warm LowerBound = %d, want %d", warm.LowerBound, opt)
-	}
-}

@@ -19,8 +19,8 @@
 //   - solvers: exact state-space search, order enumeration, greedy
 //   - the paper's gadgets (CD, H2C, tradeoff DAG, greedy grid) and
 //     reductions (Hamiltonian Path, Vertex Cover)
-//   - the anytime layer: deadline-driven orchestration racing the
-//     heuristics against the exact engines, returning certified
+//   - the anytime layer: deadline-driven orchestration that runs the
+//     heuristics and then one exact A* engine, returning certified
 //     [lower, upper] intervals (Anytime, AnytimeOptions)
 //   - the serving layer: instance canonicalization + solution cache
 //     (CanonicalDAG) and the rbserve HTTP service (NewServer)
@@ -268,8 +268,9 @@ type (
 )
 
 var (
-	// Anytime races the heuristics against the exact engines under a
-	// deadline: on hard instances it returns the best incumbent trace
+	// Anytime runs the heuristics and then A* alone (serial, or async
+	// HDA* with Workers > 1) under a deadline to refine the certified
+	// interval: on hard instances it returns the best incumbent trace
 	// with a certified optimality gap instead of an error, and with an
 	// unconstrained budget it runs to a proven optimum.
 	Anytime = anytime.Solve
