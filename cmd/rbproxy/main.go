@@ -1,17 +1,17 @@
 // Command rbproxy is the cluster front end for a fleet of rbserve
 // replicas: it routes each POST /solve to the node that owns the
-// request's canonical instance key on a consistent-hash ring (so
-// repeated and isomorphic submissions of an instance warm the same
-// node's interval cache), fails over along the ring when a node dies
+// request's canonical instance key by rendezvous hashing (so repeated
+// and isomorphic submissions of an instance warm the same node's
+// interval cache), fails over to the key's next owner when a node dies
 // or drains, fans async-job polls out across the fleet, and merges the
 // nodes' /metrics and /healthz into cluster-level views.
 //
 // Membership is dynamic: nodes started with -join register themselves
 // on POST /cluster/join and renew a TTL lease; nodes that stop renewing
-// expire off the ring. -members seeds static members that never expire
-// (for fixed fleets without the join flow). On drain, departing nodes
-// hand their cache off through POST /cluster/handoff, and live nodes
-// replicate fresh entries via POST /cluster/replicate.
+// expire out of the member table. -members seeds static members that
+// never expire (for fixed fleets without the join flow). On drain,
+// departing nodes hand their cache off through POST /cluster/handoff,
+// and live nodes replicate fresh entries via POST /cluster/replicate.
 //
 // Every request is traced (X-Rbpebble-Trace, minted here or adopted
 // from the client) and the ID rides every proxy->node forward, so one
@@ -50,7 +50,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		members     = flag.String("members", "", "comma-separated static rbserve replicas (host:port); optional when nodes use -join")
-		vnodes      = flag.Int("vnodes", 64, "virtual nodes per member on the hash ring")
 		probe       = flag.Duration("probe", 2*time.Second, "member health-probe interval")
 		ttl         = flag.Duration("ttl", 15*time.Second, "membership lease TTL for joined nodes")
 		maxBody     = flag.Int64("max-body", 64<<20, "largest accepted request body in bytes")
@@ -80,7 +79,6 @@ func main() {
 
 	p := cluster.NewProxy(cluster.ProxyConfig{
 		Members:       memberList,
-		VirtualNodes:  *vnodes,
 		ProbeInterval: *probe,
 		MemberTTL:     *ttl,
 		MaxBodyBytes:  *maxBody,
@@ -104,7 +102,7 @@ func main() {
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("rbproxy: listening",
 		slog.String("addr", *addr), slog.Int("static_members", len(memberList)),
-		slog.Duration("probe", *probe), slog.Duration("ttl", *ttl), slog.Int("vnodes", *vnodes))
+		slog.Duration("probe", *probe), slog.Duration("ttl", *ttl))
 
 	if *pprofAddr != "" {
 		go func() {

@@ -3,9 +3,7 @@ package cluster
 import (
 	"context"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,13 +44,11 @@ type Agent struct {
 	comm     *CommClient
 	draining atomic.Bool
 
-	// ring mirrors the proxy's consistent-hash ring, rebuilt from each
-	// join response's member list. It backs Owns — the background
-	// refiner's ownership filter — so a node only spends idle cycles on
-	// keys it would be routed anyway. ringSig detects membership churn
-	// cheaply between heartbeats.
-	ring    atomic.Pointer[Ring]
-	ringSig atomic.Pointer[string]
+	// members mirrors the proxy's routable members, taken from each
+	// join response. It backs Owns — the background refiner's ownership
+	// filter — so a node only spends idle cycles on keys it would be
+	// routed anyway.
+	members atomic.Pointer[[]string]
 
 	stop chan struct{}
 	kick chan struct{} // forces an immediate heartbeat (drain announcement)
@@ -106,39 +102,25 @@ func (a *Agent) join(ctx context.Context) (time.Duration, error) {
 	if err := a.comm.Call(ctx, a.cfg.Proxy, http.MethodPost, "/cluster/join", in, &jr); err != nil {
 		return 0, err
 	}
-	a.updateRing(jr)
+	if len(jr.MemberList) > 0 { // an empty list keeps the last mirror
+		if old := a.members.Load(); old == nil || !slices.Equal(*old, jr.MemberList) {
+			a.cfg.Logf("cluster agent: member mirror updated (%d members)", len(jr.MemberList))
+		}
+		a.members.Store(&jr.MemberList)
+	}
 	return time.Duration(jr.TTLMS) * time.Millisecond, nil
 }
 
-// updateRing rebuilds the local ring mirror when the join response's
-// member list changed (sorted-list signature comparison: membership
-// churn is rare, heartbeats are not).
-func (a *Agent) updateRing(jr JoinResponse) {
-	if len(jr.MemberList) == 0 {
-		return // old proxy without the list: keep whatever we have
-	}
-	members := append([]string(nil), jr.MemberList...)
-	sort.Strings(members)
-	sig := strconv.Itoa(jr.VNodes) + "|" + strings.Join(members, ",")
-	if old := a.ringSig.Load(); old != nil && *old == sig {
-		return
-	}
-	a.ring.Store(NewRing(jr.VNodes, members...))
-	a.ringSig.Store(&sig)
-	a.cfg.Logf("cluster agent: ring mirror updated (%d members)", len(members))
-}
-
-// Owns reports whether this node is the first ring owner of key — the
-// background refiner's ownership filter. Before the first join
-// response carrying a member list, every key is owned: a solo or
-// just-started node refines everything rather than nothing.
+// Owns reports whether this node is the first owner of key among the
+// mirrored members — the background refiner's ownership filter. Before
+// the first join response carrying a member list, every key is owned:
+// a solo or just-started node refines everything rather than nothing.
 func (a *Agent) Owns(key string) bool {
-	r := a.ring.Load()
-	if r == nil {
+	members := a.members.Load()
+	if members == nil {
 		return true
 	}
-	owners := r.Owners(key, 1)
-	return len(owners) == 0 || owners[0] == a.cfg.Self
+	return Owners(key, *members)[0] == a.cfg.Self
 }
 
 // SetDraining flips the drain flag and fires an immediate heartbeat so
@@ -153,7 +135,7 @@ func (a *Agent) SetDraining(d bool) {
 }
 
 // Handoff exports this node's cache and pushes it to the proxy, which
-// routes every entry to the ring owner that will serve its key after
+// routes every entry to the owner that will serve its key after
 // this node is gone. Returns the number of entries sent.
 func (a *Agent) Handoff(ctx context.Context) (int, error) {
 	if a.cfg.Export == nil {
@@ -171,7 +153,7 @@ func (a *Agent) Handoff(ctx context.Context) (int, error) {
 }
 
 // Replicate asynchronously pushes one freshly stored cache entry to
-// the proxy, which forwards it to the key's next ring owner — the
+// the proxy, which forwards it to the key's next owner — the
 // crash-safety path for proven-optimal (and tightened-interval)
 // entries. Fire-and-forget: replication is an optimization, never a
 // dependency of the serving path.

@@ -21,8 +21,8 @@ import (
 // ErrBreakerOpen is returned without any network attempt when the
 // target member's circuit breaker is open: the member failed several
 // consecutive calls recently and its cooldown has not elapsed. Callers
-// treat it like a connection failure (skip the member, try the next
-// ring owner) — the point of the breaker is to make that decision in
+// treat it like a connection failure (skip the member, try the key's
+// next owner) — the point of the breaker is to make that decision in
 // nanoseconds instead of a dial timeout.
 var ErrBreakerOpen = errors.New("cluster: circuit breaker open")
 
@@ -56,8 +56,8 @@ type CommConfig struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// OnBreakerOpen fires once per closed->open transition (outside the
-	// breaker lock). The proxy uses it to demote the member in the ring
-	// immediately instead of waiting for the next health probe.
+	// breaker lock). The proxy uses it to demote the member in its
+	// member table immediately instead of waiting for the next probe.
 	OnBreakerOpen func(member string)
 
 	// sleep and now are test seams; nil selects real time.

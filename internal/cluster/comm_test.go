@@ -195,18 +195,46 @@ func TestCommBackoffBounds(t *testing.T) {
 	}
 }
 
-func TestProbeBackoffBounds(t *testing.T) {
-	interval := 100 * time.Millisecond
-	for k := 1; k <= 8; k++ {
-		want := interval << (k - 1)
-		if cap := maxProbeBackoff * interval; want > cap {
-			want = cap
-		}
-		for i := 0; i < 50; i++ {
-			d := probeBackoff(k, interval)
-			if d < want*3/4 || d > want*5/4 {
-				t.Fatalf("probeBackoff(%d) = %v, want in [%v, %v]", k, d, want*3/4, want*5/4)
-			}
-		}
+// TestProbeRespectsBreaker: health probes go through the proxy's
+// CommClient, so its breaker is the prober's only backoff. Inside the
+// cooldown an open breaker fails the probe with no round trip and the
+// member is marked down; after it, one successful half-open probe
+// closes the breaker and marks the member up.
+func TestProbeRespectsBreaker(t *testing.T) {
+	rt := &scriptedRT{outcome: []error{dialRefused(), dialRefused()}} // then 200s
+	clock := time.Now()
+	comm := newTestComm(rt, CommConfig{
+		MaxAttempts:      1,
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Minute,
+		now:              func() time.Time { return clock },
+	})
+	ms := NewMembership(time.Minute)
+	ms.AddStatic("node:1")
+	p := &Prober{ms: ms, comm: comm}
+
+	p.ProbeOnce()
+	p.ProbeOnce()
+	if !comm.BreakerOpen("node:1") || healthy(ms, "node:1") {
+		t.Fatal("two failed probes should open the breaker and mark the member down")
+	}
+
+	ms.SetStatus("node:1", true, false) // a stale "up" the next probe must correct
+	before := rt.count()
+	p.ProbeOnce()
+	if rt.count() != before {
+		t.Fatalf("probe inside the cooldown made %d round trips, want 0", rt.count()-before)
+	}
+	if healthy(ms, "node:1") {
+		t.Fatal("probe through an open breaker should mark the member down")
+	}
+
+	clock = clock.Add(time.Minute + time.Second) // cooldown elapsed: half-open
+	p.ProbeOnce()
+	if rt.count() != before+1 {
+		t.Fatalf("half-open probe made %d round trips, want 1", rt.count()-before)
+	}
+	if comm.BreakerOpen("node:1") || !healthy(ms, "node:1") {
+		t.Fatal("a successful half-open probe should close the breaker and mark the member up")
 	}
 }

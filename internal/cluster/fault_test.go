@@ -122,9 +122,8 @@ func newElasticCluster(t *testing.T, n int) *elasticCluster {
 		if ec.proxy.Membership().Size() != n {
 			return false
 		}
-		for m, healthy := range ec.proxy.Ring().Members() {
-			_ = m
-			if !healthy {
+		for _, v := range ec.proxy.Membership().View() {
+			if !v.Healthy {
 				return false
 			}
 		}
@@ -200,7 +199,7 @@ func (ec *elasticCluster) proxyMetric(t *testing.T, name string) int {
 }
 
 // TestFaultReplicationSurvivesHardKill: a proven optimum is replicated
-// to the key's next ring owner on store, so a hard crash of the owner
+// to the key's next owner on store, so a hard crash of the owner
 // — no drain, no handoff — still leaves the entry servable: the
 // retried request fails over and is a cache hit on the replica.
 func TestFaultReplicationSurvivesHardKill(t *testing.T) {
@@ -235,14 +234,14 @@ func TestFaultReplicationSurvivesHardKill(t *testing.T) {
 	}
 
 	// With heartbeats stopped, the lease lapses and the dead node is
-	// expired off the ring entirely.
+	// expired out of the member table entirely.
 	ec.waitFor(t, 5*time.Second, func() bool {
 		return ec.proxy.Membership().Size() == 1
-	}, "dead node expired off the ring")
+	}, "dead node expired out of the member table")
 }
 
 // TestFaultDrainHandoffWarmStart: a draining node hands its certified
-// intervals to ring successors, so the next request for a handed-off
+// intervals to the keys' next owners, so the next request for a handed-off
 // key warm-starts refinement on the successor — interval no wider —
 // instead of searching from scratch.
 func TestFaultDrainHandoffWarmStart(t *testing.T) {
@@ -284,7 +283,7 @@ func TestFaultDrainHandoffWarmStart(t *testing.T) {
 
 // TestFaultKillMidAsyncSolveAndRejoin is the end-to-end fleet drill:
 // an async solve dies with its node mid-flight; the retried request
-// fails over along the ring and warm-starts from the interval that
+// fails over to the next owner and warm-starts from the interval that
 // replication had already pushed to the survivor; the crashed node
 // then restarts on the same address, re-joins, and serves its keyspace
 // again.
@@ -355,7 +354,7 @@ func TestFaultKillMidAsyncSolveAndRejoin(t *testing.T) {
 	restarted := startNode(t, victim.addr, ec.proxyAddr)
 	defer restarted.hardKill()
 	ec.waitFor(t, 5*time.Second, func() bool {
-		return ec.proxy.Membership().Size() == 2 && ec.proxy.Ring().Members()[restarted.addr]
+		return ec.proxy.Membership().Size() == 2 && healthy(ec.proxy.Membership(), restarted.addr)
 	}, "restarted node re-joined and probed healthy")
 	code, _, node = ec.post(t, body)
 	if code != http.StatusOK {

@@ -8,27 +8,35 @@ import (
 
 // defaultMemberTTL is the dynamic-member lease: a node that has not
 // renewed its registration within the TTL is considered dead and is
-// removed from the ring (its keys remap to the survivors). Nodes renew
+// removed from the table (its keys remap to the survivors). Nodes renew
 // at TTL/3, so a member survives two dropped heartbeats.
 const defaultMemberTTL = 15 * time.Second
 
-// memberInfo is one member's registration state.
+// memberInfo is one member's row in the table.
 type memberInfo struct {
 	static   bool      // seeded by the -members flag: never expires
 	draining bool      // announced SIGTERM drain: skip as a handoff/replica target
+	down     bool      // failed a probe or a forward; new members start up
 	expires  time.Time // dynamic members only: lease end
 }
 
-// Membership is the cluster's dynamic member registry layered over the
-// ring: rbserve nodes register and renew leases through the proxy's
-// /cluster/join API, announce draining during their SIGTERM grace, and
-// are expired off the ring when their lease lapses (the TTL is what
-// distinguishes a *dead* node from a merely *draining* one). Static
-// members — the -members flag — never expire; the health prober alone
-// governs their routing. Safe for concurrent use.
+// routable reports whether the member may own keys: up and not
+// draining. A draining member is skipped as a handoff and replication
+// target too: pushing cache entries to a node that is itself about to
+// hand off would bounce them around the fleet.
+func (in *memberInfo) routable() bool { return !in.down && !in.draining }
+
+// Membership is the cluster's one per-member table: lease, static,
+// draining and up/down. rbserve nodes register and renew leases
+// through the proxy's /cluster/join API, announce draining during
+// their SIGTERM grace, and are expired when their lease lapses (the
+// TTL is what distinguishes a *dead* node from a merely *draining*
+// one). Static members — the -members flag — never expire; the health
+// prober alone governs their routing. The prober, failed forwards and
+// opening breakers write up/down here; placement (Owners) and every
+// fan-out read it. Safe for concurrent use.
 type Membership struct {
 	mu      sync.Mutex
-	ring    *Ring
 	ttl     time.Duration
 	now     func() time.Time // test seam
 	members map[string]*memberInfo
@@ -36,13 +44,13 @@ type Membership struct {
 	joins, leaves, expired uint64
 }
 
-// NewMembership returns a registry over ring with the given dynamic
-// lease TTL (<= 0 selects the 15s default).
-func NewMembership(ring *Ring, ttl time.Duration) *Membership {
+// NewMembership returns an empty table with the given dynamic lease
+// TTL (<= 0 selects the 15s default).
+func NewMembership(ttl time.Duration) *Membership {
 	if ttl <= 0 {
 		ttl = defaultMemberTTL
 	}
-	return &Membership{ring: ring, ttl: ttl, now: time.Now, members: make(map[string]*memberInfo)}
+	return &Membership{ttl: ttl, now: time.Now, members: make(map[string]*memberInfo)}
 }
 
 // TTL returns the dynamic-member lease duration (the join API reports
@@ -59,15 +67,14 @@ func (ms *Membership) AddStatic(members ...string) {
 		}
 		ms.members[m].static = true
 	}
-	ms.ring.Add(members...)
 }
 
 // Join registers or renews member's lease and records its draining
-// flag. A new member is added to the ring (consistent remapping: only
-// the keys it now owns move); a renewal just extends the lease. A
-// member re-joining with draining=false (e.g. a restarted node reusing
-// its address) is promoted back to healthy so it receives traffic
-// before the next probe cycle.
+// flag. A new member starts up (rendezvous placement: only the keys it
+// now owns move); a renewal just extends the lease. A drain
+// announcement demotes the member at once, and a member re-joining
+// with draining=false (e.g. a restarted node reusing its address) is
+// promoted back up so it receives traffic before the next probe cycle.
 func (ms *Membership) Join(member string, draining bool) {
 	now := ms.now()
 	ms.mu.Lock()
@@ -77,19 +84,16 @@ func (ms *Membership) Join(member string, draining bool) {
 		ms.members[member] = in
 		ms.joins++
 	}
-	wasDraining := in.draining
+	if draining {
+		in.down = true
+	} else if in.draining {
+		in.down = false
+	}
 	in.draining = draining
 	if !in.static {
 		in.expires = now.Add(ms.ttl)
 	}
 	ms.mu.Unlock()
-
-	ms.ring.Add(member) // idempotent; no-op on renewal
-	if draining {
-		ms.ring.SetHealthy(member, false)
-	} else if wasDraining {
-		ms.ring.SetHealthy(member, true)
-	}
 }
 
 // Leave deregisters member immediately (the graceful exit: the node
@@ -102,33 +106,32 @@ func (ms *Membership) Leave(member string) {
 	}
 	delete(ms.members, member)
 	ms.mu.Unlock()
-	ms.ring.Remove(member)
 }
 
-// SetDraining marks member as draining (503 + draining header observed
-// by the prober, or a handoff received from it) without touching its
-// lease.
-func (ms *Membership) SetDraining(member string, draining bool) {
-	ms.mu.Lock()
-	if in := ms.members[member]; in != nil {
-		in.draining = draining
-	}
-	ms.mu.Unlock()
-}
-
-// Draining reports whether member announced a drain. Draining members
-// are skipped as handoff and replication targets: pushing cache
-// entries to a node that is itself about to hand off would bounce them
-// around the fleet.
-func (ms *Membership) Draining(member string) bool {
+// SetStatus records member's up/down and draining state (a probe
+// verdict, or a handoff received from it) without touching its lease.
+// A draining member is down. Unknown members are ignored.
+func (ms *Membership) SetStatus(member string, up, draining bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	in := ms.members[member]
-	return in != nil && in.draining
+	if in := ms.members[member]; in != nil {
+		in.down, in.draining = !up || draining, draining
+	}
+}
+
+// Demote marks member down (a failed forward or an opening breaker):
+// it ranks last until a probe or a re-join brings it back up. Unknown
+// members are ignored.
+func (ms *Membership) Demote(member string) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if in := ms.members[member]; in != nil {
+		in.down = true
+	}
 }
 
 // Sweep expires dynamic members whose lease has lapsed, removing them
-// from the ring, and returns them. A TTL expiry is the "dead node"
+// from the table, and returns them. A TTL expiry is the "dead node"
 // signal: no graceful drain happened, so the proxy's only consolation
 // is whatever proven-optimal entries were replicated ahead of time.
 func (ms *Membership) Sweep() []string {
@@ -144,10 +147,41 @@ func (ms *Membership) Sweep() []string {
 	}
 	ms.mu.Unlock()
 	sort.Strings(dead)
-	for _, m := range dead {
-		ms.ring.Remove(m)
-	}
 	return dead
+}
+
+// Routable lists, sorted, the members that may own keys: up and not
+// draining. The fan-outs ask them, and the join response hands them to
+// the nodes' ownership mirrors.
+func (ms *Membership) Routable() []string {
+	ms.mu.Lock()
+	var out []string
+	for m, in := range ms.members {
+		if in.routable() {
+			out = append(out, m)
+		}
+	}
+	ms.mu.Unlock()
+	sort.Strings(out)
+	return out
+}
+
+// Owners returns every member in routing preference order for key:
+// the routable members by rendezvous weight, then the rest by
+// rendezvous weight, so a request with nowhere better to go can still
+// try a member that is down as a last resort.
+func (ms *Membership) Owners(key string) []string {
+	var up, down []string
+	ms.mu.Lock()
+	for m, in := range ms.members {
+		if in.routable() {
+			up = append(up, m)
+		} else {
+			down = append(down, m)
+		}
+	}
+	ms.mu.Unlock()
+	return append(Owners(key, up), Owners(key, down)...)
 }
 
 // Size returns the number of registered members (static + live
@@ -175,14 +209,13 @@ type MemberView struct {
 	TTLRemainingMS int64 `json:"ttl_remaining_ms,omitempty"`
 }
 
-// View snapshots the registry, with health filled in from the ring.
+// View snapshots the table, sorted by member.
 func (ms *Membership) View() []MemberView {
 	now := ms.now()
-	health := ms.ring.Members()
 	ms.mu.Lock()
 	out := make([]MemberView, 0, len(ms.members))
 	for m, in := range ms.members {
-		v := MemberView{Member: m, Healthy: health[m], Draining: in.draining, Static: in.static}
+		v := MemberView{Member: m, Healthy: !in.down, Draining: in.draining, Static: in.static}
 		if !in.static {
 			if rem := in.expires.Sub(now); rem > 0 {
 				v.TTLRemainingMS = rem.Milliseconds()

@@ -5,15 +5,30 @@ import (
 	"time"
 )
 
+// row returns member's slot in the table view.
+func row(ms *Membership, member string) (MemberView, bool) {
+	for _, v := range ms.View() {
+		if v.Member == member {
+			return v, true
+		}
+	}
+	return MemberView{}, false
+}
+
+// healthy reports whether member is in the table and up.
+func healthy(ms *Membership, member string) bool {
+	v, ok := row(ms, member)
+	return ok && v.Healthy
+}
+
 func TestMembershipJoinRenewExpire(t *testing.T) {
-	ring := NewRing(8)
-	ms := NewMembership(ring, time.Second)
+	ms := NewMembership(time.Second)
 	clock := time.Now()
 	ms.now = func() time.Time { return clock }
 
 	ms.Join("a:1", false)
-	if ms.Size() != 1 || !ring.Members()["a:1"] {
-		t.Fatal("join should register and add to the ring")
+	if v, _ := row(ms, "a:1"); ms.Size() != 1 || !v.Healthy {
+		t.Fatal("join should register the member up")
 	}
 
 	// Renewal inside the lease extends it.
@@ -24,7 +39,7 @@ func TestMembershipJoinRenewExpire(t *testing.T) {
 		t.Fatalf("renewed member expired: %v", dead)
 	}
 
-	// Lease lapse expires it off the ring.
+	// Lease lapse expires it out of the table.
 	clock = clock.Add(2 * time.Second)
 	if dead := ms.Sweep(); len(dead) != 1 || dead[0] != "a:1" {
 		t.Fatalf("Sweep = %v, want [a:1]", dead)
@@ -32,8 +47,8 @@ func TestMembershipJoinRenewExpire(t *testing.T) {
 	if ms.Size() != 0 {
 		t.Fatal("expired member should be deregistered")
 	}
-	if _, ok := ring.Members()["a:1"]; ok {
-		t.Fatal("expired member should leave the ring")
+	if _, ok := row(ms, "a:1"); ok {
+		t.Fatal("expired member should leave the table")
 	}
 	joins, leaves, expired := ms.Counters()
 	if joins != 1 || leaves != 0 || expired != 1 {
@@ -42,8 +57,7 @@ func TestMembershipJoinRenewExpire(t *testing.T) {
 }
 
 func TestMembershipStaticNeverExpires(t *testing.T) {
-	ring := NewRing(8)
-	ms := NewMembership(ring, time.Second)
+	ms := NewMembership(time.Second)
 	clock := time.Now()
 	ms.now = func() time.Time { return clock }
 
@@ -52,51 +66,51 @@ func TestMembershipStaticNeverExpires(t *testing.T) {
 	if dead := ms.Sweep(); len(dead) != 0 {
 		t.Fatalf("static member expired: %v", dead)
 	}
-	if !ring.Members()["s:1"] {
-		t.Fatal("static member should stay on the ring")
+	if v, _ := row(ms, "s:1"); !v.Healthy {
+		t.Fatal("static member should stay up in the table")
 	}
 }
 
 func TestMembershipDrainingLifecycle(t *testing.T) {
-	ring := NewRing(8)
-	ms := NewMembership(ring, time.Minute)
+	ms := NewMembership(time.Minute)
 
 	ms.Join("a:1", false)
 	ms.Join("b:2", false)
-	if !ring.Members()["a:1"] {
+	if v, _ := row(ms, "a:1"); !v.Healthy {
 		t.Fatal("joined member should be healthy")
 	}
 
 	// Drain announcement demotes immediately.
 	ms.Join("a:1", true)
-	if ring.Members()["a:1"] {
+	a, _ := row(ms, "a:1")
+	b, _ := row(ms, "b:2")
+	if a.Healthy {
 		t.Fatal("draining member should be demoted")
 	}
-	if !ms.Draining("a:1") || ms.Draining("b:2") {
+	if !a.Draining || b.Draining {
 		t.Fatal("draining flags wrong")
 	}
 
 	// A restarted node re-joining un-drained is promoted back before the
 	// next probe cycle.
 	ms.Join("a:1", false)
-	if !ring.Members()["a:1"] {
+	if a, _ = row(ms, "a:1"); !a.Healthy {
 		t.Fatal("re-joined member should be healthy again")
 	}
-	if ms.Draining("a:1") {
+	if a.Draining {
 		t.Fatal("re-join should clear the draining flag")
 	}
 }
 
 func TestMembershipLeave(t *testing.T) {
-	ring := NewRing(8)
-	ms := NewMembership(ring, time.Minute)
+	ms := NewMembership(time.Minute)
 	ms.Join("a:1", false)
 	ms.Leave("a:1")
 	if ms.Size() != 0 {
 		t.Fatal("left member should be deregistered")
 	}
-	if _, ok := ring.Members()["a:1"]; ok {
-		t.Fatal("left member should be off the ring")
+	if _, ok := row(ms, "a:1"); ok {
+		t.Fatal("left member should be out of the table")
 	}
 	_, leaves, _ := ms.Counters()
 	if leaves != 1 {

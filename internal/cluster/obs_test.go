@@ -104,7 +104,7 @@ func TestFailoverKeepsTraceID(t *testing.T) {
 	const traceID = "cluster-failover-trace"
 	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3}`, dagJSON(t, daggen.Pyramid(4)))
 
-	// Find the ring owner and kill its listener so the first forward
+	// Find the key's owner and kill its listener so the first forward
 	// fails at dial time.
 	var sreq service.SolveRequest
 	if err := json.Unmarshal([]byte(body), &sreq); err != nil {
@@ -114,7 +114,7 @@ func TestFailoverKeepsTraceID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := tc.proxy.Ring().Owners(key, 2)[0]
+	owner := tc.proxy.Membership().Owners(key)[0]
 	tc.nodeTS[indexOf(t, tc.members, owner)].Close()
 
 	req, _ := http.NewRequest("POST", tc.ts.URL+"/solve", strings.NewReader(body))

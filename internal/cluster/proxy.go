@@ -27,15 +27,13 @@ type ProxyConfig struct {
 	// They never TTL-expire. May be empty: nodes can join dynamically
 	// through POST /cluster/join instead.
 	Members []string
-	// VirtualNodes per member on the ring (default 64).
-	VirtualNodes int
 	// ProbeInterval is the health-probe period (default 2s; < 0
 	// disables the background prober AND the membership sweeper — tests
 	// drive health and expiry by hand).
 	ProbeInterval time.Duration
 	// MemberTTL is the dynamic-member lease: a joined node that stops
-	// renewing for this long is declared dead and removed from the ring
-	// (default 15s).
+	// renewing for this long is declared dead and removed from the
+	// member table (default 15s).
 	MemberTTL time.Duration
 	// MaxBodyBytes caps the request body (default 64 MiB), matching the
 	// node-side limit so the proxy rejects oversized bodies before
@@ -56,7 +54,7 @@ type ProxyConfig struct {
 	// Comm tunes the retry/backoff/circuit-breaker policy of every
 	// proxy->node call (see CommConfig). The proxy sets
 	// Comm.OnBreakerOpen itself: an opening breaker demotes the member
-	// in the ring.
+	// in the member table. The health prober probes through it too.
 	Comm CommConfig
 	// TraceCap bounds the proxy's /debug/trace/{id} recorder ring
 	// (default 256 most recent traces).
@@ -78,16 +76,15 @@ type proxyMetrics struct {
 // Proxy is the cluster front end: it routes each POST /solve to the
 // replica owning the request's canonical instance key (so repeats and
 // isomorphic relabelings warm the same node's interval cache), fails
-// over along the ring on node failure, fans job polls out to every
-// node, merges the fleet's /metrics and /healthz into cluster-level
-// views, and runs the elastic-membership plane: nodes join and renew
-// leases via POST /cluster/join, hand their caches off on drain via
-// POST /cluster/handoff, and replicate proven-optimal entries via
-// POST /cluster/replicate. Create with NewProxy, serve Handler, stop
-// with Close.
+// over to the key's next owner on node failure, fans job polls out to
+// every node, merges the fleet's /metrics and /healthz into
+// cluster-level views, and runs the elastic-membership plane: nodes
+// join and renew leases via POST /cluster/join, hand their caches off
+// on drain via POST /cluster/handoff, and replicate proven-optimal
+// entries via POST /cluster/replicate. Create with NewProxy, serve
+// Handler, stop with Close.
 type Proxy struct {
 	cfg        ProxyConfig
-	ring       *Ring
 	comm       *CommClient
 	membership *Membership
 	prober     *Prober
@@ -114,26 +111,23 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	p := &Proxy{
-		cfg:      cfg,
-		ring:     NewRing(cfg.VirtualNodes),
-		recorder: obs.NewRecorder(cfg.TraceCap),
-		log:      cfg.Logger,
-		stop:     make(chan struct{}),
+		cfg:        cfg,
+		membership: NewMembership(cfg.MemberTTL),
+		recorder:   obs.NewRecorder(cfg.TraceCap),
+		log:        cfg.Logger,
+		stop:       make(chan struct{}),
 	}
-	p.membership = NewMembership(p.ring, cfg.MemberTTL)
 	p.membership.AddStatic(cfg.Members...)
 	// An opening breaker demotes the member immediately — faster than
 	// waiting for the prober to notice the flapping.
 	comm := cfg.Comm
 	comm.OnBreakerOpen = func(member string) {
-		p.ring.SetHealthy(member, false)
+		p.membership.Demote(member)
 		p.log.Warn("circuit breaker opened; member demoted", slog.String("member", member))
 	}
 	p.comm = NewComm(comm)
 	if cfg.ProbeInterval >= 0 {
-		p.prober = NewProber(p.ring, cfg.ProbeInterval, func(member string, healthy, draining bool) {
-			p.membership.SetDraining(member, draining)
-		})
+		p.prober = NewProber(p.membership, p.comm, cfg.ProbeInterval)
 		p.wg.Add(1)
 		go p.sweepLoop()
 	}
@@ -156,12 +150,8 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 	return p
 }
 
-// Ring exposes the proxy's ring (the rbproxy admin surface and tests
-// adjust membership through it).
-func (p *Proxy) Ring() *Ring { return p.ring }
-
-// Membership exposes the dynamic-member registry (tests drive lease
-// expiry through it when the background sweeper is disabled).
+// Membership exposes the member table (tests drive health and lease
+// expiry through it when the prober and sweeper are disabled).
 func (p *Proxy) Membership() *Membership { return p.membership }
 
 // Handler returns the HTTP handler.
@@ -177,8 +167,8 @@ func (p *Proxy) Close() {
 }
 
 // sweepLoop expires dead dynamic members (lease lapsed: no heartbeat
-// renewals) off the ring, at a quarter of the TTL so a dead node is
-// gone within ~1.25 TTLs worst case.
+// renewals) out of the member table, at a quarter of the TTL so a dead
+// node is gone within ~1.25 TTLs worst case.
 func (p *Proxy) sweepLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.membership.TTL() / 4)
@@ -210,9 +200,9 @@ func RouteKey(req service.SolveRequest, maxNodes int) (string, error) {
 	return key, nil
 }
 
-// handleSolve routes by canonical instance key with ring-order
+// handleSolve routes by canonical instance key with owner-order
 // failover: a connection error, a 502, or a draining 503 from the
-// owner demotes it and moves on to the next ring member.
+// owner demotes it and moves on to the key's next owner.
 func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 	p.m.requests.Add(1)
 	// Start (or adopt) the trace before any rejection path so quota
@@ -243,7 +233,7 @@ func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rsp.End()
-	owners := p.ring.Owners(key, len(p.ring.Members()))
+	owners := p.membership.Owners(key)
 	if len(owners) == 0 {
 		p.m.errors.Add(1)
 		httpError(w, http.StatusServiceUnavailable, "no cluster members")
@@ -260,12 +250,12 @@ func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 		fsp.SetAttr("member", member)
 		// The comm layer retries pre-send dial failures with backoff and
 		// fails fast on an open breaker; anything it still can't deliver
-		// demotes the member and fails over along the ring.
+		// demotes the member and fails over to the key's next owner.
 		resp, err := p.comm.Post(fctx, member, "/solve", "application/json", body)
 		if err != nil {
 			fsp.SetAttr("err", err.Error())
 			fsp.End()
-			p.ring.SetHealthy(member, false)
+			p.membership.Demote(member)
 			p.log.Warn("solve forward failed; member demoted",
 				slog.String("member", member), slog.String("trace", obs.TraceIDFrom(ctx)), slog.Any("err", err))
 			continue
@@ -277,7 +267,7 @@ func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			fsp.SetAttr("failover", "true")
 			fsp.End()
-			p.ring.SetHealthy(member, false)
+			p.membership.Demote(member)
 			continue
 		}
 		p.m.routed.Add(1)
@@ -289,7 +279,7 @@ func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusBadGateway, "all cluster members failed")
 }
 
-// handleJob fans a job poll or cancellation out to every HEALTHY
+// handleJob fans a job poll or cancellation out to every ROUTABLE
 // member (job IDs are node-local; the first node that knows the ID
 // answers). Unhealthy members are skipped — probing a blackholed node
 // with the long forward timeout would hang the poll for minutes, and
@@ -298,7 +288,7 @@ func (p *Proxy) handleJob(w http.ResponseWriter, r *http.Request) {
 	p.m.requests.Add(1)
 	p.m.fanouts.Add(1)
 	ctx, _ := obs.StartRequest(w, r, nil)
-	if len(healthyMembers(p.ring)) == 0 {
+	if len(p.membership.Routable()) == 0 {
 		httpError(w, http.StatusServiceUnavailable, "no healthy cluster members")
 		return
 	}
@@ -317,20 +307,17 @@ type NodeHealth struct {
 }
 
 // ClusterHealth is the GET /healthz body: the cluster is ok while any
-// member is routable.
+// member is up. It reads the same table as GET /cluster/members.
 type ClusterHealth struct {
 	OK    bool         `json:"ok"`
 	Nodes []NodeHealth `json:"nodes"`
 }
 
 func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	members := p.ring.Members()
 	view := ClusterHealth{}
-	for _, m := range sortedKeys(members) {
-		view.Nodes = append(view.Nodes, NodeHealth{
-			Member: m, Healthy: members[m], Draining: p.membership.Draining(m),
-		})
-		view.OK = view.OK || members[m]
+	for _, v := range p.membership.View() {
+		view.Nodes = append(view.Nodes, NodeHealth{Member: v.Member, Healthy: v.Healthy, Draining: v.Draining})
+		view.OK = view.OK || v.Healthy
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if !view.OK {
@@ -345,7 +332,6 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // cluster_rbserve_warm_starts_total), followed by per-node up gauges
 // and the proxy's own counters.
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	members := p.ring.Members()
 	up := gather(p, r.Context(), p.fetchMetrics)
 	sums := map[string]float64{}
 	var names []string
@@ -365,12 +351,12 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// and keeps fractional histogram sums exact enough.
 		fmt.Fprintf(w, "cluster_%s %s\n", name, strconv.FormatFloat(sums[name], 'g', -1, 64))
 	}
-	for _, m := range sortedKeys(members) {
+	for _, m := range p.membership.View() {
 		v := 0
-		if _, ok := up[m]; ok && members[m] {
+		if _, ok := up[m.Member]; ok && m.Healthy {
 			v = 1
 		}
-		fmt.Fprintf(w, "rbproxy_node_up{node=%q} %d\n", m, v)
+		fmt.Fprintf(w, "rbproxy_node_up{node=%q} %d\n", m.Member, v)
 	}
 	joins, leaves, expired := p.membership.Counters()
 	for _, kv := range []struct {
@@ -416,15 +402,15 @@ type joinRequest struct {
 }
 
 // JoinResponse tells the joining node its lease: renew well within
-// TTLMS (nodes use TTL/3) or be declared dead. MemberList and VNodes
-// let the node mirror the proxy's ring locally, so its background
-// refiner can compute key ownership without a round trip per key;
-// draining members are excluded (they no longer own keys).
+// TTLMS (nodes use TTL/3) or be declared dead. MemberList lets the
+// node mirror the proxy's placement locally (Owners over the list), so
+// its background refiner can compute key ownership without a round
+// trip per key; it holds only the routable members (up, not draining),
+// the ones the proxy routes keys to.
 type JoinResponse struct {
 	TTLMS      int64    `json:"ttl_ms"`
 	Members    int      `json:"members"`
 	MemberList []string `json:"member_list,omitempty"`
-	VNodes     int      `json:"vnodes,omitempty"`
 }
 
 // handleJoin registers or renews a member lease. Heartbeat renewals
@@ -441,17 +427,10 @@ func (p *Proxy) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.membership.Join(req.Member, req.Draining)
-	var list []string
-	for _, v := range p.membership.View() {
-		if !v.Draining {
-			list = append(list, v.Member)
-		}
-	}
 	writeJSON(w, JoinResponse{
 		TTLMS:      p.membership.TTL().Milliseconds(),
 		Members:    p.membership.Size(),
-		MemberList: list,
-		VNodes:     p.cfg.VirtualNodes,
+		MemberList: p.membership.Routable(),
 	})
 }
 
@@ -468,7 +447,7 @@ func (p *Proxy) handleLeave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, JoinResponse{TTLMS: p.membership.TTL().Milliseconds(), Members: p.membership.Size()})
 }
 
-// handleMembers serves the registry view.
+// handleMembers serves the member table.
 func (p *Proxy) handleMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, p.membership.View())
 }
@@ -493,8 +472,7 @@ func (p *Proxy) handleImport(handoff bool, delivered, dropped *atomic.Uint64) ht
 			return
 		}
 		if handoff && in.From != "" {
-			p.membership.SetDraining(in.From, true)
-			p.ring.SetHealthy(in.From, false)
+			p.membership.SetStatus(in.From, false, true)
 		}
 		keys := make([]string, len(in.Entries))
 		for i, e := range in.Entries {
@@ -510,7 +488,7 @@ func (p *Proxy) handleImport(handoff bool, delivered, dropped *atomic.Uint64) ht
 			if err == nil {
 				sent.Add(uint64(len(idxs)))
 			} else if !errors.As(err, new(errStatus)) {
-				p.ring.SetHealthy(target, false)
+				p.membership.Demote(target)
 			}
 			return err != nil
 		})
@@ -571,15 +549,6 @@ func (p *Proxy) fetchMetrics(ctx context.Context, member string) (map[string]flo
 		out[name] += v
 	}
 	return out, sc.Err()
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // relayResponse copies a downstream response to the client, stamping

@@ -39,7 +39,7 @@ func (p *Proxy) admitTenant(w http.ResponseWriter, r *http.Request, n int) bool 
 }
 
 // handleSolveBatch splits a client batch by canonical instance key
-// across the ring, fans the per-node sub-batches out through the
+// across the fleet, fans the per-node sub-batches out through the
 // hardened comm layer, and reassembles per-item results in request
 // order. Splitting by canonical key keeps the node-side in-batch dedup
 // effective: every isomorphism class lands whole on the replica whose
@@ -66,7 +66,7 @@ func (p *Proxy) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	p.m.batches.Add(1)
 	p.m.batchItems.Add(uint64(len(req.Items)))
 
-	// Route every item: canonical key -> first eligible ring owner.
+	// Route every item: canonical key -> first eligible owner.
 	// Items the routing parse rejects get their per-item error here
 	// (the node would reject them identically); they don't burn a
 	// forward.
@@ -90,7 +90,7 @@ func (p *Proxy) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	keyWG.Wait()
 
-	if len(p.ring.Members()) == 0 {
+	if p.membership.Size() == 0 {
 		p.m.errors.Add(1)
 		httpError(w, http.StatusServiceUnavailable, "no cluster members")
 		return
@@ -175,13 +175,13 @@ func (p *Proxy) forwardSubBatch(ctx context.Context, target string, idxs []int, 
 	}
 	resp, err := p.comm.Post(ctx, target, "/solve/batch", "application/json", body)
 	if err != nil {
-		p.ring.SetHealthy(target, false)
+		p.membership.Demote(target)
 		return true, 0
 	}
 	defer resp.Body.Close()
 	if memberGone(resp) {
 		io.Copy(io.Discard, resp.Body)
-		p.ring.SetHealthy(target, false)
+		p.membership.Demote(target)
 		return true, 0
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -199,7 +199,7 @@ func (p *Proxy) forwardSubBatch(ctx context.Context, target string, idxs []int, 
 	}
 	var br service.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		p.ring.SetHealthy(target, false)
+		p.membership.Demote(target)
 		return true, 0
 	}
 	p.m.routed.Add(1)

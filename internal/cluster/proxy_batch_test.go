@@ -60,7 +60,7 @@ func splitPair(t *testing.T, tc *testCluster) (*dag.DAG, *dag.DAG) {
 	return nil, nil
 }
 
-// batchOwner computes the ring owner the proxy will actually route a
+// batchOwner computes the owner the proxy will actually route a
 // `{"model":"oneshot","r":3}` batch item of g to. The probe request
 // must match the item's model/R exactly: they are part of the
 // canonical instance key.
@@ -71,7 +71,7 @@ func batchOwner(t *testing.T, tc *testCluster, g *dag.DAG) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tc.proxy.Ring().Owners(key, 1)[0]
+	return tc.proxy.Membership().Owners(key)[0]
 }
 
 // TestProxyBatchSplitReassemble: a batch mixing two canonical classes
@@ -262,6 +262,21 @@ func TestQuotaTake(t *testing.T) {
 	// full mint time.
 	if ok, retry := q.Take("fresh", 6); ok || retry < 5900*time.Second {
 		t.Fatalf("over-burst take: ok=%v retry=%v", ok, retry)
+	}
+	// Tenant names are client input: buckets that have refilled to
+	// burst admit exactly like missing ones and are dropped, so a
+	// stream of distinct names cannot pile buckets up.
+	fast := NewTenantQuota(1e9, 1) // a drawn token is back within a nanosecond
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 10000; i++ {
+			if ok, _ := fast.Take(fmt.Sprintf("tenant-%d-%d", round, i), 1); !ok {
+				t.Fatal("fresh tenant refused")
+			}
+		}
+		time.Sleep(10 * time.Millisecond) // every bucket so far has refilled
+	}
+	if n := len(fast.buckets); n > 10000 {
+		t.Fatalf("%d tenant buckets kept for 20000 distinct names; the first 10000 had refilled", n)
 	}
 	// Disabled limiter admits everything.
 	if ok, _ := NewTenantQuota(0, 0).Take("t", 1000); !ok {

@@ -36,7 +36,7 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		tc.members = append(tc.members, strings.TrimPrefix(ts.URL, "http://"))
 	}
 	// ProbeInterval < 0: no background prober — tests drive health
-	// transitions deterministically via ProbeOnce/SetHealthy.
+	// transitions deterministically via ProbeOnce and the member table.
 	tc.proxy = NewProxy(ProxyConfig{Members: tc.members, ProbeInterval: -1})
 	tc.ts = httptest.NewServer(tc.proxy.Handler())
 	t.Cleanup(func() {
@@ -171,7 +171,7 @@ func TestProxyWarmStartConvergence(t *testing.T) {
 }
 
 // TestProxyFailover: when the owning node drains, the proxy demotes it
-// and retries the next ring member; when it recovers, a probe
+// and retries the key's next owner; when it recovers, a probe
 // re-admits it.
 func TestProxyFailover(t *testing.T) {
 	tc := newTestCluster(t, 2)
@@ -206,7 +206,7 @@ func TestProxyFailover(t *testing.T) {
 	if got := metricValue(t, dump, "rbproxy_failovers_total"); got < 1 {
 		t.Fatalf("failovers_total = %d, want >= 1", got)
 	}
-	if tc.proxy.Ring().Healthy(owner) {
+	if healthy(tc.proxy.Membership(), owner) {
 		t.Fatal("draining node still marked healthy after failover")
 	}
 	// Subsequent requests route straight to the surviving node (no
@@ -271,7 +271,9 @@ func TestProxyJobFanout(t *testing.T) {
 }
 
 // TestClusterHealthView: /healthz aggregates per-node health; the
-// cluster stays ok while one node lives, 503 when none do.
+// cluster stays ok while one node lives, 503 when none do. /healthz
+// and /cluster/members read one member table, so they agree member by
+// member on health and drain state.
 func TestClusterHealthView(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	get := func() (int, ClusterHealth) {
@@ -282,6 +284,21 @@ func TestClusterHealthView(t *testing.T) {
 		defer resp.Body.Close()
 		var ch ClusterHealth
 		json.NewDecoder(resp.Body).Decode(&ch)
+		mresp, err := http.Get(tc.ts.URL + "/cluster/members")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mresp.Body.Close()
+		var members []MemberView
+		json.NewDecoder(mresp.Body).Decode(&members)
+		if len(members) != len(ch.Nodes) {
+			t.Fatalf("/healthz lists %d nodes, /cluster/members %d", len(ch.Nodes), len(members))
+		}
+		for i, n := range ch.Nodes {
+			if m := members[i]; m.Member != n.Member || m.Healthy != n.Healthy || m.Draining != n.Draining {
+				t.Fatalf("/healthz row %+v disagrees with /cluster/members row %+v", n, m)
+			}
+		}
 		return resp.StatusCode, ch
 	}
 	code, ch := get()
@@ -291,7 +308,7 @@ func TestClusterHealthView(t *testing.T) {
 
 	// Drain node 0 and re-probe: the view demotes exactly it.
 	tc.nodes[0].Drain()
-	p := &Prober{ring: tc.proxy.Ring(), client: http.DefaultClient}
+	p := &Prober{ms: tc.proxy.Membership(), comm: tc.proxy.comm}
 	p.ProbeOnce()
 	code, ch = get()
 	if code != http.StatusOK || !ch.OK {
@@ -305,6 +322,11 @@ func TestClusterHealthView(t *testing.T) {
 	}
 	if healthyCount != 1 {
 		t.Fatalf("want exactly 1 healthy node, got %+v", ch)
+	}
+	for _, n := range ch.Nodes {
+		if n.Draining != (n.Member == tc.members[0]) {
+			t.Fatalf("want exactly %s draining, got %+v", tc.members[0], ch)
+		}
 	}
 
 	tc.nodes[1].Drain()
@@ -349,7 +371,7 @@ func TestProxyRelaysNonDrainingServiceUnavailable(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("code=%d, want the node's 503 relayed", resp.StatusCode)
 	}
-	if !p.Ring().Healthy(member) {
+	if !healthy(p.Membership(), member) {
 		t.Fatal("healthy node demoted for a per-request 503")
 	}
 }

@@ -13,13 +13,21 @@ import (
 // token buys one solve item — a batch of 40 items draws 40 tokens at
 // admission, before any of them is routed, so one tenant's bulk
 // traffic cannot starve the fleet for everyone else.
+//
+// The header is unauthenticated client input, so buckets that have
+// refilled to burst are dropped: a full bucket admits exactly like a
+// missing one, and distinct tenant names must not pile up forever.
 type TenantQuota struct {
 	rate  float64 // tokens per second
 	burst float64
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
+	sweepAt int // sweep full buckets when the map reaches this size
 }
+
+// minQuotaSweep is the smallest bucket count that triggers a sweep.
+const minQuotaSweep = 1024
 
 type tokenBucket struct {
 	tokens float64
@@ -33,7 +41,7 @@ func NewTenantQuota(rate float64, burst int) *TenantQuota {
 	if b <= 0 {
 		b = math.Max(rate, 1)
 	}
-	return &TenantQuota{rate: rate, burst: b, buckets: make(map[string]*tokenBucket)}
+	return &TenantQuota{rate: rate, burst: b, buckets: make(map[string]*tokenBucket), sweepAt: minQuotaSweep}
 }
 
 // Enabled reports whether the limiter actually limits.
@@ -57,6 +65,9 @@ func (q *TenantQuota) Take(tenant string, n int) (bool, time.Duration) {
 	defer q.mu.Unlock()
 	b := q.buckets[tenant]
 	if b == nil {
+		if len(q.buckets) >= q.sweepAt {
+			q.sweep(now)
+		}
 		b = &tokenBucket{tokens: q.burst, last: now}
 		q.buckets[tenant] = b
 	}
@@ -71,4 +82,16 @@ func (q *TenantQuota) Take(tenant string, n int) (bool, time.Duration) {
 		deficit = float64(n)
 	}
 	return false, time.Duration(deficit / q.rate * float64(time.Second))
+}
+
+// sweep drops the buckets that have refilled to burst, then doubles the
+// threshold from what is left, so the sweeps cost amortized O(1) per
+// new tenant.
+func (q *TenantQuota) sweep(now time.Time) {
+	for t, b := range q.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*q.rate >= q.burst {
+			delete(q.buckets, t)
+		}
+	}
+	q.sweepAt = max(2*len(q.buckets), minQuotaSweep)
 }

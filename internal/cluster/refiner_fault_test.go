@@ -14,7 +14,7 @@ import (
 
 // startRefinerNode is startNode with the background refiner enabled:
 // a fast scan cadence for test latency, and the ownership filter wired
-// through the agent's ring mirror exactly as cmd/rbserve does.
+// through the agent's member mirror exactly as cmd/rbserve does.
 func startRefinerNode(t *testing.T, addr, proxyAddr string) *elasticNode {
 	t.Helper()
 	n := &elasticNode{}
@@ -50,11 +50,11 @@ func startRefinerNode(t *testing.T, addr, proxyAddr string) *elasticNode {
 	return n
 }
 
-// TestFaultHardKillMidRefinement: the ring owner of a wide cached
+// TestFaultHardKillMidRefinement: the owner of a wide cached
 // interval is hard-killed while its background refiner is re-solving
 // the key. Nothing certified may be lost: the surviving replica still
 // serves an interval no wider than the pre-crash response, and once
-// the dead node's lease expires the survivor — now the key's ring
+// the dead node's lease expires the survivor — now the key's
 // owner — picks the refinement up itself, with no new request beyond
 // the failover read.
 func TestFaultHardKillMidRefinement(t *testing.T) {
@@ -66,7 +66,7 @@ func TestFaultHardKillMidRefinement(t *testing.T) {
 		return ec.proxy.Membership().Size() == 2
 	}, "both refiner nodes joined")
 
-	// Seed a deliberately wide certified interval on the ring owner.
+	// Seed a deliberately wide certified interval on the owner.
 	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":120}`, dagJSON(t, daggen.FFT(3)))
 	code, first, owner := ec.post(t, body)
 	if code != http.StatusOK {
@@ -106,12 +106,12 @@ func TestFaultHardKillMidRefinement(t *testing.T) {
 			after.Lower, after.Upper, first.Lower, first.Upper)
 	}
 
-	// The dead node's lease lapses; the survivor becomes the key's ring
+	// The dead node's lease lapses; the survivor becomes the key's
 	// owner and its own refiner picks the key up with no further
 	// traffic.
 	ec.waitFor(t, 5*time.Second, func() bool {
 		return ec.proxy.Membership().Size() == 1
-	}, "dead node expired off the ring")
+	}, "dead node expired out of the member table")
 	ec.waitFor(t, 15*time.Second, func() bool {
 		st, ok := survivor.svc.RefinerStatus()
 		return ok && st.Runs >= 1

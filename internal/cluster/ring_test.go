@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 )
 
 func keys(n int) []string {
@@ -16,13 +18,12 @@ func keys(n int) []string {
 
 // TestOwnersCompleteAndDeterministic: Owners lists every member
 // exactly once, in an order that is stable across calls and across
-// rings built with different Add orders (proxy replicas must agree).
+// member lists given in different orders (proxy replicas must agree).
 func TestOwnersCompleteAndDeterministic(t *testing.T) {
 	members := []string{"a:1", "b:1", "c:1", "d:1"}
-	r1 := NewRing(0, members...)
-	r2 := NewRing(0, "d:1", "b:1", "a:1", "c:1")
+	shuffled := []string{"d:1", "b:1", "a:1", "c:1"}
 	for _, k := range keys(200) {
-		o1 := r1.Owners(k, len(members))
+		o1 := Owners(k, members)
 		if len(o1) != len(members) {
 			t.Fatalf("owners(%s) = %v, want all %d members", k, o1, len(members))
 		}
@@ -33,10 +34,10 @@ func TestOwnersCompleteAndDeterministic(t *testing.T) {
 			}
 			seen[m] = true
 		}
-		if o2 := r2.Owners(k, len(members)); !reflect.DeepEqual(o1, o2) {
+		if o2 := Owners(k, shuffled); !reflect.DeepEqual(o1, o2) {
 			t.Fatalf("add order changed routing for %s: %v vs %v", k, o1, o2)
 		}
-		if o1b := r1.Owners(k, len(members)); !reflect.DeepEqual(o1, o1b) {
+		if o1b := Owners(k, members); !reflect.DeepEqual(o1, o1b) {
 			t.Fatalf("owners not stable for %s", k)
 		}
 	}
@@ -46,15 +47,14 @@ func TestOwnersCompleteAndDeterministic(t *testing.T) {
 // one member only remaps the keys it owned.
 func TestConsistentRemapping(t *testing.T) {
 	members := []string{"a:1", "b:1", "c:1", "d:1", "e:1"}
-	r := NewRing(0, members...)
 	before := map[string]string{}
 	for _, k := range keys(2000) {
-		before[k] = r.Owners(k, 1)[0]
+		before[k] = Owners(k, members)[0]
 	}
-	r.Remove("c:1")
+	rest := slices.DeleteFunc(slices.Clone(members), func(m string) bool { return m == "c:1" })
 	moved := 0
 	for k, owner := range before {
-		now := r.Owners(k, 1)[0]
+		now := Owners(k, rest)[0]
 		if owner == "c:1" {
 			if now == "c:1" {
 				t.Fatalf("removed member still owns %s", k)
@@ -67,22 +67,21 @@ func TestConsistentRemapping(t *testing.T) {
 		}
 	}
 	if moved == 0 {
-		t.Fatal("removed member owned no keys (degenerate ring)")
+		t.Fatal("removed member owned no keys (degenerate placement)")
 	}
 }
 
-// TestBalance: virtual nodes keep the load split roughly even.
+// TestBalance: rendezvous weights keep the load split roughly even.
 func TestBalance(t *testing.T) {
 	members := []string{"a:1", "b:1", "c:1"}
-	r := NewRing(0, members...)
 	counts := map[string]int{}
 	const n = 9000
 	for _, k := range keys(n) {
-		counts[r.Owners(k, 1)[0]]++
+		counts[Owners(k, members)[0]]++
 	}
 	for m, c := range counts {
 		if c < n/10 {
-			t.Fatalf("member %s owns only %d/%d keys: imbalanced ring (%v)", m, c, n, counts)
+			t.Fatalf("member %s owns only %d/%d keys: imbalanced placement (%v)", m, c, n, counts)
 		}
 	}
 }
@@ -90,10 +89,11 @@ func TestBalance(t *testing.T) {
 // TestUnhealthyMembersRankLast: a down member never leads the owner
 // list while anyone is up, but remains a last-resort candidate.
 func TestUnhealthyMembersRankLast(t *testing.T) {
-	r := NewRing(0, "a:1", "b:1", "c:1")
-	r.SetHealthy("b:1", false)
+	ms := NewMembership(time.Minute)
+	ms.AddStatic("a:1", "b:1", "c:1")
+	ms.Demote("b:1")
 	for _, k := range keys(300) {
-		owners := r.Owners(k, 3)
+		owners := ms.Owners(k)
 		if owners[0] == "b:1" || owners[1] == "b:1" {
 			t.Fatalf("down member ranked %v for %s", owners, k)
 		}
@@ -101,35 +101,10 @@ func TestUnhealthyMembersRankLast(t *testing.T) {
 			t.Fatalf("down member missing from owner list for %s: %v", k, owners)
 		}
 	}
-	// All down: the ring still yields a routing order.
-	r.SetHealthy("a:1", false)
-	r.SetHealthy("c:1", false)
-	if owners := r.Owners("k", 3); len(owners) != 3 {
-		t.Fatalf("all-down ring returned %v", owners)
-	}
-}
-
-// TestRendezvousTieBreak (white-box): virtual nodes that collide on
-// the ring are ordered per key by rendezvous weight, not by a fixed
-// member order.
-func TestRendezvousTieBreak(t *testing.T) {
-	r := &Ring{vnodes: 1, healthy: map[string]bool{"a:1": true, "b:1": true}}
-	// Two colliding points: every key lands on this hash run, and the
-	// winner must be the higher rendezvous weight for that key.
-	r.points = []point{{h: 42, member: "a:1"}, {h: 42, member: "b:1"}}
-	winners := map[string]bool{}
-	for _, k := range keys(64) {
-		owners := r.Owners(k, 2)
-		want := "a:1"
-		if rendezvous("b:1", k) > rendezvous("a:1", k) {
-			want = "b:1"
-		}
-		if owners[0] != want {
-			t.Fatalf("tie for %s broken to %s, rendezvous says %s", k, owners[0], want)
-		}
-		winners[owners[0]] = true
-	}
-	if len(winners) != 2 {
-		t.Fatalf("tie-break never alternated across 64 keys: %v", winners)
+	// All down: the table still yields a routing order.
+	ms.Demote("a:1")
+	ms.Demote("c:1")
+	if owners := ms.Owners("k"); len(owners) != 3 {
+		t.Fatalf("all-down table returned %v", owners)
 	}
 }

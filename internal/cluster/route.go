@@ -9,15 +9,16 @@ import (
 
 // The proxy's routing policy. Every path that picks a member for a key,
 // asks the fleet for an ID, or merges the fleet's answers goes through
-// the helpers below; handleSolve alone walks the whole ring (unhealthy
-// members last) because a single solve has nowhere else to go.
+// the helpers below; handleSolve alone walks every member (down members
+// last) because a single solve has nowhere else to go.
 
-// owner is the one eligibility rule: the first ring owner of key that is
-// healthy, not draining, not behind an open breaker and not in skip.
-// It returns "" when no member is eligible.
+// owner is the one eligibility rule: the first rendezvous owner of key
+// among the routable members (up, not draining) that is not behind an
+// open breaker and not in skip. It returns "" when no member is
+// eligible.
 func (p *Proxy) owner(key string, skip map[string]bool) string {
-	for _, m := range p.ring.Owners(key, len(p.ring.Members())) {
-		if !skip[m] && p.ring.Healthy(m) && !p.membership.Draining(m) && !p.comm.BreakerOpen(m) {
+	for _, m := range Owners(key, p.membership.Routable()) {
+		if !skip[m] && !p.comm.BreakerOpen(m) {
 			return m
 		}
 	}
@@ -67,15 +68,15 @@ func (p *Proxy) scatter(keys []string, skip string, send func(target string, idx
 }
 
 // firstAnswer is the ordered lookup (job polls, traces, job search):
-// it asks the healthy members in order and returns the first response
+// it asks the routable members in order and returns the first response
 // accept takes, with the member that gave it. An unreachable member is
 // demoted; a response accept declines is drained. The response is nil
 // when no member gave an acceptable answer.
 func (p *Proxy) firstAnswer(ctx context.Context, method, path string, accept func(*http.Response) bool) (*http.Response, string) {
-	for _, m := range healthyMembers(p.ring) {
+	for _, m := range p.membership.Routable() {
 		resp, err := p.comm.Do(ctx, m, method, path, "", nil)
 		if err != nil {
-			p.ring.SetHealthy(m, false)
+			p.membership.Demote(m)
 			continue
 		}
 		if accept(resp) {
@@ -91,13 +92,13 @@ func (p *Proxy) firstAnswer(ctx context.Context, method, path string, accept fun
 func known(resp *http.Response) bool { return resp.StatusCode != http.StatusNotFound }
 
 // gather is the concurrent merge source (metrics, solve telemetry): it
-// calls fetch on every healthy member at once and returns the answers
+// calls fetch on every routable member at once and returns the answers
 // of the members that gave one.
 func gather[T any](p *Proxy, ctx context.Context, fetch func(ctx context.Context, member string) (T, error)) map[string]T {
 	out := map[string]T{}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, m := range healthyMembers(p.ring) {
+	for _, m := range p.membership.Routable() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -121,17 +122,4 @@ func gather[T any](p *Proxy, ctx context.Context, fetch func(ctx context.Context
 func memberGone(resp *http.Response) bool {
 	return resp.StatusCode == http.StatusBadGateway ||
 		resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("X-Rbserve-Draining") == "1"
-}
-
-// healthyMembers lists the currently-healthy members in a
-// deterministic order for the fan-outs.
-func healthyMembers(r *Ring) []string {
-	members := r.Members()
-	out := make([]string, 0, len(members))
-	for _, m := range sortedKeys(members) {
-		if members[m] {
-			out = append(out, m)
-		}
-	}
-	return out
 }

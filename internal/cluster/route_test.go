@@ -65,13 +65,13 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// keyOwnedInOrder finds a cache key whose ring owners are exactly want,
-// in order, on a ring of want's members.
+// keyOwnedInOrder finds a cache key whose owners are exactly want,
+// in order, over want's members.
 func keyOwnedInOrder(t *testing.T, p *Proxy, want ...string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if fmt.Sprint(p.Ring().Owners(key, len(want))) == fmt.Sprint(want) {
+		if fmt.Sprint(p.Membership().Owners(key)) == fmt.Sprint(want) {
 			return key
 		}
 	}
@@ -119,7 +119,7 @@ func newRoutingProxy(t *testing.T, members ...string) (*Proxy, *httptest.Server)
 // TestHandoffFailsOverUnreachableOwner: the handed-off entry's first
 // eligible owner is unreachable but still marked healthy. The entry
 // reaches the next owner, the unreachable one is demoted, and the
-// sender — the key's first ring owner — is never a target.
+// sender — the key's first owner — is never a target.
 func TestHandoffFailsOverUnreachableOwner(t *testing.T) {
 	sender := newImportRecorder(t, http.StatusOK)
 	live := newImportRecorder(t, http.StatusOK)
@@ -137,7 +137,7 @@ func TestHandoffFailsOverUnreachableOwner(t *testing.T) {
 	if calls, _ := sender.got(); calls != 0 {
 		t.Fatalf("sender was a handoff target %d times", calls)
 	}
-	if p.Ring().Healthy(dead) {
+	if healthy(p.Membership(), dead) {
 		t.Fatal("unreachable owner not demoted")
 	}
 	dump := metricsDump(t, ts.URL)
@@ -165,7 +165,7 @@ func TestImportRefusalReroutesWithoutDemotion(t *testing.T) {
 	if _, n := live.got(); n != 1 {
 		t.Fatalf("next owner received %d entries, want 1", n)
 	}
-	if !p.Ring().Healthy(refusing.addr) {
+	if !healthy(p.Membership(), refusing.addr) {
 		t.Fatal("a member that answered 500 was demoted")
 	}
 }
@@ -211,7 +211,7 @@ func TestDebugTraceSkipsUnreachableMember(t *testing.T) {
 	if got := resp.Header.Get("X-Rbproxy-Node"); got != members[1] {
 		t.Fatalf("trace served by %q, want %q", got, members[1])
 	}
-	if p.Ring().Healthy(members[0]) {
+	if healthy(p.Membership(), members[0]) {
 		t.Fatal("unreachable member not demoted by the trace lookup")
 	}
 }
@@ -286,4 +286,45 @@ func metricsDump(t *testing.T, baseURL string) string {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	return buf.String()
+}
+
+// TestJoinListsOnlyRoutableMembers: the join response's member list —
+// what each node's ownership mirror places keys over — holds only the
+// members the proxy routes to. A member that is down but still
+// heartbeating is left out; otherwise its keys would go to the next
+// owner, whose mirror says another node owns them, and no refiner
+// would touch them.
+func TestJoinListsOnlyRoutableMembers(t *testing.T) {
+	live := httptest.NewServer(http.NotFoundHandler())
+	defer live.Close()
+	liveAddr := strings.TrimPrefix(live.URL, "http://")
+	dead := deadAddr(t)
+	_, ts := newRoutingProxy(t)
+	join := func(member string) JoinResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/cluster/join", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"member":%q}`, member)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var jr JoinResponse
+		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+			t.Fatal(err)
+		}
+		return jr
+	}
+	join(liveAddr)
+	if jr := join(dead); len(jr.MemberList) != 2 {
+		t.Fatalf("member list %v, want both members while both are up", jr.MemberList)
+	}
+	// A lookup that cannot reach the dead member demotes it.
+	resp, err := http.Get(ts.URL + "/debug/trace/no-such-trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if jr := join(dead); fmt.Sprint(jr.MemberList) != fmt.Sprint([]string{liveAddr}) {
+		t.Fatalf("member list after demotion %v, want only %s", jr.MemberList, liveAddr)
+	}
 }

@@ -281,17 +281,17 @@ var (
 	// canonical node permutation of a DAG — the identity the rbserve
 	// instance cache deduplicates on.
 	CanonicalDAG = instcache.Canonical
-	// NewServer builds the rbserve HTTP service (solve endpoints, job
-	// queue, canonical cache, metrics) for embedding; cmd/rbserve is
-	// the standalone binary.
+	// NewServer builds the rbserve HTTP service (solve endpoints, the
+	// fast and heavy solve lanes, canonical cache, metrics) for
+	// embedding; cmd/rbserve is the standalone binary.
 	NewServer = service.New
-	// NewClusterProxy builds the consistent-hash routing front end for
-	// a fleet of rbserve replicas (canonical-key routing, failover,
+	// NewClusterProxy builds the rendezvous-hashing routing front end
+	// for a fleet of rbserve replicas (canonical-key routing, failover,
 	// merged metrics/health); cmd/rbproxy is the standalone binary.
 	NewClusterProxy = cluster.NewProxy
-	// NewRing builds a standalone consistent-hash ring (virtual nodes,
-	// rendezvous tie-break) over cluster members.
-	NewRing = cluster.NewRing
+	// ClusterOwners orders cluster members for a canonical instance key
+	// by rendezvous weight, highest first: the proxy's placement rule.
+	ClusterOwners = cluster.Owners
 )
 
 // Sentinel errors of the exact solvers.
