@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"time"
 
 	"rbpebble/internal/obs"
@@ -57,17 +56,16 @@ type Options struct {
 	MaxTableBytes int64
 	// OnProgress, when non-nil, receives a snapshot every time the
 	// certified interval tightens (new incumbent or higher lower
-	// bound). Emissions are serialized, deduplicated and monotone: each
-	// snapshot strictly improves at least one end of the previously
-	// delivered interval and never regresses either end, even when
-	// async HDA* reports the same bound from several goroutines. Called
-	// from solver goroutines; must be fast.
+	// bound). Each snapshot strictly improves at least one end of the
+	// previously delivered interval and never regresses either end.
+	// Called on Solve's goroutine, under any worker count; must be
+	// fast.
 	OnProgress func(Snapshot)
 	// OnSearch, when non-nil, receives the exact engine's live search
 	// snapshots (expansion rate, frontier shape, table occupancy,
 	// per-worker mailbox/heap data — see obs.SearchSnapshot) on a
-	// time-based cadence during phase 2. Emissions are serialized with
-	// strictly increasing Seq. Called from solver goroutines; must be
+	// time-based cadence during phase 2, with strictly increasing Seq.
+	// Called on Solve's goroutine, under any worker count; must be
 	// fast.
 	OnSearch func(obs.SearchSnapshot)
 	// SnapshotEvery is the engine's search-snapshot cadence (zero =
@@ -203,11 +201,9 @@ func refinementOptions(opts Options, incumbentScaled, lowerScaled int64) solve.E
 // stream: it assigns a strictly increasing Seq, tracks the peak
 // frontier size and expansion rate for the Result, mirrors each sample
 // as a search-snapshot span event, and fans out to the caller's
-// OnSearch. One mutex serializes everything so the observer never sees
-// Seq go backward, and the peaks read after the solve see every
-// sample.
+// OnSearch. Both engines report on Solve's goroutine, so it needs no
+// lock.
 type searchRelay struct {
-	mu           sync.Mutex
 	seq          int
 	peakFrontier int64
 	peakRate     float64
@@ -215,8 +211,6 @@ type searchRelay struct {
 }
 
 func (r *searchRelay) relay(sp *obs.Span, snap obs.SearchSnapshot) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.seq++
 	snap.Seq = r.seq
 	if snap.FrontierSize > r.peakFrontier {
@@ -231,89 +225,44 @@ func (r *searchRelay) relay(sp *obs.Span, snap obs.SearchSnapshot) {
 	}
 }
 
-// peaks returns the peak frontier size and expansion rate seen so far.
-func (r *searchRelay) peaks() (frontier int64, rate float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.peakFrontier, r.peakRate
-}
-
 // collector accumulates the certified interval across phases, emitting
-// a snapshot whenever it tightens.
+// a snapshot whenever it tightens. Every report reaches it on Solve's
+// goroutine (the heuristics run there, and both engines call Progress
+// there), and each end only moves when it strictly improves, so the
+// OnProgress stream is strictly improving and never regresses.
 type collector struct {
 	p     solve.Problem
 	start time.Time
 	onP   func(Snapshot)
 
-	mu     sync.Mutex
 	upper  int64
 	lower  int64
 	best   solve.Solution
 	source string
 	found  bool
-
-	// The emission gate serializes OnProgress deliveries and remembers
-	// the last pair handed to the caller, so concurrent reports of the
-	// same bound (or snapshots built under c.mu but racing to the
-	// callback) can never produce duplicate or regressing (upper,
-	// lower) pairs: the caller only ever observes strict improvement.
-	emitMu sync.Mutex
-	sentU  int64
-	sentL  int64
 }
 
-// snapshotLocked captures the current interval; the caller emits it
-// after releasing the state lock (the callback may be arbitrarily
-// slow, and emitting outside c.mu keeps solver goroutines from
-// serializing on it; the separate emission gate below restores a
-// total, monotone order on what the user sees).
-func (c *collector) snapshotLocked(source string) (Snapshot, bool) {
-	if c.onP == nil {
-		return Snapshot{}, false
+// emit delivers the current interval to OnProgress, if set.
+func (c *collector) emit(source string) {
+	if c.onP != nil {
+		c.onP(Snapshot{
+			Elapsed:     time.Since(c.start),
+			UpperScaled: c.upper,
+			LowerScaled: c.lower,
+			Source:      source,
+		})
 	}
-	return Snapshot{
-		Elapsed:     time.Since(c.start),
-		UpperScaled: c.upper,
-		LowerScaled: c.lower,
-		Source:      source,
-	}, true
-}
-
-// emit delivers a snapshot through the emission gate: duplicates and
-// stale reorderings are dropped, and each end is clamped to the best
-// value already delivered so the OnProgress stream is strictly
-// improving and never regresses.
-func (c *collector) emit(s Snapshot) {
-	c.emitMu.Lock()
-	defer c.emitMu.Unlock()
-	if s.UpperScaled >= c.sentU && s.LowerScaled <= c.sentL {
-		return // no strict improvement over what was already delivered
-	}
-	if s.UpperScaled > c.sentU {
-		s.UpperScaled = c.sentU
-	}
-	if s.LowerScaled < c.sentL {
-		s.LowerScaled = c.sentL
-	}
-	c.sentU, c.sentL = s.UpperScaled, s.LowerScaled
-	c.onP(s)
 }
 
 // improveUpper installs sol as the incumbent if it beats the current
 // one. sol must already be replay-verified (every solve.Solution is).
 func (c *collector) improveUpper(sol solve.Solution, source string) {
 	scaled := sol.Result.Cost.Scaled(c.p.Model)
-	c.mu.Lock()
 	if scaled >= c.upper {
-		c.mu.Unlock()
 		return
 	}
 	c.upper, c.best, c.source, c.found = scaled, sol, source, true
-	s, emit := c.snapshotLocked(source)
-	c.mu.Unlock()
-	if emit {
-		c.emit(s)
-	}
+	c.emit(source)
 }
 
 // improveUpperMoves verifies a raw move sequence (a warm-start
@@ -331,23 +280,15 @@ func (c *collector) improveUpperMoves(moves []pebble.Move, source string) {
 
 // raiseLower ratchets the certified lower bound.
 func (c *collector) raiseLower(v int64, source string) {
-	c.mu.Lock()
 	if v <= c.lower {
-		c.mu.Unlock()
 		return
 	}
 	c.lower = v
-	s, emit := c.snapshotLocked(source)
-	c.mu.Unlock()
-	if emit {
-		c.emit(s)
-	}
+	c.emit(source)
 }
 
 // closed reports whether the interval has met.
 func (c *collector) closed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.found && c.upper <= c.lower
 }
 
@@ -366,17 +307,14 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 	// upper starts at MaxInt64 (the documented "no incumbent yet"
 	// sentinel for snapshots) so pre-incumbent snapshots never show an
 	// inverted [lower, 0] interval.
-	c := &collector{p: p, start: start, onP: opts.OnProgress, upper: math.MaxInt64, sentU: math.MaxInt64}
+	c := &collector{p: p, start: start, onP: opts.OnProgress, upper: math.MaxInt64}
 
 	// Phase 0: instant certificate. Also validates the instance.
 	lb0, err := solve.RootLowerBound(p, solve.HeuristicAuto)
 	if err != nil {
 		return Result{}, err
 	}
-	c.lower = lb0
-	if s, emit := c.snapshotLocked("root-bound"); emit {
-		c.emit(s)
-	}
+	c.raiseLower(lb0, "root-bound")
 
 	// Phase 0.5: warm start. Install the cached certificate before any
 	// heuristic runs, so even a zero-budget repeat of a hard instance
@@ -421,18 +359,13 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 		return Result{}, errors.New("anytime: no heuristic produced a pebbling (infeasible instance?)")
 	}
 	if ctx.Err() == nil && !c.closed() {
-		c.mu.Lock()
-		incumbent := c.upper
-		c.mu.Unlock()
 		if sol, err := solve.RandomOrders(p, solve.RandomOrdersOptions{
-			Samples: 8, Seed: 1, InitialBound: incumbent,
+			Samples: 8, Seed: 1, InitialBound: c.upper,
 		}); err == nil {
 			c.improveUpper(sol, "random-orders")
 		}
 	}
-	c.mu.Lock()
 	hsp.SetAttr("source", c.source)
-	c.mu.Unlock()
 	hsp.End()
 
 	// Phase 2: exact refinement, unless the interval already met (or
@@ -442,15 +375,12 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 	memLimited := false
 	relay := &searchRelay{on: opts.OnSearch}
 	if !c.closed() && ctx.Err() == nil {
-		c.mu.Lock()
-		incumbent, floor := c.upper, c.lower
-		c.mu.Unlock()
 		// The engine-attempt span lives on the request's trace; each
 		// snapshot's certified lower bound becomes a span event and
 		// ratchets the interval, so /debug/trace shows the convergence
 		// curve inline.
 		_, asp := obs.StartSpan(ctx, "engine:astar")
-		exactOpts := refinementOptions(opts, incumbent, floor)
+		exactOpts := refinementOptions(opts, c.upper, c.lower)
 		exactOpts.Cancel = ctx.Done()
 		exactOpts.Stats = &stats
 		exactOpts.Progress = func(sn solve.ExactProgress) {
@@ -475,8 +405,6 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 		asp.End()
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	res := Result{
 		Solution:      c.best,
 		UpperScaled:   c.upper,
@@ -486,9 +414,10 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 		Elapsed:       time.Since(start),
 		Expanded:      stats.Expanded,
 		TableBytes:    stats.TableBytes,
+		PeakFrontier:  relay.peakFrontier,
+		PeakRate:      relay.peakRate,
 		MemoryLimited: memLimited,
 	}
-	res.PeakFrontier, res.PeakRate = relay.peaks()
 	res.Upper = float64(res.UpperScaled) / CostScale(p.Model)
 	res.Lower = float64(res.LowerScaled) / CostScale(p.Model)
 	return res, nil

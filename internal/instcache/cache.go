@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rbpebble/internal/obs"
@@ -92,11 +93,34 @@ type Stats struct {
 }
 
 // flight is one in-progress solve that concurrent identical requests
-// wait on.
+// wait on. It owns the solve's lifetime: live counts the callers still
+// waiting on it, the leader included, and the last one to stop
+// cancels the context the solve runs under.
 type flight struct {
-	done chan struct{}
-	val  Value
-	err  error
+	done   chan struct{}
+	val    Value
+	err    error
+	live   atomic.Int32
+	cancel context.CancelFunc
+}
+
+// hold counts one caller on f until ctx ends or the returned release
+// runs, whichever comes first. Callers hold under Cache.mu, so a caller
+// that found the flight is counted before anyone else can see the count
+// reach zero.
+func (f *flight) hold(ctx context.Context) (release func()) {
+	f.live.Add(1)
+	leave := func() {
+		if f.live.Add(-1) == 0 {
+			f.cancel()
+		}
+	}
+	stop := context.AfterFunc(ctx, leave)
+	return func() {
+		if stop() {
+			leave()
+		}
+	}
 }
 
 // Cache is a bounded cache of solved instances with singleflight
@@ -145,23 +169,29 @@ func New(max int) *Cache {
 	}
 }
 
-// Do returns the cached value for key, or runs fn to produce it. At
-// most one fn runs per key at a time: concurrent callers with the same
-// key share the first caller's result (shared=true). hit=true marks a
-// response served without running fn: a proven-optimal entry, or a
-// stored interval from a strictly higher budget tier than the
+// Flight returns the cached value for key, or runs fn to produce it.
+// At most one fn runs per key at a time: concurrent callers with the
+// same key share the first caller's result (shared=true). hit=true
+// marks a response served without running fn: a proven-optimal entry,
+// or a stored interval from a strictly higher budget tier than the
 // request's. Otherwise fn runs, seeded with the merged cached interval
 // for the instance when one exists (warm != nil, warmed=true). Optimal
 // results are stored in the primary segment; deadline-limited results
-// are merged with the cached interval (the interval only ever
-// tightens) and stored under the request's budget tier — and if the
-// merged interval closes, it is promoted to the optimal segment.
+// are merged with the interval cached when fn returns (the interval
+// only ever tightens) and stored under the request's budget tier — and
+// if the merged interval closes, it is promoted to the optimal segment.
 //
-// ctx bounds only the caller's WAIT on another request's in-flight
-// solve — a short-deadline request latching onto a long-budget flight
-// gives up with ctx.Err() at its own deadline instead of inheriting
-// the leader's. The leader's fn itself is never interrupted by ctx.
-func (c *Cache) Do(ctx context.Context, key string, tier int, fn func(warm *Value) (Value, error)) (val Value, hit, shared, warmed bool, err error) {
+// The flight is the only owner of the shared solve's lifetime. It
+// counts its live callers, the leader included; a caller stops counting
+// when its ctx ends or it stops waiting, and when the count reaches
+// zero the flight cancels the context fn runs under. That context
+// carries the leader's values (its trace and cache span) but none of
+// its deadline or cancellation, so one caller giving up never stops a
+// solve another caller still waits on. ctx also bounds a waiter's wait:
+// a short-deadline request latching onto a long-budget flight gives up
+// with ctx.Err() at its own deadline instead of inheriting the
+// leader's.
+func (c *Cache) Flight(ctx context.Context, key string, tier int, fn func(ctx context.Context, warm *Value) (Value, error)) (val Value, hit, shared, warmed bool, err error) {
 	c.mu.Lock()
 	if v, ok := c.probeLocked(key, tier); ok {
 		c.mu.Unlock()
@@ -170,7 +200,9 @@ func (c *Cache) Do(ctx context.Context, key string, tier int, fn func(warm *Valu
 	c.misses++
 	if f, ok := c.flights[key]; ok {
 		c.shared++
+		release := f.hold(ctx)
 		c.mu.Unlock()
+		defer release()
 		// The wait on another request's in-flight solve is its own span:
 		// "where did this request's time go" for a latched waiter is
 		// almost entirely here.
@@ -191,9 +223,13 @@ func (c *Cache) Do(ctx context.Context, key string, tier int, fn func(warm *Valu
 		warmed = true
 		c.warms++
 	}
-	f := &flight{done: make(chan struct{})}
+	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
+	f := &flight{done: make(chan struct{}), cancel: cancel}
 	c.flights[key] = f
+	release := f.hold(ctx)
 	c.mu.Unlock()
+	defer release()
 
 	// If fn panics the flight must still be torn down — waiters freed
 	// with an error, the flights entry removed — or the key would be
@@ -209,27 +245,33 @@ func (c *Cache) Do(ctx context.Context, key string, tier int, fn func(warm *Valu
 			panic(r)
 		}
 	}()
-	f.val, f.err = fn(warm)
+	f.val, f.err = fn(fctx, warm)
 
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil {
-		// Store (merging with the cached interval) before releasing the
-		// waiters, so they observe the tightened value too.
-		f.val = c.storeLocked(key, tier, warm, f.val)
+		// Store before releasing the waiters, so they observe the merged
+		// value too.
+		f.val = c.storeLocked(key, tier, f.val)
 	}
 	c.mu.Unlock()
 	close(f.done)
 	return f.val, false, false, warmed, f.err
 }
 
-// Probe is the read-only half of Do: it returns the value a lookup of
-// (key, tier) would be served without running a solve — a
+// Do is Flight for a fn that no caller's ctx ever interrupts.
+func (c *Cache) Do(ctx context.Context, key string, tier int, fn func(warm *Value) (Value, error)) (val Value, hit, shared, warmed bool, err error) {
+	return c.Flight(ctx, key, tier, func(_ context.Context, warm *Value) (Value, error) { return fn(warm) })
+}
+
+// Probe is the read-only half of Flight: it returns the value a
+// lookup of (key, tier) would be served without running a solve — a
 // proven-optimal entry, or the merged interval when a strictly higher
-// budget tier already tried harder — and counts it as a cache hit.
-// A miss counts nothing: the caller is expected to follow up with Do,
-// which records the miss itself. The batched request plane probes a
-// whole batch up front to classify items into scheduling lanes.
+// budget tier already tried harder — and counts it as a cache hit. A
+// miss counts nothing: the caller is expected to follow up with
+// Flight, which records the miss itself. The batched request plane
+// probes a whole batch up front to classify items into scheduling
+// lanes.
 func (c *Cache) Probe(key string, tier int) (Value, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -320,14 +362,20 @@ func tighten(a, b Value) Value {
 	return out
 }
 
-// storeLocked records a solve result: optimal values go to the primary
-// segment (dropping any interval entries for the instance — they are
-// obsolete), deadline-limited values are merged with the cached
-// interval and stored under the request's budget tier. A merged
-// interval that closes is promoted to the optimal segment. Returns the
-// value the caller should serve (the merged interval, never wider than
-// what was already known).
-func (c *Cache) storeLocked(key string, tier int, warm *Value, v Value) Value {
+// storeLocked records a solve result against what the cache holds for
+// key now — an import may have landed while the solve ran. A key
+// already proven keeps its entry, and that entry is what the caller
+// serves. Otherwise optimal values go to the primary segment (dropping
+// any interval entries for the instance — they are obsolete), and
+// deadline-limited values are merged with the cached interval and
+// stored under the request's budget tier. A merged interval that closes
+// is promoted to the optimal segment. Returns the value the caller
+// should serve (never wider than what was already known).
+func (c *Cache) storeLocked(key string, tier int, v Value) Value {
+	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
+		return el.Value.(*entry).val
+	}
 	if v.Optimal {
 		v.Tier = 0
 		c.insertOptimalLocked(key, v)
@@ -335,8 +383,9 @@ func (c *Cache) storeLocked(key string, tier int, warm *Value, v Value) Value {
 		return v
 	}
 	merged := v
-	if warm != nil {
-		merged = tighten(*warm, v)
+	cached, ok := c.mergedIntervalLocked(key)
+	if ok {
+		merged = tighten(cached, v)
 	}
 	if v.Tier > 0 && v.Tier < tier {
 		// The solve stopped well short of its requested budget
@@ -356,7 +405,7 @@ func (c *Cache) storeLocked(key string, tier int, warm *Value, v Value) Value {
 		c.dropIntervalsLocked(key)
 		return merged
 	}
-	if warm != nil && (merged.LowerScaled > warm.LowerScaled || merged.UpperScaled < warm.UpperScaled) {
+	if ok && (merged.LowerScaled > cached.LowerScaled || merged.UpperScaled < cached.UpperScaled) {
 		c.tights++
 	}
 	c.istores++
@@ -495,9 +544,7 @@ func (c *Cache) Import(entries []Entry) int {
 		}
 		v := e.Value
 		if v.Optimal {
-			v.Tier = 0
-			c.insertOptimalLocked(e.Key, v)
-			c.dropIntervalsLocked(e.Key)
+			c.storeLocked(e.Key, 0, v)
 			added++
 			c.imported++
 			continue
@@ -509,7 +556,6 @@ func (c *Cache) Import(entries []Entry) int {
 		if tier <= 0 {
 			continue // malformed: an interval entry needs a budget tier
 		}
-		var warm *Value
 		if w, ok := c.mergedIntervalLocked(e.Key); ok {
 			if v.UpperScaled < w.LowerScaled || v.LowerScaled > w.UpperScaled {
 				// Disjoint from what this node already certified: one of
@@ -523,10 +569,9 @@ func (c *Cache) Import(entries []Entry) int {
 					continue // nothing new: already at least this tight at this tier
 				}
 			}
-			warm = &w
 		}
 		v.Tier = tier
-		c.storeLocked(e.Key, tier, warm, v)
+		c.storeLocked(e.Key, tier, v)
 		added++
 		c.imported++
 	}

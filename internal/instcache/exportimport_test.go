@@ -214,3 +214,48 @@ func TestImportRejectsContradictoryIntervals(t *testing.T) {
 		})
 	}
 }
+
+// TestFlightStoreKeepsMidFlightImports: a flight merges its result with
+// what the cache holds when it stores, not with the snapshot it
+// warm-started from, so a certificate imported while it ran survives.
+func TestFlightStoreKeepsMidFlightImports(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		imported   Entry
+		wantLower  int64
+		wantUpper  int64
+		wantOpt    bool
+		wantIntvl  int    // interval entries left for the key
+		wantTights uint64 // the import's own tightening only
+	}{
+		{"tighter interval", Entry{Key: "k", Tier: 5, Value: Value{LowerScaled: 14, UpperScaled: 30}}, 14, 30, false, 1, 1},
+		{"proven optimum", Entry{Key: "k", Value: Value{LowerScaled: 20, UpperScaled: 20, Optimal: true}}, 20, 20, true, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(8)
+			put(t, c, "k", 5, Value{LowerScaled: 10, UpperScaled: 30, Tier: 5})
+			v, _, _, _, err := c.Do(context.Background(), "k", 5, func(*Value) (Value, error) {
+				if c.Import([]Entry{tc.imported}) != 1 {
+					t.Fatal("import carried no new information")
+				}
+				return Value{LowerScaled: 12, UpperScaled: 31, Tier: 5}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.LowerScaled != tc.wantLower || v.UpperScaled != tc.wantUpper || v.Optimal != tc.wantOpt {
+				t.Errorf("served [%d,%d] optimal=%v, want [%d,%d] optimal=%v",
+					v.LowerScaled, v.UpperScaled, v.Optimal, tc.wantLower, tc.wantUpper, tc.wantOpt)
+			}
+			st := c.Stats()
+			if st.IntervalEntries != tc.wantIntvl || st.Tightenings != tc.wantTights {
+				t.Errorf("interval entries %d, tightenings %d; want %d, %d",
+					st.IntervalEntries, st.Tightenings, tc.wantIntvl, tc.wantTights)
+			}
+			if got, ok := c.Probe("k", 1); !ok || got.LowerScaled != tc.wantLower || got.UpperScaled != tc.wantUpper {
+				t.Errorf("stored [%d,%d] (found=%v), want [%d,%d]",
+					got.LowerScaled, got.UpperScaled, ok, tc.wantLower, tc.wantUpper)
+			}
+		})
+	}
+}

@@ -33,8 +33,8 @@ type Config struct {
 	// on preemption; the solve must treat that as "stop and certify
 	// what you have", not as failure.
 	Solve func(ctx context.Context, key string, tier int) (gapScaled int64, err error)
-	// Owns filters to keys this node owns on the cluster ring (nil =
-	// solo node: own everything). Non-owned keys are left to their
+	// Owns filters to keys whose first owner among the cluster's
+	// members is this node (nil = solo node: own everything). Non-owned keys are left to their
 	// owner's refiner so the fleet doesn't duplicate background work.
 	Owns func(key string) bool
 	// Resolvable reports whether the host can materialize the problem

@@ -95,8 +95,9 @@ type Config struct {
 	// Replicate, when set, receives every cache entry this node newly
 	// produced (proven-optimal values and tightened intervals, in
 	// canonical numbering) so the cluster agent can push it to the
-	// key's next ring owner — crash safety for the cache. Called from
-	// the request path; implementations must not block.
+	// key's next owner in rendezvous order — crash safety for the
+	// cache. Called from the request path; implementations must not
+	// block.
 	Replicate func(instcache.Entry)
 	// TraceCap bounds the /debug/trace/{id} recorder ring (default 256
 	// most recent traces).
@@ -122,8 +123,9 @@ type Config struct {
 	// RefinerMaxTier caps the budget tier a background refinement may
 	// escalate to (default 12: budgets up to ~4s).
 	RefinerMaxTier int
-	// RefinerOwns, when set, filters background refinement to keys this
-	// node owns on the cluster ring (nil = solo node: refine all).
+	// RefinerOwns, when set, filters background refinement to keys whose
+	// first owner among the cluster's members is this node (nil = solo
+	// node: refine all).
 	RefinerOwns func(key string) bool
 	// Logger receives structured request/job lifecycle logs with trace
 	// and job IDs attached (default: discard).
@@ -427,14 +429,6 @@ type Server struct {
 	refiner  *refine.Refiner
 	fgActive atomic.Int64
 
-	// interest tracks, per cache key, how many live requests care about
-	// the key's in-flight solve and how many of them have canceled. The
-	// flight is canceled only when EVERY interested request has — one
-	// job's DELETE must not kill a solve that concurrent identical
-	// requests are still waiting on.
-	interestMu sync.Mutex
-	interest   map[string]*keyInterest
-
 	m metrics
 
 	// recorder retains recent traces for GET /debug/trace/{id}; tel is
@@ -474,14 +468,6 @@ type keyedProblem struct {
 	perm []dag.NodeID
 }
 
-// keyInterest is the per-key cancellation vote state (see
-// Server.interest).
-type keyInterest struct {
-	active       int // live requests for this key
-	votes        int // of those, how many have canceled
-	cancelFlight context.CancelFunc
-}
-
 // New returns a started Server (its lane workers run until Close).
 func New(cfg Config) *Server {
 	var idSeed [6]byte
@@ -490,7 +476,6 @@ func New(cfg Config) *Server {
 		cfg:       cfg.withDefaults(),
 		jobs:      make(map[string]*job),
 		jobPrefix: hex.EncodeToString(idSeed[:]),
-		interest:  make(map[string]*keyInterest),
 		known:     make(map[string]keyedProblem),
 		solveFn:   anytime.Solve,
 		closed:    make(chan struct{}),
@@ -686,87 +671,6 @@ func (s *Server) parseRequest(req SolveRequest) (solve.Problem, time.Duration, e
 	return p, deadline, nil
 }
 
-// registerInterest records that a request governed by ctx cares about
-// key's in-flight solve. The returned release must be deferred. When
-// EVERY live interested request's ctx has been canceled, the flight
-// context (installed by the leader via flightContext) is canceled —
-// so one job's DELETE stops a solve only when nobody else is waiting
-// on it.
-func (s *Server) registerInterest(key string, ctx context.Context) (release func()) {
-	s.interestMu.Lock()
-	in := s.interest[key]
-	if in == nil {
-		in = &keyInterest{}
-		s.interest[key] = in
-	}
-	in.active++
-	s.interestMu.Unlock()
-
-	stop := context.AfterFunc(ctx, func() {
-		s.interestMu.Lock()
-		in.votes++
-		cancel := in.cancelFlight
-		fire := in.votes >= in.active && cancel != nil
-		s.interestMu.Unlock()
-		if fire {
-			cancel()
-		}
-	})
-	return func() {
-		voted := !stop() // AfterFunc already ran: retract its vote with its interest
-		s.interestMu.Lock()
-		in.active--
-		if voted {
-			in.votes--
-		}
-		// A departure can leave only canceled requests behind (e.g. a
-		// waiter times out after the leader job was DELETEd): the flight
-		// is then fully abandoned and must stop too.
-		cancel := in.cancelFlight
-		fire := in.active > 0 && in.votes >= in.active && cancel != nil
-		if in.active == 0 {
-			delete(s.interest, key)
-		}
-		s.interestMu.Unlock()
-		if fire {
-			cancel()
-		}
-	}
-}
-
-// flightContext returns the cancelable context the flight leader runs
-// the shared solve under: rooted in baseCtx (NOT any single request's
-// context — concurrent identical requests share the solve) and
-// canceled by the interest registry once every interested request has
-// canceled. The caller must defer the returned cancel (after
-// flightDone) so the baseCtx child is always released.
-func (s *Server) flightContext(key string) (context.Context, context.CancelFunc) {
-	fctx, cancel := context.WithCancel(s.baseCtx)
-	s.interestMu.Lock()
-	in := s.interest[key]
-	fire := false
-	if in != nil {
-		in.cancelFlight = cancel
-		fire = in.votes >= in.active // everyone canceled before the solve even started
-	}
-	s.interestMu.Unlock()
-	if fire {
-		cancel()
-	}
-	return fctx, cancel
-}
-
-// flightDone detaches the flight cancel func from the interest entry
-// once the solve has returned (late votes must not cancel a context
-// that a future flight for the same key will replace).
-func (s *Server) flightDone(key string) {
-	s.interestMu.Lock()
-	if in := s.interest[key]; in != nil {
-		in.cancelFlight = nil
-	}
-	s.interestMu.Unlock()
-}
-
 // keyedResult is what one keyed solve served: the canonical cache
 // value and how it was obtained.
 type keyedResult struct {
@@ -802,10 +706,10 @@ type keyedSolve struct {
 
 // serveKey is the foreground solve of a lane unit — sync, async and
 // batched alike: the admission probe's value when the probe hit,
-// otherwise one solveKey round trip. ctx governs this request's own
-// wait and its cancellation vote (job cancellation, shutdown grace
-// expiry); the shared solve itself stops only when every request
-// interested in it has canceled. start stamps a probe hit's record.
+// otherwise one solveKey round trip. ctx is this request's own: its
+// cancellation (job DELETE, shutdown grace expiry) or its wait bound
+// ends its wait, and the shared solve stops only once no other request
+// still waits on it. start stamps a probe hit's record.
 func (s *Server) serveKey(ctx context.Context, k keyedSolve, probed *instcache.Value, start time.Time) (keyedResult, error) {
 	if probed != nil {
 		s.record(ctx, k, "hit", *probed, nil, start, nil)
@@ -821,10 +725,8 @@ func (s *Server) serveKey(ctx context.Context, k keyedSolve, probed *instcache.V
 	if s.refiner != nil {
 		s.refiner.Preempt()
 	}
-	release := s.registerInterest(k.key, ctx)
-	defer release()
-	// The wait on another request's in-flight solve is bounded by this
-	// request's own deadline (plus grace for the orchestrator's
+	// This request's wait, and so its count on the flight, is bounded
+	// by its own deadline (plus grace for the orchestrator's
 	// non-interruptible heuristic phase) and by its cancellation —
 	// joining a long-budget flight must not stall a short-deadline
 	// client past its budget, nor pin a canceled job's worker.
@@ -845,17 +747,17 @@ type flightRun struct {
 }
 
 // solveKey is the keyed-solve core every solve on this node runs
-// through: the cache/singleflight Do — warm-started from the cached
-// certified interval when one exists, so repeated hard instances
-// tighten across requests and refinements — then the telemetry record
-// and, when this caller's own flight produced the stored entry, its
-// replication. ctx bounds this caller's wait. A foreground flight runs
-// under a flight context that stops only once every request
-// interested in it has canceled; a refinement's flight runs under ctx
-// itself. A canceled solve still returns a certified partial interval.
+// through: the cache flight — warm-started from the cached certified
+// interval when one exists, so repeated hard instances tighten across
+// requests and refinements — then the telemetry record and, when this
+// caller's own flight produced the stored entry, its replication. ctx
+// bounds this caller's wait and counts it on the flight. A foreground
+// solve runs under the flight's context, which the cache cancels once
+// no caller still waits on it; a refinement runs under ctx itself. A
+// canceled solve still returns a certified partial interval.
 func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error) {
 	start := time.Now()
-	// The cache span covers the whole Do: a hit ends it in
+	// The cache span covers the whole flight: a hit ends it in
 	// microseconds, a latched waiter spends it inside the nested
 	// cache-wait span, and a flight leader nests the engine spans
 	// under it.
@@ -863,18 +765,12 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 	// run is set only when this caller leads the flight; fn runs
 	// synchronously on this goroutine when it runs at all.
 	var run *flightRun
-	val, hit, shared, warmed, err := s.cache.Do(dctx, k.key, k.tier, func(warm *instcache.Value) (instcache.Value, error) {
+	val, hit, shared, warmed, err := s.cache.Flight(dctx, k.key, k.tier, func(fctx context.Context, warm *instcache.Value) (instcache.Value, error) {
 		s.m.solves.Add(1)
-		fctx := dctx
-		if !k.refine {
-			// Concurrent identical requests share one solve, so no single
-			// request's cancellation may govern it: the flight context is
-			// rooted at baseCtx, and grafting transplants the leader's
-			// trace onto it so the engine spans land under its cache span.
-			flight, cancelFlight := s.flightContext(k.key)
-			defer cancelFlight()
-			defer s.flightDone(k.key)
-			fctx = obs.Graft(flight, dctx)
+		if k.refine {
+			// Background work stops with the refiner's run context, even
+			// when a foreground request has latched onto it.
+			fctx = dctx
 		}
 		res, err := s.solveFn(fctx, k.p, s.solveOptions(k, warm, obs.TraceIDFrom(dctx)))
 		if err != nil {
@@ -924,7 +820,7 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 	if !hit && !shared && s.cfg.Replicate != nil {
 		// This caller's own flight produced (or tightened) the stored
 		// entry — a foreground result or a background tightening alike:
-		// push it toward the key's next ring owner so a hard crash of
+		// push it toward the key's next owner so a hard crash of
 		// this node doesn't lose it. Waiters latched onto the flight
 		// would just duplicate the push.
 		s.cfg.Replicate(instcache.Entry{Key: k.key, Tier: val.Tier, Value: val})
@@ -1061,9 +957,10 @@ var errUnknownKey = errors.New("service: no problem registered for cache key")
 // table-memory budget so an ambitious refinement cannot pressure live
 // traffic. ctx is the refiner's run context — canceled on preemption
 // or drain, which the orchestrator turns into a certified partial
-// interval that still lands in the cache. A refinement casts no
-// interest vote and does not count as foreground work. Returns the
-// scaled gap of the stored interval after the attempt.
+// interval that still lands in the cache. The refinement runs under
+// ctx even when a foreground request latches onto its flight, and it
+// does not count as foreground work. Returns the scaled gap of the
+// stored interval after the attempt.
 func (s *Server) refineKey(ctx context.Context, key string, tier int) (int64, error) {
 	kp, ok := s.lookupKey(key)
 	if !ok {
@@ -1382,7 +1279,8 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // ExportCache snapshots this node's solution cache in wire form — the
-// drain-handoff payload the cluster agent pushes to ring successors.
+// drain-handoff payload the cluster agent pushes to each key's next
+// owner.
 func (s *Server) ExportCache() []instcache.Entry {
 	return s.cache.Export()
 }

@@ -589,3 +589,69 @@ func TestCancelSharedFlightProtectsWaiters(t *testing.T) {
 	}
 	<-delDone
 }
+
+// TestAbandonedSharedFlightStops: once every request waiting on a
+// shared solve has canceled, the solve itself is canceled, and every
+// job that waited on it ends canceled.
+func TestAbandonedSharedFlightStops(t *testing.T) {
+	s := New(Config{HeavyLaneWorkers: 2})
+	defer s.Close()
+	leaderCtx := make(chan context.Context, 1)
+	s.solveFn = func(ctx context.Context, p solve.Problem, opts anytime.Options) (anytime.Result, error) {
+		leaderCtx <- ctx
+		select {
+		case <-ctx.Done():
+		case <-time.After(10 * time.Second):
+		}
+		// A replayable (heuristic) result, as a canceled real solve
+		// would return.
+		return anytime.Solve(context.Background(), p, anytime.Options{Budget: time.Millisecond})
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	submit := func() string {
+		resp, err := http.Post(ts.URL+"/solve", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"async":true}`, dagJSON(t, daggen.Pyramid(4)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var jr JobResponse
+		json.NewDecoder(resp.Body).Decode(&jr)
+		return jr.ID
+	}
+	cancelJob := func(id string) string {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/solve/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var jr JobResponse
+		json.NewDecoder(resp.Body).Decode(&jr)
+		return jr.Status
+	}
+
+	leader := submit()
+	fctx := <-leaderCtx
+	waiter := submit()
+	for s.cache.Stats().SharedFlights < 1 {
+		time.Sleep(time.Millisecond)
+	}
+
+	if st := cancelJob(waiter); st != "canceled" {
+		t.Fatalf("waiter job after DELETE = %q, want canceled", st)
+	}
+	if fctx.Err() != nil {
+		t.Fatal("the waiter's DELETE canceled a flight its leader still waits on")
+	}
+	if st := cancelJob(leader); st != "canceled" {
+		t.Fatalf("leader job after DELETE = %q, want canceled", st)
+	}
+	select {
+	case <-fctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the solve kept running after every waiting request canceled")
+	}
+}
