@@ -30,7 +30,7 @@
 //
 // With -join, the node registers itself with an rbproxy's membership
 // API, heartbeats its lease, replicates freshly stored cache entries to
-// its ring successor, and on SIGTERM hands its cache off before
+// each key's next owner, and on SIGTERM hands its cache off before
 // leaving:
 //
 //	rbserve -addr :8081 -join 127.0.0.1:8080

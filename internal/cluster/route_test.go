@@ -84,7 +84,7 @@ func keyOwnedInOrder(t *testing.T, p *Proxy, want ...string) string {
 func postImport(t *testing.T, proxyURL, path, from, key string) map[string]uint64 {
 	t.Helper()
 	body, _ := json.Marshal(ImportPayload{From: from, Entries: []instcache.Entry{
-		{Key: key, Tier: 1, Value: instcache.Value{LowerScaled: 1, UpperScaled: 2}},
+		{Key: key, Value: instcache.Value{LowerScaled: 1, UpperScaled: 2, Tier: 1}},
 	}})
 	resp, err := http.Post(proxyURL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -267,7 +267,7 @@ func TestAgentReportsRefusedReplies(t *testing.T) {
 	if err := a.Leave(ctx); err == nil {
 		t.Fatal("Leave succeeded against a proxy that answered 400")
 	}
-	a.Replicate(instcache.Entry{Key: "k", Tier: 1})
+	a.Replicate(instcache.Entry{Key: "k", Value: instcache.Value{Tier: 1}})
 	a.Stop() // waits for the in-flight replication
 	mu.Lock()
 	defer mu.Unlock()

@@ -30,18 +30,20 @@ type Value struct {
 	Optimal bool `json:"optimal,omitempty"`
 	// Source names the strategy that produced the incumbent.
 	Source string `json:"source,omitempty"`
-	// Tier is the budget tier (TierForBudget) whose deadline produced
-	// this interval entry; 0 for proven-optimal values, where budget no
-	// longer matters.
+	// Tier is the highest budget tier (TierForBudget) any solve merged
+	// into this interval has tried, crediting a solve canceled short of
+	// its budget only the tier it consumed; 0 for proven-optimal values,
+	// where budget no longer matters. It is the only place an entry's
+	// tier lives, in the cache and on the wire.
 	Tier int `json:"tier,omitempty"`
 }
 
 // TierForBudget buckets a solve budget into a doubling tier: budgets in
-// [2^(t-1), 2^t) milliseconds share tier t. Interval cache entries are
-// keyed by tier so a cheap 50ms attempt and an expensive 10s attempt at
-// the same instance are tracked separately — and a request is served a
-// stored interval directly only when a strictly HIGHER tier already
-// tried harder than this request could (lower or equal tiers instead
+// [2^(t-1), 2^t) milliseconds share tier t. A cached interval carries
+// the highest tier tried on its instance, so a cheap 50ms attempt does
+// not pass for an expensive 10s one — and a request is served a stored
+// interval directly only when a strictly HIGHER tier already tried
+// harder than this request could (lower or equal tiers instead
 // warm-start a fresh refinement, which is what makes repeated hard
 // instances converge).
 func TierForBudget(d time.Duration) int {
@@ -65,11 +67,11 @@ type Stats struct {
 	// Entries is the current number of stored proven-optimal entries.
 	Entries int
 	// IntervalEntries is the current number of stored deadline-limited
-	// interval entries (across all budget tiers).
+	// interval entries: one per instance key.
 	IntervalEntries int
 	// IntervalHits counts lookups served directly from a stored
-	// interval because a strictly higher budget tier had already tried
-	// harder than the request's own budget.
+	// interval because its strictly higher budget tier had already
+	// tried harder than the request's own budget.
 	IntervalHits uint64
 	// IntervalStores counts interval entries written (new or replaced).
 	IntervalStores uint64
@@ -104,12 +106,21 @@ type flight struct {
 	cancel context.CancelFunc
 }
 
-// hold counts one caller on f until ctx ends or the returned release
-// runs, whichever comes first. Callers hold under Cache.mu, so a caller
-// that found the flight is counted before anyone else can see the count
-// reach zero.
+// join counts one more caller on f, unless the count already reached
+// zero: that solve is canceled, and a caller arriving now runs its own
+// instead of being served the canceled one's partial interval.
+func (f *flight) join(ctx context.Context) (release func(), ok bool) {
+	for n := f.live.Load(); n > 0; n = f.live.Load() {
+		if f.live.CompareAndSwap(n, n+1) {
+			return f.hold(ctx), true
+		}
+	}
+	return nil, false
+}
+
+// hold makes one counted caller stop counting when ctx ends or the
+// returned release runs, whichever comes first.
 func (f *flight) hold(ctx context.Context) (release func()) {
-	f.live.Add(1)
 	leave := func() {
 		if f.live.Add(-1) == 0 {
 			f.cancel()
@@ -124,19 +135,18 @@ func (f *flight) hold(ctx context.Context) (release func()) {
 }
 
 // Cache is a bounded cache of solved instances with singleflight
-// deduplication, split into two LRU segments: proven-optimal values
-// (authoritative, never displaced by anything weaker) and
-// deadline-limited certified intervals keyed by (instance, budget
-// tier), which warm-start later refinements of the same instance. The
-// zero value is not usable; call New.
+// deduplication. Each key has at most one entry, kept in one of two
+// LRU segments: proven-optimal values (authoritative, never displaced
+// by anything weaker) and deadline-limited certified intervals, which
+// warm-start later refinements of the same instance. A key's interval
+// is the merge of every result stored for it, tagged with the highest
+// budget tier tried. The zero value is not usable; call New.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
-	imax    int
-	ll      *list.List // optimal entries; front = most recent
-	entries map[string]*list.Element
-	ill     *list.List // interval entries; front = most recent
-	tiers   map[string]map[int]*list.Element
+	entries map[string]*list.Element // in ll if its value is optimal, else in ill
+	ll      *list.List               // optimal entries; front = most recent
+	ill     *list.List               // interval entries; front = most recent
 	flights map[string]*flight
 
 	hits, misses, shared, evictions           uint64
@@ -145,9 +155,8 @@ type Cache struct {
 }
 
 type entry struct {
-	key  string
-	tier int // 0 for optimal entries
-	val  Value
+	key string
+	val Value
 }
 
 // New returns a cache bounded to max proven-optimal entries and max
@@ -160,11 +169,9 @@ func New(max int) *Cache {
 	}
 	return &Cache{
 		max:     max,
-		imax:    max,
 		ll:      list.New(),
 		entries: make(map[string]*list.Element),
 		ill:     list.New(),
-		tiers:   make(map[string]map[int]*list.Element),
 		flights: make(map[string]*flight),
 	}
 }
@@ -173,13 +180,13 @@ func New(max int) *Cache {
 // At most one fn runs per key at a time: concurrent callers with the
 // same key share the first caller's result (shared=true). hit=true
 // marks a response served without running fn: a proven-optimal entry,
-// or a stored interval from a strictly higher budget tier than the
-// request's. Otherwise fn runs, seeded with the merged cached interval
-// for the instance when one exists (warm != nil, warmed=true). Optimal
-// results are stored in the primary segment; deadline-limited results
-// are merged with the interval cached when fn returns (the interval
-// only ever tightens) and stored under the request's budget tier — and
-// if the merged interval closes, it is promoted to the optimal segment.
+// or a stored interval whose tier is strictly higher than the
+// request's. Otherwise fn runs, seeded with the key's cached interval
+// when one exists (warm != nil, warmed=true). Optimal results are
+// stored in the primary segment; deadline-limited results are merged
+// with the interval cached when fn returns (the interval only ever
+// tightens, and its tier only ever rises) — and if the merged interval
+// closes, it is promoted to the optimal segment.
 //
 // The flight is the only owner of the shared solve's lifetime. It
 // counts its live callers, the leader included; a caller stops counting
@@ -187,10 +194,11 @@ func New(max int) *Cache {
 // zero the flight cancels the context fn runs under. That context
 // carries the leader's values (its trace and cache span) but none of
 // its deadline or cancellation, so one caller giving up never stops a
-// solve another caller still waits on. ctx also bounds a waiter's wait:
-// a short-deadline request latching onto a long-budget flight gives up
-// with ctx.Err() at its own deadline instead of inheriting the
-// leader's.
+// solve another caller still waits on; a caller arriving after the
+// count reached zero starts a flight of its own. ctx also bounds a
+// waiter's wait: a short-deadline request latching onto a long-budget
+// flight gives up with ctx.Err() at its own deadline instead of
+// inheriting the leader's.
 func (c *Cache) Flight(ctx context.Context, key string, tier int, fn func(ctx context.Context, warm *Value) (Value, error)) (val Value, hit, shared, warmed bool, err error) {
 	c.mu.Lock()
 	if v, ok := c.probeLocked(key, tier); ok {
@@ -199,26 +207,27 @@ func (c *Cache) Flight(ctx context.Context, key string, tier int, fn func(ctx co
 	}
 	c.misses++
 	if f, ok := c.flights[key]; ok {
-		c.shared++
-		release := f.hold(ctx)
-		c.mu.Unlock()
-		defer release()
-		// The wait on another request's in-flight solve is its own span:
-		// "where did this request's time go" for a latched waiter is
-		// almost entirely here.
-		_, wsp := obs.StartSpan(ctx, "cache-wait")
-		select {
-		case <-f.done:
-			wsp.End()
-			return f.val, false, true, false, f.err
-		case <-ctx.Done():
-			wsp.SetAttr("err", ctx.Err().Error())
-			wsp.End()
-			return Value{}, false, true, false, ctx.Err()
+		if release, ok := f.join(ctx); ok {
+			c.shared++
+			c.mu.Unlock()
+			defer release()
+			// The wait on another request's in-flight solve is its own span:
+			// "where did this request's time go" for a latched waiter is
+			// almost entirely here.
+			_, wsp := obs.StartSpan(ctx, "cache-wait")
+			select {
+			case <-f.done:
+				wsp.End()
+				return f.val, false, true, false, f.err
+			case <-ctx.Done():
+				wsp.SetAttr("err", ctx.Err().Error())
+				wsp.End()
+				return Value{}, false, true, false, ctx.Err()
+			}
 		}
 	}
 	var warm *Value
-	if w, ok := c.mergedIntervalLocked(key); ok {
+	if w, ok := c.intervalLocked(key); ok {
 		warm = &w
 		warmed = true
 		c.warms++
@@ -226,11 +235,19 @@ func (c *Cache) Flight(ctx context.Context, key string, tier int, fn func(ctx co
 	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
 	f := &flight{done: make(chan struct{}), cancel: cancel}
+	f.live.Store(1) // the leader
 	c.flights[key] = f
 	release := f.hold(ctx)
 	c.mu.Unlock()
 	defer release()
 
+	// finish tears the flight down: a later caller must not find it, but
+	// a flight started after this one's count reached zero stays.
+	finish := func() {
+		if c.flights[key] == f {
+			delete(c.flights, key)
+		}
+	}
 	// If fn panics the flight must still be torn down — waiters freed
 	// with an error, the flights entry removed — or the key would be
 	// poisoned forever (every later request blocking its full deadline
@@ -239,7 +256,7 @@ func (c *Cache) Flight(ctx context.Context, key string, tier int, fn func(ctx co
 		if r := recover(); r != nil {
 			f.err = fmt.Errorf("instcache: solve panicked: %v", r)
 			c.mu.Lock()
-			delete(c.flights, key)
+			finish()
 			c.mu.Unlock()
 			close(f.done)
 			panic(r)
@@ -248,7 +265,7 @@ func (c *Cache) Flight(ctx context.Context, key string, tier int, fn func(ctx co
 	f.val, f.err = fn(fctx, warm)
 
 	c.mu.Lock()
-	delete(c.flights, key)
+	finish()
 	if f.err == nil {
 		// Store before releasing the waiters, so they observe the merged
 		// value too.
@@ -266,7 +283,7 @@ func (c *Cache) Do(ctx context.Context, key string, tier int, fn func(warm *Valu
 
 // Probe is the read-only half of Flight: it returns the value a
 // lookup of (key, tier) would be served without running a solve — a
-// proven-optimal entry, or the merged interval when a strictly higher
+// proven-optimal entry, or the key's interval when a strictly higher
 // budget tier already tried harder — and counts it as a cache hit. A
 // miss counts nothing: the caller is expected to follow up with
 // Flight, which records the miss itself. The batched request plane
@@ -295,57 +312,39 @@ func (c *Cache) ProbeBatch(keys []string, tiers []int) []*Value {
 	return out
 }
 
-func (c *Cache) probeLocked(key string, tier int) (Value, bool) {
-	if el, ok := c.entries[key]; ok {
+// probeLocked serves a proven-optimal entry, or an interval whose tier
+// strictly exceeds reqTier — a higher budget already tried harder than
+// this request can, so re-solving cannot be expected to tighten
+// anything.
+func (c *Cache) probeLocked(key string, reqTier int) (Value, bool) {
+	el, ok := c.entries[key]
+	if !ok {
+		return Value{}, false
+	}
+	v := el.Value.(*entry).val
+	switch {
+	case v.Optimal:
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(*entry).val, true
-	}
-	if v, ok := c.intervalAboveLocked(key, tier); ok {
-		c.ihits++
-		return v, true
-	}
-	return Value{}, false
-}
-
-// intervalAboveLocked returns the merged cached interval for key when
-// some stored tier strictly exceeds reqTier — a higher budget already
-// tried harder than this request can, so re-solving cannot be expected
-// to tighten anything.
-func (c *Cache) intervalAboveLocked(key string, reqTier int) (Value, bool) {
-	best := -1
-	for t := range c.tiers[key] {
-		if t > best {
-			best = t
-		}
-	}
-	if best <= reqTier {
-		return Value{}, false
-	}
-	return c.mergedIntervalLocked(key)
-}
-
-// mergedIntervalLocked folds every stored tier of key into the
-// tightest certified interval (max lower, min upper with its trace),
-// touching the contributing entries' LRU positions.
-func (c *Cache) mergedIntervalLocked(key string) (Value, bool) {
-	m := c.tiers[key]
-	if len(m) == 0 {
-		return Value{}, false
-	}
-	var out Value
-	first := true
-	for _, el := range m {
-		e := el.Value.(*entry)
+	case v.Tier > reqTier:
 		c.ill.MoveToFront(el)
-		if first {
-			out = e.val
-			first = false
-			continue
-		}
-		out = tighten(out, e.val)
+		c.ihits++
+	default:
+		return Value{}, false
 	}
-	return out, true
+	return v, true
+}
+
+// intervalLocked returns key's cached interval, moving its entry to
+// the front of the interval segment; ok is false when key has none
+// (unknown or proven).
+func (c *Cache) intervalLocked(key string) (Value, bool) {
+	el, ok := c.entries[key]
+	if !ok || el.Value.(*entry).val.Optimal {
+		return Value{}, false
+	}
+	c.ill.MoveToFront(el)
+	return el.Value.(*entry).val, true
 }
 
 // tighten merges two certified intervals of the same instance: the
@@ -354,7 +353,7 @@ func (c *Cache) mergedIntervalLocked(key string) (Value, bool) {
 func tighten(a, b Value) Value {
 	out := a
 	if b.UpperScaled < a.UpperScaled {
-		out.Moves, out.UpperScaled, out.Source, out.Tier = b.Moves, b.UpperScaled, b.Source, b.Tier
+		out.Moves, out.UpperScaled, out.Source = b.Moves, b.UpperScaled, b.Source
 	}
 	if b.LowerScaled > out.LowerScaled {
 		out.LowerScaled = b.LowerScaled
@@ -365,27 +364,25 @@ func tighten(a, b Value) Value {
 // storeLocked records a solve result against what the cache holds for
 // key now — an import may have landed while the solve ran. A key
 // already proven keeps its entry, and that entry is what the caller
-// serves. Otherwise optimal values go to the primary segment (dropping
-// any interval entries for the instance — they are obsolete), and
-// deadline-limited values are merged with the cached interval and
-// stored under the request's budget tier. A merged interval that closes
-// is promoted to the optimal segment. Returns the value the caller
-// should serve (never wider than what was already known).
+// serves. Otherwise optimal values replace the key's interval, and
+// deadline-limited values are merged with it, tagged with the higher
+// of its tier and the tier this solve earned. A merged interval that
+// closes is promoted to the optimal segment. Returns the value the
+// caller should serve (never wider than what was already known).
 func (c *Cache) storeLocked(key string, tier int, v Value) Value {
-	if el, ok := c.entries[key]; ok {
+	el, ok := c.entries[key]
+	var cached Value
+	if ok {
+		cached = el.Value.(*entry).val
+	}
+	if cached.Optimal {
 		c.ll.MoveToFront(el)
-		return el.Value.(*entry).val
+		return cached
 	}
 	if v.Optimal {
 		v.Tier = 0
-		c.insertOptimalLocked(key, v)
-		c.dropIntervalsLocked(key)
+		c.putLocked(key, v)
 		return v
-	}
-	merged := v
-	cached, ok := c.mergedIntervalLocked(key)
-	if ok {
-		merged = tighten(cached, v)
 	}
 	if v.Tier > 0 && v.Tier < tier {
 		// The solve stopped well short of its requested budget
@@ -395,69 +392,54 @@ func (c *Cache) storeLocked(key string, tier int, v Value) Value {
 		// that could genuinely tighten it.
 		tier = v.Tier
 	}
+	merged := v
+	if ok {
+		merged = tighten(cached, v)
+		tier = max(tier, cached.Tier)
+	}
 	merged.Tier = tier
 	if merged.LowerScaled >= merged.UpperScaled && merged.UpperScaled > 0 {
 		// The bounds met across requests: the interval is closed even
 		// though no single solve proved it alone.
 		merged.Optimal = true
 		merged.Tier = 0
-		c.insertOptimalLocked(key, merged)
-		c.dropIntervalsLocked(key)
+		c.putLocked(key, merged)
 		return merged
 	}
 	if ok && (merged.LowerScaled > cached.LowerScaled || merged.UpperScaled < cached.UpperScaled) {
 		c.tights++
 	}
 	c.istores++
-	m := c.tiers[key]
-	if m == nil {
-		m = make(map[int]*list.Element)
-		c.tiers[key] = m
-	}
-	if el, ok := m[tier]; ok {
-		el.Value.(*entry).val = merged
-		c.ill.MoveToFront(el)
-		return merged
-	}
-	m[tier] = c.ill.PushFront(&entry{key: key, tier: tier, val: merged})
-	for c.ill.Len() > c.imax {
-		back := c.ill.Back()
-		c.removeIntervalLocked(back)
-		c.ievictions++
-	}
+	c.putLocked(key, merged)
 	return merged
 }
 
-func (c *Cache) removeIntervalLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	c.ill.Remove(el)
-	if m := c.tiers[e.key]; m != nil {
-		delete(m, e.tier)
-		if len(m) == 0 {
-			delete(c.tiers, e.key)
-		}
+// putLocked makes v key's one entry, at the front of the segment its
+// Optimal flag picks — an interval whose bounds met moves from the
+// interval segment to the optimal one — and evicts each segment's
+// least recent entries beyond max.
+func (c *Cache) putLocked(key string, v Value) {
+	seg := c.ill
+	if v.Optimal {
+		seg = c.ll
 	}
-}
-
-func (c *Cache) dropIntervalsLocked(key string) {
-	for _, el := range c.tiers[key] {
+	if el, ok := c.entries[key]; ok {
+		e := el.Value.(*entry)
+		if e.val.Optimal == v.Optimal {
+			e.val = v
+			seg.MoveToFront(el)
+			return
+		}
 		c.ill.Remove(el)
 	}
-	delete(c.tiers, key)
-}
-
-func (c *Cache) insertOptimalLocked(key string, v Value) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*entry).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&entry{key: key, val: v})
+	c.entries[key] = seg.PushFront(&entry{key: key, val: v})
 	for c.ll.Len() > c.max {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.entries, back.Value.(*entry).key)
+		delete(c.entries, c.ll.Remove(c.ll.Back()).(*entry).key)
 		c.evictions++
+	}
+	for c.ill.Len() > c.max {
+		delete(c.entries, c.ill.Remove(c.ill.Back()).(*entry).key)
+		c.ievictions++
 	}
 }
 
@@ -482,46 +464,47 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Entry is one cache line on the wire: the canonical instance key, the
-// budget tier (0 for proven-optimal), and the value in canonical node
-// numbering. It is the unit of drain handoff and replication between
+// Entry is one cache line on the wire: the canonical instance key and
+// its value in canonical node numbering (an interval's budget tier is
+// Value.Tier). It is the unit of drain handoff and replication between
 // cluster nodes — because both the key and the trace are canonical,
 // an entry produced on one node is directly usable on any other.
+// Older peers also sent a "tier" field, always equal to Value.Tier;
+// the decoder ignores it.
 type Entry struct {
 	Key   string `json:"key"`
-	Tier  int    `json:"tier,omitempty"`
 	Value Value  `json:"value"`
 }
 
-// Export snapshots every cached entry — the proven-optimal segment and
-// every budget tier of the interval segment — without disturbing LRU
-// order. A draining node exports its cache and pushes it to its ring
-// successors so failover warm-starts instead of re-searching.
+// Export snapshots every cached entry, one per key — the
+// proven-optimal segment, then the interval segment — without
+// disturbing LRU order. A draining node exports its cache and pushes
+// it to each key's next owner so failover warm-starts instead of
+// re-searching.
 func (c *Cache) Export() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Entry, 0, c.ll.Len()+c.ill.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
-		out = append(out, Entry{Key: e.key, Value: e.val})
-	}
+	out := make([]Entry, 0, len(c.entries))
 	// Oldest first in both segments, so an importer that evicts under
 	// pressure keeps the most recently used entries.
-	for el := c.ill.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
-		out = append(out, Entry{Key: e.key, Tier: e.tier, Value: e.val})
+	for _, seg := range []*list.List{c.ll, c.ill} {
+		for el := seg.Back(); el != nil; el = el.Prev() {
+			e := el.Value.(*entry)
+			out = append(out, Entry{Key: e.key, Value: e.val})
+		}
 	}
 	return out
 }
 
 // Import merges entries from another node into this cache and returns
 // how many carried new information. Proven-optimal entries are
-// authoritative: they land in the optimal segment (dropping the key's
-// now-obsolete intervals) unless the key is already proven. Interval
-// entries merge through the same tighten-and-store path as local
-// solves — the cached interval only ever tightens, and a merge whose
-// bounds meet promotes to the optimal segment. Entries for instances
-// this node has already proven optimal are skipped outright.
+// authoritative: they replace the key's now-obsolete interval unless
+// the key is already proven. Interval entries merge through the same
+// tighten-and-store path as local solves at their Value.Tier — the
+// cached interval only ever tightens and its tier only ever rises, and
+// a merge whose bounds meet promotes to the optimal segment. Entries
+// for instances this node has already proven optimal, and intervals
+// that neither tighten the cached one nor raise its tier, are skipped.
 //
 // Peer input is not trusted blindly: an entry whose bounds cannot be a
 // certificate — a negative lower bound, a lower bound above the upper
@@ -534,44 +517,33 @@ func (c *Cache) Import(entries []Entry) int {
 	defer c.mu.Unlock()
 	added := 0
 	for _, e := range entries {
-		if v := e.Value; v.LowerScaled < 0 || v.LowerScaled > v.UpperScaled ||
+		v := e.Value
+		if v.LowerScaled < 0 || v.LowerScaled > v.UpperScaled ||
 			(v.Optimal && v.LowerScaled != v.UpperScaled) {
 			c.importRejected++
 			continue
 		}
-		if _, proven := c.entries[e.Key]; proven {
+		if el, ok := c.entries[e.Key]; ok && el.Value.(*entry).val.Optimal {
 			continue
 		}
-		v := e.Value
-		if v.Optimal {
-			c.storeLocked(e.Key, 0, v)
-			added++
-			c.imported++
-			continue
-		}
-		tier := e.Tier
-		if tier <= 0 {
-			tier = v.Tier
-		}
-		if tier <= 0 {
-			continue // malformed: an interval entry needs a budget tier
-		}
-		if w, ok := c.mergedIntervalLocked(e.Key); ok {
-			if v.UpperScaled < w.LowerScaled || v.LowerScaled > w.UpperScaled {
-				// Disjoint from what this node already certified: one of
-				// the two certificates is wrong, and merging them would
-				// invert the interval and promote it to a bogus optimum.
-				c.importRejected++
-				continue
+		if !v.Optimal {
+			if v.Tier <= 0 {
+				continue // malformed: an interval entry needs a budget tier
 			}
-			if w.LowerScaled >= v.LowerScaled && w.UpperScaled <= v.UpperScaled {
-				if _, have := c.tiers[e.Key][tier]; have {
-					continue // nothing new: already at least this tight at this tier
+			if w, ok := c.intervalLocked(e.Key); ok {
+				if v.UpperScaled < w.LowerScaled || v.LowerScaled > w.UpperScaled {
+					// Disjoint from what this node already certified: one of
+					// the two certificates is wrong, and merging them would
+					// invert the interval and promote it to a bogus optimum.
+					c.importRejected++
+					continue
+				}
+				if w.LowerScaled >= v.LowerScaled && w.UpperScaled <= v.UpperScaled && w.Tier >= v.Tier {
+					continue // nothing new: already at least this tight and this high
 				}
 			}
 		}
-		v.Tier = tier
-		c.storeLocked(e.Key, tier, v)
+		c.storeLocked(e.Key, v.Tier, v)
 		added++
 		c.imported++
 	}

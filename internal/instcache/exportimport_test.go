@@ -73,7 +73,7 @@ func TestImportSkipsAlreadyProven(t *testing.T) {
 	c := New(8)
 	put(t, c, "k", 5, Value{UpperScaled: 7, LowerScaled: 7, Optimal: true})
 	added := c.Import([]Entry{
-		{Key: "k", Tier: 7, Value: Value{UpperScaled: 30, LowerScaled: 1, Tier: 7}},
+		{Key: "k", Value: Value{UpperScaled: 30, LowerScaled: 1, Tier: 7}},
 		{Key: "k", Value: Value{UpperScaled: 7, LowerScaled: 7, Optimal: true}},
 	})
 	if added != 0 {
@@ -89,7 +89,7 @@ func TestImportMergesAndPromotes(t *testing.T) {
 	put(t, c, "k", 7, Value{UpperScaled: 20, LowerScaled: 5})
 
 	// A tighter remote interval merges in (the interval only tightens).
-	if added := c.Import([]Entry{{Key: "k", Tier: 7, Value: Value{UpperScaled: 15, LowerScaled: 8}}}); added != 1 {
+	if added := c.Import([]Entry{{Key: "k", Value: Value{UpperScaled: 15, LowerScaled: 8, Tier: 7}}}); added != 1 {
 		t.Fatalf("tighter import rejected: added=%d", added)
 	}
 	v, hit, _, _, _ := c.Do(context.Background(), "k", 3, func(*Value) (Value, error) {
@@ -102,7 +102,7 @@ func TestImportMergesAndPromotes(t *testing.T) {
 
 	// A remote interval whose merge closes the bounds promotes to the
 	// optimal segment.
-	if added := c.Import([]Entry{{Key: "k", Tier: 9, Value: Value{UpperScaled: 8, LowerScaled: 2}}}); added != 1 {
+	if added := c.Import([]Entry{{Key: "k", Value: Value{UpperScaled: 8, LowerScaled: 2, Tier: 9}}}); added != 1 {
 		t.Fatal("closing import rejected")
 	}
 	st := c.Stats()
@@ -120,12 +120,27 @@ func TestImportSkipsStaleInformation(t *testing.T) {
 	put(t, c, "k", 7, Value{UpperScaled: 15, LowerScaled: 8})
 
 	// Same tier, looser bounds: carries nothing new.
-	if added := c.Import([]Entry{{Key: "k", Tier: 7, Value: Value{UpperScaled: 20, LowerScaled: 5}}}); added != 0 {
+	if added := c.Import([]Entry{{Key: "k", Value: Value{UpperScaled: 20, LowerScaled: 5, Tier: 7}}}); added != 0 {
 		t.Fatalf("stale import accepted: added=%d", added)
 	}
 	// An interval entry with no tier anywhere is malformed: dropped.
 	if added := c.Import([]Entry{{Key: "k2", Value: Value{UpperScaled: 9, LowerScaled: 3}}}); added != 0 {
 		t.Fatalf("tierless interval accepted: added=%d", added)
+	}
+	// A looser interval from a lower tier than the cached one: nothing
+	// new either, and the key keeps its one row at its higher tier.
+	put(t, c, "k9", 9, Value{UpperScaled: 15, LowerScaled: 8})
+	if added := c.Import([]Entry{{Key: "k9", Value: Value{UpperScaled: 20, LowerScaled: 5, Tier: 7}}}); added != 0 {
+		t.Fatalf("lower-tier looser import accepted: added=%d", added)
+	}
+	var rows []Entry
+	for _, e := range c.Export() {
+		if e.Key == "k9" {
+			rows = append(rows, e)
+		}
+	}
+	if len(rows) != 1 || rows[0].Value.Tier != 9 || rows[0].Value.LowerScaled != 8 || rows[0].Value.UpperScaled != 15 {
+		t.Fatalf("export rows for k9 = %+v, want one [8,15] at tier 9", rows)
 	}
 	if st := c.Stats(); st.Imported != 0 {
 		t.Fatalf("Imported counter moved on rejected entries: %+v", st)
@@ -152,8 +167,8 @@ func TestImportRejectsImpossibleCertificates(t *testing.T) {
 		name string
 		e    Entry
 	}{
-		{"negative lower", Entry{Key: "k", Tier: 7, Value: Value{UpperScaled: 9, LowerScaled: -1}}},
-		{"lower above upper", Entry{Key: "k", Tier: 7, Value: Value{UpperScaled: 5, LowerScaled: 10}}},
+		{"negative lower", Entry{Key: "k", Value: Value{UpperScaled: 9, LowerScaled: -1, Tier: 7}}},
+		{"lower above upper", Entry{Key: "k", Value: Value{UpperScaled: 5, LowerScaled: 10, Tier: 7}}},
 		{"optimal with unequal bounds", Entry{Key: "k", Value: Value{UpperScaled: 9, LowerScaled: 3, Optimal: true}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,14 +195,14 @@ func TestImportRejectsContradictoryIntervals(t *testing.T) {
 		wantOptimal bool
 		wantCost    int64
 	}{
-		{"peer below local", Value{LowerScaled: 2, UpperScaled: 6}, false, 0},
-		{"peer above local", Value{LowerScaled: 16, UpperScaled: 20}, false, 0},
-		{"peer touching local upper", Value{LowerScaled: 15, UpperScaled: 20}, true, 15},
+		{"peer below local", Value{LowerScaled: 2, UpperScaled: 6, Tier: 7}, false, 0},
+		{"peer above local", Value{LowerScaled: 16, UpperScaled: 20, Tier: 7}, false, 0},
+		{"peer touching local upper", Value{LowerScaled: 15, UpperScaled: 20, Tier: 7}, true, 15},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New(8)
 			put(t, c, "k", 7, Value{LowerScaled: 8, UpperScaled: 15})
-			added := c.Import([]Entry{{Key: "k", Tier: 7, Value: tc.peer}})
+			added := c.Import([]Entry{{Key: "k", Value: tc.peer}})
 			st := c.Stats()
 			v, hit, _, _, _ := c.Do(context.Background(), "k", 1, func(*Value) (Value, error) {
 				t.Fatal("the key must still be served from the cache")
@@ -228,7 +243,7 @@ func TestFlightStoreKeepsMidFlightImports(t *testing.T) {
 		wantIntvl  int    // interval entries left for the key
 		wantTights uint64 // the import's own tightening only
 	}{
-		{"tighter interval", Entry{Key: "k", Tier: 5, Value: Value{LowerScaled: 14, UpperScaled: 30}}, 14, 30, false, 1, 1},
+		{"tighter interval", Entry{Key: "k", Value: Value{LowerScaled: 14, UpperScaled: 30, Tier: 5}}, 14, 30, false, 1, 1},
 		{"proven optimum", Entry{Key: "k", Value: Value{LowerScaled: 20, UpperScaled: 20, Optimal: true}}, 20, 20, true, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

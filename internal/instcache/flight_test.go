@@ -3,6 +3,7 @@ package instcache
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,6 +139,58 @@ func TestFlightCancellation(t *testing.T) {
 			cancelWaiter()
 			second.wantLive(t)
 			second.finish(t)
+		}},
+		{"late caller after the count reached zero", func(t *testing.T, c *Cache) {
+			// The first flight's fn keeps running past its cancellation,
+			// as a solve does while it certifies its partial interval.
+			lctx, cancelLeader := context.WithCancel(context.Background())
+			fctxs := make(chan context.Context, 1)
+			unblockFirst, firstDone := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(firstDone)
+				c.Flight(lctx, "k", 3, func(fctx context.Context, _ *Value) (Value, error) {
+					fctxs <- fctx
+					<-unblockFirst
+					return Value{UpperScaled: 30, LowerScaled: 1, Tier: 3}, nil
+				})
+			}()
+			finishFirst := sync.OnceFunc(func() { close(unblockFirst); <-firstDone })
+			defer finishFirst()
+			cancelLeader()
+			<-(<-fctxs).Done()
+
+			// A caller arriving now runs a flight of its own.
+			type result struct {
+				v      Value
+				shared bool
+				err    error
+			}
+			started, unblockLate, late := make(chan struct{}), make(chan struct{}), make(chan result, 1)
+			go func() {
+				v, _, shared, _, err := c.Flight(context.Background(), "k", 3, func(context.Context, *Value) (Value, error) {
+					close(started)
+					<-unblockLate
+					return Value{UpperScaled: 12, LowerScaled: 12, Optimal: true}, nil
+				})
+				late <- result{v, shared, err}
+			}()
+			select {
+			case <-started:
+			case <-time.After(2 * time.Second):
+				t.Fatal("late caller latched onto the canceled flight instead of running its own")
+			}
+			// The canceled flight finishing leaves the late caller's
+			// flight in place for the callers after it.
+			finishFirst()
+			third := join(t, c, context.Background())
+			close(unblockLate)
+			r := <-late
+			if r.err != nil || r.shared || !r.v.Optimal || r.v.UpperScaled != 12 {
+				t.Fatalf("late caller = %+v shared=%v err=%v, want its own [12,12]", r.v, r.shared, r.err)
+			}
+			if err := <-third; err != nil {
+				t.Fatalf("third caller: %v", err)
+			}
 		}},
 		{"leader's trace, not its deadline", func(t *testing.T, c *Cache) {
 			tctx := obs.WithTrace(context.Background(), &obs.Trace{ID: "flight-trace"})

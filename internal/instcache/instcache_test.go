@@ -239,6 +239,32 @@ func TestIntervalTierLifecycle(t *testing.T) {
 	if st.WarmStarts < 2 || st.Tightenings < 1 {
 		t.Fatalf("warm/tighten counters: %+v", st)
 	}
+
+	// A key's interval carries the highest tier tried: a solve credited
+	// only tier 4 (canceled early) after a tier-9 store leaves tier 8
+	// requests served from the cache, and the key exports one row.
+	store := func(tier int, v Value) {
+		if _, _, _, _, err := c.Do(context.Background(), "j", tier, func(*Value) (Value, error) { return v, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store(9, Value{UpperScaled: 40, LowerScaled: 5})
+	store(9, Value{UpperScaled: 38, LowerScaled: 6, Tier: 4})
+	if v, hit, _, _, _ := c.Do(context.Background(), "j", 8, func(*Value) (Value, error) {
+		t.Fatal("tier-8 request re-solved below the key's tier-9 interval")
+		return Value{}, nil
+	}); !hit || v.Tier != 9 || v.LowerScaled != 6 || v.UpperScaled != 38 {
+		t.Fatalf("tier-8 serve: v=%+v hit=%v, want [6,38] at tier 9", v, hit)
+	}
+	var rows []Entry
+	for _, e := range c.Export() {
+		if e.Key == "j" {
+			rows = append(rows, e)
+		}
+	}
+	if len(rows) != 1 || rows[0].Value.Tier != 9 {
+		t.Fatalf("export rows for j = %+v, want one at tier 9", rows)
+	}
 }
 
 // TestIntervalsNeverDisplaceOptimal fills the optimal segment, then

@@ -81,10 +81,11 @@ func (c Config) withDefaults() Config {
 type Candidate struct {
 	Key string `json:"key"`
 	// Tier is the budget tier the refinement will run at: one above the
-	// widest tier already stored, so the cache treats the attempt as a
-	// genuine escalation (warm start, not a served hit).
+	// highest tier the key's cached interval has tried, so the cache
+	// treats the attempt as a genuine escalation (warm start, not a
+	// served hit).
 	Tier int `json:"tier"`
-	// GapScaled is the scaled width of the merged stored interval.
+	// GapScaled is the scaled width of the key's cached interval.
 	GapScaled int64 `json:"gap_scaled"`
 	// Priority orders candidates: scaled gap weighted by remaining tier
 	// headroom, so wide intervals that still have cheap escalations
@@ -92,61 +93,27 @@ type Candidate struct {
 	Priority float64 `json:"priority"`
 }
 
-// Candidates scans a cache export for refinement targets, widest and
-// most headroom first. Proven-optimal keys, closed intervals and keys
-// at the tier ceiling are skipped.
+// Candidates scans a cache export (one entry per key) for refinement
+// targets, widest and most headroom first. Proven-optimal keys, closed
+// intervals and keys at the tier ceiling are skipped.
 func Candidates(entries []instcache.Entry, maxTier int) []Candidate {
-	type agg struct {
-		upper, lower int64
-		maxTier      int
-		optimal      bool
-		seen         bool
-	}
-	keys := map[string]*agg{}
-	for _, e := range entries {
-		a := keys[e.Key]
-		if a == nil {
-			a = &agg{}
-			keys[e.Key] = a
-		}
-		if e.Value.Optimal {
-			a.optimal = true
-			continue
-		}
-		tier := e.Tier
-		if tier <= 0 {
-			tier = e.Value.Tier
-		}
-		if !a.seen {
-			a.upper, a.lower, a.seen = e.Value.UpperScaled, e.Value.LowerScaled, true
-		} else {
-			if e.Value.UpperScaled < a.upper {
-				a.upper = e.Value.UpperScaled
-			}
-			if e.Value.LowerScaled > a.lower {
-				a.lower = e.Value.LowerScaled
-			}
-		}
-		if tier > a.maxTier {
-			a.maxTier = tier
-		}
-	}
 	var out []Candidate
-	for key, a := range keys {
-		if a.optimal || !a.seen {
+	for _, e := range entries {
+		v := e.Value
+		if v.Optimal {
 			continue
 		}
-		gap := a.upper - a.lower
+		gap := v.UpperScaled - v.LowerScaled
 		if gap <= 0 {
 			continue // interval closed; the next request promotes it
 		}
-		headroom := maxTier - a.maxTier
+		headroom := maxTier - v.Tier
 		if headroom <= 0 {
 			continue // budget-tier ceiling reached
 		}
 		out = append(out, Candidate{
-			Key:       key,
-			Tier:      a.maxTier + 1,
+			Key:       e.Key,
+			Tier:      v.Tier + 1,
 			GapScaled: gap,
 			Priority:  float64(gap) * float64(headroom),
 		})

@@ -11,7 +11,7 @@ import (
 )
 
 func interval(key string, tier int, lower, upper int64) instcache.Entry {
-	return instcache.Entry{Key: key, Tier: tier, Value: instcache.Value{
+	return instcache.Entry{Key: key, Value: instcache.Value{
 		LowerScaled: lower, UpperScaled: upper, Tier: tier,
 	}}
 }
@@ -22,8 +22,7 @@ func TestCandidatesOrderingAndFilters(t *testing.T) {
 		interval("wide", 3, 10, 50),
 		// wider gap (60) but almost no headroom left.
 		interval("exhausted", 11, 20, 80),
-		// two tiers of one key merge: gap = min upper - max lower = 10.
-		interval("merged", 4, 10, 40),
+		// the cache's one merged row for a key: gap 10 at tier 6.
 		interval("merged", 6, 20, 30),
 		// proven optimal: never a candidate.
 		{Key: "done", Value: instcache.Value{LowerScaled: 7, UpperScaled: 7, Optimal: true}},

@@ -272,7 +272,7 @@ func TestTelemetryDispositions(t *testing.T) {
 	// probe misses (a higher-tier interval would be served outright)
 	// and the interval instead warm-starts the flight.
 	imported := s.cache.Import([]instcache.Entry{{
-		Key: key, Tier: 5,
+		Key:   key,
 		Value: instcache.Value{UpperScaled: 1 << 40, LowerScaled: 1, Optimal: false, Source: "greedy", Tier: 5},
 	}})
 	if imported != 1 {

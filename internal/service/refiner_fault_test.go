@@ -253,7 +253,7 @@ func TestRefineKeyThroughSharedCore(t *testing.T) {
 	for tightened := false; !tightened; {
 		select {
 		case e := <-replicated:
-			tightened = e.Tier == 8 && e.Value.LowerScaled == 20 && e.Value.UpperScaled == 100
+			tightened = e.Value.Tier == 8 && e.Value.LowerScaled == 20 && e.Value.UpperScaled == 100
 		case <-deadline:
 			t.Fatal("the refinement's tightened entry never reached Config.Replicate")
 		}

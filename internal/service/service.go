@@ -823,7 +823,7 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 		// push it toward the key's next owner so a hard crash of
 		// this node doesn't lose it. Waiters latched onto the flight
 		// would just duplicate the push.
-		s.cfg.Replicate(instcache.Entry{Key: k.key, Tier: val.Tier, Value: val})
+		s.cfg.Replicate(instcache.Entry{Key: k.key, Value: val})
 	}
 	return keyedResult{Val: val, Hit: hit, Shared: shared, Warmed: warmed}, nil
 }
