@@ -87,7 +87,7 @@ type parNode struct {
 	parentShard int32 // -1 for the root
 	parentNode  int32
 	ref         int32
-	move        pebble.Move
+	move        packedMove
 }
 
 // proposal is one successor handed from an expanding worker to the
@@ -104,7 +104,7 @@ type proposal struct {
 	pf         int64
 	srcShard   int32 // shard owning the parent node
 	parentNode int32
-	move       pebble.Move
+	move       packedMove
 }
 
 const (
@@ -276,7 +276,7 @@ type asyncWorker struct {
 	ctx   *searchCtx
 	table *stateTable // payloadWithH: best cost + cached heuristic per ref
 	open  bucketQueue
-	nodes []parNode
+	nodes chunkList[parNode]
 
 	out      []*asyncBatch // out[dst], buffered until flush
 	outMin   int64         // min parent f across unflushed outbox batches
@@ -327,6 +327,7 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 			id:        int32(i),
 			ctx:       ctx,
 			table:     newStateTable(kw, payloadWithH, 256),
+			nodes:     newChunkList[parNode](1, 256),
 			out:       make([]*asyncBatch, nw),
 			outMin:    costUnreached,
 			lastF:     -1,
@@ -365,7 +366,7 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 	rootRef, _ := rw.table.lookupOrAdd(rootKey, rootHash)
 	rw.table.setBest(rootRef, 0)
 	rw.table.setH(rootRef, h0)
-	rw.nodes = append(rw.nodes, parNode{parentShard: -1, parentNode: -1, ref: rootRef})
+	rw.nodes.push(parNode{parentShard: -1, parentNode: -1, ref: rootRef})
 	rw.open.push(heapEntry{f: h0, g: 0, node: 0})
 	rw.pushed = 1
 	// Publish the root floor before any worker runs, so the certified
@@ -503,9 +504,9 @@ func exactAsync(p Problem, opts ExactOptions, start *pebble.State, maxStates int
 	lowerBound = incG // proven optimal
 	report()
 
-	logs := make([][]parNode, nw)
+	logs := make([]*chunkList[parNode], nw)
 	for i, w := range workers {
-		logs[i] = w.nodes
+		logs[i] = &w.nodes
 	}
 	return shardTrace(p, logs, sh.incShard, sh.incNode), nil
 }
@@ -769,11 +770,11 @@ func (w *asyncWorker) relaxBatch(sh *asyncShared, meta []proposal, keys []uint64
 			continue
 		}
 		w.table.setBest(ref, pr.g)
-		w.nodes = append(w.nodes, parNode{
+		node := w.nodes.push(parNode{
 			parentShard: pr.srcShard, parentNode: pr.parentNode,
 			ref: ref, move: pr.move,
 		})
-		w.open.push(heapEntry{f: f, g: pr.g, node: int32(len(w.nodes) - 1)})
+		w.open.push(heapEntry{f: f, g: pr.g, node: node})
 		w.pushed++
 	}
 }
@@ -821,7 +822,7 @@ func (w *asyncWorker) expand(sh *asyncShared) int {
 		}
 		e := w.open.pop()
 		did++
-		nd := w.nodes[e.node]
+		nd := w.nodes.at(e.node)
 		if e.g > w.table.best(nd.ref) {
 			continue // stale
 		}
@@ -861,7 +862,7 @@ func (w *asyncWorker) expand(sh *asyncShared) int {
 			d := int(ch % uint64(sh.nw))
 			ba := w.out[d]
 			ba.meta = append(ba.meta, proposal{
-				hash: ch, g: childG, pf: e.f, srcShard: w.id, parentNode: e.node, move: m,
+				hash: ch, g: childG, pf: e.f, srcShard: w.id, parentNode: e.node, move: packMove(m),
 			})
 			ba.keys = append(ba.keys, c.keyBuf...)
 			if e.f < ba.minPF {
@@ -1001,15 +1002,15 @@ func (sh *asyncShared) snapshot(s *progressSampler, lower int64) ExactProgress {
 
 // shardTrace reconstructs the incumbent's move chain across the
 // per-shard node logs.
-func shardTrace(p Problem, logs [][]parNode, shard, node int32) Solution {
+func shardTrace(p Problem, logs []*chunkList[parNode], shard, node int32) Solution {
 	var rev []pebble.Move
 	s, n := shard, node
 	for {
-		nd := logs[s][n]
+		nd := logs[s].at(n)
 		if nd.parentShard < 0 {
 			break
 		}
-		rev = append(rev, nd.move)
+		rev = append(rev, nd.move.move())
 		s, n = nd.parentShard, nd.parentNode
 	}
 	moves := make([]pebble.Move, len(rev))

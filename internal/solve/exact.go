@@ -44,8 +44,9 @@ type ExactOptions struct {
 	// of 2,000,000). The search fails with ErrStateLimit beyond it.
 	MaxStates int
 	// MaxTableBytes caps the visited-state tables' backing-store
-	// footprint (probe slots plus arena capacity, summed over parallel
-	// shards; 0 = unlimited). Growth past the budget aborts the search
+	// footprint (probe slots plus allocated row chunks, summed over
+	// parallel shards; 0 = unlimited). The node logs and open lists are
+	// not charged. Growth past the budget aborts the search
 	// with ErrMemoryBudget, with Stats filled — including the certified
 	// LowerBound — so callers harvest a partial certificate instead of
 	// letting the search OOM the process. Enforcement is periodic (the
@@ -65,8 +66,7 @@ type ExactOptions struct {
 	// from an earlier deadline-limited solve of the same instance). The
 	// serial and async engines seed their running frontier certificate
 	// with it, so a canceled search never reports a LowerBound below
-	// what was already proven, and IDA*-style callers can skip threshold
-	// passes below it. Passing an uncertified value breaks the
+	// what was already proven. Passing an uncertified value breaks the
 	// LowerBound contract — the search itself stays correct, but the
 	// reported bound would lie.
 	InitialLowerBound int64
@@ -140,7 +140,7 @@ type ExactStats struct {
 	// exceeds the true optimum — each observation is a certificate.
 	LowerBound int64
 	// TableBytes is the visited-state tables' backing-store footprint
-	// (probe slots plus arena capacity, summed over parallel shards)
+	// (probe slots plus allocated row chunks, summed over parallel shards)
 	// when the search stopped. Tables only grow within a run, so this is
 	// the peak.
 	TableBytes int64
@@ -151,9 +151,22 @@ type ExactStats struct {
 // from the parent node. Nodes are append-only, so parent chains are
 // immutable snapshots and cannot cycle.
 type searchNode struct {
-	parent int32 // index into nodes, -1 for the root
+	parent int32 // index into the node log, -1 for the root
 	ref    int32 // state ref in the table
-	move   pebble.Move
+	move   packedMove
+}
+
+// serialMem is the search memory of one serial A* run: the visited
+// table, the node log and the open list. Each reports its own
+// footprint, so the sum is what the search holds.
+type serialMem struct {
+	table *stateTable
+	nodes chunkList[searchNode]
+	open  bucketQueue
+}
+
+func (m *serialMem) bytes() int64 {
+	return m.table.bytes() + m.nodes.bytes() + m.open.bytes()
 }
 
 // Exact finds a provably minimum-cost pebbling by best-first search over
@@ -189,7 +202,7 @@ func Exact(p Problem, opts ExactOptions) (Solution, error) {
 	if opts.Parallel > 1 {
 		return exactAsync(p, opts, start, maxStates)
 	}
-	return exactSerial(p, opts, start, maxStates)
+	return exactSerial(p, opts, start, maxStates, new(serialMem))
 }
 
 // searchCtx bundles the scratch structures of one sequential search (or
@@ -377,16 +390,17 @@ func (c *searchCtx) consider(st *pebble.State, m pebble.Move) {
 	c.moveBuf = append(c.moveBuf, m)
 }
 
-// exactSerial is the sequential A* loop.
-func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates int) (Solution, error) {
+// exactSerial is the sequential A* loop. It builds its table, node log
+// and open list in m.
+func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates int, m *serialMem) (Solution, error) {
 	c := newSearchCtx(p, opts, start)
 	// The table's second payload word caches the (state-only) heuristic
 	// value per ref, so each distinct state is estimated once no matter
-	// how often it is reached — and the estimate lives on the same arena
-	// row as the cost and key it belongs to.
-	table := newStateTable(start.PackedWords(), payloadWithH, 1024)
-	var open bucketQueue
-	var nodes []searchNode
+	// how often it is reached — and the estimate lives on the same row
+	// as the cost and key it belongs to.
+	m.table = newStateTable(start.PackedWords(), payloadWithH, 1024)
+	m.nodes = newChunkList[searchNode](1, 1024)
+	table, nodes, open := m.table, &m.nodes, &m.open
 
 	expanded, pushed := 0, 0
 	// Certified lower bound: running max of min open f, seeded from the
@@ -402,7 +416,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	rootKey := start.AppendPacked(nil)
 	rootRef, _ := table.lookupOrAdd(rootKey, hashKey(rootKey))
 	table.setBest(rootRef, 0)
-	nodes = append(nodes, searchNode{parent: -1, ref: rootRef})
+	nodes.push(searchNode{parent: -1, ref: rootRef})
 	h0, dead := c.lb.estimate(start)
 	if dead {
 		report()
@@ -424,7 +438,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		if e.f > lower {
 			lower = e.f
 		}
-		nd := nodes[e.node]
+		nd := nodes.at(e.node)
 		if e.g > table.best(nd.ref) {
 			continue // stale entry
 		}
@@ -446,7 +460,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 				return Solution{}, err
 			}
 			if guard.due() {
-				guard.emit(singleProgress(guard.sampler, expanded, pushed, lower, table, &open))
+				guard.emit(singleProgress(guard.sampler, expanded, pushed, lower, table, open))
 			}
 		}
 
@@ -487,8 +501,8 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 				continue
 			}
 			table.setBest(childRef, childG)
-			nodes = append(nodes, searchNode{parent: e.node, ref: childRef, move: m})
-			open.push(heapEntry{f: childG + h, g: childG, node: int32(len(nodes) - 1)})
+			node := nodes.push(searchNode{parent: e.node, ref: childRef, move: packMove(m)})
+			open.push(heapEntry{f: childG + h, g: childG, node: node})
 			pushed++
 			c.scratch.Undo(undo)
 		}
@@ -511,10 +525,10 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 
 // reconstruct walks the parent chain of goal node idx and returns the
 // verified solution.
-func reconstruct(p Problem, nodes []searchNode, idx int32) Solution {
+func reconstruct(p Problem, nodes *chunkList[searchNode], idx int32) Solution {
 	var rev []pebble.Move
-	for i := idx; nodes[i].parent >= 0; i = nodes[i].parent {
-		rev = append(rev, nodes[i].move)
+	for nd := nodes.at(idx); nd.parent >= 0; nd = nodes.at(nd.parent) {
+		rev = append(rev, nd.move.move())
 	}
 	moves := make([]pebble.Move, len(rev))
 	for i := range rev {

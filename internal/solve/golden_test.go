@@ -76,7 +76,7 @@ var goldenRows = []goldenRow{
 		expanded: 7385, distinct: 11020, optimum: 8},
 	// fft(3) under a 1 MiB table budget aborts within milliseconds.
 	{name: "MemBudgetAbort", p: fft3R3, opts: ExactOptions{MaxTableBytes: 1 << 20},
-		expanded: 11264, distinct: 19077, lower: 8},
+		expanded: 10240, distinct: 16639, lower: 8},
 
 	{name: "ExactAStarFFT3R3", p: fft3R3, slow: true, expanded: 1265002, distinct: 1372250, optimum: 31},
 	{name: "ExactDijkstraFFT3R3", p: fft3R3, slow: true, opts: ExactOptions{Heuristic: HeuristicOff},

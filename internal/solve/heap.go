@@ -1,5 +1,7 @@
 package solve
 
+import "unsafe"
+
 // heapEntry is one open-list entry of the best-first search: f is the
 // priority (g plus the admissible lower bound; equal to g when the
 // heuristic is off), g the exact scaled path cost, and node the index of
@@ -118,6 +120,20 @@ func (h *gHeap) pop() gEntry {
 }
 
 func (q *bucketQueue) len() int { return q.n }
+
+// bytes returns the queue's allocated capacity in bytes: the bucket
+// index, every bucket's and recycled array's capacity, and the overflow
+// heap.
+func (q *bucketQueue) bytes() int64 {
+	n := int64(cap(q.bks))*int64(unsafe.Sizeof(gHeap{})) + int64(cap(q.over))*int64(unsafe.Sizeof(heapEntry{}))
+	for _, b := range q.bks {
+		n += int64(cap(b.a)) * int64(unsafe.Sizeof(gEntry{}))
+	}
+	for _, a := range q.spare {
+		n += int64(cap(a)) * int64(unsafe.Sizeof(gEntry{}))
+	}
+	return n
+}
 
 func (q *bucketQueue) push(e heapEntry) {
 	q.n++

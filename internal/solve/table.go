@@ -33,23 +33,19 @@ func hashKey(key []uint64) uint64 {
 // open-addressing (linear probing) hash table keyed on packed state
 // encodings. Every distinct state gets a dense ref (0, 1, 2, ...) whose
 // entire record — payload words first (best known scaled path cost,
-// optionally the cached heuristic), then the key words — lives
-// contiguously in one shared arena slab. A probe slot is a single
-// packed uint64 (high 32 bits of the state hash as a tag, ref+1 in the
-// low 32 bits, 0 meaning empty), so probing touches half the memory of
-// a (hash, ref) pair layout and a hit lands on one arena row where the
-// cost, the heuristic and the key share cache lines. Compared to the
-// original map[string]int64 it materializes no per-state strings and
-// supports in-place cost updates without rehashing; compared to the
-// earlier slots+arena+best triple it removes one indirection and one
-// independently-growing array from every hot-path access.
+// optionally the cached heuristic), then the key words — is one row of
+// a chunkList, so the table grows without copying its records. A probe
+// slot is a single packed uint64 (high 32 bits of the state hash as a
+// tag, ref+1 in the low 32 bits, 0 meaning empty), so probing touches
+// half the memory of a (hash, ref) pair layout and a hit lands on one
+// row where the cost, the heuristic and the key share cache lines. Only
+// the probe-slot array doubles (and rehashes) as the table grows.
 type stateTable struct {
-	kw     int // words per key (0 only for the empty graph)
-	pw     int // payload words per entry (>= 1; payload[0] = best cost)
-	stride int // kw + pw
-	mask   uint64
-	slots  []uint64 // tag<<32 | ref+1, 0 = empty
-	arena  []uint64 // record of ref r at arena[r*stride : (r+1)*stride]
+	kw    int // words per key (0 only for the empty graph)
+	pw    int // payload words per entry (>= 1; payload[0] = best cost)
+	mask  uint64
+	slots []uint64 // tag<<32 | ref+1, 0 = empty
+	rows  chunkList[uint64]
 }
 
 // Payload slot indices. Every table stores the best known scaled cost
@@ -67,57 +63,56 @@ func newStateTable(kw, pw, hintStates int) *stateTable {
 		size *= 2
 	}
 	return &stateTable{
-		kw:     kw,
-		pw:     pw,
-		stride: kw + pw,
-		mask:   uint64(size - 1),
-		slots:  make([]uint64, size),
-		arena:  make([]uint64, 0, hintStates*(kw+pw)),
+		kw:    kw,
+		pw:    pw,
+		mask:  uint64(size - 1),
+		slots: make([]uint64, size),
+		rows:  newChunkList[uint64](kw+pw, hintStates),
 	}
 }
 
 // count returns the number of distinct states stored.
-func (t *stateTable) count() int { return len(t.arena) / t.stride }
+func (t *stateTable) count() int { return t.rows.len() }
 
-// bytes returns the table's current backing-store footprint (probe
-// slots plus arena capacity). The table only grows between resets, so
-// at search end this is the peak.
+// bytes returns the table's current backing-store footprint: probe
+// slots plus allocated chunk capacity. The table only grows between
+// resets, so at search end this is the peak.
 func (t *stateTable) bytes() int64 {
-	return int64(len(t.slots)+cap(t.arena)) * 8
+	return int64(len(t.slots))*8 + t.rows.bytes()
 }
 
-// reset empties the table while keeping its capacity, so iterative
-// searches (IDA* re-runs the memo once per threshold) reuse the slots
-// and arena instead of reallocating them.
+// reset empties the table while keeping its slots and chunks, so
+// iterative searches (IDA* re-runs the memo once per threshold) reuse
+// them instead of reallocating.
 func (t *stateTable) reset() {
 	clear(t.slots)
-	t.arena = t.arena[:0]
+	t.rows.reset()
 }
 
-// key returns the packed key of state ref (a view into the arena).
+// key returns the packed key of state ref (a view into its row; keys
+// never change, so the view stays valid across later inserts).
 func (t *stateTable) key(ref int32) pebble.PackedKey {
-	base := int(ref)*t.stride + t.pw
-	return pebble.PackedKey(t.arena[base : base+t.kw])
+	return pebble.PackedKey(t.rows.row(ref)[t.pw:])
 }
 
 // best returns the best known scaled path cost of state ref.
 func (t *stateTable) best(ref int32) int64 {
-	return int64(t.arena[int(ref)*t.stride])
+	return int64(t.rows.row(ref)[0])
 }
 
 // setBest updates the best known scaled path cost of state ref.
 func (t *stateTable) setBest(ref int32, v int64) {
-	t.arena[int(ref)*t.stride] = uint64(v)
+	t.rows.row(ref)[0] = uint64(v)
 }
 
 // h returns the cached heuristic of state ref (payloadWithH tables).
 func (t *stateTable) h(ref int32) int64 {
-	return int64(t.arena[int(ref)*t.stride+1])
+	return int64(t.rows.row(ref)[1])
 }
 
 // setH caches the heuristic of state ref (payloadWithH tables).
 func (t *stateTable) setH(ref int32, v int64) {
-	t.arena[int(ref)*t.stride+1] = uint64(v)
+	t.rows.row(ref)[1] = uint64(v)
 }
 
 // lookupOrAdd returns the dense ref of key (with hash h), inserting it
@@ -132,11 +127,10 @@ func (t *stateTable) lookupOrAdd(key []uint64, h uint64) (ref int32, isNew bool)
 		s := t.slots[i]
 		if s == 0 {
 			ref = int32(t.count())
-			t.arena = append(t.arena, uint64(int64(costUnreached)))
-			for p := 1; p < t.pw; p++ {
-				t.arena = append(t.arena, 0)
-			}
-			t.arena = append(t.arena, key...)
+			row := t.rows.add()
+			row[0] = uint64(int64(costUnreached))
+			clear(row[1:t.pw])
+			copy(row[t.pw:], key)
 			t.slots[i] = tag | uint64(uint32(ref)+1)
 			return ref, true
 		}
@@ -151,8 +145,7 @@ func (t *stateTable) lookupOrAdd(key []uint64, h uint64) (ref int32, isNew bool)
 }
 
 func (t *stateTable) keyEqual(ref int32, key []uint64) bool {
-	base := int(ref)*t.stride + t.pw
-	a := t.arena[base : base+t.kw]
+	a := t.key(ref)
 	for i, w := range key {
 		if a[i] != w {
 			return false
@@ -162,7 +155,7 @@ func (t *stateTable) keyEqual(ref int32, key []uint64) bool {
 }
 
 // grow doubles the probe array. Slots store only the high 32 hash bits,
-// so rehoming recomputes each entry's full hash from its arena key —
+// so rehoming recomputes each entry's full hash from its stored key —
 // one cheap splitmix pass per entry, amortized over the doubling
 // schedule, in exchange for half-size slots on every probe ever made.
 func (t *stateTable) grow() {

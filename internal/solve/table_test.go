@@ -3,10 +3,13 @@ package solve
 import (
 	"math/rand"
 	"testing"
+
+	"rbpebble/internal/dag"
+	"rbpebble/internal/pebble"
 )
 
-// refTable is the straightforward reference the arena-slab stateTable
-// is checked against: a Go map from the key's string form to the
+// refTable is the straightforward reference the chunked stateTable is
+// checked against: a Go map from the key's string form to the
 // payload values.
 type refTable struct {
 	refs map[string]int32
@@ -40,13 +43,15 @@ func (r *refTable) lookupOrAdd(key []uint64) (int32, bool) {
 	return ref, true
 }
 
-// checkTableAgainstRef drives both tables with the same operation
-// sequence and fails on any divergence: ref assignment, isNew flags,
-// key round-trips, payload round-trips, count.
-func checkTableAgainstRef(t *testing.T, kw int, keys [][]uint64) {
+// checkTableAgainstRef drives tab (empty, payloadWithH) and a fresh
+// reference with the same operation sequence and fails on any
+// divergence: ref assignment, isNew flags, key round-trips, payload
+// round-trips, count. Key views taken along the way must still read
+// their keys after every later insert.
+func checkTableAgainstRef(t *testing.T, tab *stateTable, keys [][]uint64) {
 	t.Helper()
-	tab := newStateTable(kw, payloadWithH, 4) // tiny hint: force growth
 	ref := newRefTable()
+	views := map[int32][]uint64{}
 	for i, key := range keys {
 		gotRef, gotNew := tab.lookupOrAdd(key, hashKey(key))
 		wantRef, wantNew := ref.lookupOrAdd(key)
@@ -79,6 +84,16 @@ func checkTableAgainstRef(t *testing.T, kw int, keys [][]uint64) {
 		}
 		if tab.h(gotRef) != ref.h[gotRef] {
 			t.Fatalf("op %d: h(%d) = %d, want %d", i, gotRef, tab.h(gotRef), ref.h[gotRef])
+		}
+		if gotNew && gotRef%97 == 0 {
+			views[gotRef] = tab.key(gotRef)
+		}
+	}
+	for r, view := range views {
+		for i, w := range ref.keys[r] {
+			if view[i] != w {
+				t.Fatalf("key view of %d taken at insert: word %d = %#x after later inserts, want %#x", r, i, view[i], w)
+			}
 		}
 	}
 	if tab.count() != len(ref.best) {
@@ -128,7 +143,80 @@ func TestStateTableAgainstReference(t *testing.T) {
 			}
 			keys = append(keys, key)
 		}
-		checkTableAgainstRef(t, kw, keys)
+		checkTableAgainstRef(t, newStateTable(kw, payloadWithH, 4), keys)
+	}
+}
+
+// TestStateTableAcrossChunks checks the table against the reference
+// well past its first chunks (200k inserts of 5-word rows), then resets
+// it and checks it again on a second key stream: reset keeps the
+// chunks, and reused rows must not leak their earlier contents.
+func TestStateTableAcrossChunks(t *testing.T) {
+	const kw, n = 3, 200_000
+	stream := func(seed int64) [][]uint64 {
+		rng := rand.New(rand.NewSource(seed))
+		keys := make([][]uint64, 0, n)
+		for i := 0; i < n; i++ {
+			if i%5 == 4 {
+				keys = append(keys, keys[rng.Intn(i)]) // a duplicate
+				continue
+			}
+			key := make([]uint64, kw)
+			for j := range key {
+				key[j] = rng.Uint64() >> uint(rng.Intn(64))
+			}
+			keys = append(keys, key)
+		}
+		return keys
+	}
+	tab := newStateTable(kw, payloadWithH, 4)
+	checkTableAgainstRef(t, tab, stream(1))
+	if chunks := len(tab.rows.chunks); chunks < 4 {
+		t.Fatalf("%d states fill %d chunks, want >= 4", tab.count(), chunks)
+	}
+	peak := tab.bytes()
+	tab.reset()
+	checkTableAgainstRef(t, tab, stream(2)[:n/2])
+	if got := tab.bytes(); got != peak {
+		t.Fatalf("bytes() after reset and reuse = %d, want the first run's %d", got, peak)
+	}
+}
+
+// TestChunkListNodeLog runs a one-element-row log (the shape of the
+// engines' node logs) across several chunks and a reset.
+func TestChunkListNodeLog(t *testing.T) {
+	l := newChunkList[searchNode](1, 3)
+	for round := 0; round < 2; round++ {
+		const n = 200_000
+		for i := 0; i < n; i++ {
+			nd := searchNode{parent: int32(i - 1), ref: int32(i + round), move: packedMove(i)}
+			if got := l.push(nd); got != int32(i) {
+				t.Fatalf("push %d returned index %d", i, got)
+			}
+		}
+		if l.len() != n || len(l.chunks) < 3 {
+			t.Fatalf("len %d in %d chunks, want %d in >= 3", l.len(), len(l.chunks), n)
+		}
+		for i := int32(0); i < n; i++ {
+			want := searchNode{parent: i - 1, ref: i + int32(round), move: packedMove(i)}
+			if got := l.at(i); got != want {
+				t.Fatalf("round %d: at(%d) = %+v, want %+v", round, i, got, want)
+			}
+		}
+		l.reset()
+	}
+}
+
+// TestPackedMoveRoundTrip checks that every move kind survives packing
+// with node IDs up to the largest packable one.
+func TestPackedMoveRoundTrip(t *testing.T) {
+	for _, kind := range []pebble.MoveKind{pebble.Load, pebble.Store, pebble.Compute, pebble.Delete} {
+		for _, v := range []dag.NodeID{0, 1, 12345, maxPackedNode - 1, maxPackedNode} {
+			m := pebble.Move{Kind: kind, Node: v}
+			if got := packMove(m).move(); got != m {
+				t.Fatalf("packMove(%v).move() = %v", m, got)
+			}
+		}
 	}
 }
 
@@ -178,6 +266,6 @@ func FuzzStateTable(f *testing.F) {
 			data = data[kw:]
 			keys = append(keys, key)
 		}
-		checkTableAgainstRef(t, kw, keys)
+		checkTableAgainstRef(t, newStateTable(kw, payloadWithH, 4), keys)
 	})
 }
