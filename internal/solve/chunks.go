@@ -90,7 +90,9 @@ func (c *chunkList[T]) bytes() int64 {
 
 // packedMove is a pebble.Move in one word: the kind in the top two
 // bits, the node below. Node logs store moves packed, which halves a
-// searchNode.
+// searchNode. Thirty bits of node ID are ample: a state key takes 3n
+// bits, so no graph the exact engines can search comes near 1<<30
+// nodes.
 type packedMove uint32
 
 // maxPackedNode is the largest node ID a packedMove holds.

@@ -46,8 +46,8 @@ type ExactOptions struct {
 	// MaxTableBytes caps the visited-state tables' backing-store
 	// footprint (probe slots plus allocated row chunks, summed over
 	// parallel shards; 0 = unlimited). The node logs and open lists are
-	// not charged. Growth past the budget aborts the search
-	// with ErrMemoryBudget, with Stats filled — including the certified
+	// not charged. Growth past the budget aborts the search with
+	// ErrMemoryBudget, with Stats filled — including the certified
 	// LowerBound — so callers harvest a partial certificate instead of
 	// letting the search OOM the process. Enforcement is periodic (the
 	// engines check at their cancellation gates), so the real peak can
