@@ -12,7 +12,8 @@ import (
 
 // Anytime orchestration benchmarks. The deadline rows measure the
 // certified interval a fixed budget buys on an instance too hard to
-// close (fft(3) R=3: seconds of exact search), so their interesting
+// close (fft(3) R=3 in nodel: seconds of exact search; the oneshot
+// instance closes in a few hundred ms under symmetry), so their interesting
 // outputs are upper/lower/optimal rather than ns/op (which tracks the
 // deadline by construction). The full-budget rows measure orchestration
 // overhead against the bare exact engine on instances it closes fast.
@@ -34,13 +35,13 @@ func benchAnytime(b *testing.B, p solve.Problem, opts Options) {
 
 // Deadline rows: the gap-vs-budget curve on the hard instance.
 
-func BenchmarkAnytimeFFT3R3Deadline20ms(b *testing.B) {
-	benchAnytime(b, solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.Oneshot), R: 3},
+func BenchmarkAnytimeFFT3R3NoDelDeadline20ms(b *testing.B) {
+	benchAnytime(b, solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.NoDel), R: 3},
 		Options{Budget: 20 * time.Millisecond})
 }
 
-func BenchmarkAnytimeFFT3R3Deadline100ms(b *testing.B) {
-	benchAnytime(b, solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.Oneshot), R: 3},
+func BenchmarkAnytimeFFT3R3NoDelDeadline100ms(b *testing.B) {
+	benchAnytime(b, solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.NoDel), R: 3},
 		Options{Budget: 100 * time.Millisecond})
 }
 
@@ -57,14 +58,14 @@ func BenchmarkAnytimeGrid44R3Full(b *testing.B) {
 		Options{})
 }
 
-// BenchmarkIntervalConvergenceFFT3R3 measures what the interval cache
-// buys across requests: two 300ms deadline-limited solves of fft(3)
-// R=3, the second warm-started from the first's certified interval
+// BenchmarkIntervalConvergenceFFT3R3NoDel measures what the interval
+// cache buys across requests: two 300ms deadline-limited solves of
+// fft(3) R=3 in nodel, the second warm-started from the first's certified interval
 // (exactly what rbserve's interval cache does between repeated
 // requests). gap1/op is the first solve's relative gap, gap2/op the
 // gap of the merged (tightest) interval, as the cache would store it.
-func BenchmarkIntervalConvergenceFFT3R3(b *testing.B) {
-	p := solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.Oneshot), R: 3}
+func BenchmarkIntervalConvergenceFFT3R3NoDel(b *testing.B) {
+	p := solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.NoDel), R: 3}
 	b.ReportAllocs()
 	var first, second Result
 	for i := 0; i < b.N; i++ {

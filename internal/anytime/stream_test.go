@@ -43,7 +43,9 @@ func (l *snapshotLog) all() []Snapshot {
 // exact engine: every search snapshot names the engine the worker count
 // selects, and no depth-first visits are reported.
 func TestParallelStreamsCertifiedLowerBound(t *testing.T) {
-	p := solve.Problem{G: daggen.Pyramid(5), Model: pebble.NewModel(pebble.Oneshot), R: 3}
+	// pyramid(6) R=4: serial A* with symmetry closes pyramid(5) R=3 in
+	// under 1024 expansions, before its first sampling gate.
+	p := solve.Problem{G: daggen.Pyramid(6), Model: pebble.NewModel(pebble.Oneshot), R: 4}
 	root, err := solve.RootLowerBound(p, solve.HeuristicAuto)
 	if err != nil {
 		t.Fatal(err)

@@ -246,14 +246,15 @@ func TestFaultReplicationSurvivesHardKill(t *testing.T) {
 // instead of searching from scratch.
 func TestFaultDrainHandoffWarmStart(t *testing.T) {
 	ec := newElasticCluster(t, 2)
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":120}`, dagJSON(t, daggen.FFT(3)))
+	// fft(3) R=3 in nodel stays open for seconds under serial A*.
+	body := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":120}`, dagJSON(t, daggen.FFT(3)))
 
 	code, first, owner := ec.post(t, body)
 	if code != http.StatusOK {
 		t.Fatalf("seed solve: code=%d", code)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) R=3 in 120ms; handoff warm-start not observable")
+		t.Skip("host closed fft(3) nodel R=3 in 120ms; handoff warm-start not observable")
 	}
 	victim, survivor := ec.node(t, owner)
 
@@ -291,15 +292,16 @@ func TestFaultKillMidAsyncSolveAndRejoin(t *testing.T) {
 	ec := newElasticCluster(t, 2)
 	g := dagJSON(t, daggen.FFT(3))
 
-	// Seed a certified interval for the instance and let replication
-	// copy it to the survivor.
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":120}`, g)
+	// Seed a certified interval for the instance (fft(3) R=3 in nodel,
+	// open for seconds under serial A*) and let replication copy it to
+	// the survivor.
+	body := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":120}`, g)
 	code, first, owner := ec.post(t, body)
 	if code != http.StatusOK {
 		t.Fatalf("seed solve: code=%d", code)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) R=3 in 120ms; warm-start not observable")
+		t.Skip("host closed fft(3) nodel R=3 in 120ms; warm-start not observable")
 	}
 	victim, survivor := ec.node(t, owner)
 	ec.waitFor(t, 5*time.Second, func() bool {
@@ -307,7 +309,7 @@ func TestFaultKillMidAsyncSolveAndRejoin(t *testing.T) {
 	}, "interval replicated to the survivor")
 
 	// Kill the owner mid-async-solve: the job dies with it.
-	async := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":5000,"async":true}`, g)
+	async := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":5000,"async":true}`, g)
 	resp, err := http.Post(ec.ts.URL+"/solve", "application/json", strings.NewReader(async))
 	if err != nil {
 		t.Fatal(err)

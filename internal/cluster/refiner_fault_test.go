@@ -66,14 +66,15 @@ func TestFaultHardKillMidRefinement(t *testing.T) {
 		return ec.proxy.Membership().Size() == 2
 	}, "both refiner nodes joined")
 
-	// Seed a deliberately wide certified interval on the owner.
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":120}`, dagJSON(t, daggen.FFT(3)))
+	// Seed a deliberately wide certified interval on the owner: fft(3)
+	// R=3 in nodel, which serial A* needs seconds to close.
+	body := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":120}`, dagJSON(t, daggen.FFT(3)))
 	code, first, owner := ec.post(t, body)
 	if code != http.StatusOK {
 		t.Fatalf("seed solve: code=%d", code)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) R=3 in 120ms; refinement not observable")
+		t.Skip("host closed fft(3) nodel R=3 in 120ms; refinement not observable")
 	}
 	victim, survivor := ec.node(t, owner)
 

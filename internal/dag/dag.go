@@ -9,6 +9,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -256,6 +257,39 @@ func (g *DAG) Clone() *DAG {
 		c.preds[v] = append([]NodeID(nil), g.preds[v]...)
 		c.succs[v] = append([]NodeID(nil), g.succs[v]...)
 		c.labels[v] = g.labels[v]
+	}
+	return c
+}
+
+// Relabel returns a copy of the graph with node v renamed perm[v] (perm
+// must be a permutation of the node IDs). Every adjacency list of the
+// copy is sorted, so the result depends only on the renamed edge set,
+// not on the order in which g's lists hold it.
+func (g *DAG) Relabel(perm []NodeID) *DAG {
+	n := g.N()
+	c := New(n)
+	c.edges = g.edges
+	preds := make([]NodeID, 0, g.edges)
+	succs := make([]NodeID, 0, g.edges)
+	inv := make([]NodeID, n)
+	for v, w := range perm {
+		inv[w] = NodeID(v)
+	}
+	for w := 0; w < n; w++ {
+		v := inv[w]
+		c.labels[w] = g.labels[v]
+		start := len(preds)
+		for _, u := range g.preds[v] {
+			preds = append(preds, perm[u])
+		}
+		slices.Sort(preds[start:])
+		c.preds[w] = preds[start:len(preds):len(preds)]
+		start = len(succs)
+		for _, u := range g.succs[v] {
+			succs = append(succs, perm[u])
+		}
+		slices.Sort(succs[start:])
+		c.succs[w] = succs[start:len(succs):len(succs)]
 	}
 	return c
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -436,5 +437,42 @@ func BenchmarkTopoOrder(b *testing.B) {
 		if _, err := g.TopoOrder(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRelabel: the relabeled copy carries every edge and label through
+// the permutation, its adjacency lists are sorted, and it does not
+// share them with the original.
+func TestRelabel(t *testing.T) {
+	g := New(4)
+	g.AddEdge(3, 0)
+	g.AddEdge(3, 1)
+	g.AddEdge(2, 1)
+	g.AddEdge(0, 1)
+	g.SetLabel(3, "top")
+	perm := []NodeID{2, 0, 3, 1}
+	h := g.Relabel(perm)
+	if h.N() != 4 || h.M() != g.M() {
+		t.Fatalf("relabeled copy has %d nodes, %d edges", h.N(), h.M())
+	}
+	for u := 0; u < 4; u++ {
+		for _, v := range g.Succs(NodeID(u)) {
+			if !h.HasEdge(perm[u], perm[v]) {
+				t.Fatalf("edge %d->%d lost as %d->%d", u, v, perm[u], perm[v])
+			}
+		}
+		if !slices.IsSorted(h.Preds(NodeID(u))) || !slices.IsSorted(h.Succs(NodeID(u))) {
+			t.Fatalf("node %d: unsorted lists %v / %v", u, h.Preds(NodeID(u)), h.Succs(NodeID(u)))
+		}
+	}
+	if h.Label(perm[3]) != "top" {
+		t.Fatalf("label moved to %q", h.Label(perm[3]))
+	}
+	h.AddEdge(perm[2], perm[0])
+	if g.HasEdge(2, 0) || g.M() != 4 {
+		t.Fatal("adding to the copy changed the original")
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

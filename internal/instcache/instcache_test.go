@@ -36,8 +36,14 @@ func randPerm(n int, rng *rand.Rand) []dag.NodeID {
 	return p
 }
 
-// TestCanonicalInvariance: relabeled copies of a graph get the same
-// digest, and the permutations map both onto the same canonical graph.
+// keyOf returns the oneshot R=3 instance key of g and its canonical
+// permutation.
+func keyOf(g *dag.DAG) (string, []dag.NodeID) {
+	return Instance{G: g, Model: pebble.NewModel(pebble.Oneshot), R: 3}.Key()
+}
+
+// TestCanonicalInvariance: relabeled copies of an instance get the same
+// key, and its permutation is a permutation of the nodes.
 func TestCanonicalInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	graphs := map[string]*dag.DAG{
@@ -50,7 +56,7 @@ func TestCanonicalInvariance(t *testing.T) {
 		"singleton": dag.New(1),
 	}
 	for name, g := range graphs {
-		d0, perm0 := Canonical(g)
+		d0, perm0 := keyOf(g)
 		if len(perm0) != g.N() {
 			t.Fatalf("%s: perm length %d != n %d", name, len(perm0), g.N())
 		}
@@ -64,16 +70,16 @@ func TestCanonicalInvariance(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			perm := randPerm(g.N(), rng)
 			h := relabel(g, perm)
-			d1, _ := Canonical(h)
+			d1, _ := keyOf(h)
 			if d0 != d1 {
-				t.Fatalf("%s: digest changed under relabeling (trial %d)", name, trial)
+				t.Fatalf("%s: key changed under relabeling (trial %d)", name, trial)
 			}
 		}
 	}
 }
 
 // TestCanonicalDistinguishes: structurally different graphs get
-// different digests.
+// different keys.
 func TestCanonicalDistinguishes(t *testing.T) {
 	// Note Grid(2,3) and Grid(3,2) are deliberately absent: the stencil
 	// grid is transpose-symmetric, so they are isomorphic and SHOULD
@@ -83,11 +89,11 @@ func TestCanonicalDistinguishes(t *testing.T) {
 		daggen.FFT(2), daggen.Grid(2, 3), daggen.Grid(2, 4), daggen.BinaryTree(3),
 		daggen.Stencil1D(4, 2), daggen.MatMul(2),
 	}
-	seen := map[[32]byte]int{}
+	seen := map[string]int{}
 	for i, g := range gs {
-		d, _ := Canonical(g)
+		d, _ := keyOf(g)
 		if j, dup := seen[d]; dup {
-			t.Fatalf("graphs %d and %d share a digest", i, j)
+			t.Fatalf("graphs %d and %d share a key", i, j)
 		}
 		seen[d] = i
 	}
@@ -125,13 +131,13 @@ func TestTranslationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, perm := Canonical(g)
+	_, perm := keyOf(g)
 	canonMoves := ToCanonical(sol.Trace.Moves, perm)
 
 	rng := rand.New(rand.NewSource(7))
 	rp := randPerm(g.N(), rng)
 	h := relabel(g, rp)
-	_, hperm := Canonical(h)
+	_, hperm := keyOf(h)
 	tr := &pebble.Trace{Model: model, R: 3, Convention: pebble.Convention{},
 		Moves: FromCanonical(canonMoves, hperm)}
 	res, err := tr.Run(h)
@@ -372,9 +378,9 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// FuzzCanonicalInvariance guards the canonical-key path: any parsed
-// DAG must digest identically under a relabeling derived from the
-// input bytes.
+// FuzzCanonicalInvariance guards the instance-key path: any parsed
+// DAG must key identically under a relabeling derived from the input
+// bytes. (Package canon fuzzes the digest and the group order.)
 func FuzzCanonicalInvariance(f *testing.F) {
 	seedGraph := func(g *dag.DAG) {
 		var buf bytes.Buffer
@@ -393,28 +399,17 @@ func FuzzCanonicalInvariance(f *testing.F) {
 		if err != nil || g.N() == 0 || g.N() > 64 {
 			return
 		}
-		d0, perm0 := Canonical(g)
+		d0, perm0 := keyOf(g)
 		if len(perm0) != g.N() {
 			t.Fatalf("perm length %d != n %d", len(perm0), g.N())
 		}
 		rng := rand.New(rand.NewSource(seed))
 		h := relabel(g, randPerm(g.N(), rng))
-		d1, _ := Canonical(h)
+		d1, _ := keyOf(h)
 		if d0 != d1 {
-			t.Fatalf("digest not invariant under relabeling (n=%d)", g.N())
+			t.Fatalf("key not invariant under relabeling (n=%d)", g.N())
 		}
 	})
-}
-
-// BenchmarkCanonicalPyramid6 tracks the canonical-key cost on a
-// 21-node symmetric instance (the worst common case: symmetry forces
-// individualization).
-func BenchmarkCanonicalPyramid6(b *testing.B) {
-	g := daggen.Pyramid(6)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Canonical(g)
-	}
 }
 
 var _ = fmt.Sprintf // keep fmt for debugging edits
@@ -455,16 +450,16 @@ func TestSingleflightWaitHonorsContext(t *testing.T) {
 }
 
 // TestCanonicalBoundedCost guards the serving request path against the
-// canonical-labeling blowup: path-like graphs inside the canonMaxN
+// canonical-labeling blowup: path-like graphs inside canon's size
 // window refine to discrete without individualization, and graphs
 // beyond it take the representation-exact fast path. (Before the size
 // cap, chain(4000) took seconds in the recursion.)
 func TestCanonicalBoundedCost(t *testing.T) {
 	for _, n := range []int{500, 4000, 50000} {
 		start := time.Now()
-		Canonical(daggen.Chain(n))
+		keyOf(daggen.Chain(n))
 		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("Canonical(chain(%d)) took %s", n, d)
+			t.Fatalf("key of chain(%d) took %s", n, d)
 		}
 	}
 }

@@ -231,13 +231,15 @@ func TestDeadlineReturnsCertifiedInterval(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":60}`, dagJSON(t, daggen.FFT(3)))
+	// fft(3) R=3 in nodel: serial A* needs about 2s to close it (the
+	// oneshot instance closes in a few hundred ms under symmetry).
+	body := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":60}`, dagJSON(t, daggen.FFT(3)))
 	code, sr, raw := postSolve(t, ts, body)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
 	}
 	if sr.Optimal {
-		t.Skip("host solved fft(3) within 60ms; interval check not reachable")
+		t.Skip("host solved fft(3) nodel within 60ms; interval check not reachable")
 	}
 	if sr.Lower <= 0 || sr.Lower > sr.Upper || sr.Gap <= 0 {
 		t.Fatalf("incoherent certified interval: %+v", sr)
@@ -265,7 +267,7 @@ func TestDeadlineReturnsCertifiedInterval(t *testing.T) {
 
 	// A strictly smaller budget tier is served the stored interval
 	// directly: a bigger budget already tried harder.
-	small := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":1}`, dagJSON(t, daggen.FFT(3)))
+	small := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":1}`, dagJSON(t, daggen.FFT(3)))
 	_, sr3, _ := postSolve(t, ts, small)
 	if !sr3.Cached {
 		t.Fatalf("lower-tier request not served from interval cache: %+v", sr3)
@@ -319,9 +321,9 @@ func TestCancelRunningJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// fft(3) R=3 with a long budget: the exact engines would need
+	// fft(3) R=3 in nodel with a long budget: the exact engines need
 	// seconds, so the DELETE provably lands mid-solve.
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":30000,"async":true}`,
+	body := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":30000,"async":true}`,
 		dagJSON(t, daggen.FFT(3)))
 	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
 	if err != nil {

@@ -48,8 +48,8 @@ func BenchmarkExactIDAStarFFT3R3(b *testing.B) { benchGolden(b, "ExactIDAStarFFT
 func BenchmarkExactDFSGrid44R3(b *testing.B) { benchGolden(b, "ExactDFSGrid44R3") }
 
 // BenchmarkMemBudgetAbort measures the memory-governance abort path:
-// fft(3) R=3 (whose full table needs tens of megabytes) under a 1 MiB
-// budget. ns/op is the time from search start to the certified
+// fft(3) R=3 (whose full table needs 2.4 MB even with symmetry) under a
+// 1 MiB budget. ns/op is the time from search start to the certified
 // ErrMemoryBudget abort — the latency bound on a memory-governed solve
 // detecting it cannot finish.
 func BenchmarkMemBudgetAbort(b *testing.B) { benchGolden(b, "MemBudgetAbort") }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rbpebble/internal/bitset"
+	"rbpebble/internal/canon"
 	"rbpebble/internal/dag"
 	"rbpebble/internal/obs"
 	"rbpebble/internal/pebble"
@@ -53,8 +54,10 @@ type ExactOptions struct {
 	// engines check at their cancellation gates), so the real peak can
 	// overshoot the budget by one gate interval's growth.
 	MaxTableBytes int64
-	// DisablePruning turns off the safe dominance prunes (for the
-	// ablation benchmark; the result is identical, only slower).
+	// DisablePruning turns off the safe reductions: the dominance
+	// prunes, the dead-pebble quotient and serial A*'s symmetry
+	// reduction (for the ablation benchmark and the differential tests;
+	// the optimum is identical, only slower).
 	DisablePruning bool
 	// Heuristic selects the A* lower bound. The zero value
 	// (HeuristicAuto) enables the admissible model-aware bound;
@@ -130,7 +133,9 @@ type ExactStats struct {
 	Expanded int
 	// Pushed is the number of open-list insertions (improvements).
 	Pushed int
-	// Distinct is the number of distinct states ever reached.
+	// Distinct is the number of distinct states ever reached. Under
+	// serial A*'s symmetry reduction it counts orbit representatives:
+	// states that differ by a DAG automorphism share one entry.
 	Distinct int
 	// LowerBound is the best certified lower bound (scaled cost units)
 	// on the optimum when the search stopped: the optimum itself on
@@ -181,6 +186,15 @@ func (m *serialMem) bytes() int64 {
 // list is a typed binary heap, move generation is restricted to the
 // red frontier, and candidate moves are applied and undone on a single
 // scratch state instead of cloning.
+//
+// With the safe reductions on (pruning and the heuristic), serial A*
+// also stores one representative per automorphism orbit of states: the
+// pebbling models ignore node labels, so states that differ by a DAG
+// automorphism have the same cost-to-go. It searches the DAG's
+// canonical relabeling, so its effort does not depend on how the
+// caller numbered the nodes, and maps the trace back (see
+// symmetry.go). HeuristicOff stays the faithful Dijkstra reference, and
+// the async and IDA* engines search without symmetry.
 //
 // The returned solution is replay-verified. Exact returns ErrStateLimit
 // if the state budget is exhausted first.
@@ -393,6 +407,15 @@ func (c *searchCtx) consider(st *pebble.State, m pebble.Move) {
 // exactSerial is the sequential A* loop. It builds its table, node log
 // and open list in m.
 func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates int, m *serialMem) (Solution, error) {
+	// Symmetry reduction rides with the other safe reductions (pruning
+	// and heuristic on), so HeuristicOff stays the faithful Dijkstra
+	// reference. It searches p's canonical relabeling; reconstruct maps
+	// the trace back to orig's node IDs.
+	orig := p
+	var sym *symmetry
+	if !opts.DisablePruning && opts.Heuristic != HeuristicOff {
+		p, start, sym = symmetricForm(p, start)
+	}
 	c := newSearchCtx(p, opts, start)
 	// The table's second payload word caches the (state-only) heuristic
 	// value per ref, so each distinct state is estimated once no matter
@@ -447,7 +470,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		if c.scratch.Complete() {
 			lower = e.g // proven optimal
 			report()
-			return reconstruct(p, nodes, e.node), nil
+			return reconstruct(orig, table, nodes, e.node, sym), nil
 		}
 		expanded++
 		if expanded > maxStates {
@@ -473,11 +496,19 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 			}
 			childG := e.g + c.moveCost(m)
 			c.keyBuf = c.scratch.AppendPacked(c.keyBuf[:0])
+			child := c.scratch
+			if sym != nil {
+				sym.canonize(c.keyBuf)
+			}
 			childRef, isNew := table.lookupOrAdd(c.keyBuf, hashKey(c.keyBuf))
 			var h int64
 			if isNew {
+				if sym != nil {
+					sym.state.RestorePacked(c.keyBuf)
+					child = sym.state
+				}
 				var dead bool
-				h, dead = c.lb.estimate(c.scratch)
+				h, dead = c.lb.estimate(child)
 				table.setH(childRef, h)
 				if dead {
 					table.setBest(childRef, costDead)
@@ -523,16 +554,70 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	return Solution{}, errors.New("solve: state space exhausted without completing (unreachable for feasible R)")
 }
 
-// reconstruct walks the parent chain of goal node idx and returns the
-// verified solution.
-func reconstruct(p Problem, nodes *chunkList[searchNode], idx int32) Solution {
-	var rev []pebble.Move
-	for nd := nodes.at(idx); nd.parent >= 0; nd = nodes.at(nd.parent) {
-		rev = append(rev, nd.move.move())
+// symmetricForm prepares a symmetry-reduced search of p: when p's DAG
+// has a nontrivial automorphism group it returns p relabeled into its
+// canonical form, with its start state, and the symmetry (which maps
+// canonical IDs back to p's). Searching the canonical form makes
+// the chain, the representatives and so the whole search the same for
+// every labeling of the instance (within the labeling search's budget).
+// Otherwise it returns p and start unchanged and a nil symmetry.
+func symmetricForm(p Problem, start *pebble.State) (Problem, *pebble.State, *symmetry) {
+	_, perm := canon.Canonical(p.G)
+	q := p
+	q.G = p.G.Relabel(perm)
+	sym := newSymmetry(q.G, start.PackedWords())
+	if sym == nil {
+		return p, start, nil
 	}
-	moves := make([]pebble.Move, len(rev))
-	for i := range rev {
-		moves[i] = rev[len(rev)-1-i]
+	qstart, err := pebble.NewState(q.G, q.Model, q.R, q.Convention)
+	if err != nil {
+		panic("solve: canonical relabeling changed feasibility: " + err.Error())
+	}
+	sym.state = qstart.Clone()
+	sym.back = make([]dag.NodeID, len(perm))
+	for v, c := range perm {
+		sym.back[c] = dag.NodeID(v)
+	}
+	return q, qstart, sym
+}
+
+// reconstruct walks the parent chain of goal node idx and returns the
+// solution, verified against the caller's problem p. Under symmetry the
+// search ran on p's canonical form, and each stored key is a
+// representative σ_i(s_i) of the state s_i its stored move reached from
+// the parent's key. A step of the caller's trace therefore applies the
+// stored move through τ_{i-1}, the map from stored keys to the caller's
+// node IDs: τ_0 = sym.back and τ_i = τ_{i-1}∘σ_i^-1. σ_i is re-derived by
+// replaying the move on the parent's key and canonizing the result,
+// exactly as the search did.
+func reconstruct(p Problem, table *stateTable, nodes *chunkList[searchNode], idx int32, sym *symmetry) Solution {
+	var chain []searchNode
+	for nd := nodes.at(idx); nd.parent >= 0; nd = nodes.at(nd.parent) {
+		chain = append(chain, nd)
+	}
+	moves := make([]pebble.Move, len(chain))
+	var tau, scratch []dag.NodeID
+	var key pebble.PackedKey
+	if sym != nil {
+		tau = append([]dag.NodeID(nil), sym.back...)
+		scratch = make([]dag.NodeID, len(tau))
+	}
+	for i := range chain {
+		nd := chain[len(chain)-1-i]
+		m := nd.move.move()
+		if sym == nil {
+			moves[i] = m
+			continue
+		}
+		sym.state.RestorePacked(table.key(nodes.at(nd.parent).ref))
+		sym.state.MustApply(m)
+		key = sym.state.AppendPacked(key[:0])
+		sym.canonize(key)
+		if !table.keyEqual(nd.ref, key) {
+			panic("solve: internal error: symmetry replay diverged from the search")
+		}
+		moves[i] = pebble.Move{Kind: m.Kind, Node: tau[m.Node]}
+		sym.compose(tau, scratch)
 	}
 	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: moves}
 	return verify(p, tr)

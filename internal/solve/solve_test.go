@@ -2,6 +2,7 @@ package solve
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"rbpebble/internal/dag"
@@ -124,6 +125,13 @@ func TestExactModelMonotonicity(t *testing.T) {
 	}
 }
 
+// TestExactPruningAblationSameCost is the differential soundness slice
+// of the safe reductions (dominance prunes, the dead-pebble quotient and
+// symmetry): the default engine must reach the same optimum as
+// DisablePruning and as the faithful HeuristicOff Dijkstra, and its
+// trace must replay at that cost. Random layered DAGs almost always
+// have trivial automorphism groups, so the slice also covers symmetric
+// ones across every model, convention and R in {Δ+1, Δ+2}.
 func TestExactPruningAblationSameCost(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := daggen.RandomLayered(3, 3, 2, seed)
@@ -139,6 +147,52 @@ func TestExactPruningAblationSameCost(t *testing.T) {
 		}
 		if a.Result.Cost != b.Result.Cost {
 			t.Fatalf("seed %d: pruned %v != unpruned %v", seed, a.Result.Cost, b.Result.Cost)
+		}
+	}
+	// pyramid(4) and fft(2) run in oneshot and nodel only: in base and
+	// compcost their HeuristicOff reference takes seconds per instance.
+	all := []pebble.ModelKind{pebble.Base, pebble.Oneshot, pebble.NoDel, pebble.CompCost}
+	cheap := []pebble.ModelKind{pebble.Oneshot, pebble.NoDel}
+	graphs := []struct {
+		name  string
+		g     *dag.DAG
+		kinds []pebble.ModelKind
+	}{
+		{"pyramid(3)", daggen.Pyramid(3), all},
+		{"pyramid(4)", daggen.Pyramid(4), cheap},
+		{"grid(3,3)", daggen.Grid(3, 3), all},
+		{"fft(2)", daggen.FFT(2), cheap},
+		{"bintree(3)", daggen.BinaryTree(3), all},
+		{"chain(5)", daggen.Chain(5), all},
+	}
+	for _, gc := range graphs {
+		for _, kind := range gc.kinds {
+			for conv := 0; conv < 4; conv++ {
+				for dr := 1; dr <= 2; dr++ {
+					p := prob(gc.g, kind, gc.g.MaxInDegree()+dr)
+					p.Convention = pebble.Convention{SourcesStartBlue: conv&1 != 0, SinksMustBeBlue: conv&2 != 0}
+					name := fmt.Sprintf("%s %v conv=%+v R=%d", gc.name, kind, p.Convention, p.R)
+					var want int64 = -1
+					for _, opts := range []ExactOptions{{}, {DisablePruning: true}, {Heuristic: HeuristicOff}} {
+						opts.MaxStates = 5_000_000
+						sol, err := Exact(p, opts)
+						if err != nil {
+							t.Fatalf("%s %+v: %v", name, opts, err)
+						}
+						got := sol.Result.Cost.Scaled(p.Model)
+						res, err := sol.Trace.Run(p.G)
+						if err != nil || res.Cost.Scaled(p.Model) != got {
+							t.Fatalf("%s %+v: trace replays at %v (%v), solver reported %d", name, opts, res.Cost, err, got)
+						}
+						if want >= 0 && got != want {
+							t.Fatalf("%s %+v: optimum %d, default engine %d", name, opts, got, want)
+						}
+						if want < 0 {
+							want = got
+						}
+					}
+				}
+			}
 		}
 	}
 }

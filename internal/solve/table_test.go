@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -244,8 +245,13 @@ func TestStateTableReset(t *testing.T) {
 }
 
 // FuzzStateTable feeds arbitrary byte streams as key sequences through
-// the table/reference pair, fuzzing the probe, tag-collision and
-// growth paths.
+// the table/reference pair, fuzzing the probe, tag-collision, growth
+// and chunk-boundary paths. The input's bytes are keys themselves (one
+// byte per word, so the fuzzer finds duplicates quickly), and they also
+// seed a generator that extends the stream, mixing fresh keys of every
+// magnitude with repeats at an input-chosen rate, until it holds more
+// distinct keys than two full chunks of rows: every input crosses at
+// least two chunk boundaries.
 func FuzzStateTable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -255,17 +261,42 @@ func FuzzStateTable(f *testing.F) {
 		}
 		kw := int(data[0])%3 + 1
 		data = data[1:]
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		repeatPct := 0
+		if len(data) > 0 {
+			repeatPct = int(data[0]) % 50
+		}
 		var keys [][]uint64
+		seen := map[[3]uint64]bool{}
+		add := func(key []uint64) {
+			keys = append(keys, key)
+			seen[[3]uint64(append(key[:kw:kw], make([]uint64, 3-kw)...))] = true
+		}
 		for len(data) >= kw && len(keys) < 4096 {
 			key := make([]uint64, kw)
 			for j := 0; j < kw; j++ {
-				// One byte per word keeps the domain small enough that
-				// the fuzzer finds duplicate keys quickly.
 				key[j] = uint64(data[j])
 			}
 			data = data[kw:]
-			keys = append(keys, key)
+			add(key)
 		}
-		checkTableAgainstRef(t, newStateTable(kw, payloadWithH, 4), keys)
+		tab := newStateTable(kw, payloadWithH, 4)
+		for perChunk := 1 << tab.rows.shift; len(seen) <= 2*perChunk; {
+			if len(keys) > 0 && rng.Intn(100) < repeatPct {
+				keys = append(keys, keys[rng.Intn(len(keys))])
+				continue
+			}
+			key := make([]uint64, kw)
+			for j := range key {
+				key[j] = rng.Uint64() >> uint(rng.Intn(64))
+			}
+			add(key)
+		}
+		checkTableAgainstRef(t, tab, keys)
+		if chunks := len(tab.rows.chunks); chunks < 3 {
+			t.Fatalf("%d distinct keys fill %d chunks, want >= 3", tab.count(), chunks)
+		}
 	})
 }

@@ -29,13 +29,13 @@ package rbpebble
 
 import (
 	"rbpebble/internal/anytime"
+	"rbpebble/internal/canon"
 	"rbpebble/internal/cluster"
 	"rbpebble/internal/dag"
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/experiments"
 	"rbpebble/internal/gadgets"
 	"rbpebble/internal/hampath"
-	"rbpebble/internal/instcache"
 	"rbpebble/internal/multilevel"
 	"rbpebble/internal/parpeb"
 	"rbpebble/internal/pebble"
@@ -170,8 +170,8 @@ type (
 	// ExactOptions configures the exact solver: state budget
 	// (MaxStates), A* lower-bound tier (Heuristic: S-partition by
 	// default), hash-sharded parallel expansion (Parallel workers of
-	// the async HDA* engine), search counters (Stats) and the dominance
-	// pruning ablation switch (DisablePruning).
+	// the async HDA* engine), search counters (Stats) and the ablation
+	// switch for the safe reductions, symmetry included (DisablePruning).
 	ExactOptions = solve.ExactOptions
 	// ExactStats reports search-effort counters from one Exact run
 	// (states expanded, open-list pushes, distinct states reached).
@@ -280,7 +280,7 @@ var (
 	// CanonicalDAG computes an isomorphism-invariant digest and
 	// canonical node permutation of a DAG — the identity the rbserve
 	// instance cache deduplicates on.
-	CanonicalDAG = instcache.Canonical
+	CanonicalDAG = canon.Canonical
 	// NewServer builds the rbserve HTTP service (solve endpoints, the
 	// fast and heavy solve lanes, canonical cache, metrics) for
 	// embedding; cmd/rbserve is the standalone binary.
