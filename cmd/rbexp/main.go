@@ -20,14 +20,12 @@ import (
 
 func main() {
 	var (
-		list         = flag.Bool("list", false, "list experiment IDs and exit")
-		run          = flag.String("run", "", "run only experiments whose ID contains this substring")
-		parallel     = flag.Bool("parallel", false, "compute experiments concurrently")
-		exactWorkers = flag.Int("exact-workers", 0, "expand exact searches with this many hash-sharded workers (>1; async HDA* engine)")
-		deadline     = flag.Duration("deadline", 0, "top rung of the anytime ablation's budget ladder (Ablation E; 0 = 200ms)")
+		list     = flag.Bool("list", false, "list experiment IDs and exit")
+		run      = flag.String("run", "", "run only experiments whose ID contains this substring")
+		parallel = flag.Bool("parallel", false, "compute experiments concurrently")
+		deadline = flag.Duration("deadline", 0, "top rung of the anytime ablation's budget ladder (Ablation E; 0 = 200ms)")
 	)
 	flag.Parse()
-	experiments.ExactParallelism = *exactWorkers
 	experiments.AnytimeDeadline = *deadline
 
 	var reports []*experiments.Report

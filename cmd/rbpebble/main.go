@@ -10,14 +10,14 @@
 //	rbpebble -graph pyr.dag -model oneshot -r 3 -solver exact -trace out.trace
 //	rbpebble -graph pyr.dag -model compcost -eps 100 -r 3 -solver greedy
 //	rbpebble -graph big.dag -model oneshot -r 4 -deadline 500ms
-//	rbpebble -graph big.dag -r 4 -deadline 500ms -workers 4 -progress
+//	rbpebble -graph big.dag -r 4 -deadline 500ms -progress
 //
 // With -deadline the run goes through the anytime orchestrator: on
 // instances too hard to solve exactly in time it prints a certified
 // [lower, upper] interval (plus the incumbent's verified cost) instead
 // of dying on a budget error. Adding -progress streams every certified
 // tightening of the interval to stderr while the solve runs — including
-// the async engine's mid-flight certified lower bound under -workers.
+// A*'s mid-flight certified lower bound.
 // Adding -watch refreshes a live single-line search view (engine,
 // expansion rate, frontier and table size) from the engines' sampled
 // introspection snapshots.
@@ -52,11 +52,10 @@ func main() {
 		maxTableB = flag.Int64("maxtablebytes", 0, "exact/dfs/anytime table memory budget in bytes (0 = unlimited); on abort the certified partial interval is printed")
 		blueSrc   = flag.Bool("blue-sources", false, "sources start blue (Hong-Kung convention)")
 		blueSink  = flag.Bool("blue-sinks", false, "sinks must end blue")
-		workers   = flag.Int("workers", 0, "exact solver parallel workers (>1; async HDA* engine)")
 		heuristic = flag.String("heuristic", "auto", "exact solver lower bound: auto|off|lower-bound|s-partition")
 		maxVisits = flag.Int("maxvisits", 0, "dfs solver visit budget (0 = default)")
-		deadline  = flag.Duration("deadline", 0, "anytime budget: run heuristics, then A* (async HDA* with -workers > 1) to refine a certified [lower, upper] interval (overrides -solver)")
-		progress  = flag.Bool("progress", false, "with -deadline: print live certified [lower, upper] updates to stderr as the interval tightens (works with -workers > 1: the async engine streams its certified bound mid-flight)")
+		deadline  = flag.Duration("deadline", 0, "anytime budget: run heuristics, then A* to refine a certified [lower, upper] interval (overrides -solver)")
+		progress  = flag.Bool("progress", false, "with -deadline: print live certified [lower, upper] updates to stderr as the interval tightens (A* streams its certified bound mid-flight)")
 		watch     = flag.Bool("watch", false, "with -deadline: live single-line search view on stderr (engine, expansion rate, frontier, table size), refreshed from the engine's sampled snapshots")
 	)
 	flag.Parse()
@@ -89,7 +88,6 @@ func main() {
 	case *deadline > 0:
 		opts := anytime.Options{
 			Budget:        *deadline,
-			Workers:       *workers,
 			MaxTableBytes: *maxTableB,
 		}
 		if *progress {
@@ -143,7 +141,7 @@ func main() {
 		}
 		var stats solve.ExactStats
 		opts := solve.ExactOptions{
-			MaxStates: *maxStates, Heuristic: h, Parallel: *workers,
+			MaxStates: *maxStates, Heuristic: h,
 			MaxTableBytes: *maxTableB, Stats: &stats,
 		}
 		sol, err = solve.Exact(p, opts)

@@ -69,7 +69,6 @@ func main() {
 		cacheSize      = flag.Int("cache", 256, "solution cache entries (LRU)")
 		deadline       = flag.Duration("deadline", 2*time.Second, "default per-request solve budget")
 		maxDeadline    = flag.Duration("max-deadline", 30*time.Second, "largest accepted per-request budget")
-		solveWorkers   = flag.Int("solve-workers", 1, "parallel expansion workers inside each exact solve")
 		maxNodes       = flag.Int("max-nodes", 100000, "largest accepted instance")
 		grace          = flag.Duration("grace", 10*time.Second, "graceful-shutdown window for in-flight solves on SIGTERM")
 		join           = flag.String("join", "", "rbproxy address (host:port) to register with for dynamic membership")
@@ -118,7 +117,6 @@ func main() {
 		CacheSize:        *cacheSize,
 		DefaultDeadline:  *deadline,
 		MaxDeadline:      *maxDeadline,
-		SolveWorkers:     *solveWorkers,
 		MaxNodes:         *maxNodes,
 		GracePeriod:      *grace,
 		MaxBatchItems:    *batchItems,

@@ -1,7 +1,7 @@
 // Package anytime orchestrates the library's solvers under a deadline:
 // it runs the cheap upper-bound heuristics (topological+Belady, the
-// greedy rules) and then one exact refinement engine (best-first A*,
-// serial or async HDA*), tracking the best incumbent trace and the
+// greedy rules) and then the exact refinement engine (symmetry-reduced
+// serial A*), tracking the best incumbent trace and the
 // best certified lower bound the whole time. When the budget runs out
 // it returns the certified [lower, upper] interval and the incumbent's
 // verified trace instead of an error — the contract a serving system
@@ -39,14 +39,6 @@ type Options struct {
 	// Budget is the wall-clock budget. Zero means no budget: the solve
 	// runs until an exact engine proves optimality (or ctx fires).
 	Budget time.Duration
-	// Workers > 1 expands the best-first engine with that many
-	// hash-sharded async HDA* workers. The parallel engine streams a
-	// certified lower bound mid-flight just like the serial one: its
-	// coordinator merges the per-worker frontier floors with the
-	// in-flight mailbox watermarks into a certified global f-min and
-	// reports every improvement, so OnProgress sees monotone certified
-	// progress under any worker count.
-	Workers int
 	// MaxTableBytes caps the refinement engine's table footprint
 	// (solve.ExactOptions.MaxTableBytes; 0 = unlimited). An engine
 	// tripping the budget aborts with solve.ErrMemoryBudget, its
@@ -58,15 +50,13 @@ type Options struct {
 	// certified interval tightens (new incumbent or higher lower
 	// bound). Each snapshot strictly improves at least one end of the
 	// previously delivered interval and never regresses either end.
-	// Called on Solve's goroutine, under any worker count; must be
-	// fast.
+	// Called on Solve's goroutine; must be fast.
 	OnProgress func(Snapshot)
 	// OnSearch, when non-nil, receives the exact engine's live search
-	// snapshots (expansion rate, frontier shape, table occupancy,
-	// per-worker mailbox/heap data — see obs.SearchSnapshot) on a
-	// time-based cadence during phase 2, with strictly increasing Seq.
-	// Called on Solve's goroutine, under any worker count; must be
-	// fast.
+	// snapshots (expansion rate, frontier shape, table occupancy —
+	// see obs.SearchSnapshot) on a time-based cadence during phase 2,
+	// with strictly increasing Seq. Called on Solve's goroutine; must
+	// be fast.
 	OnSearch func(obs.SearchSnapshot)
 	// SnapshotEvery is the engine's search-snapshot cadence (zero =
 	// the engine's ~100ms default).
@@ -185,7 +175,6 @@ func refinementOptions(opts Options, incumbentScaled, lowerScaled int64) solve.E
 	exact := solve.ExactOptions{
 		MaxStates:         unbounded,
 		MaxTableBytes:     opts.MaxTableBytes,
-		Parallel:          opts.Workers,
 		InitialLowerBound: lowerScaled,
 		ProgressEvery:     opts.SnapshotEvery,
 	}
@@ -201,7 +190,7 @@ func refinementOptions(opts Options, incumbentScaled, lowerScaled int64) solve.E
 // stream: it assigns a strictly increasing Seq, tracks the peak
 // frontier size and expansion rate for the Result, mirrors each sample
 // as a search-snapshot span event, and fans out to the caller's
-// OnSearch. Both engines report on Solve's goroutine, so it needs no
+// OnSearch. The engine reports on Solve's goroutine, so it needs no
 // lock.
 type searchRelay struct {
 	seq          int
@@ -227,7 +216,7 @@ func (r *searchRelay) relay(sp *obs.Span, snap obs.SearchSnapshot) {
 
 // collector accumulates the certified interval across phases, emitting
 // a snapshot whenever it tightens. Every report reaches it on Solve's
-// goroutine (the heuristics run there, and both engines call Progress
+// goroutine (the heuristics run there, and the engine calls Progress
 // there), and each end only moves when it strictly improves, so the
 // OnProgress stream is strictly improving and never regresses.
 type collector struct {
@@ -369,8 +358,8 @@ func Solve(ctx context.Context, p solve.Problem, opts Options) (Result, error) {
 	hsp.End()
 
 	// Phase 2: exact refinement, unless the interval already met (or
-	// the budget died during phase 1). One engine runs on this
-	// goroutine: serial A*, or async HDA* under Workers > 1.
+	// the budget died during phase 1). Serial A* runs on this
+	// goroutine.
 	var stats solve.ExactStats
 	memLimited := false
 	relay := &searchRelay{on: opts.OnSearch}

@@ -125,28 +125,6 @@ func TestZeroDeadlineStillCertifies(t *testing.T) {
 	}
 }
 
-// TestParallelWorkers exercises the async-engine path under the
-// orchestrator, both to completion and under a deadline.
-func TestParallelWorkers(t *testing.T) {
-	p := solve.Problem{G: daggen.Pyramid(5), Model: pebble.NewModel(pebble.Oneshot), R: 4}
-	res, err := Solve(context.Background(), p, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Optimal {
-		t.Fatalf("want optimal, got %v", res)
-	}
-
-	hard := solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.Oneshot), R: 3}
-	res, err = Solve(context.Background(), hard, Options{Workers: 2, Budget: 80 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LowerScaled <= 0 || res.LowerScaled > res.UpperScaled {
-		t.Fatalf("incoherent interval under workers: %v", res)
-	}
-}
-
 // TestContextCancel: an already-canceled parent context still returns a
 // certified heuristic answer (deadline semantics, not an error).
 func TestContextCancel(t *testing.T) {
@@ -179,17 +157,18 @@ func TestInfeasible(t *testing.T) {
 // acceptance criterion asks for: the values handed to the exact engine
 // (InitialLowerBound and PruneBound) must carry the certified interval
 // at phase-2 start — which, for a warm-started solve, is the cached
-// interval.
+// interval. The orchestrator's table budget and snapshot cadence must
+// reach the engine too.
 func TestRefinementOptionsSeedEngines(t *testing.T) {
-	exact := refinementOptions(Options{Workers: 3}, 31, 8)
+	exact := refinementOptions(Options{MaxTableBytes: 1 << 20, SnapshotEvery: 5 * time.Millisecond}, 31, 8)
 	if exact.PruneBound != 32 {
 		t.Fatalf("ExactOptions.PruneBound = %d, want 32", exact.PruneBound)
 	}
 	if exact.InitialLowerBound != 8 {
 		t.Fatalf("ExactOptions.InitialLowerBound = %d, want 8", exact.InitialLowerBound)
 	}
-	if exact.Parallel != 3 {
-		t.Fatalf("ExactOptions.Parallel = %d, want 3", exact.Parallel)
+	if exact.MaxTableBytes != 1<<20 || exact.ProgressEvery != 5*time.Millisecond {
+		t.Fatalf("ExactOptions budget/cadence = (%d, %v), want (%d, 5ms)", exact.MaxTableBytes, exact.ProgressEvery, 1<<20)
 	}
 	// No incumbent yet (MaxInt64 sentinel): no bound seeding at all.
 	exact = refinementOptions(Options{}, math.MaxInt64, 5)

@@ -32,16 +32,15 @@ func (l *snapshotLog) all() []Snapshot {
 }
 
 // TestParallelStreamsCertifiedLowerBound is the acceptance test for the
-// engines' mid-flight certified bound: the orchestrator must observe at
-// least one certified lower-bound improvement from the best-first
-// engine BEFORE the solve completes, under async HDA* (Workers: 2) and
-// serial A* (Workers: 1) alike. The instance closes optimally with a
-// gap between the root bound and the optimum, so any "astar" snapshot
-// with a lower bound strictly below the optimum can only have come from
-// the engine's in-flight certified f-min stream (the completion-time
-// harvest reports the optimum itself). Each solve runs exactly one
-// exact engine: every search snapshot names the engine the worker count
-// selects, and no depth-first visits are reported.
+// engine's mid-flight certified bound: the orchestrator must observe at
+// least one certified lower-bound improvement from serial A* BEFORE the
+// solve completes. The instance closes optimally with a gap between the
+// root bound and the optimum, so any "astar" snapshot with a lower
+// bound strictly below the optimum can only have come from the
+// engine's in-flight certified f-min stream (the completion-time
+// harvest reports the optimum itself). The solve runs exactly one exact
+// engine: every search snapshot names astar, and no depth-first visits
+// are reported.
 func TestParallelStreamsCertifiedLowerBound(t *testing.T) {
 	// pyramid(6) R=4: serial A* with symmetry closes pyramid(5) R=3 in
 	// under 1024 expansions, before its first sampling gate.
@@ -51,73 +50,63 @@ func TestParallelStreamsCertifiedLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		workers int
-		engine  string
-	}{{2, "async-hda"}, {1, "astar"}} {
-		t.Run(tc.engine, func(t *testing.T) {
-			var log snapshotLog
-			var mu sync.Mutex
-			var engines []string
-			res, err := Solve(context.Background(), p, Options{
-				Workers:       tc.workers,
-				OnProgress:    log.add,
-				SnapshotEvery: time.Millisecond,
-				OnSearch: func(sn obs.SearchSnapshot) {
-					mu.Lock()
-					engines = append(engines, sn.Engine)
-					mu.Unlock()
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Optimal {
-				t.Fatalf("full-budget solve not optimal: %v", res)
-			}
-			if root >= res.LowerScaled {
-				t.Fatalf("instance closed at the root bound (%d >= %d); pick a harder one", root, res.LowerScaled)
-			}
-			if res.Visits != 0 {
-				t.Fatalf("Result.Visits = %d, want 0: a depth-first engine ran", res.Visits)
-			}
-
-			mu.Lock()
-			defer mu.Unlock()
-			if len(engines) == 0 {
-				t.Fatal("no search snapshots under a 1ms cadence")
-			}
-			for _, e := range engines {
-				if e != tc.engine {
-					t.Fatalf("search snapshot from engine %q under Workers=%d, want only %q", e, tc.workers, tc.engine)
-				}
-			}
-
-			midflight := 0
-			for _, s := range log.all() {
-				if s.Source == "astar" && s.LowerScaled > root && s.LowerScaled < res.UpperScaled {
-					midflight++
-				}
-			}
-			if midflight == 0 {
-				t.Fatalf("no mid-flight certified lower-bound improvement observed under Workers=%d; snapshots: %+v", tc.workers, log.all())
-			}
+	t.Run("astar", func(t *testing.T) {
+		var log snapshotLog
+		var mu sync.Mutex
+		var engines []string
+		res, err := Solve(context.Background(), p, Options{
+			OnProgress:    log.add,
+			SnapshotEvery: time.Millisecond,
+			OnSearch: func(sn obs.SearchSnapshot) {
+				mu.Lock()
+				engines = append(engines, sn.Engine)
+				mu.Unlock()
+			},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Optimal {
+			t.Fatalf("full-budget solve not optimal: %v", res)
+		}
+		if root >= res.LowerScaled {
+			t.Fatalf("instance closed at the root bound (%d >= %d); pick a harder one", root, res.LowerScaled)
+		}
+		if res.Visits != 0 {
+			t.Fatalf("Result.Visits = %d, want 0: a depth-first engine ran", res.Visits)
+		}
+
+		mu.Lock()
+		defer mu.Unlock()
+		if len(engines) == 0 {
+			t.Fatal("no search snapshots under a 1ms cadence")
+		}
+		for _, e := range engines {
+			if e != "astar" {
+				t.Fatalf("search snapshot from engine %q, want only astar", e)
+			}
+		}
+
+		midflight := 0
+		for _, s := range log.all() {
+			if s.Source == "astar" && s.LowerScaled > root && s.LowerScaled < res.UpperScaled {
+				midflight++
+			}
+		}
+		if midflight == 0 {
+			t.Fatalf("no mid-flight certified lower-bound improvement observed; snapshots: %+v", log.all())
+		}
+	})
 }
 
 // TestProgressStreamMonotoneNoDuplicates checks the emission contract:
 // every delivered snapshot strictly improves at least one end of the
-// interval and regresses neither, under parallel workers reporting
-// concurrently (the scenario that used to allow duplicate or
-// out-of-order (upper, lower) pairs).
+// interval and regresses neither: no duplicate or out-of-order
+// (upper, lower) pairs.
 func TestProgressStreamMonotoneNoDuplicates(t *testing.T) {
 	p := solve.Problem{G: daggen.Pyramid(5), Model: pebble.NewModel(pebble.Oneshot), R: 3}
 	var log snapshotLog
-	res, err := Solve(context.Background(), p, Options{
-		Workers:    2,
-		OnProgress: log.add,
-	})
+	res, err := Solve(context.Background(), p, Options{OnProgress: log.add})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,15 +92,13 @@ func TestMetricsMergeSearchGauges(t *testing.T) {
 		"rbserve_uptime_seconds 120\n" +
 		"rbserve_job_expansion_rate{job=\"job-a-1\"} 50000\n" +
 		"rbserve_job_table_bytes{job=\"job-a-1\"} 1000\n" +
-		"rbserve_job_frontier_size{job=\"job-a-1\"} 40\n" +
-		"rbserve_job_mailbox_depth{job=\"job-a-1\",worker=\"0\"} 3\n")
+		"rbserve_job_frontier_size{job=\"job-a-1\"} 40\n")
 	defer n1.Close()
 	n2 := node("rbserve_build_info{version=\"v1\",go_version=\"go1.24\"} 1\n" +
 		"rbserve_uptime_seconds 80\n" +
 		"rbserve_job_expansion_rate{job=\"job-b-1\"} 25000\n" +
 		"rbserve_job_table_bytes{job=\"job-b-1\"} 500\n" +
-		"rbserve_job_frontier_size{job=\"job-b-1\"} 10\n" +
-		"rbserve_job_mailbox_depth{job=\"job-b-1\",worker=\"0\"} 4\n")
+		"rbserve_job_frontier_size{job=\"job-b-1\"} 10\n")
 	defer n2.Close()
 
 	members := []string{
@@ -133,7 +131,6 @@ func TestMetricsMergeSearchGauges(t *testing.T) {
 		"cluster_rbserve_job_expansion_rate 75000\n",
 		"cluster_rbserve_job_table_bytes 1500\n",
 		"cluster_rbserve_job_frontier_size 50\n",
-		"cluster_rbserve_job_mailbox_depth 7\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("merged metrics missing %q:\n%s", want, body)

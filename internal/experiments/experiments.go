@@ -20,16 +20,6 @@ import (
 	"text/tabwriter"
 )
 
-// ExactParallelism, when set > 1, makes every exact solve inside the
-// harness expand states with that many hash-sharded workers of the
-// asynchronous HDA* engine (forwarded to solve.ExactOptions.Parallel).
-// The regenerated costs are identical — only wall-clock time changes.
-// Experiments that publish search-effort counters (Ablations B and D)
-// always solve with their own fixed configurations so their
-// states-expanded columns stay comparable. The rbexp CLI exposes it as
-// -exact-workers.
-var ExactParallelism int
-
 // Report is one regenerated table or figure.
 type Report struct {
 	// ID names the artifact in the paper ("Table 1", "Figure 4", ...).
@@ -95,7 +85,6 @@ func All() []*Report {
 		AblationEviction(),
 		AblationExactPruning(),
 		AblationGreedyRules(),
-		AblationAsyncScaling(),
 		AblationAnytime(),
 		Multilevel(),
 		ParallelPebbling(),

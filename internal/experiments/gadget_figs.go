@@ -38,7 +38,7 @@ func Fig1CD(p Fig1Params) *Report {
 		if err != nil {
 			panic(err)
 		}
-		opt, err := solve.Exact(solve.Problem{G: cd.G, Model: pebble.NewModel(pebble.Oneshot), R: cd.RequiredR() - 1}, exactOpts())
+		opt, err := solve.Exact(solve.Problem{G: cd.G, Model: pebble.NewModel(pebble.Oneshot), R: cd.RequiredR() - 1}, solve.ExactOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -69,7 +69,7 @@ func Fig2H2C() *Report {
 		g := dag.New(2)
 		g.AddEdge(0, 1)
 		gadgets.AttachH2C(g, []dag.NodeID{0}, r)
-		opt, err := solve.Exact(solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: r}, exactOpts())
+		opt, err := solve.Exact(solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: r}, solve.ExactOptions{})
 		if err != nil {
 			panic(err)
 		}

@@ -11,12 +11,6 @@ import (
 	"rbpebble/internal/solve"
 )
 
-// exactOpts returns the harness-wide exact-solver options (the
-// ExactParallelism knob applied).
-func exactOpts() solve.ExactOptions {
-	return solve.ExactOptions{Parallel: ExactParallelism}
-}
-
 // NewGridInstance measures one row of the Theorem 4 table: whether greedy
 // followed the misguided order, and the greedy/optimal cost ratio.
 func NewGridInstance(l, kprime int) []string {
@@ -86,7 +80,7 @@ func Lemma1Length(p Lemma1Params) *Report {
 		n, delta := g.N(), g.MaxInDegree()
 		for _, kind := range []pebble.ModelKind{pebble.Oneshot, pebble.NoDel, pebble.CompCost} {
 			m := pebble.NewModel(kind)
-			opt, err := solve.Exact(solve.Problem{G: g, Model: m, R: delta + 1}, exactOpts())
+			opt, err := solve.Exact(solve.Problem{G: g, Model: m, R: delta + 1}, solve.ExactOptions{})
 			if err != nil {
 				panic(err)
 			}
@@ -117,14 +111,14 @@ func Conventions() *Report {
 	g := daggen.Pyramid(2)
 	m := pebble.NewModel(pebble.Oneshot)
 	r := 4
-	base, err := solve.Exact(solve.Problem{G: g, Model: m, R: r}, exactOpts())
+	base, err := solve.Exact(solve.Problem{G: g, Model: m, R: r}, solve.ExactOptions{})
 	if err != nil {
 		panic(err)
 	}
 	rep.Rows = append(rep.Rows, []string{"pyramid(2)", "paper (free sources, any sink)", itoa(base.Result.Cost.Transfers), "0", "-"})
 
 	blueSinks, err := solve.Exact(solve.Problem{G: g, Model: m, R: r,
-		Convention: pebble.Convention{SinksMustBeBlue: true}}, exactOpts())
+		Convention: pebble.Convention{SinksMustBeBlue: true}}, solve.ExactOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -136,7 +130,7 @@ func Conventions() *Report {
 	})
 
 	blueSources, err := solve.Exact(solve.Problem{G: g, Model: m, R: r,
-		Convention: pebble.Convention{SourcesStartBlue: true}}, exactOpts())
+		Convention: pebble.Convention{SourcesStartBlue: true}}, solve.ExactOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -151,7 +145,7 @@ func Conventions() *Report {
 	tg := g.Clone()
 	gadgets.SingleSource(tg)
 	single, err := solve.Exact(solve.Problem{G: tg, Model: m, R: r + 1,
-		Convention: pebble.Convention{SourcesStartBlue: true}}, exactOpts())
+		Convention: pebble.Convention{SourcesStartBlue: true}}, solve.ExactOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -231,9 +225,6 @@ func AblationExactPruning() *Report {
 		g := w.g
 		r := pebble.MinFeasibleR(g)
 		p := solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: r}
-		// All solves run serially regardless of ExactParallelism:
-		// batched parallel expansion overshoots the cost frontier, which
-		// would corrupt the states-expanded comparison.
 		var sp, sl, sb, sd solve.ExactStats
 		a, err := solve.Exact(p, solve.ExactOptions{Heuristic: solve.HeuristicSPartition, Stats: &sp})
 		if err != nil {

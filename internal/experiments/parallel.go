@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
-	"time"
 
 	"rbpebble/internal/dag"
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/multilevel"
-	"rbpebble/internal/pebble"
-	"rbpebble/internal/solve"
 )
 
 // AllParallel runs every experiment concurrently (bounded by GOMAXPROCS
@@ -33,7 +29,6 @@ func AllParallel() []*Report {
 		AblationEviction,
 		AblationExactPruning,
 		AblationGreedyRules,
-		AblationAsyncScaling,
 		AblationAnytime,
 		Multilevel,
 		ParallelPebbling,
@@ -63,57 +58,6 @@ func RunAllParallel(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// AblationAsyncScaling compares the asynchronous HDA*-style parallel
-// engine at 2/4/8 workers against the serial A* loop on a pyramid
-// instance: identical proven optima, with states expanded quantifying
-// the search discipline (the async engine's watermark throttle holds
-// expansions near the serial count as workers grow) and wall-clock as a
-// rough secondary signal (it depends on the host's core count and
-// load).
-func AblationAsyncScaling() *Report {
-	rep := &Report{
-		ID:     "Ablation D",
-		Title:  "Async HDA* parallel expansion vs serial A*",
-		Claim:  "(design choice) barrier-free sharded expansion preserves the optimum and stays near the serial state count as workers grow",
-		Header: []string{"workload", "engine", "workers", "opt", "states", "ms"},
-	}
-	g := daggen.Pyramid(5)
-	p := solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: 4}
-	serial, err := solve.Exact(p, solve.ExactOptions{})
-	if err != nil {
-		panic(err)
-	}
-	want := serial.Result.Cost.Transfers
-	equalAll := true
-	for _, workers := range []int{1, 2, 4, 8} {
-		var st solve.ExactStats
-		begin := time.Now()
-		sol, err := solve.Exact(p, solve.ExactOptions{Parallel: workers, Stats: &st})
-		if err != nil {
-			panic(err)
-		}
-		elapsed := time.Since(begin)
-		if sol.Result.Cost.Transfers != want {
-			equalAll = false
-		}
-		engine := "async-hda"
-		if workers == 1 {
-			engine = "serial"
-		}
-		rep.Rows = append(rep.Rows, []string{
-			"pyramid(5) R=4", engine, itoa(workers),
-			itoa(sol.Result.Cost.Transfers), itoa(st.Expanded),
-			fmt.Sprintf("%.1f", float64(elapsed.Microseconds())/1000),
-		})
-	}
-	if equalAll {
-		rep.Verdict = "identical optima at every worker count; async expansion stays near the serial state count"
-	} else {
-		rep.Verdict = "COST MISMATCH between engines — parallel search bug"
-	}
-	return rep
 }
 
 // Multilevel is the extension experiment: the multi-level hierarchy

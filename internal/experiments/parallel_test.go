@@ -41,12 +41,6 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 		}
 		for r := range seq[i].Rows {
 			for c := range seq[i].Rows[r] {
-				// Ablation D measures parallel engines: its states and
-				// wall-clock columns are schedule-dependent by nature.
-				// The proven optima (and everything else) must match.
-				if seq[i].ID == "Ablation D" && c >= 4 {
-					continue
-				}
 				// Ablation E measures anytime solves under wall-clock
 				// deadlines: how far the certified interval converges
 				// (lower, gap, optimal, source — every column past the

@@ -9,8 +9,8 @@ package obs
 type SearchSnapshot struct {
 	// Seq numbers the snapshots of one solve (strictly increasing).
 	Seq int `json:"seq"`
-	// Engine names the engine that produced the sample: astar,
-	// async-hda, ida-star.
+	// Engine names the engine that produced the sample: astar (serial
+	// A*, the anytime refinement engine) or ida-star.
 	Engine string `json:"engine"`
 	// ElapsedMS is the wall time since the engine started, in
 	// fractional milliseconds.
@@ -36,12 +36,6 @@ type SearchSnapshot struct {
 	TableStates int64   `json:"table_states"`
 	TableBytes  int64   `json:"table_bytes"`
 	TableLoad   float64 `json:"table_load,omitempty"`
-	// Workers is the per-worker breakdown (parallel engines).
-	Workers []SearchWorker `json:"workers,omitempty"`
-	// SafraSent/SafraRecv are the async termination protocol's global
-	// proposal counters (their difference is the in-flight mass).
-	SafraSent int64 `json:"safra_sent,omitempty"`
-	SafraRecv int64 `json:"safra_recv,omitempty"`
 	// Threshold and Pass track the IDA* threshold schedule.
 	Threshold int64 `json:"threshold,omitempty"`
 	Pass      int   `json:"pass,omitempty"`
@@ -51,18 +45,4 @@ type SearchSnapshot struct {
 type SearchBucket struct {
 	F     int64 `json:"f"`
 	Count int   `json:"count"`
-}
-
-// SearchWorker is one parallel worker's slot in a SearchSnapshot.
-type SearchWorker struct {
-	ID           int   `json:"id"`
-	Expanded     int64 `json:"expanded"`
-	Pushed       int64 `json:"pushed"`
-	HeapSize     int64 `json:"heap_size"`
-	HeapMinF     int64 `json:"heap_min_f"`
-	Floor        int64 `json:"floor"`
-	MailboxDepth int64 `json:"mailbox_depth"`
-	TableStates  int64 `json:"table_states"`
-	TableBytes   int64 `json:"table_bytes"`
-	Passive      bool  `json:"passive,omitempty"`
 }

@@ -94,11 +94,10 @@ type SolveRecord struct {
 	Node     string    `json:"node,omitempty"` // filled by the proxy's fleet merge
 	Features Features  `json:"features"`
 	Model    string    `json:"model"`
-	// Engine is the source of the served value: astar (the one exact
-	// engine, serial or async HDA*), a heuristic such as topo-belady or
-	// greedy/..., or the cache/warm provenance of a reused interval.
-	Engine  string `json:"engine"`
-	Workers int    `json:"workers,omitempty"`
+	// Engine is the source of the served value: astar (the exact
+	// engine), a heuristic such as topo-belady or greedy/..., or the
+	// cache/warm provenance of a reused interval.
+	Engine string `json:"engine"`
 	// BudgetMS is the solve budget; Tier its cache credit bucket.
 	BudgetMS int64 `json:"budget_ms"`
 	Tier     int   `json:"tier"`

@@ -19,8 +19,8 @@ import (
 
 // TestJobSearchDebug: while an async job runs, GET /debug/jobs/{id}/search
 // must serve the latest live engine snapshot streamed by the
-// orchestrator, /metrics must carry the per-job search gauges (including
-// per-worker mailbox depth), and after completion the last snapshot must
+// orchestrator (open-queue histogram included), /metrics must carry the
+// per-job search gauges, and after completion the last snapshot must
 // stay retrievable alongside the terminal status. The solver is stubbed
 // so the test controls the snapshots and the job's lifetime.
 func TestJobSearchDebug(t *testing.T) {
@@ -33,14 +33,14 @@ func TestJobSearchDebug(t *testing.T) {
 			t.Error("async job solve got no OnSearch hook")
 		} else {
 			opts.OnSearch(obs.SearchSnapshot{
-				Seq: 1, Engine: "async-hda", Expanded: 1000, Rate: 50000,
+				Seq: 1, Engine: "astar", Expanded: 1000, Rate: 50000,
 				FrontierSize: 40, TableBytes: 1 << 20,
-				Workers: []obs.SearchWorker{{ID: 0, MailboxDepth: 3}, {ID: 1, MailboxDepth: 7}},
+				OpenBuckets: []obs.SearchBucket{{F: 9, Count: 30}, {F: 10, Count: 10}},
 			})
 			opts.OnSearch(obs.SearchSnapshot{
-				Seq: 2, Engine: "async-hda", Expanded: 2500, Rate: 61000,
+				Seq: 2, Engine: "astar", Expanded: 2500, Rate: 61000,
 				FrontierSize: 55, TableBytes: 2 << 20,
-				Workers: []obs.SearchWorker{{ID: 0, MailboxDepth: 1}, {ID: 1, MailboxDepth: 0}},
+				OpenBuckets: []obs.SearchBucket{{F: 10, Count: 50}, {F: 11, Count: 5}},
 			})
 		}
 		close(streamed)
@@ -70,7 +70,8 @@ func TestJobSearchDebug(t *testing.T) {
 	if sd.Job != jr.ID || sd.Status != "running" {
 		t.Fatalf("search debug envelope = %+v, want running job %s", sd, jr.ID)
 	}
-	if sd.Snapshot == nil || sd.Snapshot.Seq != 2 || sd.Snapshot.Expanded != 2500 {
+	if sd.Snapshot == nil || sd.Snapshot.Seq != 2 || sd.Snapshot.Expanded != 2500 ||
+		len(sd.Snapshot.OpenBuckets) != 2 || sd.Snapshot.OpenBuckets[0] != (obs.SearchBucket{F: 10, Count: 50}) {
 		t.Fatalf("search debug did not serve the latest snapshot: %+v", sd.Snapshot)
 	}
 
@@ -79,8 +80,6 @@ func TestJobSearchDebug(t *testing.T) {
 		fmt.Sprintf("rbserve_job_expansion_rate{job=%q} 61000", jr.ID),
 		fmt.Sprintf("rbserve_job_table_bytes{job=%q} %d", jr.ID, 2<<20),
 		fmt.Sprintf("rbserve_job_frontier_size{job=%q} 55", jr.ID),
-		fmt.Sprintf("rbserve_job_mailbox_depth{job=%q,worker=\"0\"} 1", jr.ID),
-		fmt.Sprintf("rbserve_job_mailbox_depth{job=%q,worker=\"1\"} 0", jr.ID),
 		"rbserve_build_info{version=",
 		"rbserve_uptime_seconds ",
 	} {

@@ -55,9 +55,6 @@ type Config struct {
 	// DefaultDeadline applies when a request has no deadline_ms
 	// (default 2s). MaxDeadline clamps requested deadlines (default 30s).
 	DefaultDeadline, MaxDeadline time.Duration
-	// SolveWorkers is forwarded to anytime.Options.Workers (parallel
-	// expansion inside one solve; default 1, serial).
-	SolveWorkers int
 	// MaxNodes rejects instances above this size (default 100000). It
 	// is enforced before the graph is materialized, so a tiny request
 	// body declaring a huge node count cannot allocate.
@@ -254,10 +251,8 @@ type job struct {
 	cancel context.CancelFunc
 
 	// lower is the live certified scaled lower bound of the running
-	// solve, streamed from the orchestrator's progress snapshots (the
-	// async engine certifies its global f-min mid-flight, so this moves
-	// even under SolveWorkers > 1). Exposed while the job runs as the
-	// rbserve_job_lower_bound gauge.
+	// solve, streamed from the orchestrator's progress snapshots.
+	// Exposed while the job runs as the rbserve_job_lower_bound gauge.
 	lower atomic.Int64
 
 	// search is the most recent live engine-introspection snapshot of
@@ -836,7 +831,6 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 func (s *Server) solveOptions(k keyedSolve, warm *instcache.Value, traceID string) anytime.Options {
 	opts := anytime.Options{
 		Budget:        k.deadline,
-		Workers:       s.cfg.SolveWorkers,
 		MaxTableBytes: k.tableBytes,
 	}
 	if k.onLower != nil {
@@ -881,7 +875,6 @@ func (s *Server) record(ctx context.Context, k keyedSolve, disposition string, v
 		Features:    obs.ComputeFeatures(k.p.G, k.p.R),
 		Model:       k.p.Model.Kind.String(),
 		Engine:      val.Source,
-		Workers:     s.cfg.SolveWorkers,
 		BudgetMS:    k.deadline.Milliseconds(),
 		Tier:        k.tier,
 		Disposition: disposition,
@@ -1368,10 +1361,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "rbserve_queue_depth{lane=%q} %d\n", laneHeavy, s.lanes.heavy.depth())
 	s.reqSeconds.write(w, "rbserve_request_seconds")
 	// Per-running-job live certified lower bound (scaled cost units),
-	// streamed from the orchestrator mid-flight — the async engine
-	// certifies its global f-min without stop-and-drain, so the gauge
-	// moves while the job runs even under SolveWorkers > 1. The cluster
-	// proxy strips the label and sums across jobs and nodes into
+	// streamed from the orchestrator mid-flight, so the gauge moves
+	// while the job runs. The cluster proxy strips the label and sums across jobs and nodes into
 	// cluster_rbserve_job_lower_bound. Snapshot under the lock, write
 	// after releasing it: a slow-reading scraper must not block job
 	// submission and polling on jobMu.
@@ -1404,9 +1395,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			strconv.FormatFloat(g.search.Rate, 'g', -1, 64))
 		fmt.Fprintf(w, "rbserve_job_table_bytes{job=%q} %d\n", g.id, g.search.TableBytes)
 		fmt.Fprintf(w, "rbserve_job_frontier_size{job=%q} %d\n", g.id, g.search.FrontierSize)
-		for _, wk := range g.search.Workers {
-			fmt.Fprintf(w, "rbserve_job_mailbox_depth{job=%q,worker=\"%d\"} %d\n", g.id, wk.ID, wk.MailboxDepth)
-		}
 	}
 }
 

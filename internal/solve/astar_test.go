@@ -137,43 +137,6 @@ func TestSPartitionShrinksPyramidSearch(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial checks that hash-sharded parallel expansion
-// proves the same optimal cost as the sequential search.
-func TestParallelMatchesSerial(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		g := daggen.RandomLayered(3, 3, 2, seed)
-		r := pebble.MinFeasibleR(g)
-		for _, kind := range []pebble.ModelKind{pebble.Base, pebble.Oneshot, pebble.NoDel} {
-			p := Problem{G: g, Model: pebble.NewModel(kind), R: r}
-			serial, err := Exact(p, ExactOptions{})
-			if err != nil {
-				t.Fatalf("seed %d %v serial: %v", seed, kind, err)
-			}
-			for _, workers := range []int{2, 4} {
-				par, err := Exact(p, ExactOptions{Parallel: workers})
-				if err != nil {
-					t.Fatalf("seed %d %v parallel(%d): %v", seed, kind, workers, err)
-				}
-				if par.Result.Cost.Scaled(p.Model) != serial.Result.Cost.Scaled(p.Model) {
-					t.Errorf("seed %d %v parallel(%d): cost %v != serial %v",
-						seed, kind, workers, par.Result.Cost, serial.Result.Cost)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelStateLimit checks the budget error surfaces from the
-// sharded search too.
-func TestParallelStateLimit(t *testing.T) {
-	g := daggen.Pyramid(3)
-	_, err := Exact(Problem{G: g, Model: pebble.NewModel(pebble.Base), R: 3},
-		ExactOptions{MaxStates: 5, Parallel: 2})
-	if err == nil {
-		t.Fatal("want ErrStateLimit")
-	}
-}
-
 // TestExactStatsPopulated checks the stats out-parameter.
 func TestExactStatsPopulated(t *testing.T) {
 	var st ExactStats

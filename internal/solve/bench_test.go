@@ -31,14 +31,6 @@ func BenchmarkExactSPartitionPyramid5R3(b *testing.B) { benchGolden(b, "ExactSPa
 
 func BenchmarkExactLowerBoundPyramid5R3(b *testing.B) { benchGolden(b, "ExactLowerBoundPyramid5R3") }
 
-// Async HDA* at 4 and 8 workers.
-
-func BenchmarkExactAsync4Pyramid5R4(b *testing.B) { benchGolden(b, "ExactAsync4Pyramid5R4") }
-
-func BenchmarkExactAsync8Pyramid5R4(b *testing.B) { benchGolden(b, "ExactAsync8Pyramid5R4") }
-
-func BenchmarkExactAsync4FFT3R3(b *testing.B) { benchGolden(b, "ExactAsync4FFT3R3") }
-
 // Depth-first exact solver (IDA*).
 
 func BenchmarkExactIDAStarPyramid5R4(b *testing.B) { benchGolden(b, "ExactIDAStarPyramid5R4") }

@@ -60,9 +60,9 @@ func TestExactCancelHarvestsLowerBound(t *testing.T) {
 	}
 }
 
-// TestExactCancelEngines cancels each engine mid-run on an instance
-// small enough to finish, and checks every outcome is coherent: either
-// ErrCanceled with a valid bound, or a completed optimal solve.
+// TestExactCancelEngines cancels serial A* before it starts on an
+// instance small enough to finish, and checks the outcome is coherent:
+// either ErrCanceled with a valid bound, or a completed optimal solve.
 func TestExactCancelEngines(t *testing.T) {
 	p := Problem{G: daggen.Pyramid(5), Model: pebble.NewModel(pebble.Oneshot), R: 4}
 	opt, err := Exact(p, ExactOptions{})
@@ -70,36 +70,47 @@ func TestExactCancelEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	optScaled := opt.Result.Cost.Scaled(p.Model)
-	for _, tc := range []struct {
-		name string
-		opts ExactOptions
-	}{
-		{"serial", ExactOptions{}},
-		{"async", ExactOptions{Parallel: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cancel := make(chan struct{})
-			close(cancel) // fire before the search even starts
-			opts := tc.opts
-			var stats ExactStats
-			opts.Cancel = cancel
-			opts.Stats = &stats
-			sol, err := Exact(p, opts)
-			if err == nil {
-				// The engine may legitimately finish before observing the
-				// cancellation; then the answer must be the optimum.
-				if got := sol.Result.Cost.Scaled(p.Model); got != optScaled {
-					t.Fatalf("finished with cost %d, want %d", got, optScaled)
-				}
-				return
+	t.Run("serial", func(t *testing.T) {
+		cancel := make(chan struct{})
+		close(cancel) // fire before the search even starts
+		var stats ExactStats
+		sol, err := Exact(p, ExactOptions{Cancel: cancel, Stats: &stats})
+		if err == nil {
+			// The search may legitimately finish before observing the
+			// cancellation; then the answer must be the optimum.
+			if got := sol.Result.Cost.Scaled(p.Model); got != optScaled {
+				t.Fatalf("finished with cost %d, want %d", got, optScaled)
 			}
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("err = %v, want ErrCanceled", err)
-			}
-			if stats.LowerBound < 0 || stats.LowerBound > optScaled {
-				t.Fatalf("lower bound %d outside [0, %d]", stats.LowerBound, optScaled)
-			}
-		})
+			return
+		}
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled", err)
+		}
+		if stats.LowerBound < 0 || stats.LowerBound > optScaled {
+			t.Fatalf("lower bound %d outside [0, %d]", stats.LowerBound, optScaled)
+		}
+	})
+}
+
+// TestExactCancelDuringSymmetrySetUp cancels before the call on a large
+// symmetric instance (|Aut| = 9,216), whose canonical labeling and
+// symmetry tables take tens of milliseconds. The set-up polls Cancel,
+// so the search stops before its first expansion and reports the
+// caller's already-certified floor.
+func TestExactCancelDuringSymmetrySetUp(t *testing.T) {
+	p := Problem{G: daggen.RandomLayered(20, 20, 2, 1), Model: pebble.NewModel(pebble.Oneshot), R: 3}
+	cancel := make(chan struct{})
+	close(cancel)
+	var stats ExactStats
+	_, err := Exact(p, ExactOptions{Cancel: cancel, InitialLowerBound: 7, Stats: &stats})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if stats.Expanded != 0 {
+		t.Fatalf("expanded %d states after a cancel before the call, want 0", stats.Expanded)
+	}
+	if stats.LowerBound != 7 {
+		t.Fatalf("lower bound %d, want the initial 7", stats.LowerBound)
 	}
 }
 

@@ -23,9 +23,9 @@ var ErrStateLimit = errors.New("solve: state limit exceeded")
 // filled, so anytime callers can salvage the partial certificate.
 var ErrCanceled = errors.New("solve: search canceled")
 
-// ErrBoundExhausted is returned by the serial and async exact engines
-// when ExactOptions.PruneBound is set and the search space is exhausted
-// without finding any completion below the bound. It is a POSITIVE
+// ErrBoundExhausted is returned by Exact when ExactOptions.PruneBound
+// is set and the search space is exhausted without finding any
+// completion below the bound. It is a POSITIVE
 // certificate: the optimum is at least PruneBound, and Stats.LowerBound
 // reflects that — a warm-started refinement seeing this error has just
 // proven its cached incumbent optimal.
@@ -44,15 +44,15 @@ type ExactOptions struct {
 	// MaxStates caps the number of expanded states (0 means the default
 	// of 2,000,000). The search fails with ErrStateLimit beyond it.
 	MaxStates int
-	// MaxTableBytes caps the visited-state tables' backing-store
-	// footprint (probe slots plus allocated row chunks, summed over
-	// parallel shards; 0 = unlimited). The node logs and open lists are
-	// not charged. Growth past the budget aborts the search with
-	// ErrMemoryBudget, with Stats filled — including the certified
-	// LowerBound — so callers harvest a partial certificate instead of
-	// letting the search OOM the process. Enforcement is periodic (the
-	// engines check at their cancellation gates), so the real peak can
-	// overshoot the budget by one gate interval's growth.
+	// MaxTableBytes caps the visited-state table's backing-store
+	// footprint (probe slots plus allocated row chunks; 0 = unlimited).
+	// The node log and open list are not charged. Growth past the
+	// budget aborts the search with ErrMemoryBudget, with Stats filled
+	// — including the certified LowerBound — so callers harvest a
+	// partial certificate instead of letting the search OOM the
+	// process. Enforcement is periodic (the search checks at its
+	// cancellation gate), so the real peak can overshoot the budget by
+	// one gate interval's growth.
 	MaxTableBytes int64
 	// DisablePruning turns off the safe reductions: the dominance
 	// prunes, the dead-pebble quotient and serial A*'s symmetry
@@ -67,53 +67,40 @@ type ExactOptions struct {
 	// InitialLowerBound, if > 0, is a lower bound on the optimal scaled
 	// cost that the CALLER has already certified (e.g. a cached interval
 	// from an earlier deadline-limited solve of the same instance). The
-	// serial and async engines seed their running frontier certificate
-	// with it, so a canceled search never reports a LowerBound below
-	// what was already proven. Passing an uncertified value breaks the
-	// LowerBound contract — the search itself stays correct, but the
-	// reported bound would lie.
+	// search seeds its running frontier certificate with it, so a
+	// canceled search never reports a LowerBound below what was already
+	// proven. Passing an uncertified value breaks the LowerBound
+	// contract — the search itself stays correct, but the reported
+	// bound would lie.
 	InitialLowerBound int64
 	// PruneBound, if > 0, is an exclusive upper bound on interesting
-	// completions: the serial and async engines discard every generated
-	// state whose f = g + h reaches it. With an admissible heuristic any
-	// completion cheaper than PruneBound keeps all its prefix states
+	// completions: the search discards every generated state whose
+	// f = g + h reaches it. With an admissible heuristic any completion
+	// cheaper than PruneBound keeps all its prefix states
 	// strictly below the bound, so the optimum is still found whenever
 	// it is cheaper than PruneBound. Callers set it to incumbent+1
 	// (warm-started refinement from a cached trace) so equal-cost optima
-	// are still discovered and proven. In the async engine the bound is
-	// enforced at proposal enqueue, at relaxation and at expansion, and
-	// exhaustion under it yields the same ErrBoundExhausted certificate
-	// as the serial engine.
+	// are still discovered and proven. Exhausting the search under the
+	// bound yields the ErrBoundExhausted certificate.
 	PruneBound int64
-	// Parallel, when > 1, expands states with that many workers of the
-	// asynchronous HDA* engine, with the state space sharded by state
-	// hash (each worker owns its shard's open list and visited table;
-	// see async.go). The proven optimal cost is identical to the
-	// sequential search; only the witness trace may differ. Values <= 1
-	// run the sequential search.
-	Parallel int
 	// Stats, when non-nil, receives search counters (states expanded,
 	// pushed, distinct) after the solve, successful or not.
 	Stats *ExactStats
 	// Cancel, when non-nil, makes the search stop cooperatively once the
 	// channel is closed: Exact returns ErrCanceled with Stats filled,
 	// including the certified frontier lower bound harvested at
-	// shutdown. The anytime orchestrator uses this to turn a deadline
-	// into a [lower, upper] certificate instead of a wasted solve.
+	// shutdown. The channel is also polled while the symmetry tables
+	// are built, before the first expansion; a cancel there reports
+	// InitialLowerBound. The anytime orchestrator uses this to turn a
+	// deadline into a [lower, upper] certificate instead of a wasted
+	// solve.
 	Cancel <-chan struct{}
 	// Progress, when non-nil, receives periodic search snapshots on a
-	// time-based cadence (ProgressEvery) from every engine: the serial
-	// loop samples at its periodic gate, and the async HDA* engine's
-	// coordinator additionally fires whenever its certified global f-min
-	// improves, so the streamed lower bound stays prompt. The async
-	// bound is certified without any stop-and-drain: every worker
-	// publishes an in-flight-aware floor (its heap minimum, lowered to
-	// cover proposals it has generated but not yet deposited and batches
-	// it is draining) and every mailbox already tracks the minimum
-	// parent f of its pending batches, so the merged minimum never
-	// overlooks work in flight — see async.go. The callback runs on a
-	// solver goroutine and must be fast. With Progress nil the engines
-	// build no snapshots and pay only a nil check at the gate.
+	// time-based cadence (ProgressEvery), sampled at the search's
+	// periodic gate; each carries the certified lower bound so far. The
+	// callback runs on the solver goroutine and must be fast. With
+	// Progress nil the search builds no snapshots and pays only a nil
+	// check at the gate.
 	Progress func(ExactProgress)
 	// ProgressEvery is the snapshot cadence (default ~100ms). Ignored
 	// without a Progress listener.
@@ -123,7 +110,7 @@ type ExactOptions struct {
 // ExactProgress is one periodic snapshot of a running exact search —
 // the live shape of the search, not just its counters. The engines
 // build the wire type directly (see snapshot.go); Engine names which
-// one filled it.
+// one filled it (astar here, ida-star for ExactDFS).
 type ExactProgress = obs.SearchSnapshot
 
 // ExactStats reports search-effort counters from one Exact run.
@@ -144,10 +131,9 @@ type ExactStats struct {
 	// entry with f no larger than its cost, so the min open f never
 	// exceeds the true optimum — each observation is a certificate.
 	LowerBound int64
-	// TableBytes is the visited-state tables' backing-store footprint
-	// (probe slots plus allocated row chunks, summed over parallel shards)
-	// when the search stopped. Tables only grow within a run, so this is
-	// the peak.
+	// TableBytes is the visited-state table's backing-store footprint
+	// (probe slots plus allocated row chunks) when the search stopped.
+	// The table only grows within a run, so this is the peak.
 	TableBytes int64
 }
 
@@ -194,7 +180,7 @@ func (m *serialMem) bytes() int64 {
 // canonical relabeling, so its effort does not depend on how the
 // caller numbered the nodes, and maps the trace back (see
 // symmetry.go). HeuristicOff stays the faithful Dijkstra reference, and
-// the async and IDA* engines search without symmetry.
+// IDA* (ExactDFS) searches without symmetry.
 //
 // The returned solution is replay-verified. Exact returns ErrStateLimit
 // if the state budget is exhausted first.
@@ -213,16 +199,12 @@ func Exact(p Problem, opts ExactOptions) (Solution, error) {
 		tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention}
 		return verify(p, tr), nil
 	}
-	if opts.Parallel > 1 {
-		return exactAsync(p, opts, start, maxStates)
-	}
 	return exactSerial(p, opts, start, maxStates, new(serialMem))
 }
 
-// searchCtx bundles the scratch structures of one sequential search (or
-// one parallel worker): everything is reused across expansions, so the
-// steady-state loop allocates only when the table, heap or node log
-// grow.
+// searchCtx bundles the scratch structures of one search: everything
+// is reused across expansions, so the steady-state loop allocates only
+// when the table, heap or node log grow.
 type searchCtx struct {
 	p        Problem
 	g        *dag.DAG
@@ -260,21 +242,6 @@ func newSearchCtx(p Problem, opts ExactOptions, start *pebble.State) *searchCtx 
 	}
 	c.macro = c.prune && c.lb.enabled && p.Model.Kind == pebble.Oneshot
 	return c
-}
-
-// cloneForWorker returns a searchCtx for a parallel worker: the
-// read-only problem tables (including the lower bound's precomputed
-// candidates) are shared, while the scratch state, sets and buffers are
-// private.
-func (c *searchCtx) cloneForWorker(start *pebble.State) *searchCtx {
-	w := *c
-	w.scratch = start.Clone()
-	w.lb = c.lb.cloneScratch()
-	w.cand = bitset.New(c.g.N())
-	w.candBuf = nil
-	w.moveBuf = nil
-	w.keyBuf = nil
-	return &w
 }
 
 // moveCost returns the scaled cost of one move under the model.
@@ -411,10 +378,20 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	// and heuristic on), so HeuristicOff stays the faithful Dijkstra
 	// reference. It searches p's canonical relabeling; reconstruct maps
 	// the trace back to orig's node IDs.
+	// The set-up polls Cancel too: on a large group, canonical
+	// labeling and the byte tables take tens of milliseconds before the
+	// first expansion gate.
+	guard := newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery)
 	orig := p
 	var sym *symmetry
 	if !opts.DisablePruning && opts.Heuristic != HeuristicOff {
-		p, start, sym = symmetricForm(p, start)
+		p, start, sym = symmetricForm(p, start, guard.canceled)
+	}
+	if guard.canceled() {
+		if opts.Stats != nil {
+			*opts.Stats = ExactStats{LowerBound: opts.InitialLowerBound}
+		}
+		return Solution{}, guard.canceledErr(searchPoint{unit: "states", incumbent: -1, lower: opts.InitialLowerBound})
 	}
 	c := newSearchCtx(p, opts, start)
 	// The table's second payload word caches the (state-only) heuristic
@@ -429,7 +406,6 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	// Certified lower bound: running max of min open f, seeded from the
 	// caller's already-certified floor (warm start) when one is given.
 	lower := opts.InitialLowerBound
-	guard := newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery)
 	report := func() {
 		if opts.Stats != nil {
 			*opts.Stats = ExactStats{Expanded: expanded, Pushed: pushed, Distinct: table.count(), LowerBound: lower, TableBytes: table.bytes()}
@@ -560,12 +536,20 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 // canonical IDs back to p's). Searching the canonical form makes
 // the chain, the representatives and so the whole search the same for
 // every labeling of the instance (within the labeling search's budget).
-// Otherwise it returns p and start unchanged and a nil symmetry.
-func symmetricForm(p Problem, start *pebble.State) (Problem, *pebble.State, *symmetry) {
+// Otherwise it returns p and start unchanged and a nil symmetry. It
+// polls stop between its steps and gives up (the nil-symmetry result)
+// once stop reports true.
+func symmetricForm(p Problem, start *pebble.State, stop func() bool) (Problem, *pebble.State, *symmetry) {
+	if stop() {
+		return p, start, nil
+	}
 	_, perm := canon.Canonical(p.G)
+	if stop() {
+		return p, start, nil
+	}
 	q := p
 	q.G = p.G.Relabel(perm)
-	sym := newSymmetry(q.G, start.PackedWords())
+	sym := newSymmetry(q.G, start.PackedWords(), stop)
 	if sym == nil {
 		return p, start, nil
 	}

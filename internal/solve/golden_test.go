@@ -49,9 +49,8 @@ type goldenRow struct {
 	// only: too slow for tier-1 and the race job.
 	slow bool
 
-	// Pinned results. Async rows (opts.Parallel > 1) pin the optimum
-	// only: their counts depend on the worker schedule. A row with
-	// lower > 0 must abort with ErrMemoryBudget, certifying lower.
+	// Pinned results. A row with lower > 0 must abort with
+	// ErrMemoryBudget, certifying lower.
 	expanded, distinct, visits int
 	optimum, lower             int64
 }
@@ -69,8 +68,6 @@ var goldenRows = []goldenRow{
 		expanded: 6417, distinct: 6662, optimum: 20},
 	{name: "ExactIDAStarPyramid5R4", p: pyramid5R4, ida: true, visits: 18376, optimum: 8},
 	{name: "ExactDFSGrid44R3", p: grid44R3, ida: true, visits: 2163, optimum: 12},
-	{name: "ExactAsync4Pyramid5R4", p: pyramid5R4, opts: ExactOptions{Parallel: 4}, optimum: 8},
-	{name: "ExactAsync8Pyramid5R4", p: pyramid5R4, opts: ExactOptions{Parallel: 8}, optimum: 8},
 	// A listener sampling at every gate must not change the search.
 	{name: "ExactAStarPyramid5R4Listener", p: pyramid5R4,
 		opts:     ExactOptions{Progress: func(ExactProgress) {}, ProgressEvery: time.Nanosecond},
@@ -83,7 +80,6 @@ var goldenRows = []goldenRow{
 	{name: "ExactDijkstraFFT3R3", p: fft3R3, slow: true, opts: ExactOptions{Heuristic: HeuristicOff},
 		expanded: 4021352, distinct: 4135674, optimum: 31},
 	{name: "ExactIDAStarFFT3R3", p: fft3R3, slow: true, ida: true, visits: 6171412, optimum: 31},
-	{name: "ExactAsync4FFT3R3", p: fft3R3, slow: true, opts: ExactOptions{Parallel: 4}, optimum: 31},
 	{name: "SearchSnapshotOverhead", p: fft3R3, slow: true, opts: ExactOptions{Progress: func(ExactProgress) {}},
 		expanded: 34409, distinct: 36861, optimum: 31},
 }
@@ -127,10 +123,7 @@ func (row goldenRow) run() (goldenResult, error) {
 
 // check compares a run against the numbers the row pins.
 func (row goldenRow) check(got goldenResult) error {
-	pinned := goldenResult{visits: got.visits, scaled: got.scaled}
-	if row.opts.Parallel <= 1 {
-		pinned.expanded, pinned.distinct = got.expanded, got.distinct
-	}
+	pinned := goldenResult{expanded: got.expanded, distinct: got.distinct, visits: got.visits, scaled: got.scaled}
 	if row.lower > 0 {
 		pinned.lower = got.lower
 	}

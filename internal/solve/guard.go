@@ -6,10 +6,9 @@ import (
 )
 
 // searchGuard is the periodic gate every exact engine runs at its own
-// checkpoint (serial A* every 1024 expansions, IDA* every 256 visits,
-// the async coordinator on every poll): the cooperative cancel poll,
-// the visited-table memory budget and the progress-sampler cadence. It
-// also builds the ErrCanceled and ErrMemoryBudget abort errors. What
+// checkpoint (serial A* every 1024 expansions, IDA* every 256 visits):
+// the cooperative cancel poll, the visited-table memory budget and the
+// progress-sampler cadence. It also builds the ErrCanceled and ErrMemoryBudget abort errors. What
 // it does not do is harvest the certified lower bound — each engine
 // proves its bound differently, so each keeps its own harvest and hands
 // the result to the guard's error constructors.
@@ -58,10 +57,6 @@ func (g *searchGuard) canceled() bool {
 		return false
 	}
 }
-
-// budgeted reports whether a table budget is set, so engines that
-// publish their footprint only for the budget check can skip it.
-func (g *searchGuard) budgeted() bool { return g.budget > 0 }
 
 // overBudget reports whether tableBytes exceeds the budget.
 func (g *searchGuard) overBudget(tableBytes int64) bool {

@@ -149,25 +149,6 @@ func newLowerBound(p Problem, mode Heuristic, start *pebble.State) *lowerBound {
 	return lb
 }
 
-// cloneScratch returns a lowerBound sharing the immutable tables
-// (capacity candidates, sink list, parameters) with private scratch
-// sets, so parallel workers skip the quadratic candidate precompute.
-func (lb *lowerBound) cloneScratch() *lowerBound {
-	c := *lb
-	if lb.enabled {
-		c.mustCompute = bitset.New(lb.p.G.N())
-		c.counted = bitset.New(lb.p.G.N())
-		c.stack = nil
-		if lb.spart {
-			c.charged = bitset.New(lb.p.G.N())
-		}
-		if lb.arrUnion != nil {
-			c.arrUnion = bitset.New(lb.p.G.N())
-		}
-	}
-	return &c
-}
-
 // estimate returns an admissible lower bound (in scaled cost units) on
 // the remaining cost from st, plus a dead flag reporting that st cannot
 // be completed at all. With the heuristic off it returns (0, false),

@@ -8,7 +8,7 @@ import (
 	"rbpebble/internal/pebble"
 )
 
-// TestMaxTableBytesAllEngines runs every exact engine on fft(3) R=3
+// TestMaxTableBytesAllEngines runs both exact engines on fft(3) R=3
 // (whose full solve needs tens of megabytes of table) under a table
 // budget far below that, and checks the memory-governance contract: the
 // search aborts with ErrMemoryBudget instead of growing without bound,
@@ -19,34 +19,21 @@ func TestMaxTableBytesAllEngines(t *testing.T) {
 	const fft3R3Optimum = 31 // cross-checked by the solver test suite
 	const budget = 1 << 17   // 128 KiB: trips within milliseconds
 
-	for _, tc := range []struct {
-		name string
-		opts ExactOptions
-	}{
-		{"serial", ExactOptions{}},
-		{"async", ExactOptions{Parallel: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := tc.opts
-			var stats ExactStats
-			opts.MaxTableBytes = budget
-			opts.Stats = &stats
-			_, err := Exact(p, opts)
-			if !errors.Is(err, ErrMemoryBudget) {
-				t.Fatalf("err = %v, want ErrMemoryBudget", err)
-			}
-			if stats.LowerBound <= 0 || stats.LowerBound > fft3R3Optimum {
-				t.Fatalf("harvested lower bound %d outside (0, %d]", stats.LowerBound, fft3R3Optimum)
-			}
-			// The serial engine checks the budget at every gate, so its
-			// table stops within one growth step (2x) of it. The async
-			// coordinator polls on a wall-clock cadence, and its
-			// overshoot depends on the schedule.
-			if tc.opts.Parallel <= 1 && stats.TableBytes > 2*budget {
-				t.Fatalf("peak table %d bytes over 2x the %d budget", stats.TableBytes, budget)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		var stats ExactStats
+		_, err := Exact(p, ExactOptions{MaxTableBytes: budget, Stats: &stats})
+		if !errors.Is(err, ErrMemoryBudget) {
+			t.Fatalf("err = %v, want ErrMemoryBudget", err)
+		}
+		if stats.LowerBound <= 0 || stats.LowerBound > fft3R3Optimum {
+			t.Fatalf("harvested lower bound %d outside (0, %d]", stats.LowerBound, fft3R3Optimum)
+		}
+		// The budget is checked at every gate, so the table stops
+		// within one growth step (2x) of it.
+		if stats.TableBytes > 2*budget {
+			t.Fatalf("peak table %d bytes over 2x the %d budget", stats.TableBytes, budget)
+		}
+	})
 
 	t.Run("ida-star", func(t *testing.T) {
 		var stats ExactDFSStats
@@ -76,25 +63,15 @@ func TestMaxTableBytesGenerous(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := opt.Result.Cost.Scaled(p.Model)
-	for _, tc := range []struct {
-		name string
-		opts ExactOptions
-	}{
-		{"serial", ExactOptions{}},
-		{"async", ExactOptions{Parallel: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := tc.opts
-			opts.MaxTableBytes = 1 << 30
-			sol, err := Exact(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sol.Result.Cost.Scaled(p.Model); got != want {
-				t.Fatalf("cost %d under generous budget, want %d", got, want)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		sol, err := Exact(p, ExactOptions{MaxTableBytes: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sol.Result.Cost.Scaled(p.Model); got != want {
+			t.Fatalf("cost %d under generous budget, want %d", got, want)
+		}
+	})
 	sol, err := ExactDFS(p, ExactDFSOptions{MaxTableBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)

@@ -9,15 +9,14 @@ import (
 // Engine-introspection snapshots. Every exact engine periodically fills
 // an obs.SearchSnapshot (aliased as ExactProgress) with the live shape
 // of its search — expansion rate, open-queue size and per-f histogram,
-// state-table occupancy, frontier f/g, per-worker heap/mailbox/floor
-// data, IDA* threshold schedule — on a time-based cadence controlled by
-// ProgressEvery; IDA* also emits one at every completed threshold pass.
-// The engines build the wire type directly, so there is no conversion
-// layer between engine and client. The machinery here is shared: the
-// sampler that turns wall-clock windows into rates, the queue/table
-// accessors the builders read, and the f-value normalization (the
-// engines use costUnreached internally; snapshots report -1 for "no
-// frontier" so the values survive JSON encoding unscathed).
+// state-table occupancy, frontier f/g, IDA* threshold schedule — on a
+// time-based cadence controlled by ProgressEvery; IDA* also emits one
+// at every completed threshold pass. The engines build the wire type
+// directly, so there is no conversion layer between engine and client.
+// The machinery here is shared: the sampler that turns wall-clock
+// windows into rates and the queue/table accessors the builders read.
+// Snapshots report -1 for "no frontier" so the values survive JSON
+// encoding unscathed.
 
 // defaultProgressEvery is the snapshot cadence when a Progress listener
 // is attached but no explicit ProgressEvery is configured.
@@ -66,14 +65,6 @@ func (s *progressSampler) tick(n int) (elapsedMS, rate float64) {
 	}
 	s.last, s.lastN = now, n
 	return elapsedMS, rate
-}
-
-// normF maps the internal "no value" sentinel to -1 for snapshots.
-func normF(v int64) int64 {
-	if v == costUnreached {
-		return -1
-	}
-	return v
 }
 
 // load returns the probe-array load factor (distinct states per slot).

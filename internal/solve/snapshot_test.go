@@ -105,7 +105,16 @@ func TestSnapshotsSerialAStar(t *testing.T) {
 		t.Fatal(err)
 	}
 	snaps := c.checkStream(t, "astar", stats.Expanded, stats.TableBytes)
+	const optimum = 8 // pyramid(5) R=4, pinned in the golden table
 	for i, sn := range snaps {
+		// The streamed lower bound is a certificate: never above the
+		// optimum, and never below an earlier one.
+		if sn.LowerBound > optimum {
+			t.Errorf("snapshot %d: lower bound %d exceeds the optimum %d", i, sn.LowerBound, optimum)
+		}
+		if i > 0 && sn.LowerBound < snaps[i-1].LowerBound {
+			t.Errorf("snapshot %d: lower bound %d regressed from %d", i, sn.LowerBound, snaps[i-1].LowerBound)
+		}
 		if sn.FrontierSize > 0 {
 			if sn.FrontierF < 0 {
 				t.Errorf("snapshot %d: open queue non-empty but no frontier f", i)
@@ -128,46 +137,6 @@ func TestSnapshotsSerialAStar(t *testing.T) {
 		if sn.Distinct <= 0 {
 			t.Errorf("snapshot %d: no distinct states", i)
 		}
-	}
-}
-
-func TestSnapshotsAsyncHDA(t *testing.T) {
-	var c snapshotRun
-	var stats ExactStats
-	_, err := Exact(pyramid5R4(), ExactOptions{
-		Parallel:      2,
-		Progress:      c.listener(t),
-		ProgressEvery: time.Nanosecond,
-		Stats:         &stats,
-	})
-	c.done.Store(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := c.checkStream(t, "async-hda", stats.Expanded, stats.TableBytes)
-	sawWorkerData := false
-	for i, sn := range snaps {
-		if len(sn.Workers) != 2 {
-			t.Fatalf("snapshot %d: %d workers, want 2", i, len(sn.Workers))
-		}
-		for _, wk := range sn.Workers {
-			if wk.MailboxDepth < 0 {
-				t.Errorf("snapshot %d: worker %d negative mailbox depth %d", i, wk.ID, wk.MailboxDepth)
-			}
-			if wk.HeapMinF < -1 || wk.Floor < -1 {
-				t.Errorf("snapshot %d: worker %d heap/floor (%d, %d) below the -1 sentinel",
-					i, wk.ID, wk.HeapMinF, wk.Floor)
-			}
-			if wk.TableBytes > 0 || wk.Expanded > 0 {
-				sawWorkerData = true
-			}
-		}
-		if sn.SafraSent < 0 || sn.SafraRecv < 0 {
-			t.Errorf("snapshot %d: negative safra counters (%d, %d)", i, sn.SafraSent, sn.SafraRecv)
-		}
-	}
-	if !sawWorkerData {
-		t.Error("no snapshot carried per-worker heap/table data")
 	}
 }
 

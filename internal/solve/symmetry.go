@@ -65,9 +65,11 @@ type symElem struct {
 // newSymmetry returns the symmetry of g's automorphism group for
 // packed keys of kw words, or nil when the group is trivial (or too
 // large to table), so a search without symmetry pays nothing per state.
-func newSymmetry(g *dag.DAG, kw int) *symmetry {
+// It polls stop after the group search and between the tables it builds,
+// and returns nil once stop reports true.
+func newSymmetry(g *dag.DAG, kw int, stop func() bool) *symmetry {
 	gr := canon.Automorphisms(g)
-	if gr.Trivial() {
+	if gr.Trivial() || stop() {
 		return nil
 	}
 	s := &symmetry{w: kw / 3, nb: (g.N() + 7) / 8}
@@ -81,6 +83,9 @@ func newSymmetry(g *dag.DAG, kw int) *symmetry {
 	for i := 0; i < gr.Levels(); i++ {
 		l := symLevel{base: int(gr.Base()[i])}
 		for _, u := range gr.Transversal(i)[1:] {
+			if stop() {
+				return nil
+			}
 			l.elems = append(l.elems, symElem{u: u, from: int(u[l.base]), tab: s.table(u)})
 		}
 		s.levels = append(s.levels, l)

@@ -15,8 +15,7 @@ const (
 )
 
 // hashKey mixes a packed state key into a 64-bit hash (a splitmix64
-// finalizer folded over the words). Solvers use it both for table
-// probing and for sharding states across parallel workers.
+// finalizer folded over the words). Solvers use it for table probing.
 func hashKey(key []uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, w := range key {

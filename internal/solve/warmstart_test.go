@@ -2,8 +2,10 @@ package solve
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"rbpebble/internal/dag"
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/pebble"
 )
@@ -37,11 +39,14 @@ func TestExactPruneBoundKeepsOptimum(t *testing.T) {
 // TestExactPruneBoundExhaustionCertifies: with PruneBound at exactly
 // the optimum the search must exhaust and return ErrBoundExhausted with
 // LowerBound == PruneBound — the certificate a warm-started refinement
-// uses to prove a cached incumbent optimal.
+// uses to prove a cached incumbent optimal. The bound forbids the f = opt
+// plateau, so the proof must also take fewer expansions than the full
+// solve.
 func TestExactPruneBoundExhaustionCertifies(t *testing.T) {
 	g := daggen.Pyramid(4)
 	p := prob(g, pebble.Oneshot, 3)
-	ref, err := Exact(p, ExactOptions{})
+	var full ExactStats
+	ref, err := Exact(p, ExactOptions{Stats: &full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +59,9 @@ func TestExactPruneBoundExhaustionCertifies(t *testing.T) {
 	}
 	if s.LowerBound != opt {
 		t.Fatalf("LowerBound = %d, want %d", s.LowerBound, opt)
+	}
+	if s.Expanded >= full.Expanded {
+		t.Fatalf("bounded proof expanded %d states, full solve %d", s.Expanded, full.Expanded)
 	}
 }
 
@@ -76,5 +84,63 @@ func TestExactInitialLowerBoundSeedsCertificate(t *testing.T) {
 	}
 	if s.LowerBound < opt {
 		t.Fatalf("LowerBound = %d, want >= seeded %d", s.LowerBound, opt)
+	}
+}
+
+// TestExactPruneBoundEverywhere sweeps models, conventions and DAGs with
+// and without automorphisms (the random layered seeds have none;
+// pyramid(3), grid(3,3) and fft(2) do, so symmetry reduction is on).
+// The optimum comes from the symmetry-free Dijkstra reference. With
+// PruneBound = OPT+1 the search must return OPT with a trace that
+// replays; with PruneBound = OPT it must exhaust with
+// ErrBoundExhausted and certify LowerBound = OPT.
+func TestExactPruneBoundEverywhere(t *testing.T) {
+	dags := map[string]*dag.DAG{
+		"layered-s0": daggen.RandomLayered(3, 3, 2, 0),
+		"layered-s1": daggen.RandomLayered(3, 3, 2, 1),
+		"pyramid3":   daggen.Pyramid(3),
+		"grid33":     daggen.Grid(3, 3),
+		"fft2":       daggen.FFT(2),
+	}
+	conventions := []pebble.Convention{
+		{},
+		{SourcesStartBlue: true, SinksMustBeBlue: true},
+	}
+	for name, g := range dags {
+		r := pebble.MinFeasibleR(g)
+		for _, kind := range pebble.AllKinds() {
+			m := pebble.NewModel(kind)
+			for _, conv := range conventions {
+				p := Problem{G: g, Model: m, R: r, Convention: conv}
+				at := fmt.Sprintf("%s %v %s", name, kind, convName(conv))
+				ref, err := Exact(p, ExactOptions{Heuristic: HeuristicOff})
+				if err != nil {
+					t.Fatalf("%s: reference: %v", at, err)
+				}
+				opt := ref.Result.Cost.Scaled(m)
+				sol, err := Exact(p, ExactOptions{PruneBound: opt + 1, InitialLowerBound: opt / 2})
+				if err != nil {
+					t.Fatalf("%s: prune bound %d: %v", at, opt+1, err)
+				}
+				res, err := sol.Trace.Run(g)
+				if err != nil {
+					t.Fatalf("%s: trace does not replay: %v", at, err)
+				}
+				if got := res.Cost.Scaled(m); got != opt {
+					t.Errorf("%s: bounded cost %d != optimum %d", at, got, opt)
+				}
+				if opt == 0 {
+					continue // PruneBound 0 means no bound
+				}
+				var s ExactStats
+				_, err = Exact(p, ExactOptions{PruneBound: opt, Stats: &s})
+				if !errors.Is(err, ErrBoundExhausted) {
+					t.Fatalf("%s: prune bound %d: err = %v, want ErrBoundExhausted", at, opt, err)
+				}
+				if s.LowerBound != opt {
+					t.Errorf("%s: LowerBound = %d, want %d", at, s.LowerBound, opt)
+				}
+			}
+		}
 	}
 }

@@ -168,10 +168,10 @@ type (
 	// Solution is a solver output with its verified result.
 	Solution = solve.Solution
 	// ExactOptions configures the exact solver: state budget
-	// (MaxStates), A* lower-bound tier (Heuristic: S-partition by
-	// default), hash-sharded parallel expansion (Parallel workers of
-	// the async HDA* engine), search counters (Stats) and the ablation
-	// switch for the safe reductions, symmetry included (DisablePruning).
+	// (MaxStates), table memory budget (MaxTableBytes), A* lower-bound
+	// tier (Heuristic: S-partition by default), search counters (Stats),
+	// cancellation and progress snapshots, and the ablation switch for
+	// the safe reductions, symmetry included (DisablePruning).
 	ExactOptions = solve.ExactOptions
 	// ExactStats reports search-effort counters from one Exact run
 	// (states expanded, open-list pushes, distinct states reached).
@@ -218,9 +218,8 @@ var (
 	// Exact finds a provably optimal pebbling by best-first state-space
 	// search: A* under an admissible model-aware lower bound (the
 	// S-partition tier by default; Dijkstra with HeuristicOff), over
-	// packed states in an open-addressing table, with optional
-	// hash-sharded parallel expansion (ExactOptions.Parallel workers of
-	// the async HDA* engine).
+	// packed states in an open-addressing table, storing one state per
+	// automorphism orbit of the DAG.
 	Exact = solve.Exact
 	// OrderOpt finds the oneshot optimum by order enumeration + Belady.
 	OrderOpt = solve.OrderOpt
@@ -245,7 +244,7 @@ var (
 
 type (
 	// AnytimeOptions configures the deadline-driven orchestrator
-	// (budget, parallel workers, progress streaming).
+	// (budget, table memory budget, progress streaming, warm start).
 	AnytimeOptions = anytime.Options
 	// AnytimeResult is a certified anytime answer: the incumbent's
 	// verified trace plus the [lower, upper] interval and its gap.
@@ -268,9 +267,8 @@ type (
 )
 
 var (
-	// Anytime runs the heuristics and then A* alone (serial, or async
-	// HDA* with Workers > 1) under a deadline to refine the certified
-	// interval: on hard instances it returns the best incumbent trace
+	// Anytime runs the heuristics and then serial A* under a deadline
+	// to refine the certified interval: on hard instances it returns the best incumbent trace
 	// with a certified optimality gap instead of an error, and with an
 	// unconstrained budget it runs to a proven optimum.
 	Anytime = anytime.Solve
