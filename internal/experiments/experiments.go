@@ -68,27 +68,37 @@ func itoa(v int) string     { return fmt.Sprintf("%d", v) }
 func ftoa(v float64) string { return fmt.Sprintf("%.2f", v) }
 func btoa(v bool) string    { return fmt.Sprintf("%t", v) }
 
+// makers lists every experiment with its default (fast) parameters, in
+// paper order. All and AllParallel both run this list, so their orders
+// cannot drift apart. The full parameter sweeps live in the individual
+// constructors.
+var makers = []func() *Report{
+	Table1,
+	Table2,
+	func() *Report { return Fig1CD(DefaultFig1Params()) },
+	Fig2H2C,
+	func() *Report { return Fig4Tradeoff(DefaultTradeoffParams()) },
+	func() *Report { return Thm2HamPath(DefaultThm2Params()) },
+	func() *Report { return Thm3VertexCover(DefaultThm3Params()) },
+	func() *Report { return Thm4Greedy(DefaultThm4Params()) },
+	func() *Report { return Lemma1Length(DefaultLemma1Params()) },
+	Conventions,
+	AblationEviction,
+	AblationExactPruning,
+	AblationGreedyRules,
+	AblationAnytime,
+	Multilevel,
+	ParallelPebbling,
+}
+
 // All runs every experiment with its default (fast) parameters in paper
-// order. The full parameter sweeps live in the individual constructors.
+// order.
 func All() []*Report {
-	return []*Report{
-		Table1(),
-		Table2(),
-		Fig1CD(DefaultFig1Params()),
-		Fig2H2C(),
-		Fig4Tradeoff(DefaultTradeoffParams()),
-		Thm2HamPath(DefaultThm2Params()),
-		Thm3VertexCover(DefaultThm3Params()),
-		Thm4Greedy(DefaultThm4Params()),
-		Lemma1Length(DefaultLemma1Params()),
-		Conventions(),
-		AblationEviction(),
-		AblationExactPruning(),
-		AblationGreedyRules(),
-		AblationAnytime(),
-		Multilevel(),
-		ParallelPebbling(),
+	reports := make([]*Report, len(makers))
+	for i, mk := range makers {
+		reports[i] = mk()
 	}
+	return reports
 }
 
 // RunAll renders every report to w.

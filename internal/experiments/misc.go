@@ -199,12 +199,19 @@ func AblationEviction() *Report {
 }
 
 // AblationExactPruning measures the exact solver's search reductions:
-// the optimum with the S-partition bound (the default), the PR 1
+// the optimum with the S-partition bound (the default), the
 // single-certificate bound, with pruning disabled, and with the
 // heuristic off (plain Dijkstra, the seed behavior) — the costs must
 // coincide while the expanded-state counts quantify each reduction.
+// The two bound columns run with the safe reductions on: the
+// normal-form move rules (evict only when the red set is full, load only
+// for a ready consumer), the dominance prunes, the dead-pebble quotient
+// and symmetry. The no-prune column turns all of them off but keeps the
+// S-partition bound; the Dijkstra column keeps the prunes and turns the
+// bound, and with it the reductions that ride on it, off.
 // The pyramid(5) R=Δ+1 row is the S-partition bound's design target:
-// the regime where the PR 1 bound reached only ~2x over Dijkstra.
+// the regime where the single-certificate bound reached only ~2x over
+// Dijkstra.
 func AblationExactPruning() *Report {
 	rep := &Report{
 		ID:     "Ablation B",

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"runtime"
 	"sync"
 
@@ -15,24 +14,6 @@ import (
 // All. Experiments are independent, so this is an embarrassingly
 // parallel speedup for the CLI and CI.
 func AllParallel() []*Report {
-	makers := []func() *Report{
-		Table1,
-		Table2,
-		func() *Report { return Fig1CD(DefaultFig1Params()) },
-		Fig2H2C,
-		func() *Report { return Fig4Tradeoff(DefaultTradeoffParams()) },
-		func() *Report { return Thm2HamPath(DefaultThm2Params()) },
-		func() *Report { return Thm3VertexCover(DefaultThm3Params()) },
-		func() *Report { return Thm4Greedy(DefaultThm4Params()) },
-		func() *Report { return Lemma1Length(DefaultLemma1Params()) },
-		Conventions,
-		AblationEviction,
-		AblationExactPruning,
-		AblationGreedyRules,
-		AblationAnytime,
-		Multilevel,
-		ParallelPebbling,
-	}
 	reports := make([]*Report, len(makers))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
@@ -47,17 +28,6 @@ func AllParallel() []*Report {
 	}
 	wg.Wait()
 	return reports
-}
-
-// RunAllParallel renders every report (computed concurrently) to w in
-// deterministic order.
-func RunAllParallel(w io.Writer) error {
-	for _, r := range AllParallel() {
-		if _, err := r.WriteTo(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Multilevel is the extension experiment: the multi-level hierarchy

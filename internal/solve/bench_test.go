@@ -16,6 +16,8 @@ func BenchmarkExactAStarPyramid5R4(b *testing.B) { benchGolden(b, "ExactAStarPyr
 
 func BenchmarkExactDijkstraPyramid5R4(b *testing.B) { benchGolden(b, "ExactDijkstraPyramid5R4") }
 
+func BenchmarkExactAStarPyramid5R4NoDel(b *testing.B) { benchGolden(b, "ExactAStarPyramid5R4NoDel") }
+
 func BenchmarkExactAStarFFT3R3(b *testing.B) { benchGolden(b, "ExactAStarFFT3R3") }
 
 func BenchmarkExactDijkstraFFT3R3(b *testing.B) { benchGolden(b, "ExactDijkstraFFT3R3") }

@@ -55,9 +55,10 @@ type ExactOptions struct {
 	// one gate interval's growth.
 	MaxTableBytes int64
 	// DisablePruning turns off the safe reductions: the dominance
-	// prunes, the dead-pebble quotient and serial A*'s symmetry
-	// reduction (for the ablation benchmark and the differential tests;
-	// the optimum is identical, only slower).
+	// prunes, the normal-form move rules, the dead-pebble quotient and
+	// serial A*'s symmetry reduction (for the ablation benchmark and the
+	// differential tests; the optimum is identical, only slower). With
+	// HeuristicOff as well, Exact is the unpruned Dijkstra reference.
 	DisablePruning bool
 	// Heuristic selects the A* lower bound. The zero value
 	// (HeuristicAuto) enables the admissible model-aware bound;
@@ -173,14 +174,17 @@ func (m *serialMem) bytes() int64 {
 // red frontier, and candidate moves are applied and undone on a single
 // scratch state instead of cloning.
 //
-// With the safe reductions on (pruning and the heuristic), serial A*
-// also stores one representative per automorphism orbit of states: the
+// With the safe reductions on (pruning and the heuristic), move
+// generation keeps only a normal form that some optimal completion from
+// every state obeys — evict only when the red set is full, load only
+// for a ready consumer (see searchCtx.appendMoves) — and serial A* also
+// stores one representative per automorphism orbit of states: the
 // pebbling models ignore node labels, so states that differ by a DAG
 // automorphism have the same cost-to-go. It searches the DAG's
 // canonical relabeling, so its effort does not depend on how the
 // caller numbered the nodes, and maps the trace back (see
 // symmetry.go). HeuristicOff stays the faithful Dijkstra reference, and
-// IDA* (ExactDFS) searches without symmetry.
+// IDA* (ExactDFS) shares the move rules but searches without symmetry.
 //
 // The returned solution is replay-verified. Exact returns ErrStateLimit
 // if the state budget is exhausted first.
@@ -213,9 +217,10 @@ type searchCtx struct {
 	sources  []dag.NodeID
 	prune    bool
 
-	// macro enables the dead-pebble quotient (oneshot, heuristic on,
-	// pruning on): see appendMoves.
-	macro bool
+	// normal restricts move generation to the normal form (heuristic
+	// on, pruning on), and macro adds the dead-pebble quotient in
+	// oneshot: see appendMoves.
+	normal, macro bool
 
 	scratch *pebble.State
 	lb      *lowerBound
@@ -240,7 +245,8 @@ func newSearchCtx(p Problem, opts ExactOptions, start *pebble.State) *searchCtx 
 		c.scale = int64(p.Model.EpsDenom)
 		c.compCost = 1
 	}
-	c.macro = c.prune && c.lb.enabled && p.Model.Kind == pebble.Oneshot
+	c.normal = c.prune && c.lb.enabled
+	c.macro = c.normal && p.Model.Kind == pebble.Oneshot
 	return c
 }
 
@@ -256,8 +262,8 @@ func (c *searchCtx) moveCost(m pebble.Move) int64 {
 	}
 }
 
-// appendMoves appends every legal (and not dominance-pruned) move from
-// st onto the shared move buffer (callers manage the buffer: the
+// appendMoves appends every legal move from st that survives the safe
+// reductions onto the shared move buffer (callers manage the buffer: the
 // best-first loop truncates it first, the DFS keeps a stack of levels in
 // it). key is st's packed encoding, whose words double as the red/blue
 // iteration sets, so the generator only visits nodes adjacent to the
@@ -265,6 +271,44 @@ func (c *searchCtx) moveCost(m pebble.Move) int64 {
 // of red nodes; loads scan the blue set; stores and deletes scan the
 // pebbled sets — instead of testing all n nodes against all four move
 // kinds.
+//
+// With the safe reductions on (c.normal: pruning and heuristic on, every
+// model) it generates only the moves of a normal form that some optimal
+// completion from every state obeys:
+//
+//   - (1) Evict only when full: Store and Delete of a red pebble only
+//     when all R red pebbles are placed, except a sink's Store under
+//     SinksMustBeBlue; never Delete of a blue pebble.
+//   - (2) Load only for a ready consumer: Load(v) only if some successor
+//     w of v is not red (in oneshot, not yet computed) and every
+//     predecessor of w holds a pebble.
+//
+// The argument: take a shortest optimal completion T from st. Deleting a
+// blue pebble never enables a move, so T has none. Let C = Compute(w) be
+// T's first compute, and Q the loads and evictions before it. In a
+// shortest optimal T no node is both loaded and evicted in Q (the pair
+// is wasted cost or wasted moves), and no evicted node is w or an input
+// of w. A load in Q of a node that is not an input of w moves to just
+// after C: the node stays blue one stretch longer, which frees a red
+// slot and touches no other move. Rebuild Q as: load the inputs of w,
+// evicting one node of Q's evictions whenever the red set is full and a
+// slot is needed (for a load or for C itself); the evictions not needed
+// move to just after C. Every move stays legal and the cost is
+// unchanged, and the rebuilt completion starts with a move that rule (1)
+// or (2) keeps: an eviction at a full red set, a load of an input of w
+// (w is not red, and each input of w is red or about to be loaded, so
+// holds a pebble), or C. A completion without computes keeps only the
+// sink Stores under SinksMustBeBlue, the exception in (1). Induction on
+// the length of T then gives an optimal completion in normal form from
+// every state, so the optimum, and the cost-to-go of every state, is
+// unchanged.
+//
+// Both rules depend only on the state and are invariant under node
+// relabeling, so they commute with DAG automorphisms: symmetry reduction
+// stays sound, duplicate detection compares like with like, and the
+// heuristic stays admissible for the reduced move set (no state's
+// cost-to-go rises). The min-open-f certificate, PruneBound and warm
+// starts rest on exactly that, so they stay sound too.
 func (c *searchCtx) appendMoves(st *pebble.State, key pebble.PackedKey) {
 	w := len(key) / 3
 	red, blue := key[:w], key[w:2*w]
@@ -291,9 +335,10 @@ func (c *searchCtx) appendMoves(st *pebble.State, key pebble.PackedKey) {
 		}
 	}
 
+	full := st.RedCount() >= c.p.R
 	// Compute: sources and successors of red nodes are the only nodes
 	// whose inputs can all be red. Check finishes the legality test.
-	if st.RedCount() < c.p.R {
+	if !full {
 		c.cand.Reset()
 		for _, s := range c.sources {
 			c.cand.Set(int(s))
@@ -315,34 +360,75 @@ func (c *searchCtx) appendMoves(st *pebble.State, key pebble.PackedKey) {
 				c.consider(st, pebble.Move{Kind: pebble.Compute, Node: v})
 			}
 		}
-		// Load: any blue node, while a red slot is free.
+		// Load: any blue node, while a red slot is free; in normal form
+		// only one with a ready consumer (rule 2).
 		for wi, wd := range blue {
 			for wd != 0 {
 				v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
 				wd &= wd - 1
+				if c.normal && !c.readyConsumer(key, v) {
+					continue
+				}
 				c.consider(st, pebble.Move{Kind: pebble.Load, Node: v})
 			}
 		}
 	}
-	// Store: any red node.
+	// Store: any red node; in normal form only with the red set full,
+	// or a sink that must end blue (rule 1).
 	for wi, wd := range red {
 		for wd != 0 {
 			v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
 			wd &= wd - 1
+			if c.normal && !full && !(c.p.Convention.SinksMustBeBlue && c.g.IsSink(v)) {
+				continue
+			}
 			c.consider(st, pebble.Move{Kind: pebble.Store, Node: v})
 		}
 	}
-	// Delete: any pebbled node (banned wholesale in nodel).
-	if c.p.Model.Kind != pebble.NoDel {
-		for wi := 0; wi < w; wi++ {
-			wd := red[wi] | blue[wi]
-			for wd != 0 {
-				v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
-				wd &= wd - 1
-				c.consider(st, pebble.Move{Kind: pebble.Delete, Node: v})
-			}
+	// Delete: any pebbled node (banned wholesale in nodel); in normal
+	// form only a red one with the red set full (rule 1).
+	if c.p.Model.Kind == pebble.NoDel || (c.normal && !full) {
+		return
+	}
+	for wi := 0; wi < w; wi++ {
+		wd := red[wi]
+		if !c.normal {
+			wd |= blue[wi]
+		}
+		for wd != 0 {
+			v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
+			wd &= wd - 1
+			c.consider(st, pebble.Move{Kind: pebble.Delete, Node: v})
 		}
 	}
+}
+
+// readyConsumer reports whether blue node v has a successor that a
+// Compute could use it for next (rule 2 of appendMoves): one that is not
+// red, not yet computed in oneshot, and whose every input holds a
+// pebble. key is the state's packed encoding.
+func (c *searchCtx) readyConsumer(key pebble.PackedKey, v dag.NodeID) bool {
+	w := len(key) / 3
+	red, blue, computed := key[:w], key[w:2*w], key[2*w:]
+	oneshot := c.p.Model.Kind == pebble.Oneshot
+next:
+	for _, x := range c.g.Succs(v) {
+		if hasBit(red, x) || (oneshot && hasBit(computed, x)) {
+			continue
+		}
+		for _, u := range c.g.Preds(x) {
+			if !hasBit(red, u) && !hasBit(blue, u) {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// hasBit reports whether node v's bit is set in the packed words ws.
+func hasBit(ws []uint64, v dag.NodeID) bool {
+	return ws[v>>6]&(1<<(uint(v)&63)) != 0
 }
 
 // deadPebble reports whether pebbled node v can never matter again in

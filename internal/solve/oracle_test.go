@@ -1,0 +1,124 @@
+package solve
+
+import (
+	"errors"
+	"testing"
+
+	"rbpebble/internal/daggen"
+	"rbpebble/internal/pebble"
+)
+
+// The differential oracle: every reduction the exact engines apply —
+// the normal-form move rules, the dominance prunes, the dead-pebble
+// quotient, symmetry and the heuristic — is checked against the small
+// trusted reference, unpruned Dijkstra (HeuristicOff + DisablePruning),
+// plus an independent replay of the returned trace.
+
+// oracleStateCap bounds the reference search of one case. A case whose
+// reference passes it is skipped and counted, never compared against a
+// guess.
+const oracleStateCap = 300_000
+
+var oracleConventions = [...]pebble.Convention{
+	{},
+	{SourcesStartBlue: true},
+	{SinksMustBeBlue: true},
+	{SourcesStartBlue: true, SinksMustBeBlue: true},
+}
+
+// oracleProblem decodes one fuzz input: a random layered DAG of 3-4
+// layers × 2-4 nodes with in-degree up to 2 or 3 (all from shape), a
+// model, a convention and R ∈ {Δ+1, Δ+2}.
+func oracleProblem(seed int64, shape, kind, conv, slack uint8) Problem {
+	layers := 3 + int(shape%2)
+	width := 2 + int(shape/2%3)
+	maxIn := 2 + int(shape/6%2)
+	g := daggen.RandomLayered(layers, width, maxIn, seed)
+	return Problem{
+		G:          g,
+		Model:      pebble.NewModel(pebble.AllKinds()[kind%4]),
+		R:          pebble.MinFeasibleR(g) + int(slack%2),
+		Convention: oracleConventions[conv%4],
+	}
+}
+
+// oracleSeeds is the tier-1 slice: two cases of every model ×
+// convention × R slack.
+// Unpruned Dijkstra passes the state cap on most 12-node and larger
+// instances except in nodel, so the other models draw only the shapes
+// of at most 9 nodes here (3 layers × 3, or 4 layers × 2); nodel draws
+// every shape. Fuzzing draws every shape in every model.
+func oracleSeeds() [][5]uint8 {
+	small := []uint8{0, 1, 2, 6, 7, 8}
+	var seeds [][5]uint8
+	for kind := uint8(0); kind < 4; kind++ {
+		for conv := uint8(0); conv < 4; conv++ {
+			for j := uint8(0); j < 4; j++ {
+				i := kind*16 + conv*4 + j
+				shape := i * 5 % 12
+				if pebble.AllKinds()[kind] != pebble.NoDel {
+					shape = small[i%6]
+				}
+				seeds = append(seeds, [5]uint8{i, shape, kind, conv, j % 2})
+			}
+		}
+	}
+	return seeds
+}
+
+// FuzzExactMatchesDijkstra requires A* with every reduction on (and
+// IDA* in oneshot and nodel, which shares its move generator) to return
+// the unpruned Dijkstra optimum, with a trace that replays at that cost.
+// Under plain go test it runs the tier-1 slice and requires compared
+// cases in every model, so no model passes by skipping.
+func FuzzExactMatchesDijkstra(f *testing.F) {
+	seeds := oracleSeeds()
+	for _, s := range seeds {
+		f.Add(int64(s[0]), s[1], s[2], s[3], s[4])
+	}
+	var runs, skipped int
+	var compared [4]int
+	f.Fuzz(func(t *testing.T, seed int64, shape, kind, conv, slack uint8) {
+		runs++
+		p := oracleProblem(seed, shape, kind, conv, slack)
+		ref, err := Exact(p, ExactOptions{Heuristic: HeuristicOff, DisablePruning: true, MaxStates: oracleStateCap})
+		if errors.Is(err, ErrStateLimit) {
+			skipped++
+			t.Skipf("reference passed %d states", oracleStateCap)
+		}
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		want := ref.Result.Cost.Scaled(p.Model)
+		check := func(engine string, sol Solution, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", engine, err)
+			}
+			res, err := sol.Trace.Run(p.G)
+			if err != nil {
+				t.Fatalf("%s: trace does not replay: %v", engine, err)
+			}
+			if got := res.Cost.Scaled(p.Model); got != want {
+				t.Fatalf("%s: %s R=%d %s: trace costs %d, reference optimum %d",
+					engine, p.Model, p.R, convName(p.Convention), got, want)
+			}
+		}
+		sol, err := Exact(p, ExactOptions{})
+		check("A*", sol, err)
+		if k := p.Model.Kind; k == pebble.Oneshot || k == pebble.NoDel {
+			sol, err := ExactDFS(p, ExactDFSOptions{})
+			check("IDA*", sol, err)
+		}
+		compared[p.Model.Kind]++
+	})
+	if runs != len(seeds) {
+		return // fuzzing, or a filtered run: the counts cover another set
+	}
+	f.Logf("compared %v cases by model, skipped %d", compared, skipped)
+	for k, n := range compared {
+		if n < 4 {
+			f.Errorf("%s: only %d of the slice's cases compared (%d skipped in all)", pebble.AllKinds()[k], n, skipped)
+		}
+	}
+}

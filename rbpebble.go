@@ -171,7 +171,8 @@ type (
 	// (MaxStates), table memory budget (MaxTableBytes), A* lower-bound
 	// tier (Heuristic: S-partition by default), search counters (Stats),
 	// cancellation and progress snapshots, and the ablation switch for
-	// the safe reductions, symmetry included (DisablePruning).
+	// the safe reductions, the normal-form move rules and symmetry
+	// included (DisablePruning).
 	ExactOptions = solve.ExactOptions
 	// ExactStats reports search-effort counters from one Exact run
 	// (states expanded, open-list pushes, distinct states reached).
