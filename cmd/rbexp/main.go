@@ -4,7 +4,6 @@
 // Usage:
 //
 //	rbexp              # run every experiment
-//	rbexp -parallel    # same, computed concurrently
 //	rbexp -list        # list experiment IDs
 //	rbexp -run "Table" # run experiments whose ID contains the substring
 package main
@@ -22,18 +21,12 @@ func main() {
 	var (
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		run      = flag.String("run", "", "run only experiments whose ID contains this substring")
-		parallel = flag.Bool("parallel", false, "compute experiments concurrently")
 		deadline = flag.Duration("deadline", 0, "top rung of the anytime ablation's budget ladder (Ablation E; 0 = 200ms)")
 	)
 	flag.Parse()
 	experiments.AnytimeDeadline = *deadline
 
-	var reports []*experiments.Report
-	if *parallel {
-		reports = experiments.AllParallel()
-	} else {
-		reports = experiments.All()
-	}
+	reports := experiments.All()
 	if *list {
 		for _, r := range reports {
 			fmt.Printf("%-28s %s\n", r.ID, r.Title)

@@ -52,7 +52,7 @@ func main() {
 		maxTableB = flag.Int64("maxtablebytes", 0, "exact/dfs/anytime table memory budget in bytes (0 = unlimited); on abort the certified partial interval is printed")
 		blueSrc   = flag.Bool("blue-sources", false, "sources start blue (Hong-Kung convention)")
 		blueSink  = flag.Bool("blue-sinks", false, "sinks must end blue")
-		heuristic = flag.String("heuristic", "auto", "exact solver lower bound: auto|off|lower-bound|s-partition")
+		heuristic = flag.String("heuristic", "auto", "exact solver lower bound: auto|off")
 		maxVisits = flag.Int("maxvisits", 0, "dfs solver visit budget (0 = default)")
 		deadline  = flag.Duration("deadline", 0, "anytime budget: run heuristics, then A* to refine a certified [lower, upper] interval (overrides -solver)")
 		progress  = flag.Bool("progress", false, "with -deadline: print live certified [lower, upper] updates to stderr as the interval tightens (A* streams its certified bound mid-flight)")
@@ -228,10 +228,7 @@ func parseModel(name string, epsDenom int) (pebble.Model, error) {
 }
 
 func parseHeuristic(name string) (solve.Heuristic, error) {
-	for _, h := range []solve.Heuristic{
-		solve.HeuristicAuto, solve.HeuristicOff,
-		solve.HeuristicLowerBound, solve.HeuristicSPartition,
-	} {
+	for _, h := range []solve.Heuristic{solve.HeuristicAuto, solve.HeuristicOff} {
 		if h.String() == name {
 			return h, nil
 		}

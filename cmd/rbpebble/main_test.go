@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rbpebble/internal/pebble"
+	"rbpebble/internal/solve"
 )
 
 func TestParseModel(t *testing.T) {
@@ -32,5 +33,20 @@ func TestParseRule(t *testing.T) {
 	}
 	if _, err := parseRule("nope"); err == nil {
 		t.Fatal("unknown rule accepted")
+	}
+}
+
+func TestParseHeuristic(t *testing.T) {
+	for name, want := range map[string]solve.Heuristic{
+		"auto": solve.HeuristicAuto, "off": solve.HeuristicOff,
+	} {
+		if h, err := parseHeuristic(name); err != nil || h != want {
+			t.Fatalf("parseHeuristic(%q) = %v, %v", name, h, err)
+		}
+	}
+	for _, name := range []string{"lower-bound", "s-partition", ""} {
+		if _, err := parseHeuristic(name); err == nil {
+			t.Fatalf("parseHeuristic(%q) accepted", name)
+		}
 	}
 }

@@ -69,9 +69,8 @@ func ftoa(v float64) string { return fmt.Sprintf("%.2f", v) }
 func btoa(v bool) string    { return fmt.Sprintf("%t", v) }
 
 // makers lists every experiment with its default (fast) parameters, in
-// paper order. All and AllParallel both run this list, so their orders
-// cannot drift apart. The full parameter sweeps live in the individual
-// constructors.
+// paper order; All runs this list. The full parameter sweeps live in the
+// individual constructors.
 var makers = []func() *Report{
 	Table1,
 	Table2,

@@ -1,34 +1,10 @@
 package experiments
 
 import (
-	"runtime"
-	"sync"
-
 	"rbpebble/internal/dag"
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/multilevel"
 )
-
-// AllParallel runs every experiment concurrently (bounded by GOMAXPROCS
-// workers) and returns the reports in the same deterministic order as
-// All. Experiments are independent, so this is an embarrassingly
-// parallel speedup for the CLI and CI.
-func AllParallel() []*Report {
-	reports := make([]*Report, len(makers))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, mk := range makers {
-		wg.Add(1)
-		go func(i int, mk func() *Report) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			reports[i] = mk()
-		}(i, mk)
-	}
-	wg.Wait()
-	return reports
-}
 
 // Multilevel is the extension experiment: the multi-level hierarchy
 // generalization the paper's related work points to (Carpenter et al.).

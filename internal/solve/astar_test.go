@@ -56,28 +56,25 @@ func TestAStarMatchesDijkstra(t *testing.T) {
 			t.Fatalf("%s: Dijkstra: %v", in.name, err)
 		}
 		d := dijkstra.Result.Cost.Scaled(in.p.Model)
-		for _, tier := range []Heuristic{HeuristicLowerBound, HeuristicSPartition} {
-			var sOn ExactStats
-			astar, err := Exact(in.p, ExactOptions{Heuristic: tier, Stats: &sOn})
-			if err != nil {
-				t.Fatalf("%s: A* (%s): %v", in.name, tier, err)
-			}
-			a := astar.Result.Cost.Scaled(in.p.Model)
-			if a != d {
-				t.Errorf("%s: A* (%s) cost %d != Dijkstra cost %d (inadmissible heuristic or unsafe prune)",
-					in.name, tier, a, d)
-			}
-			if sOn.Expanded > sOff.Expanded {
-				// Not a strict invariant of A*, but with an admissible bound
-				// and this tie-breaking a blow-up signals a regression.
-				t.Logf("%s: A* (%s) expanded %d > Dijkstra %d", in.name, tier, sOn.Expanded, sOff.Expanded)
-			}
+		var sOn ExactStats
+		astar, err := Exact(in.p, ExactOptions{Stats: &sOn})
+		if err != nil {
+			t.Fatalf("%s: A*: %v", in.name, err)
+		}
+		if a := astar.Result.Cost.Scaled(in.p.Model); a != d {
+			t.Errorf("%s: A* cost %d != Dijkstra cost %d (inadmissible heuristic or unsafe prune)",
+				in.name, a, d)
+		}
+		if sOn.Expanded > sOff.Expanded {
+			// Not a strict invariant of A*, but with an admissible bound
+			// and this tie-breaking a blow-up signals a regression.
+			t.Logf("%s: A* expanded %d > Dijkstra %d", in.name, sOn.Expanded, sOff.Expanded)
 		}
 	}
 }
 
-// TestSPartitionAdmissibleStress hammers the S-partition tier (packing,
-// pair constraints and the arrival term) against plain Dijkstra on
+// TestSPartitionAdmissibleStress hammers the default bound's oneshot
+// certificates (packing, pair constraints and the arrival term) against plain Dijkstra on
 // random triangular DAGs at R = Δ+1 and Δ+2 — the regime where the
 // full-event certificates are dense — across all models and
 // conventions.
@@ -95,7 +92,7 @@ func TestSPartitionAdmissibleStress(t *testing.T) {
 			for _, conv := range conventions {
 				for _, kind := range pebble.AllKinds() {
 					p := Problem{G: g, Model: pebble.NewModel(kind), R: r, Convention: conv}
-					a, err1 := Exact(p, ExactOptions{Heuristic: HeuristicSPartition})
+					a, err1 := Exact(p, ExactOptions{})
 					d, err2 := Exact(p, ExactOptions{Heuristic: HeuristicOff})
 					if (err1 == nil) != (err2 == nil) {
 						t.Fatalf("seed %d r %d %v %s: error mismatch %v vs %v",
@@ -105,35 +102,12 @@ func TestSPartitionAdmissibleStress(t *testing.T) {
 						continue
 					}
 					if a.Result.Cost.Scaled(p.Model) != d.Result.Cost.Scaled(p.Model) {
-						t.Fatalf("seed %d r %d %v %s: s-partition %v != dijkstra %v",
+						t.Fatalf("seed %d r %d %v %s: A* %v != dijkstra %v",
 							seed, r, kind, convName(conv), a.Result.Cost, d.Result.Cost)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestSPartitionShrinksPyramidSearch guards the PR's headline bound
-// improvement: on the pyramid at R = Δ+1 the S-partition tier must
-// expand at least 3x fewer states than the single-certificate PR 1
-// bound, at the identical proven optimum.
-func TestSPartitionShrinksPyramidSearch(t *testing.T) {
-	p := Problem{G: daggen.Pyramid(5), Model: pebble.NewModel(pebble.Oneshot), R: 3}
-	var sLB, sSP ExactStats
-	lb, err := Exact(p, ExactOptions{Heuristic: HeuristicLowerBound, Stats: &sLB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := Exact(p, ExactOptions{Heuristic: HeuristicSPartition, Stats: &sSP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lb.Result.Cost != sp.Result.Cost {
-		t.Fatalf("cost mismatch: lb %v, s-partition %v", lb.Result.Cost, sp.Result.Cost)
-	}
-	if sSP.Expanded*3 > sLB.Expanded {
-		t.Fatalf("s-partition expanded %d, want <= 1/3 of lower-bound's %d", sSP.Expanded, sLB.Expanded)
 	}
 }
 

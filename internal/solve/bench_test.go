@@ -10,7 +10,7 @@ import "testing"
 // Every exact benchmark runs a row of golden_test.go and fails when its
 // counts differ from the pinned ones.
 
-// Serial engine, heuristic tiers.
+// Serial engine, heuristic on and off.
 
 func BenchmarkExactAStarPyramid5R4(b *testing.B) { benchGolden(b, "ExactAStarPyramid5R4") }
 
@@ -26,12 +26,9 @@ func BenchmarkExactAStarGrid44R3(b *testing.B) { benchGolden(b, "ExactAStarGrid4
 
 func BenchmarkExactDijkstraGrid44R3(b *testing.B) { benchGolden(b, "ExactDijkstraGrid44R3") }
 
-// S-partition vs single-certificate bound on the pyramid at R = Δ+1.
-// These two rows feed the Ablation B comparison.
+// The pyramid at R = Δ+1, where the S-partition packing binds.
 
-func BenchmarkExactSPartitionPyramid5R3(b *testing.B) { benchGolden(b, "ExactSPartitionPyramid5R3") }
-
-func BenchmarkExactLowerBoundPyramid5R3(b *testing.B) { benchGolden(b, "ExactLowerBoundPyramid5R3") }
+func BenchmarkExactAStarPyramid5R3(b *testing.B) { benchGolden(b, "ExactAStarPyramid5R3") }
 
 // Depth-first exact solver (IDA*).
 

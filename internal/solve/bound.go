@@ -12,8 +12,8 @@ import (
 // never be recomputed after a delete in oneshot.
 var ErrInfeasible = errors.New("solve: instance is infeasible under this convention")
 
-// RootLowerBound returns the certified scaled lower bound the selected
-// heuristic tier assigns to the initial state of p — an instant
+// RootLowerBound returns the certified scaled lower bound the heuristic
+// h assigns to the initial state of p (0 under HeuristicOff) — an instant
 // "the optimum costs at least L" certificate, admissible in every
 // model. The anytime orchestrator publishes it before any search runs;
 // a deadline that fires immediately afterwards still yields a nonzero

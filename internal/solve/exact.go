@@ -60,9 +60,10 @@ type ExactOptions struct {
 	// differential tests; the optimum is identical, only slower). With
 	// HeuristicOff as well, Exact is the unpruned Dijkstra reference.
 	DisablePruning bool
-	// Heuristic selects the A* lower bound. The zero value
-	// (HeuristicAuto) enables the admissible model-aware bound;
-	// HeuristicOff reverts to plain Dijkstra. Either way the returned
+	// Heuristic switches the A* lower bound: the zero value
+	// (HeuristicAuto) searches under the one admissible model-aware
+	// bound (see lowerBound), and HeuristicOff reverts to plain Dijkstra
+	// with the bound-dependent reductions off. Either way the returned
 	// cost is the exact optimum.
 	Heuristic Heuristic
 	// InitialLowerBound, if > 0, is a lower bound on the optimal scaled
@@ -170,7 +171,8 @@ func (m *serialMem) bytes() int64 {
 //
 // The search core is allocation-free on the hot path: states are packed
 // into []uint64 keys deduplicated in an open-addressing table, the open
-// list is a typed binary heap, move generation is restricted to the
+// list is a bucketQueue (f-indexed buckets, each a g-ordered heap, with
+// an overflow heap for f >= 2^15), move generation is restricted to the
 // red frontier, and candidate moves are applied and undone on a single
 // scratch state instead of cloning.
 //

@@ -30,7 +30,7 @@ func entryLess(x, y heapEntry) bool {
 // range.
 const bqMaxF = 1 << 15
 
-// bucketQueue is the open list of the best-first engines: a bucketed
+// bucketQueue is the open list of serial A*: a bucketed
 // two-level f-ordered queue exploiting that scaled costs are small
 // integers. The first level indexes buckets directly by f; the second
 // level orders each bucket's entries by g (max-heap over (g, node)

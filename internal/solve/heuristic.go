@@ -8,28 +8,19 @@ import (
 	"rbpebble/internal/pebble"
 )
 
-// Heuristic selects the A* lower bound used by Exact.
+// Heuristic selects whether Exact searches under its lower bound.
 type Heuristic int
 
 const (
-	// HeuristicAuto (the zero value) enables the strongest admissible
-	// model-aware lower bound; it behaves exactly like
-	// HeuristicSPartition.
+	// HeuristicAuto (the zero value) enables the admissible model-aware
+	// lower bound: the mustCompute closure, forced transfers and, in
+	// oneshot, the S-partition packing and arrival terms (see
+	// spartition.go).
 	HeuristicAuto Heuristic = iota
 	// HeuristicOff disables the lower bound entirely: Exact degenerates
 	// to plain uniform-cost search (Dijkstra), the original behavior.
 	// Useful for ablations and as the reference in admissibility tests.
 	HeuristicOff
-	// HeuristicLowerBound is the single-certificate lower bound
-	// (mustCompute closure + forced transfers + the best one capacity
-	// certificate). Kept as the ablation reference for the S-partition
-	// packing bound.
-	HeuristicLowerBound
-	// HeuristicSPartition strengthens HeuristicLowerBound with a
-	// Hong-Kung-style S-partition term: instead of the single best
-	// capacity certificate it packs certificates with disjoint live
-	// shells and sums their forced transfers (see spartition.go).
-	HeuristicSPartition
 )
 
 // String names the heuristic mode.
@@ -39,10 +30,6 @@ func (h Heuristic) String() string {
 		return "auto"
 	case HeuristicOff:
 		return "off"
-	case HeuristicLowerBound:
-		return "lower-bound"
-	case HeuristicSPartition:
-		return "s-partition"
 	default:
 		return "Heuristic(?)"
 	}
@@ -69,6 +56,10 @@ func (h Heuristic) String() string {
 //     blue needs at least one Store (cost 1). Blue pebbles only arise
 //     from Store, and these are on distinct, non-blue nodes, disjoint
 //     from the forced-load set.
+//   - oneshot certificates, on graphs of at most capMaxN nodes: the
+//     S-partition packing of pair and capacity certificates adds to the
+//     transfer terms above, and the arrival term replaces the transfer
+//     total where it is larger (see spartition.go).
 //
 // estimate also detects dead positions — a mustCompute node that was
 // already computed in oneshot, or a bare needed source under
@@ -76,7 +67,6 @@ func (h Heuristic) String() string {
 type lowerBound struct {
 	p        Problem
 	enabled  bool
-	spart    bool // S-partition packing over disjoint certificates (vs. single best)
 	oneshot  bool
 	scale    int64 // scaled cost of one transfer (EpsDenom under compcost, else 1)
 	compCost int64 // scaled cost of one compute (1 under compcost, else 0)
@@ -100,8 +90,8 @@ type lowerBound struct {
 	arrUnion  *bitset.Set
 }
 
-// capMaxN bounds the graph size for which the capacity-term candidates
-// are precomputed (the precomputation builds per-node ancestor and
+// capMaxN bounds the graph size for which the oneshot certificates are
+// precomputed (the precomputation builds per-node ancestor and
 // descendant masks, quadratic in n/64 words).
 const capMaxN = 512
 
@@ -115,7 +105,7 @@ type capUse struct {
 	useMask *bitset.Set
 }
 
-// capCandidate is one precomputed compute event w for the capacity term:
+// capCandidate is one precomputed compute event w, a capacity certificate:
 // slots = R - indeg(w) - 1 is the number of red slots not taken by
 // preds(w) and w at the moment w is computed, and shell lists the values
 // that can compete for them.
@@ -129,7 +119,6 @@ func newLowerBound(p Problem, mode Heuristic, start *pebble.State) *lowerBound {
 	lb := &lowerBound{
 		p:       p,
 		enabled: mode != HeuristicOff,
-		spart:   mode == HeuristicAuto || mode == HeuristicSPartition,
 		oneshot: p.Model.Kind == pebble.Oneshot,
 		scale:   1,
 		sinks:   p.G.Sinks(),
@@ -141,10 +130,8 @@ func newLowerBound(p Problem, mode Heuristic, start *pebble.State) *lowerBound {
 	if lb.enabled {
 		lb.mustCompute = bitset.New(p.G.N())
 		lb.counted = bitset.New(p.G.N())
+		lb.charged = bitset.New(p.G.N())
 		lb.buildCapCandidates(start)
-		if lb.spart {
-			lb.charged = bitset.New(p.G.N())
-		}
 	}
 	return lb
 }
@@ -206,57 +193,13 @@ func (lb *lowerBound) estimate(st *pebble.State) (int64, bool) {
 			}
 		}
 	}
-	if lb.spart {
-		ht += lb.spartitionTerm(st)
-		// The arrival term counts transfers globally, overlapping the
-		// per-node terms above, so the two combine by max, not sum.
-		if ta := lb.arrivalTerm(st); ta > ht {
-			ht = ta
-		}
-	} else {
-		ht += lb.capacityTerm(st)
+	ht += lb.spartitionTerm(st)
+	// The arrival term counts transfers globally, overlapping the
+	// per-node terms above, so the two combine by max, not sum.
+	if ta := lb.arrivalTerm(st); ta > ht {
+		ht = ta
 	}
 	return hc + ht, false
-}
-
-// capacityTerm adds the oneshot capacity bound: pick the still-pending
-// compute event w whose forced-live values overflow the spare red slots
-// the most. At the moment w is computed, preds(w) and w occupy
-// indeg(w)+1 of the R red slots. Every value that must exist before that
-// moment (already computed or held, or an uncomputed ancestor of w) and
-// must be consumed after it (it has a successor that must be computed
-// and lies strictly below^W above w in the DAG, hence after w) is either
-// in one of the slots = R-indeg(w)-1 spare red slots or blue at that
-// moment. In oneshot a value cannot be recreated, so each overflow value
-// that is not blue already needs one future Store (to get blue by then)
-// and one future Load (to get red again for its later consumer): 2
-// transfers, on nodes disjoint from every other term of the bound.
-func (lb *lowerBound) capacityTerm(st *pebble.State) int64 {
-	if len(lb.cands) == 0 {
-		return 0
-	}
-	best := 0
-	for ci := range lb.cands {
-		cd := &lb.cands[ci]
-		if !lb.mustCompute.Get(int(cd.w)) {
-			continue // w already computed (or not needed): event is gone
-		}
-		fl, curBlue := 0, 0
-		for i := range cd.shell {
-			cu := &cd.shell[i]
-			if !lb.liveUse(st, cu) {
-				continue
-			}
-			fl++
-			if st.IsBlue(dag.NodeID(cu.u)) {
-				curBlue++ // may sit blue through the event for free
-			}
-		}
-		if b := fl - cd.slots - curBlue; b > best {
-			best = b
-		}
-	}
-	return 2 * lb.scale * int64(best)
 }
 
 // liveUse reports whether shell value cu is live for its candidate event
@@ -274,20 +217,18 @@ func (lb *lowerBound) liveUse(st *pebble.State, cu *capUse) bool {
 	return cu.useMask.Intersects(lb.mustCompute)
 }
 
-// buildCapCandidates precomputes the capacity-term candidates for the
-// oneshot model on small graphs: per-node ancestor/descendant masks,
-// then for each needed node w the shell of values adjacent to its
-// descendant cone, keeping the candidates with the highest overflow
-// potential.
+// buildCapCandidates precomputes the oneshot certificates on small
+// graphs: the arrival tables, then per-node ancestor/descendant masks
+// and for each needed node w the shell of values adjacent to its
+// descendant cone, keeping the capacity candidates with the highest
+// overflow potential, and last the pair certificates.
 func (lb *lowerBound) buildCapCandidates(start *pebble.State) {
 	g := lb.p.G
 	n := g.N()
 	if !lb.oneshot || n == 0 || n > capMaxN {
 		return
 	}
-	if lb.spart {
-		lb.buildArrivalTables()
-	}
+	lb.buildArrivalTables()
 	// needed0: nodes bare at the start that must be computed (the
 	// initial mustCompute). Future mustCompute sets only shrink toward
 	// subsets of it in oneshot, so restricting use masks to needed0
@@ -358,17 +299,15 @@ func (lb *lowerBound) buildCapCandidates(start *pebble.State) {
 		}
 		return all[i].cand.w < all[j].cand.w
 	})
-	// Both tiers keep the same candidate budget: the packing pass walks
-	// every certificate per estimate, so a wider pool buys little bound
-	// and costs the hot path (the S-partition tier's strength on the
-	// R = Δ+1 instances comes from the pair and arrival certificates).
+	// The packing pass walks every certificate per estimate, so a wider
+	// pool buys little bound and costs the hot path (the bound's
+	// strength on the R = Δ+1 instances comes from the pair and arrival
+	// certificates).
 	const maxCands = 16
 	for i := 0; i < len(all) && i < maxCands; i++ {
 		lb.cands = append(lb.cands, all[i].cand)
 	}
-	if lb.spart {
-		lb.buildPairConstraints(needed0)
-	}
+	lb.buildPairConstraints(needed0)
 }
 
 // loadForced reports whether blue node u can only return to red via a

@@ -69,6 +69,10 @@ func oracleSeeds() [][5]uint8 {
 // FuzzExactMatchesDijkstra requires A* with every reduction on (and
 // IDA* in oneshot and nodel, which shares its move generator) to return
 // the unpruned Dijkstra optimum, with a trace that replays at that cost.
+// Where that optimum OPT is positive it also checks A*'s certified early
+// stops against it: PruneBound = OPT must exhaust certifying exactly
+// OPT, PruneBound = OPT+1 must still find OPT, and a state budget of
+// half the full run's expansions must certify no more than OPT.
 // Under plain go test it runs the tier-1 slice and requires compared
 // cases in every model, so no model passes by skipping.
 func FuzzExactMatchesDijkstra(f *testing.F) {
@@ -76,7 +80,7 @@ func FuzzExactMatchesDijkstra(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(int64(s[0]), s[1], s[2], s[3], s[4])
 	}
-	var runs, skipped int
+	var runs, skipped, stops, trips int
 	var compared [4]int
 	f.Fuzz(func(t *testing.T, seed int64, shape, kind, conv, slack uint8) {
 		runs++
@@ -104,18 +108,39 @@ func FuzzExactMatchesDijkstra(f *testing.F) {
 					engine, p.Model, p.R, convName(p.Convention), got, want)
 			}
 		}
-		sol, err := Exact(p, ExactOptions{})
+		var full ExactStats
+		sol, err := Exact(p, ExactOptions{Stats: &full})
 		check("A*", sol, err)
 		if k := p.Model.Kind; k == pebble.Oneshot || k == pebble.NoDel {
 			sol, err := ExactDFS(p, ExactDFSOptions{})
 			check("IDA*", sol, err)
+		}
+		if want > 0 {
+			stops++
+			var st ExactStats
+			_, err := Exact(p, ExactOptions{PruneBound: want, Stats: &st})
+			if !errors.Is(err, ErrBoundExhausted) || st.LowerBound != want {
+				t.Fatalf("PruneBound=OPT=%d: err %v, certified %d; want ErrBoundExhausted certifying OPT", want, err, st.LowerBound)
+			}
+			sol, err := Exact(p, ExactOptions{PruneBound: want + 1})
+			check("A* under PruneBound=OPT+1", sol, err)
+			if half := full.Expanded / 2; half > 0 {
+				_, err := Exact(p, ExactOptions{MaxStates: half, Stats: &st})
+				if errors.Is(err, ErrStateLimit) {
+					trips++
+					if st.LowerBound > want {
+						t.Fatalf("MaxStates=%d: certified %d above OPT=%d", half, st.LowerBound, want)
+					}
+				}
+			}
 		}
 		compared[p.Model.Kind]++
 	})
 	if runs != len(seeds) {
 		return // fuzzing, or a filtered run: the counts cover another set
 	}
-	f.Logf("compared %v cases by model, skipped %d", compared, skipped)
+	f.Logf("compared %v cases by model, skipped %d; early stops checked on %d, state limit tripped on %d",
+		compared, skipped, stops, trips)
 	for k, n := range compared {
 		if n < 4 {
 			f.Errorf("%s: only %d of the slice's cases compared (%d skipped in all)", pebble.AllKinds()[k], n, skipped)

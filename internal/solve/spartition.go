@@ -6,49 +6,49 @@ import (
 	"rbpebble/internal/pebble"
 )
 
-// S-partition packing term (HeuristicSPartition / HeuristicAuto).
+// S-partition packing term.
 //
-// The single-certificate capacity bound (capacityTerm) picks the one
-// pending compute event whose live values overflow its spare red slots
-// the most and charges 2 transfers per overflow value. Hong and Kung's
-// S-partition argument says more: the remaining computation decomposes
-// into segments, and EVERY segment whose dominator set overflows the
-// red capacity forces its own transfers. This file realizes that as a
-// packing over the precomputed capacity certificates: certificates
-// whose live shells are disjoint constrain disjoint sets of values, so
-// their overflow charges add.
+// Hong and Kung's S-partition argument: the remaining computation
+// decomposes into segments, and every segment whose dominator set
+// overflows the red capacity forces its own transfers. This file packs
+// two kinds of precomputed certificates, pair certificates
+// (pairConstraint) and capacity certificates (capCandidate), on
+// disjoint value sets, so that their transfers add.
 //
-// Soundness of the summation (the disjoint-charging argument): let X be
-// the set of nodes that receive at least one future Store and one
-// future Load in some fixed optimal completion from the current state.
-// For a pending event w with live shell L(w) (values that must exist
-// before w's compute and be consumed after it), at w's compute moment
-// at most slots(w) = R - indeg(w) - 1 of those values can sit in spare
-// red slots and the currently-blue ones can sit blue for free; every
-// other live value must cross to blue and back, so
+// A capacity certificate is a pending compute event w with live shell
+// L(w) (see liveUse): values that must exist before w's compute and be
+// consumed after it. At that moment preds(w) and w fill indeg(w)+1 red
+// slots, so at most slots(w) = R - indeg(w) - 1 live values are red,
+// and currently-blue ones can stay blue for free. In oneshot a value
+// cannot be recreated, so every other live value needs a future Store
+// and a future Load. Let X be the nodes that receive both in some fixed
+// optimal completion from the current state; then
 //
 //	|X ∩ L(w)|  >=  |L(w)| - slots(w) - blue(L(w)).
 //
-// Process certificates greedily, keeping a set C of already-charged
-// values; for the next certificate count only eligible values L'(w) =
-// L(w) \ C. Charged values already in C could at worst occupy w's spare
-// red slots or blue positions — which only makes MORE eligible values
-// overflow — so
+// Certificates are processed in a fixed order (pair certificates, then
+// capacity certificates in static score order) with a set C of charged
+// values, and each counts only its eligible values L'(w) = L(w) \ C.
+// Values in C can at worst take w's spare red slots or blue positions,
+// which only makes MORE eligible values overflow, so
 //
-//	|X ∩ (L(w) \ C)|  >=  |L'(w)| - slots(w) - blue(L'(w))
+//	|X ∩ L'(w)|  >=  |L'(w)| - slots(w) - blue(L'(w)).
 //
-// still holds. After counting, all of L'(w) joins C, so the regions
-// L'(w_1), L'(w_2), ... are pairwise disjoint subsets of X and the
-// per-certificate overflows sum to a lower bound on |X|. Each node of X
-// pays 2 transfers on distinct nodes, disjoint from the forced-load
-// term (those nodes are currently blue; live overflow values are not)
-// and from the forced-store term (shell values have successors, sinks
-// do not). Total: 2·scale·Σ overflow — and since the largest-overflow
-// certificate is processed first, the packing never falls below the
-// single-certificate bound.
+// All of L'(w) then joins C, so the regions L'(w_1), L'(w_2), ... are
+// pairwise disjoint subsets of X, disjoint from every pair
+// certificate's values too, and the charges add. Each node of X pays 2
+// transfers, disjoint from the forced-load term (those nodes are blue
+// now; live overflow values are not) and from the forced-store term
+// (shell values have successors, sinks do not). Total: 2·scale·Σ
+// overflow, plus 2·scale per pair certificate.
+//
+// The sum is not monotone in its certificates: an early one can charge
+// values that a later, larger overflow would have counted, so it can
+// fall below the best single capacity certificate's overflow taken
+// alone. Both are admissible, so their max is too.
 
-// pairConstraint is the second certificate family of the S-partition
-// tier, aimed at the R = Δ+1 regime where every full-indegree compute
+// pairConstraint is the second certificate family of the packing,
+// aimed at the R = Δ+1 regime where every full-indegree compute
 // event pins the entire red set. It is precomputed statically for a
 // value u feeding two full events v1, v2 (indeg = R-1, both initially
 // needed):
@@ -91,9 +91,8 @@ type pairConstraint struct {
 // maxPairs caps the precomputed pair-constraint pool.
 const maxPairs = 512
 
-// buildPairConstraints precomputes the pair certificates (S-partition
-// tier, oneshot, small graphs — called from buildCapCandidates under
-// the same gates). needed0 is the initially-needed set.
+// buildPairConstraints precomputes the pair certificates (oneshot,
+// small graphs — called from buildCapCandidates under the same gates). needed0 is the initially-needed set.
 func (lb *lowerBound) buildPairConstraints(needed0 *bitset.Set) {
 	g := lb.p.G
 	full := func(v dag.NodeID) bool { return g.InDegree(v) == lb.p.R-1 }
@@ -298,8 +297,7 @@ func appendUnique(s []int32, x int32) []int32 {
 // spartitionTerm returns the packed certificate charge for st in
 // scaled cost units: pair constraints first (2 transfers each), then
 // the capacity certificates on the residual uncharged values.
-// Allocation-free: the order/overflow slices and the charged set are
-// reused scratch on the lowerBound.
+// Allocation-free: the charged set is reused scratch on the lowerBound.
 func (lb *lowerBound) spartitionTerm(st *pebble.State) int64 {
 	if len(lb.cands) == 0 && len(lb.pairs) == 0 {
 		return 0

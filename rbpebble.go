@@ -168,8 +168,8 @@ type (
 	// Solution is a solver output with its verified result.
 	Solution = solve.Solution
 	// ExactOptions configures the exact solver: state budget
-	// (MaxStates), table memory budget (MaxTableBytes), A* lower-bound
-	// tier (Heuristic: S-partition by default), search counters (Stats),
+	// (MaxStates), table memory budget (MaxTableBytes), the A* lower
+	// bound on or off (Heuristic), search counters (Stats),
 	// cancellation and progress snapshots, and the ablation switch for
 	// the safe reductions, the normal-form move rules and symmetry
 	// included (DisablePruning).
@@ -177,7 +177,7 @@ type (
 	// ExactStats reports search-effort counters from one Exact run
 	// (states expanded, open-list pushes, distinct states reached).
 	ExactStats = solve.ExactStats
-	// Heuristic selects the exact solver's A* lower bound tier.
+	// Heuristic switches the exact solver's A* lower bound on or off.
 	Heuristic = solve.Heuristic
 	// ExactDFSStats reports search effort and bound progress from one
 	// ExactDFS run (also populated alongside ErrVisitLimit).
@@ -203,24 +203,20 @@ const (
 	RedRatio         = solve.RedRatio
 )
 
-// Exact-solver heuristic tiers. HeuristicAuto (the zero value) enables
-// the strongest admissible bound (the Hong-Kung-style S-partition
-// packing); HeuristicLowerBound is the single-certificate bound kept
-// for ablation; HeuristicOff reverts to plain Dijkstra. The proven
-// optimal cost is identical in every tier.
+// Exact-solver heuristic modes. HeuristicAuto (the zero value) enables
+// the admissible model-aware lower bound, which includes the
+// Hong-Kung-style S-partition packing in oneshot; HeuristicOff reverts
+// to plain Dijkstra. The proven optimal cost is the same in both.
 const (
-	HeuristicAuto       = solve.HeuristicAuto
-	HeuristicOff        = solve.HeuristicOff
-	HeuristicLowerBound = solve.HeuristicLowerBound
-	HeuristicSPartition = solve.HeuristicSPartition
+	HeuristicAuto = solve.HeuristicAuto
+	HeuristicOff  = solve.HeuristicOff
 )
 
 var (
 	// Exact finds a provably optimal pebbling by best-first state-space
-	// search: A* under an admissible model-aware lower bound (the
-	// S-partition tier by default; Dijkstra with HeuristicOff), over
-	// packed states in an open-addressing table, storing one state per
-	// automorphism orbit of the DAG.
+	// search: A* under an admissible model-aware lower bound (Dijkstra
+	// with HeuristicOff), over packed states in an open-addressing
+	// table, storing one state per automorphism orbit of the DAG.
 	Exact = solve.Exact
 	// OrderOpt finds the oneshot optimum by order enumeration + Belady.
 	OrderOpt = solve.OrderOpt
