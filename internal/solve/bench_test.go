@@ -1,6 +1,11 @@
 package solve
 
-import "testing"
+import (
+	"testing"
+
+	"rbpebble/internal/daggen"
+	"rbpebble/internal/pebble"
+)
 
 // Solver microbenchmarks on the canonical instances in the oneshot
 // model; run them with
@@ -52,6 +57,63 @@ func BenchmarkMemBudgetAbort(b *testing.B) { benchGolden(b, "MemBudgetAbort") }
 // sample); the nil-listener path itself is guarded by
 // TestNilListenerAllocGuard.
 func BenchmarkSearchSnapshotOverhead(b *testing.B) { benchGolden(b, "SearchSnapshotOverhead") }
+
+// BenchmarkLowerBound measures the lower bound on its own: ns per
+// estimate over every distinct state that serial A* stores on
+// pyramid(5) R=4 oneshot and on the random layered 5x5 DAG of seed 6
+// (oneshot, R = Δ+1). The states are recorded from a full solve, in
+// the canonical labeling the search evaluated them in, and each is
+// checked against the h the search cached for it.
+func BenchmarkLowerBound(b *testing.B) {
+	layered := daggen.RandomLayered(5, 5, 2, 6)
+	for _, bc := range []struct {
+		name string
+		p    Problem
+	}{
+		{"Pyramid5R4", pyramid5R4()},
+		{"Layered5x5s6", Problem{G: layered, Model: pebble.NewModel(pebble.Oneshot), R: pebble.MinFeasibleR(layered)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			lb, keys := recordLowerBoundStates(b, bc.p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, k := range keys {
+					lbSink, _ = lb.estimate(k)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/estimate")
+			b.ReportMetric(float64(len(keys)), "states")
+		})
+	}
+}
+
+var lbSink int64
+
+// recordLowerBoundStates solves p with serial A* and returns the lower
+// bound the search used with every state key its table holds.
+func recordLowerBoundStates(b *testing.B, p Problem) (*lowerBound, []pebble.PackedKey) {
+	b.Helper()
+	start, err := pebble.NewState(p.G, p.Model, p.R, p.Convention)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m serialMem
+	if _, err := exactSerial(p, ExactOptions{}, start, 50_000_000, &m); err != nil {
+		b.Fatal(err)
+	}
+	// The search ran on this same deterministic canonical form.
+	q, qstart, _ := symmetricForm(p, start, func() bool { return false })
+	lb := newLowerBound(q, HeuristicAuto, qstart.AppendPacked(nil))
+	keys := make([]pebble.PackedKey, m.table.count())
+	for ref := range keys {
+		keys[ref] = append(pebble.PackedKey(nil), m.table.key(int32(ref))...)
+		if h, _ := lb.estimate(keys[ref]); h != m.table.h(int32(ref)) {
+			b.Fatalf("state %d: estimate %d, the search cached %d", ref, h, m.table.h(int32(ref)))
+		}
+	}
+	return lb, keys
+}
 
 // Heuristic baseline.
 

@@ -29,8 +29,8 @@ func RootLowerBound(p Problem, h Heuristic) (int64, error) {
 	if start.Complete() {
 		return 0, nil
 	}
-	lb := newLowerBound(p, h, start)
-	v, dead := lb.estimate(start)
+	key := start.AppendPacked(nil)
+	v, dead := newLowerBound(p, h, key).estimate(key)
 	if dead {
 		return 0, ErrInfeasible
 	}

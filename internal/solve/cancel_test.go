@@ -29,30 +29,34 @@ func TestRootLowerBound(t *testing.T) {
 	}
 }
 
-// TestExactCancelHarvestsLowerBound cancels a serial A* run immediately
-// and checks that the harvested frontier bound is a valid certificate:
-// positive, and no larger than the true optimum.
+// TestExactCancelHarvestsLowerBound cancels serial A* mid-search, from
+// its first progress snapshot, and checks that the harvested frontier
+// bound is a valid certificate: positive, and no larger than the true
+// optimum. The snapshot comes at the first gate (1024 expansions) and
+// the cancel is seen at the next, so the run is deterministic: its
+// expansion count and bound are pinned, and they move only when the
+// search itself changes.
 func TestExactCancelHarvestsLowerBound(t *testing.T) {
 	p := Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.Oneshot), R: 3}
 	cancel := make(chan struct{})
+	canceled := false
 	var stats ExactStats
-	done := make(chan error, 1)
-	go func() {
-		_, err := Exact(p, ExactOptions{Cancel: cancel, Stats: &stats})
-		done <- err
-	}()
-	time.Sleep(30 * time.Millisecond)
-	close(cancel)
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("err = %v, want ErrCanceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancellation did not stop the search")
+	_, err := Exact(p, ExactOptions{
+		Cancel: cancel,
+		Stats:  &stats,
+		Progress: func(ExactProgress) {
+			if !canceled {
+				canceled = true
+				close(cancel)
+			}
+		},
+		ProgressEvery: time.Nanosecond,
+	})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if stats.LowerBound <= 0 {
-		t.Fatalf("harvested lower bound = %d, want > 0", stats.LowerBound)
+	if stats.Expanded != 2048 || stats.LowerBound != 14 {
+		t.Fatalf("canceled after %d expansions with lower bound %d, want 2048 and 14", stats.Expanded, stats.LowerBound)
 	}
 	const fft3R3Optimum = 31 // cross-checked by the solver test suite
 	if stats.LowerBound > fft3R3Optimum {

@@ -272,7 +272,7 @@ func (d *dfsSearch) cachedH(hash uint64) (int32, int64) {
 	if !isNew {
 		return ref, d.hcache.best(ref)
 	}
-	h, dead := d.c.lb.estimate(d.st)
+	h, dead := d.c.lb.estimate(d.c.keyBuf)
 	if dead {
 		h = dfsDeadH
 	}
@@ -289,7 +289,8 @@ func (d *dfsSearch) cachedH(hash uint64) (int32, int64) {
 // along any cheaper completion every prefix state has f at most its
 // final cost, so the pass would have reached it.
 func (d *dfsSearch) idaStar() error {
-	h0, dead := d.c.lb.estimate(d.st)
+	d.c.keyBuf = d.st.AppendPacked(d.c.keyBuf[:0])
+	h0, dead := d.c.lb.estimate(d.c.keyBuf)
 	if dead {
 		return ErrInfeasible
 	}

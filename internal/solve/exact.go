@@ -240,9 +240,10 @@ func newSearchCtx(p Problem, opts ExactOptions, start *pebble.State) *searchCtx 
 		sources: p.G.Sources(),
 		prune:   !opts.DisablePruning,
 		scratch: start.Clone(),
-		lb:      newLowerBound(p, opts.Heuristic, start),
 		cand:    bitset.New(p.G.N()),
+		keyBuf:  start.AppendPacked(nil),
 	}
+	c.lb = newLowerBound(p, opts.Heuristic, c.keyBuf)
 	if p.Model.Kind == pebble.CompCost {
 		c.scale = int64(p.Model.EpsDenom)
 		c.compCost = 1
@@ -413,17 +414,13 @@ func (c *searchCtx) readyConsumer(key pebble.PackedKey, v dag.NodeID) bool {
 	w := len(key) / 3
 	red, blue, computed := key[:w], key[w:2*w], key[2*w:]
 	oneshot := c.p.Model.Kind == pebble.Oneshot
-next:
 	for _, x := range c.g.Succs(v) {
 		if hasBit(red, x) || (oneshot && hasBit(computed, x)) {
 			continue
 		}
-		for _, u := range c.g.Preds(x) {
-			if !hasBit(red, u) && !hasBit(blue, u) {
-				continue next
-			}
+		if c.lb.predsPebbled(x, red, blue) {
+			return true
 		}
-		return true
 	}
 	return false
 }
@@ -504,7 +501,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	rootRef, _ := table.lookupOrAdd(rootKey, hashKey(rootKey))
 	table.setBest(rootRef, 0)
 	nodes.push(searchNode{parent: -1, ref: rootRef})
-	h0, dead := c.lb.estimate(start)
+	h0, dead := c.lb.estimate(rootKey)
 	if dead {
 		report()
 		return Solution{}, ErrInfeasible
@@ -560,19 +557,14 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 			}
 			childG := e.g + c.moveCost(m)
 			c.keyBuf = c.scratch.AppendPacked(c.keyBuf[:0])
-			child := c.scratch
 			if sym != nil {
 				sym.canonize(c.keyBuf)
 			}
 			childRef, isNew := table.lookupOrAdd(c.keyBuf, hashKey(c.keyBuf))
 			var h int64
 			if isNew {
-				if sym != nil {
-					sym.state.RestorePacked(c.keyBuf)
-					child = sym.state
-				}
 				var dead bool
-				h, dead = c.lb.estimate(child)
+				h, dead = c.lb.estimate(c.keyBuf)
 				table.setH(childRef, h)
 				if dead {
 					table.setBest(childRef, costDead)

@@ -1,9 +1,9 @@
 package solve
 
 import (
+	"math/bits"
 	"sort"
 
-	"rbpebble/internal/bitset"
 	"rbpebble/internal/dag"
 	"rbpebble/internal/pebble"
 )
@@ -64,165 +64,224 @@ func (h Heuristic) String() string {
 // estimate also detects dead positions — a mustCompute node that was
 // already computed in oneshot, or a bare needed source under
 // SourcesStartBlue — from which no completion exists at any cost.
+//
+// Every term is evaluated with word operations on node sets of w
+// 64-bit words, read straight from the packed key (red, blue and
+// computed words, see pebble.State.AppendPacked): the mustCompute
+// closure grows a frontier by predecessor masks, and each certificate
+// is a handful of precomputed masks tested against the key's words.
 type lowerBound struct {
 	p        Problem
 	enabled  bool
 	oneshot  bool
 	scale    int64 // scaled cost of one transfer (EpsDenom under compcost, else 1)
 	compCost int64 // scaled cost of one compute (1 under compcost, else 0)
-	sinks    []dag.NodeID
+	w        int   // words per node set; a packed key holds three
 
-	mustCompute *bitset.Set
-	counted     *bitset.Set // blue nodes already counted as forced loads
-	stack       []int32
-	cands       []capCandidate
-	pairs       []pairConstraint
+	// Static node sets: the sinks; the nodes that can never be computed
+	// (the sources under SourcesStartBlue), a dead position's witnesses
+	// once needed; and the nodes whose blue pebble forces a Load (see
+	// loadForced).
+	sinks, uncomputable, forced []uint64
+	// preds holds node v's predecessor mask at words [v*w, (v+1)*w), on
+	// graphs of at most capMaxN nodes; larger graphs read the adjacency
+	// lists instead (see orPreds), which keeps the set-up linear.
+	preds []uint64
 
-	// S-partition scratch (see spartition.go): the charged-value set of
-	// the packing pass.
-	charged *bitset.Set
+	// Per-estimate scratch sets: the mustCompute closure, its frontier
+	// and next layer, the union of the closure's predecessors, the
+	// packing's charged values and a general-purpose union.
+	mc, front, next, predU, charged, union []uint64
 
-	// Arrival-term tables (see spartition.go): fullMaxIn[v] >= 0 marks v
-	// as a full event (indeg = R-1) and holds the largest static
-	// neighborhood overlap |N[v] ∩ N[u]| over all other full events u;
-	// arrUnion is the event-neighborhood scratch set.
-	fullMaxIn []int32
-	arrUnion  *bitset.Set
+	cands []capCandidate
+	pairs []pairConstraint
+
+	// Arrival-term tables (see spartition.go): events marks the full
+	// events (indeg = R-1), and arrive[v] = R - maxIn(v) for each, where
+	// maxIn(v) is the largest static neighborhood overlap
+	// |N[v] ∩ N[u]| over all other full events u. A nil events disables
+	// the term.
+	events []uint64
+	arrive []int32
 }
 
-// capMaxN bounds the graph size for which the oneshot certificates are
-// precomputed (the precomputation builds per-node ancestor and
-// descendant masks, quadratic in n/64 words).
+// capMaxN bounds the graph size for which the oneshot certificates and
+// the predecessor masks are precomputed (both take quadratic n·(n/64)
+// words).
 const capMaxN = 512
-
-// capUse is one potentially-live value u evaluated against a capacity
-// candidate w: anc records whether u is a strict ancestor of w, and
-// useMask holds u's successors inside desc(w) (statically restricted to
-// the initially-needed set).
-type capUse struct {
-	u       int32
-	anc     bool
-	useMask *bitset.Set
-}
 
 // capCandidate is one precomputed compute event w, a capacity certificate:
 // slots = R - indeg(w) - 1 is the number of red slots not taken by
-// preds(w) and w at the moment w is computed, and shell lists the values
-// that can compete for them.
+// preds(w) and w at the moment w is computed. shell masks the values
+// that can compete for them: the predecessors of w's cone (desc(w)
+// restricted to the initially-needed set) other than w and preds(w).
+// anc masks the shell values that are strict ancestors of w.
 type capCandidate struct {
-	w     dag.NodeID
-	slots int
-	shell []capUse
+	w          dag.NodeID
+	slots      int
+	shell, anc []uint64
 }
 
-func newLowerBound(p Problem, mode Heuristic, start *pebble.State) *lowerBound {
+func newLowerBound(p Problem, mode Heuristic, startKey pebble.PackedKey) *lowerBound {
 	lb := &lowerBound{
 		p:       p,
 		enabled: mode != HeuristicOff,
 		oneshot: p.Model.Kind == pebble.Oneshot,
 		scale:   1,
-		sinks:   p.G.Sinks(),
 	}
 	if p.Model.Kind == pebble.CompCost {
 		lb.scale = int64(p.Model.EpsDenom)
 		lb.compCost = 1
 	}
-	if lb.enabled {
-		lb.mustCompute = bitset.New(p.G.N())
-		lb.counted = bitset.New(p.G.N())
-		lb.charged = bitset.New(p.G.N())
-		lb.buildCapCandidates(start)
+	if !lb.enabled {
+		return lb
 	}
+	g := p.G
+	n := g.N()
+	w := (n + 63) / 64
+	lb.w = w
+	// Every static set and scratch set shares one slab, the
+	// predecessor masks included where they are built.
+	const sets = 9
+	words := sets * w
+	if n <= capMaxN {
+		words += n * w
+	}
+	slab := make([]uint64, words)
+	carve := func() []uint64 {
+		s := slab[:w:w]
+		slab = slab[w:]
+		return s
+	}
+	lb.sinks, lb.uncomputable, lb.forced = carve(), carve(), carve()
+	lb.mc, lb.front, lb.next, lb.predU, lb.charged, lb.union = carve(), carve(), carve(), carve(), carve(), carve()
+	if n <= capMaxN {
+		lb.preds = slab
+		for v := 0; v < n; v++ {
+			for _, u := range g.Preds(dag.NodeID(v)) {
+				setBit(lb.preds[v*w:], u)
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		id := dag.NodeID(v)
+		if g.IsSink(id) {
+			setBit(lb.sinks, id)
+		}
+		if p.Convention.SourcesStartBlue && g.IsSource(id) {
+			setBit(lb.uncomputable, id)
+		}
+		if lb.loadForced(id) {
+			setBit(lb.forced, id)
+		}
+	}
+	lb.buildCapCandidates(startKey)
 	return lb
 }
 
 // estimate returns an admissible lower bound (in scaled cost units) on
-// the remaining cost from st, plus a dead flag reporting that st cannot
-// be completed at all. With the heuristic off it returns (0, false),
-// keeping the search byte-for-byte Dijkstra.
-func (lb *lowerBound) estimate(st *pebble.State) (int64, bool) {
+// the remaining cost from the state packed in key, plus a dead flag
+// reporting that the state cannot be completed at all. With the
+// heuristic off it returns (0, false), keeping the search byte-for-byte
+// Dijkstra. The state must be reachable from the start state, as every
+// state a search generates is (see spartitionTerm). It leaves the
+// state's mustCompute set in lb.mc.
+func (lb *lowerBound) estimate(key pebble.PackedKey) (int64, bool) {
 	if !lb.enabled {
 		return 0, false
 	}
-	g := lb.p.G
-	conv := lb.p.Convention
-	var ht, hc int64 // transfer and compute components
-	lb.mustCompute.Reset()
-	lb.counted.Reset()
-	lb.stack = lb.stack[:0]
-	for _, s := range lb.sinks {
-		if conv.SinksMustBeBlue {
-			if st.IsBlue(s) {
-				continue
-			}
-			ht += lb.scale // one Store onto s is still needed
-		} else if st.HasPebble(s) {
-			continue
+	w := lb.w
+	red, blue, comp := key[:w:w], key[w:2*w:2*w], key[2*w:3*w:3*w]
+	mc, front, next, predU := lb.mc, lb.front, lb.next, lb.predU
+	stores := 0
+	for i := range mc {
+		if lb.p.Convention.SinksMustBeBlue {
+			stores += bits.OnesCount64(lb.sinks[i] &^ blue[i]) // one Store onto each
 		}
-		if !st.HasPebble(s) && !lb.mustCompute.Get(int(s)) {
-			lb.mustCompute.Set(int(s))
-			lb.stack = append(lb.stack, int32(s))
+		mc[i] = lb.sinks[i] &^ (red[i] | blue[i])
+		front[i] = mc[i]
+		predU[i] = 0
+	}
+	// Grow the closure one predecessor layer at a time: bare
+	// predecessors join it, pebbled ones stay in predU.
+	for grew := true; grew; {
+		clear(next)
+		for i, f := range front {
+			for ; f != 0; f &= f - 1 {
+				lb.orPreds(next, dag.NodeID(i*64+bits.TrailingZeros64(f)))
+			}
+		}
+		grew = false
+		for i := range next {
+			predU[i] |= next[i]
+			add := next[i] &^ (red[i] | blue[i] | mc[i])
+			mc[i] |= add
+			front[i] = add
+			grew = grew || add != 0
 		}
 	}
-	for len(lb.stack) > 0 {
-		v := dag.NodeID(lb.stack[len(lb.stack)-1])
-		lb.stack = lb.stack[:len(lb.stack)-1]
-		// v is bare (no pebble) and must be computed at least once more.
-		if lb.oneshot && st.WasComputed(v) {
-			return 0, true // recompute forbidden: unwinnable
+	var musts, loads int
+	for i := range mc {
+		// A needed node that can never be computed (again) makes the
+		// position unwinnable: recompute is forbidden in oneshot, and
+		// sources are not computable under SourcesStartBlue.
+		if mc[i]&lb.uncomputable[i] != 0 || (lb.oneshot && mc[i]&comp[i] != 0) {
+			return 0, true
 		}
-		if conv.SourcesStartBlue && g.IsSource(v) {
-			return 0, true // sources are not computable: unwinnable
-		}
-		hc += lb.compCost
-		for _, u := range g.Preds(v) {
-			ui := int(u)
-			if st.IsRed(u) {
-				continue
-			}
-			if st.IsBlue(u) {
-				if lb.loadForced(u) && !lb.counted.Get(ui) {
-					lb.counted.Set(ui)
-					ht += lb.scale
-				}
-				continue
-			}
-			if !lb.mustCompute.Get(ui) {
-				lb.mustCompute.Set(ui)
-				lb.stack = append(lb.stack, int32(u))
-			}
-		}
+		musts += bits.OnesCount64(mc[i])
+		loads += bits.OnesCount64(predU[i] & blue[i] & lb.forced[i])
 	}
-	ht += lb.spartitionTerm(st)
+	ht := lb.scale*int64(stores+loads) + lb.spartitionTerm(red, blue, comp)
 	// The arrival term counts transfers globally, overlapping the
 	// per-node terms above, so the two combine by max, not sum.
-	if ta := lb.arrivalTerm(st); ta > ht {
+	if ta := lb.arrivalTerm(blue, comp); ta > ht {
 		ht = ta
 	}
-	return hc + ht, false
+	return lb.compCost*int64(musts) + ht, false
 }
 
-// liveUse reports whether shell value cu is live for its candidate event
-// in state st: the value must exist before the event's compute — it
-// holds a pebble now, was computed already, or is an uncomputed ancestor
-// of the event that must be computed before it — and must be consumed
-// after the event (it has an uncomputed successor inside the event's
-// descendant cone).
-func (lb *lowerBound) liveUse(st *pebble.State, cu *capUse) bool {
-	u := dag.NodeID(cu.u)
-	if !(st.HasPebble(u) || st.WasComputed(u) ||
-		(cu.anc && lb.mustCompute.Get(int(cu.u)))) {
-		return false
+// orPreds ORs node v's predecessor set into dst.
+func (lb *lowerBound) orPreds(dst []uint64, v dag.NodeID) {
+	if lb.preds == nil {
+		for _, u := range lb.p.G.Preds(v) {
+			setBit(dst, u)
+		}
+		return
 	}
-	return cu.useMask.Intersects(lb.mustCompute)
+	if lb.w == 1 {
+		dst[0] |= lb.preds[v]
+		return
+	}
+	for i, m := range lb.preds[int(v)*lb.w : (int(v)+1)*lb.w] {
+		dst[i] |= m
+	}
+}
+
+// predsPebbled reports whether every predecessor of v holds a pebble in
+// the state whose red and blue words are given.
+func (lb *lowerBound) predsPebbled(v dag.NodeID, red, blue []uint64) bool {
+	if lb.preds == nil {
+		for _, u := range lb.p.G.Preds(v) {
+			if !hasBit(red, u) && !hasBit(blue, u) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, m := range lb.preds[int(v)*lb.w : (int(v)+1)*lb.w] {
+		if m&^(red[i]|blue[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // buildCapCandidates precomputes the oneshot certificates on small
-// graphs: the arrival tables, then per-node ancestor/descendant masks
-// and for each needed node w the shell of values adjacent to its
-// descendant cone, keeping the capacity candidates with the highest
-// overflow potential, and last the pair certificates.
-func (lb *lowerBound) buildCapCandidates(start *pebble.State) {
+// graphs: the arrival tables, then for each needed node w the masks of
+// its capacity certificate, keeping the candidates with the highest
+// overflow potential, and last the pair certificates. startKey is the
+// packed start state.
+func (lb *lowerBound) buildCapCandidates(startKey pebble.PackedKey) {
 	g := lb.p.G
 	n := g.N()
 	if !lb.oneshot || n == 0 || n > capMaxN {
@@ -231,83 +290,81 @@ func (lb *lowerBound) buildCapCandidates(start *pebble.State) {
 	lb.buildArrivalTables()
 	// needed0: nodes bare at the start that must be computed (the
 	// initial mustCompute). Future mustCompute sets only shrink toward
-	// subsets of it in oneshot, so restricting use masks to needed0
+	// subsets of it in oneshot, so restricting the cones to needed0
 	// never overcounts.
-	if _, dead := lb.estimate(start); dead {
+	if _, dead := lb.estimate(startKey); dead {
 		return
 	}
-	needed0 := lb.mustCompute.Clone()
-
 	reach := pebble.NewReach(g)
 	if reach == nil {
 		return
 	}
+	w := lb.w
+	needed0 := append([]uint64(nil), lb.mc...)
 
-	isPred := make([]bool, n)
 	type scored struct {
-		cand  capCandidate
-		score int
+		w            dag.NodeID
+		slots, score int
 	}
 	var all []scored
-	// The per-shell use masks persist in the candidates for the whole
-	// search; carving them from an arena costs one allocation per slab
-	// chunk instead of two per mask.
-	arena := bitset.NewArena(n)
-	seen := bitset.New(n)
-	for wi := 0; wi < n; wi++ {
-		if !needed0.Get(wi) {
+	// The scoring pass builds each shell in scratch; only the kept
+	// candidates get masks of their own.
+	cone, shell := lb.front, lb.next
+	for v := dag.NodeID(0); int(v) < n; v++ {
+		if !hasBit(needed0, v) {
 			continue
 		}
-		w := dag.NodeID(wi)
-		slots := lb.p.R - g.InDegree(w) - 1
-		for _, u := range g.Preds(w) {
-			isPred[u] = true
-		}
-		var shell []capUse
-		seen.Reset()
-		desc := reach.Desc(w)
-		desc.ForEach(func(x int) bool {
-			if !needed0.Get(x) {
-				return true
-			}
-			for _, u := range g.Preds(dag.NodeID(x)) {
-				ui := int(u)
-				if ui == wi || isPred[ui] || seen.Get(ui) {
-					continue
-				}
-				seen.Set(ui)
-				use := arena.New()
-				for _, s := range g.Succs(u) {
-					if needed0.Get(int(s)) && desc.Get(int(s)) {
-						use.Set(int(s))
-					}
-				}
-				shell = append(shell, capUse{u: int32(ui), anc: reach.Anc(w).Get(ui), useMask: use})
-			}
-			return true
-		})
-		for _, u := range g.Preds(w) {
-			isPred[u] = false
-		}
-		if score := len(shell) - slots; score > 0 {
-			all = append(all, scored{capCandidate{w: w, slots: slots, shell: shell}, score})
+		slots := lb.p.R - g.InDegree(v) - 1
+		lb.capShell(reach, needed0, v, cone, shell)
+		if score := onesCount(shell) - slots; score > 0 {
+			all = append(all, scored{v, slots, score})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].score != all[j].score {
 			return all[i].score > all[j].score
 		}
-		return all[i].cand.w < all[j].cand.w
+		return all[i].w < all[j].w
 	})
 	// The packing pass walks every certificate per estimate, so a wider
 	// pool buys little bound and costs the hot path (the bound's
 	// strength on the R = Δ+1 instances comes from the pair and arrival
 	// certificates).
 	const maxCands = 16
-	for i := 0; i < len(all) && i < maxCands; i++ {
-		lb.cands = append(lb.cands, all[i].cand)
+	k := min(len(all), maxCands)
+	slab := make([]uint64, 2*k*w)
+	lb.cands = make([]capCandidate, k)
+	for i := range lb.cands {
+		cd := &lb.cands[i]
+		cd.w, cd.slots = all[i].w, all[i].slots
+		cd.shell, cd.anc = slab[:w:w], slab[w:2*w:2*w]
+		slab = slab[2*w:]
+		lb.capShell(reach, needed0, cd.w, cone, cd.shell)
+		reach.Anc(cd.w).AppendWords(cd.anc[:0])
+		for j := range cd.anc {
+			cd.anc[j] &= cd.shell[j]
+		}
 	}
 	lb.buildPairConstraints(needed0)
+}
+
+// capShell writes capacity candidate v's shell: the predecessors of
+// its cone, desc(v) ∩ needed0, other than v and preds(v). cone is
+// scratch and receives the cone.
+func (lb *lowerBound) capShell(reach *pebble.Reach, needed0 []uint64, v dag.NodeID, cone, shell []uint64) {
+	reach.Desc(v).AppendWords(cone[:0])
+	clear(shell)
+	for i := range cone {
+		cone[i] &= needed0[i]
+		for c := cone[i]; c != 0; c &= c - 1 {
+			lb.orPreds(shell, dag.NodeID(i*64+bits.TrailingZeros64(c)))
+		}
+	}
+	pv := lb.preds[int(v)*lb.w:]
+	for i := range shell {
+		shell[i] &^= pv[i]
+	}
+	shell[v>>6] &^= 1 << (uint(v) & 63)
 }
 
 // loadForced reports whether blue node u can only return to red via a
@@ -321,4 +378,18 @@ func (lb *lowerBound) loadForced(u dag.NodeID) bool {
 		return true
 	}
 	return lb.p.Convention.SourcesStartBlue && lb.p.G.IsSource(u)
+}
+
+// setBit sets node v's bit in the words ws.
+func setBit(ws []uint64, v dag.NodeID) {
+	ws[v>>6] |= 1 << (uint(v) & 63)
+}
+
+// onesCount returns the number of set bits in ws.
+func onesCount(ws []uint64) int {
+	c := 0
+	for _, x := range ws {
+		c += bits.OnesCount64(x)
+	}
+	return c
 }

@@ -1,9 +1,9 @@
 package solve
 
 import (
-	"rbpebble/internal/bitset"
+	"math/bits"
+
 	"rbpebble/internal/dag"
-	"rbpebble/internal/pebble"
 )
 
 // S-partition packing term.
@@ -16,8 +16,8 @@ import (
 // disjoint value sets, so that their transfers add.
 //
 // A capacity certificate is a pending compute event w with live shell
-// L(w) (see liveUse): values that must exist before w's compute and be
-// consumed after it. At that moment preds(w) and w fill indeg(w)+1 red
+// L(w) (see spartitionTerm): values that must exist before w's compute
+// and be consumed after it. At that moment preds(w) and w fill indeg(w)+1 red
 // slots, so at most slots(w) = R - indeg(w) - 1 live values are red,
 // and currently-blue ones can stay blue for free. In oneshot a value
 // cannot be recreated, so every other live value needs a future Store
@@ -82,66 +82,76 @@ import (
 // values have successors, so they are never sinks and stay disjoint
 // from the forced-store term; disjointness among summed certificates is
 // enforced by the shared charged set in spartitionTerm.
+//
+// Masks: cset is {u} ∪ b12 ∪ b21 and b is b12 ∪ b21, w words each.
 type pairConstraint struct {
-	u      int32
-	v1, v2 int32
-	cset   []int32 // u first, then the b12 ∪ b21 values
+	v1, v2  dag.NodeID
+	cset, b []uint64
 }
 
 // maxPairs caps the precomputed pair-constraint pool.
 const maxPairs = 512
 
 // buildPairConstraints precomputes the pair certificates (oneshot,
-// small graphs — called from buildCapCandidates under the same gates). needed0 is the initially-needed set.
-func (lb *lowerBound) buildPairConstraints(needed0 *bitset.Set) {
+// small graphs — called from buildCapCandidates under the same gates).
+// needed0 is the initially-needed set. The masks of all pairs share one
+// slab.
+func (lb *lowerBound) buildPairConstraints(needed0 []uint64) {
 	g := lb.p.G
+	w := lb.w
 	full := func(v dag.NodeID) bool { return g.InDegree(v) == lb.p.R-1 }
+	hasPred := func(v, p dag.NodeID) bool { return hasBit(lb.preds[int(v)*w:], p) }
+	b := lb.union
+	var slab []uint64
+build:
 	for ui := 0; ui < g.N(); ui++ {
 		u := dag.NodeID(ui)
 		succs := g.Succs(u)
 		for i := 0; i < len(succs); i++ {
 			v1 := succs[i]
-			if !needed0.Get(int(v1)) || !full(v1) {
+			if !hasBit(needed0, v1) || !full(v1) {
 				continue
 			}
 			for j := i + 1; j < len(succs); j++ {
 				v2 := succs[j]
-				if !needed0.Get(int(v2)) || !full(v2) {
+				if !hasBit(needed0, v2) || !full(v2) {
 					continue
 				}
 				// b-set for the order va-before-vb: preds(vb) outside
 				// N[va]. Every b-value must itself be a full event that
 				// does not consume u, or the eviction case breaks.
-				addB := func(cset []int32, va, vb dag.NodeID) ([]int32, bool) {
+				addB := func(va, vb dag.NodeID) bool {
 					n := 0
 					for _, x := range g.Preds(vb) {
-						if x == u || x == va || hasPred(g, va, x) {
+						if x == u || x == va || hasPred(va, x) {
 							continue
 						}
-						if !full(x) || hasPred(g, x, u) {
-							return cset, false
+						if !full(x) || hasPred(x, u) {
+							return false
 						}
 						n++
-						cset = appendUnique(cset, int32(x))
+						setBit(b, x)
 					}
-					return cset, n > 0
+					return n > 0
 				}
-				cset := []int32{int32(ui)}
-				var ok bool
-				if cset, ok = addB(cset, v1, v2); !ok {
+				clear(b)
+				if !addB(v1, v2) || !addB(v2, v1) {
 					continue
 				}
-				if cset, ok = addB(cset, v2, v1); !ok {
-					continue
-				}
-				lb.pairs = append(lb.pairs, pairConstraint{
-					u: int32(ui), v1: int32(v1), v2: int32(v2), cset: cset,
-				})
+				slab = append(slab, b...) // cset
+				setBit(slab[len(slab)-w:], u)
+				slab = append(slab, b...)
+				lb.pairs = append(lb.pairs, pairConstraint{v1: v1, v2: v2})
 				if len(lb.pairs) >= maxPairs {
-					return
+					break build
 				}
 			}
 		}
+	}
+	for i := range lb.pairs {
+		pc := &lb.pairs[i]
+		pc.cset, pc.b = slab[:w:w], slab[w:2*w:2*w]
+		slab = slab[2*w:]
 	}
 }
 
@@ -172,23 +182,22 @@ func (lb *lowerBound) buildPairConstraints(needed0 *bitset.Set) {
 // forced-load and packing terms count, so estimate combines it with
 // them by max, never by sum.
 
-// buildArrivalTables precomputes the full-event marks and their static
-// neighborhood overlaps (oneshot, small graphs).
+// buildArrivalTables precomputes the full events and their arrival
+// allowances R - maxIn(v) (oneshot, small graphs).
 func (lb *lowerBound) buildArrivalTables() {
 	g := lb.p.G
 	n := g.N()
-	lb.fullMaxIn = make([]int32, n)
+	fullMaxIn := make([]int32, n)
 	var events []dag.NodeID
 	for v := 0; v < n; v++ {
 		if g.InDegree(dag.NodeID(v)) == lb.p.R-1 {
-			lb.fullMaxIn[v] = 0
+			fullMaxIn[v] = 0
 			events = append(events, dag.NodeID(v))
 		} else {
-			lb.fullMaxIn[v] = -1
+			fullMaxIn[v] = -1
 		}
 	}
 	if len(events) < 2 {
-		lb.fullMaxIn = nil
 		return
 	}
 	inN := make([]bool, n)
@@ -210,8 +219,8 @@ func (lb *lowerBound) buildArrivalTables() {
 					ov++
 				}
 			}
-			if ov > lb.fullMaxIn[v] {
-				lb.fullMaxIn[v] = ov
+			if ov > fullMaxIn[v] {
+				fullMaxIn[v] = ov
 			}
 		}
 		for _, p := range g.Preds(v) {
@@ -219,99 +228,98 @@ func (lb *lowerBound) buildArrivalTables() {
 		}
 		inN[v] = false
 	}
-	lb.arrUnion = bitset.New(n)
+	lb.events = make([]uint64, lb.w)
+	lb.arrive = fullMaxIn
+	for _, v := range events {
+		setBit(lb.events, v)
+		lb.arrive[v] = int32(lb.p.R) - fullMaxIn[v]
+	}
 }
 
 // arrivalTerm returns the arrival lower bound on remaining transfers
-// from st in scaled cost units (0 when the tables are not built).
-func (lb *lowerBound) arrivalTerm(st *pebble.State) int64 {
-	if lb.fullMaxIn == nil {
+// in scaled cost units (0 when the tables are not built), given the
+// state's blue and computed words; the pending full events are the
+// ones in lb.mc.
+func (lb *lowerBound) arrivalTerm(blue, comp []uint64) int64 {
+	if lb.events == nil {
 		return 0
 	}
-	g := lb.p.G
 	sum, maxContrib, events := 0, 0, 0
-	lb.arrUnion.Reset()
-	lb.mustCompute.ForEach(func(vi int) bool {
-		mi := lb.fullMaxIn[vi]
-		if mi < 0 {
-			return true
-		}
-		events++
-		if c := lb.p.R - int(mi); c > 0 {
-			sum += c
-			if c > maxContrib {
-				maxContrib = c
+	union := lb.union
+	clear(union)
+	for i, x := range lb.events {
+		for x &= lb.mc[i]; x != 0; x &= x - 1 {
+			v := dag.NodeID(i*64 + bits.TrailingZeros64(x))
+			events++
+			if c := int(lb.arrive[v]); c > 0 {
+				sum += c
+				if c > maxContrib {
+					maxContrib = c
+				}
 			}
+			setBit(union, v)
+			lb.orPreds(union, v)
 		}
-		lb.arrUnion.Set(vi)
-		for _, p := range g.Preds(dag.NodeID(vi)) {
-			lb.arrUnion.Set(int(p))
-		}
-		return true
-	})
+	}
 	if events < 2 {
 		return 0
 	}
 	a := sum - maxContrib
-	uncomputed, blue := 0, 0
-	lb.arrUnion.ForEach(func(x int) bool {
-		v := dag.NodeID(x)
-		if !st.WasComputed(v) {
-			uncomputed++
-		}
-		if st.IsBlue(v) {
-			blue++
-		}
-		return true
-	})
+	uncomputed, nblue := 0, 0
+	for i, x := range union {
+		uncomputed += bits.OnesCount64(x &^ comp[i])
+		nblue += bits.OnesCount64(x & blue[i])
+	}
 	loads := a - uncomputed
 	if loads <= 0 {
 		return 0
 	}
-	stores := loads - blue
+	stores := loads - nblue
 	if stores < 0 {
 		stores = 0
 	}
 	return lb.scale * int64(loads+stores)
 }
 
-// hasPred reports whether p is a direct predecessor of v.
-func hasPred(g *dag.DAG, v, p dag.NodeID) bool {
-	for _, x := range g.Preds(v) {
-		if x == p {
-			return true
-		}
-	}
-	return false
-}
-
-func appendUnique(s []int32, x int32) []int32 {
-	for _, y := range s {
-		if y == x {
-			return s
-		}
-	}
-	return append(s, x)
-}
-
-// spartitionTerm returns the packed certificate charge for st in
-// scaled cost units: pair constraints first (2 transfers each), then
-// the capacity certificates on the residual uncharged values.
-// Allocation-free: the charged set is reused scratch on the lowerBound.
-func (lb *lowerBound) spartitionTerm(st *pebble.State) int64 {
+// spartitionTerm returns the packed certificate charge in scaled cost
+// units, given the state's red, blue and computed words and its
+// mustCompute set in lb.mc: pair constraints first (2 transfers each),
+// then the capacity certificates on the residual uncharged values.
+//
+// A shell value u is live for its candidate event w when it must exist
+// before the event's compute — it holds a pebble now, was computed
+// already, or is an uncomputed ancestor of the event that must be
+// computed before it — and must be consumed after the event (it has an
+// uncomputed successor inside the event's descendant cone). While w is
+// pending (in mustCompute) in a position that is not dead, the second
+// condition always holds and the first reduces to a mask: in oneshot a
+// node is computed only after all its non-source ancestors, so with w
+// uncomputed every node of its cone is uncomputed and bare, and the
+// cone's path to its initially-unsatisfied sink keeps it in
+// mustCompute — every shell value has a pending successor in the cone.
+// A bare shell value is then a bare predecessor of a mustCompute node,
+// hence in mustCompute itself, so "an uncomputed ancestor that must be
+// computed" is any bare ancestor. The eligible live shell is therefore
+//
+//	(shell & (red | blue | computed) | anc) &^ charged.
+//
+// Allocation-free: the charged and union sets are reused scratch on the
+// lowerBound.
+func (lb *lowerBound) spartitionTerm(red, blue, comp []uint64) int64 {
 	if len(lb.cands) == 0 && len(lb.pairs) == 0 {
 		return 0
 	}
-	lb.charged.Reset()
+	mc, charged := lb.mc, lb.charged
+	clear(charged)
 	total := 0
 	for pi := range lb.pairs {
 		pc := &lb.pairs[pi]
-		if !lb.mustCompute.Get(int(pc.v1)) || !lb.mustCompute.Get(int(pc.v2)) {
+		if !hasBit(mc, pc.v1) || !hasBit(mc, pc.v2) {
 			continue // an event is gone: the separation argument is void
 		}
 		ok := true
-		for ci, x := range pc.cset {
-			if lb.charged.Get(int(x)) || (ci > 0 && st.IsBlue(dag.NodeID(x))) {
+		for i := range charged {
+			if pc.cset[i]&charged[i] != 0 || pc.b[i]&blue[i] != 0 {
 				ok = false
 				break
 			}
@@ -320,8 +328,8 @@ func (lb *lowerBound) spartitionTerm(st *pebble.State) int64 {
 			continue
 		}
 		total += 2
-		for _, x := range pc.cset {
-			lb.charged.Set(int(x))
+		for i := range charged {
+			charged[i] |= pc.cset[i]
 		}
 	}
 	// Disjoint charging of the capacity certificates on top of the pair
@@ -329,29 +337,21 @@ func (lb *lowerBound) spartitionTerm(st *pebble.State) int64 {
 	// sorts by overflow potential, so the strongest shells charge
 	// first): count each certificate over values not yet charged, add
 	// its residual overflow, and charge its whole eligible live shell.
+	live := lb.union
 	for ci := range lb.cands {
 		cd := &lb.cands[ci]
-		if !lb.mustCompute.Get(int(cd.w)) {
+		if !hasBit(mc, cd.w) {
 			continue // event already computed (or not needed): it is gone
 		}
-		fl, curBlue := 0, 0
-		for i := range cd.shell {
-			cu := &cd.shell[i]
-			if lb.charged.Get(int(cu.u)) || !lb.liveUse(st, cu) {
-				continue
-			}
-			fl++
-			if st.IsBlue(dag.NodeID(cu.u)) {
-				curBlue++
-			}
+		over := -cd.slots // fl - slots - curBlue
+		for i := range live {
+			live[i] = (cd.shell[i]&(red[i]|blue[i]|comp[i]) | cd.anc[i]) &^ charged[i]
+			over += bits.OnesCount64(live[i] &^ blue[i])
 		}
-		if b := fl - cd.slots - curBlue; b > 0 {
-			total += 2 * b
-			for i := range cd.shell {
-				cu := &cd.shell[i]
-				if !lb.charged.Get(int(cu.u)) && lb.liveUse(st, cu) {
-					lb.charged.Set(int(cu.u))
-				}
+		if over > 0 {
+			total += 2 * over
+			for i := range charged {
+				charged[i] |= live[i]
 			}
 		}
 	}
