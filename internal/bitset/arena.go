@@ -3,12 +3,12 @@ package bitset
 // Arena carves many same-capacity sets out of shared backing slabs:
 // one allocation per chunk of headers and one per chunk of words,
 // instead of two per set. Solver precomputes build hundreds of small
-// masks (reachability closures, capacity-certificate use masks) that
-// live for the whole search; slab-backing them removes both the
-// allocation churn at build time and the per-object GC scan pressure
-// afterwards. Sets handed out by an Arena behave exactly like New'd
-// sets and stay valid for the Arena's lifetime (slabs are never
-// reclaimed while any set references them).
+// masks (reachability closures) that live for the whole search;
+// slab-backing them removes both the allocation churn at build time
+// and the per-object GC scan pressure afterwards. Sets handed out by
+// an Arena behave exactly like New'd sets and stay valid for the
+// Arena's lifetime (slabs are never reclaimed while any set references
+// them).
 type Arena struct {
 	n   int // capacity of every set
 	wpn int // words per set

@@ -309,13 +309,13 @@ func (lb *lowerBound) buildCapCandidates(startKey pebble.PackedKey) {
 	var all []scored
 	// The scoring pass builds each shell in scratch; only the kept
 	// candidates get masks of their own.
-	cone, shell := lb.front, lb.next
+	shell := lb.next
 	for v := dag.NodeID(0); int(v) < n; v++ {
 		if !hasBit(needed0, v) {
 			continue
 		}
 		slots := lb.p.R - g.InDegree(v) - 1
-		lb.capShell(reach, needed0, v, cone, shell)
+		lb.capShell(reach, needed0, v, shell)
 		if score := onesCount(shell) - slots; score > 0 {
 			all = append(all, scored{v, slots, score})
 		}
@@ -339,7 +339,7 @@ func (lb *lowerBound) buildCapCandidates(startKey pebble.PackedKey) {
 		cd.w, cd.slots = all[i].w, all[i].slots
 		cd.shell, cd.anc = slab[:w:w], slab[w:2*w:2*w]
 		slab = slab[2*w:]
-		lb.capShell(reach, needed0, cd.w, cone, cd.shell)
+		lb.capShell(reach, needed0, cd.w, cd.shell)
 		reach.Anc(cd.w).AppendWords(cd.anc[:0])
 		for j := range cd.anc {
 			cd.anc[j] &= cd.shell[j]
@@ -349,10 +349,9 @@ func (lb *lowerBound) buildCapCandidates(startKey pebble.PackedKey) {
 }
 
 // capShell writes capacity candidate v's shell: the predecessors of
-// its cone, desc(v) ∩ needed0, other than v and preds(v). cone is
-// scratch and receives the cone.
-func (lb *lowerBound) capShell(reach *pebble.Reach, needed0 []uint64, v dag.NodeID, cone, shell []uint64) {
-	reach.Desc(v).AppendWords(cone[:0])
+// its cone, desc(v) ∩ needed0, other than v and preds(v).
+func (lb *lowerBound) capShell(reach *pebble.Reach, needed0 []uint64, v dag.NodeID, shell []uint64) {
+	cone := reach.Desc(v).AppendWords(lb.front[:0])
 	clear(shell)
 	for i := range cone {
 		cone[i] &= needed0[i]

@@ -10,21 +10,27 @@ import (
 )
 
 // lbFuzzGraph decodes a fuzz input into a DAG: random layered DAGs of
-// 6 to 108 nodes, fft(3) and fft(4), pyramids of 10 to 66 nodes and
-// grids of 16 to 81 nodes. Every family reaches past 64 nodes, so
-// multi-word keys are covered, and the fft, pyramid and grid
-// families have nontrivial automorphism groups.
+// 6 to 108 nodes, fft(3) and fft(4), pyramids of 10 to 66 nodes, grids
+// of 16 to 81 nodes and random DAGs of 8 to 77 nodes with an edge
+// between any two nodes at rate 2/n or 3/n. Every family reaches past
+// 64 nodes, so multi-word keys are covered; the fft, pyramid and grid
+// families have nontrivial automorphism groups; and only the random
+// DAGs have edges that skip a level, which a capacity certificate
+// needs for a shell value that is also an ancestor of its event.
 func lbFuzzGraph(seed int64, shape uint8) *dag.DAG {
-	a, b := int(shape/4%4), int(shape/16%4)
-	switch shape % 4 {
+	a, b := int(shape/5%4), int(shape/20%4)
+	switch shape % 5 {
 	case 0:
-		return daggen.RandomLayered(3+2*a, 2+3*b, 2+int(shape/64%2), seed)
+		return daggen.RandomLayered(3+2*a, 2+3*b, 2+int(shape/80%2), seed)
 	case 1:
 		return daggen.FFT(3 + a%2)
 	case 2:
 		return daggen.Pyramid(4 + 2*a + b%2)
-	default:
+	case 3:
 		return daggen.Grid(4+a+b%2, 4+b+a%2)
+	default:
+		n := 8 + 20*a + 3*b
+		return daggen.RandomTriangular(n, float64(2+int(shape/80%2))/float64(n), seed)
 	}
 }
 

@@ -40,7 +40,8 @@ type symmetry struct {
 	choice []int      // per level, the element applied (-1: identity)
 
 	// back maps the searched (canonical) node IDs to the caller's, and
-	// state is scratch on the searched DAG (see symmetricForm).
+	// state is scratch on the searched DAG, where reconstruct replays
+	// the stored moves.
 	back  []dag.NodeID
 	state *pebble.State
 }
