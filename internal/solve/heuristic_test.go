@@ -84,7 +84,7 @@ func FuzzLowerBoundMatchesReference(f *testing.F) {
 		}
 		c := newSearchCtx(p, ExactOptions{}, start)
 		ref := newRefLowerBound(p, HeuristicAuto, start)
-		if len(c.lb.cands)+len(c.lb.pairs) != len(ref.cands)+len(ref.pairs) {
+		if len(c.lb.cands) != len(ref.cands) || len(c.lb.pairs) != len(ref.pairs) {
 			t.Fatalf("%d capacity and %d pair certificates, reference %d and %d",
 				len(c.lb.cands), len(c.lb.pairs), len(ref.cands), len(ref.pairs))
 		}
