@@ -150,9 +150,12 @@ func TestHamPathExactSolverAgreesSmall(t *testing.T) {
 	// Full cross-validation against the state-space optimum: the
 	// reduction's threshold must be the true optimal cost exactly when
 	// the source has a Hamiltonian path (hampath is the oracle), and
-	// the optimum must exceed it when not. Sources up to N=5; the N=5
-	// rows are the ones that close in under a second (nodel Path(5),
-	// Cycle(5), Star(5) and random N=5 sources run past 20M states).
+	// the optimum must exceed it when not. Sources up to N=4 in both
+	// models, plus the N=5 and N=6 rows that close in under a second:
+	// Path(5) in oneshot, K5 in both and K6 in oneshot (threshold 25,
+	// about 0.3 s). Nodel Star(5), Cycle(5), Path(5) and random N=5
+	// sources close too, but take 1.8-8.7 s each (158,035 to 1,401,578
+	// expansions on a 2-core host), too slow for this test.
 	planted, _ := ugraph.RandomWithHamPath(4, 0.3, 7)
 	both := []pebble.ModelKind{pebble.Oneshot, pebble.NoDel}
 	for _, tc := range []struct {
@@ -169,6 +172,7 @@ func TestHamPathExactSolverAgreesSmall(t *testing.T) {
 		{"RandomWithHamPath(4)", planted, both},
 		{"Path(5)", ugraph.Path(5), []pebble.ModelKind{pebble.Oneshot}},
 		{"K5", ugraph.Complete(5), both},
+		{"K6", ugraph.Complete(6), []pebble.ModelKind{pebble.Oneshot}},
 	} {
 		r := NewHamPath(tc.src)
 		hasPath, _ := hampath.Solve(tc.src)

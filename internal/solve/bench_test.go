@@ -1,10 +1,13 @@
 package solve
 
 import (
+	"errors"
 	"testing"
 
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/pebble"
+	"rbpebble/internal/reduce"
+	"rbpebble/internal/ugraph"
 )
 
 // Solver microbenchmarks on the canonical instances in the oneshot
@@ -34,6 +37,10 @@ func BenchmarkExactDijkstraGrid44R3(b *testing.B) { benchGolden(b, "ExactDijkstr
 // The pyramid at R = Δ+1, where the S-partition packing binds.
 
 func BenchmarkExactAStarPyramid5R3(b *testing.B) { benchGolden(b, "ExactAStarPyramid5R3") }
+
+// The Theorem 2 reduction of K6 in oneshot.
+
+func BenchmarkExactAStarK6Oneshot(b *testing.B) { benchGolden(b, "ExactAStarK6Oneshot") }
 
 // Depth-first exact solver (IDA*).
 
@@ -113,6 +120,85 @@ func recordLowerBoundStates(b *testing.B, p Problem) (*lowerBound, []pebble.Pack
 		}
 	}
 	return lb, keys
+}
+
+// BenchmarkCanonize measures orbit representatives on their own: ns per
+// canonize over the child keys, before canonization, that serial A*
+// generates from a sample of the states it stores on fft(3) R=3 oneshot
+// (a full solve) and on the Theorem 2 reduction of the Petersen graph
+// (oneshot, R = 10, stopped after 3,000 expansions). The time includes
+// copying each key into the buffer canonize rewrites.
+func BenchmarkCanonize(b *testing.B) {
+	petersen := reduce.NewHamPath(ugraph.Petersen())
+	for _, bc := range []struct {
+		name      string
+		p         Problem
+		maxStates int
+		// expanded and distinct pin the recorded search.
+		expanded, distinct int
+	}{
+		{"FFT3R3", fft3R3(), 50_000_000, 24731, 25463},
+		{"HamPathPetersen", Problem{G: petersen.G, Model: pebble.NewModel(pebble.Oneshot), R: petersen.R}, 3000, 3001, 66303},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sym, keys := recordCanonizeKeys(b, bc.p, bc.maxStates, bc.expanded, bc.distinct)
+			buf := make(pebble.PackedKey, len(keys[0]))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, k := range keys {
+					copy(buf, k)
+					sym.canonize(buf)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/canonize")
+			b.ReportMetric(float64(len(keys)), "keys")
+		})
+	}
+}
+
+// canonizeSample is how many stored states recordCanonizeKeys expands.
+const canonizeSample = 1000
+
+// recordCanonizeKeys runs serial A* on p for at most maxStates
+// expansions, checks its expanded and distinct counts, and returns the
+// symmetry it searched with and the child keys, before canonization,
+// of canonizeSample states spread over its table: the keys canonize
+// sees during the search.
+func recordCanonizeKeys(b *testing.B, p Problem, maxStates, expanded, distinct int) (*symmetry, []pebble.PackedKey) {
+	b.Helper()
+	start, err := pebble.NewState(p.G, p.Model, p.R, p.Convention)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m serialMem
+	var stats ExactStats
+	if _, err := exactSerial(p, ExactOptions{Stats: &stats}, start, maxStates, &m); err != nil && !errors.Is(err, ErrStateLimit) {
+		b.Fatal(err)
+	}
+	if stats.Expanded != expanded || stats.Distinct != distinct {
+		b.Fatalf("search expanded %d states (%d distinct), want %d (%d)", stats.Expanded, stats.Distinct, expanded, distinct)
+	}
+	// The search ran on this same deterministic canonical form.
+	q, qstart, sym := symmetricForm(p, start, func() bool { return false })
+	c := newSearchCtx(q, ExactOptions{}, qstart)
+	st := qstart.Clone()
+	var keys []pebble.PackedKey
+	for i := 0; i < canonizeSample; i++ {
+		key := m.table.key(int32(i * m.table.count() / canonizeSample))
+		st.RestorePacked(key)
+		c.moveBuf = c.moveBuf[:0]
+		c.appendMoves(st, key)
+		for _, mv := range c.moveBuf {
+			undo, err := st.ApplyForUndo(mv)
+			if err != nil {
+				b.Fatal(err)
+			}
+			keys = append(keys, st.AppendPacked(nil))
+			st.Undo(undo)
+		}
+	}
+	return sym, keys
 }
 
 // Heuristic baseline.

@@ -98,7 +98,7 @@ func TestExactCancelEngines(t *testing.T) {
 
 // TestExactCancelDuringSymmetrySetUp cancels before the call on a large
 // symmetric instance (|Aut| = 9,216), whose canonical labeling and
-// symmetry tables take tens of milliseconds. The set-up polls Cancel,
+// automorphism group search take milliseconds. The set-up polls Cancel,
 // so the search stops before its first expansion and reports the
 // caller's already-certified floor.
 func TestExactCancelDuringSymmetrySetUp(t *testing.T) {

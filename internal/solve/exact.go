@@ -463,8 +463,8 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	// and heuristic on), so HeuristicOff stays the faithful Dijkstra
 	// reference. It searches p's canonical relabeling; reconstruct maps
 	// the trace back to orig's node IDs.
-	// The set-up polls Cancel too: on a large group, canonical
-	// labeling and the byte tables take tens of milliseconds before the
+	// The set-up polls Cancel too: on a large DAG, canonical labeling
+	// and the automorphism group search take milliseconds before the
 	// first expansion gate.
 	guard := newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery)
 	orig := p

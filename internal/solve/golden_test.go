@@ -8,6 +8,8 @@ import (
 
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/pebble"
+	"rbpebble/internal/reduce"
+	"rbpebble/internal/ugraph"
 )
 
 // The golden table pins the deterministic cost of every exact engine on
@@ -38,6 +40,13 @@ func fft3R3() Problem {
 
 func grid44R3() Problem {
 	return Problem{G: daggen.Grid(4, 4), Model: pebble.NewModel(pebble.Oneshot), R: 3}
+}
+
+// k6Oneshot is the Theorem 2 reduction of K6 (R = N = 6): a Hamiltonian
+// path exists, so the optimum is the reduction's oneshot threshold.
+func k6Oneshot() Problem {
+	r := reduce.NewHamPath(ugraph.Complete(6))
+	return Problem{G: r.G, Model: pebble.NewModel(pebble.Oneshot), R: r.R}
 }
 
 // goldenRow is one pinned solve.
@@ -81,6 +90,9 @@ var goldenRows = []goldenRow{
 	// fft(3) under a 1 MiB table budget aborts within milliseconds.
 	{name: "MemBudgetAbort", p: fft3R3, opts: ExactOptions{MaxTableBytes: 1 << 20},
 		expanded: 16384, distinct: 17168, lower: 26},
+
+	// A Theorem 2 instance, symmetric under the source's automorphisms.
+	{name: "ExactAStarK6Oneshot", p: k6Oneshot, expanded: 51276, distinct: 67567, optimum: 25},
 
 	{name: "ExactAStarFFT3R3", p: fft3R3, expanded: 24731, distinct: 25463, optimum: 31},
 	{name: "ExactDijkstraFFT3R3", p: fft3R3, slow: true, opts: ExactOptions{Heuristic: HeuristicOff},

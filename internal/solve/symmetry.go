@@ -8,141 +8,150 @@ import (
 	"rbpebble/internal/pebble"
 )
 
-// symTableBytes caps the byte tables of a symmetry. A group whose
-// tables would outgrow it is not used: its elements cost more to try
-// per state than the search can win back.
-const symTableBytes = 32 << 20
-
 // symmetry maps search states to representatives of their orbits under
 // the DAG's automorphism group. The pebbling models ignore node labels,
 // and automorphisms carry sources to sources and sinks to sinks, so
 // every member of an orbit has the same cost-to-go and serial A* stores
 // one representative per orbit it meets.
 //
-// States are compared node by node in increasing node order, each node
-// by its code (computed, red, blue). The group's stabilizer chain has
-// every moved node as a base point, in increasing order, so level i's
-// elements fix every node below its base point b_i. The representative
-// is a greedy minimum image: the group is V_k∘...∘V_1, where V_i holds
-// the inverses of level i's transversal, and level by level the element
-// giving the smallest whole image is applied. An element's image first
-// differs from the others' at b_i, whose code it reads off the state,
-// so most losing elements cost one lookup. The result is some member of
-// the state's orbit (not always its minimum, which only costs merges),
-// and it is a deterministic function of the state, so reconstruct can
-// re-derive every step.
+// States are compared node by node in increasing order, each node by
+// its code (computed, red, blue). The stabilizer chain has every moved
+// node as a base point, in increasing order, so level i's elements fix
+// every node below its base point b_i. The representative is a greedy
+// minimum image: the group is V_k∘...∘V_1, V_i holding the inverses of
+// level i's transversal, and level by level the first element giving
+// the smallest image (the identity first) is applied. An image differs
+// from the state only on the nodes its element moves, so a level's scan
+// reads a candidate's code at b_i off the state, compares one tying the
+// identity there on its moved nodes up to the first difference, and
+// builds images only on a tie of two elements (rare) and for the
+// winner. The result is a member of the state's orbit (not always its
+// minimum, which only costs merges) and a deterministic function of the
+// state, so reconstruct can re-derive every step.
 type symmetry struct {
 	w      int        // words per bitset; a packed key has 3w
-	nb     int        // bytes per bitset that can hold a node
 	levels []symLevel // the chain's levels with more than one element
-	cand   []uint64   // scratch image of one element
-	best   []uint64   // scratch image of the level's best element
+	img    []uint64   // scratch image
+	alt    []uint64   // scratch image of a tied candidate
 	choice []int      // per level, the element applied (-1: identity)
 
-	// back maps the searched (canonical) node IDs to the caller's, and
-	// state is scratch on the searched DAG, where reconstruct replays
-	// the stored moves.
+	// back maps searched (canonical) node IDs to the caller's; state is
+	// scratch on the searched DAG, where reconstruct replays moves.
 	back  []dag.NodeID
 	state *pebble.State
 }
 
-// symLevel is one chain level: its base point and its non-identity
-// transversal elements.
+// symLevel is one chain level: its base point and transversal elements.
 type symLevel struct {
 	base  int
 	elems []symElem
 }
 
-// symElem is one non-identity transversal element u. States are mapped
-// by u's inverse, which carries the code of node u(base) to base, and
-// is applied through byte tables: tab[(j<<8|b)*w+k] is word k of the
-// image of byte value b at byte position j of a bitset.
+// symElem is one non-identity transversal element u, mapping states by
+// u's inverse: node x of an image holds what node u(x) holds in the
+// state. moved lists the pairs (x, u(x)) over the nodes u moves: first,
+// in increasing x, the cmp pairs whose x is not its cycle's largest
+// node, starting at (b, u(b)) for the level's base point b; then the
+// rest, on which a state agreeing with its image on the first part
+// agrees too (its codes are constant on every cycle).
 type symElem struct {
-	u    canon.Perm
-	from int // u(base)
-	tab  []uint64
+	u     canon.Perm
+	moved []symPair
+	cmp   int
 }
 
-// newSymmetry returns the symmetry of g's automorphism group for
-// packed keys of kw words, or nil when the group is trivial (or too
-// large to table), so a search without symmetry pays nothing per state.
-// It polls stop after the group search and between the tables it builds,
-// and returns nil once stop reports true.
+type symPair struct{ x, ux int32 }
+
+// newSymmetry returns the symmetry of g's automorphism group for packed
+// keys of kw words, or nil when the group is trivial (a search without
+// symmetry pays nothing per state) or stop reports true after it.
 func newSymmetry(g *dag.DAG, kw int, stop func() bool) *symmetry {
 	gr := canon.Automorphisms(g)
 	if gr.Trivial() || stop() {
 		return nil
 	}
-	s := &symmetry{w: kw / 3, nb: (g.N() + 7) / 8}
-	elems := 0
-	for i := 0; i < gr.Levels(); i++ {
-		elems += len(gr.Transversal(i)) - 1
-	}
-	if elems*s.nb*256*s.w*8 > symTableBytes {
-		return nil
-	}
+	s := &symmetry{w: kw / 3}
 	for i := 0; i < gr.Levels(); i++ {
 		l := symLevel{base: int(gr.Base()[i])}
 		for _, u := range gr.Transversal(i)[1:] {
-			if stop() {
-				return nil
-			}
-			l.elems = append(l.elems, symElem{u: u, from: int(u[l.base]), tab: s.table(u)})
+			l.elems = append(l.elems, newSymElem(u))
 		}
 		s.levels = append(s.levels, l)
 	}
-	s.cand = make([]uint64, 3*s.w)
-	s.best = make([]uint64, 3*s.w)
-	s.choice = make([]int, len(s.levels))
+	s.img, s.alt, s.choice = make([]uint64, 3*s.w), make([]uint64, 3*s.w), make([]int, len(s.levels))
 	return s
 }
 
-// table builds the byte tables that apply u's inverse to a bitset.
-func (s *symmetry) table(u canon.Perm) []uint64 {
-	inv := make([]int, len(u))
-	for v, w := range u {
-		inv[w] = v
-	}
-	tab := make([]uint64, s.nb*256*s.w)
-	for j := 0; j < s.nb; j++ {
-		for b := 1; b < 256; b++ {
-			row := tab[(j<<8|b)*s.w:][:s.w]
-			low := b & -b
-			copy(row, tab[(j<<8|(b^low))*s.w:][:s.w])
-			if v := 8*j + bits.TrailingZeros(uint(low)); v < len(inv) {
-				row[inv[v]>>6] |= 1 << (inv[v] & 63)
-			}
+// newSymElem lists u's moved pairs in the order symElem keeps them.
+func newSymElem(u canon.Perm) symElem {
+	e := symElem{u: u}
+	var tops []symPair
+	for x, ux := range u {
+		top := true // x is the largest node of its cycle
+		for y := int(ux); y != x && top; y = int(u[y]) {
+			top = y < x
+		}
+		if p := (symPair{int32(x), int32(ux)}); int(ux) != x && top {
+			tops = append(tops, p)
+		} else if int(ux) != x {
+			e.moved = append(e.moved, p)
 		}
 	}
-	return tab
+	e.cmp = len(e.moved)
+	e.moved = append(e.moved, tops...)
+	return e
 }
 
-// canonize replaces key with its representative and records in choice
+// canonize replaces key with its representative, recording in choice
 // the element applied at each level.
 func (s *symmetry) canonize(key pebble.PackedKey) {
-	for li := range s.levels {
-		l := &s.levels[li]
-		s.choice[li] = -1
-		cur := []uint64(key)
-		bestCode := s.code(key, l.base)
+	for li, l := range s.levels {
+		best, bestCode, built := -1, s.code(key, l.base), false // built: s.img is best's image
 		for ei := range l.elems {
 			e := &l.elems[ei]
-			c := s.code(key, e.from)
-			if c > bestCode {
+			c := s.code(key, int(e.moved[0].ux))
+			switch {
+			case c > bestCode, c == bestCode && best < 0 && !s.beatsKey(e, key):
 				continue
+			case c == bestCode && best >= 0:
+				if !built {
+					s.image(s.img, &l.elems[best], key)
+				}
+				s.image(s.alt, e, key)
+				if built = true; !s.less(s.alt, s.img) {
+					continue
+				}
+				s.img, s.alt = s.alt, s.img
 			}
-			s.image(e, key)
-			if c == bestCode && !s.less(s.cand, cur) {
-				continue
-			}
-			s.choice[li], bestCode = ei, c
-			s.cand, s.best = s.best, s.cand
-			cur = s.best
+			best, bestCode, built = ei, c, c == bestCode && best >= 0
 		}
-		if s.choice[li] >= 0 {
-			copy(key, s.best)
+		if s.choice[li] = best; best >= 0 {
+			if !built {
+				s.image(s.img, &l.elems[best], key)
+			}
+			copy(key, s.img)
 		}
 	}
+}
+
+// beatsKey reports whether e's image of key, tying key at the base point,
+// is smaller at the first node after it where they differ.
+func (s *symmetry) beatsKey(e *symElem, key []uint64) bool {
+	if s.w == 1 {
+		r, b, c := key[0], key[1], key[2]
+		for _, p := range e.moved[1:e.cmp] {
+			if x, ux := uint(p.x&63), uint(p.ux&63); ((r>>x^r>>ux)|(b>>x^b>>ux)|(c>>x^c>>ux))&1 != 0 {
+				return c>>ux&1<<2|r>>ux&1<<1|b>>ux&1 < c>>x&1<<2|r>>x&1<<1|b>>x&1
+			}
+		}
+		return false
+	}
+	for _, p := range e.moved[1:e.cmp] {
+		if a, b := s.code(key, int(p.ux)), s.code(key, int(p.x)); a != b {
+			return a < b
+		}
+	}
+	return false
 }
 
 // code returns node v's code in key: computed, red, blue, high to low.
@@ -154,8 +163,7 @@ func (s *symmetry) code(key []uint64, v int) int {
 // less reports whether packed key a is smaller than b: at the lowest
 // node where they differ, a's code is smaller.
 func (s *symmetry) less(a, b []uint64) bool {
-	w := s.w
-	for k := 0; k < w; k++ {
+	for w, k := s.w, 0; k < w; k++ {
 		if x := (a[k] ^ b[k]) | (a[w+k] ^ b[w+k]) | (a[2*w+k] ^ b[2*w+k]); x != 0 {
 			v := k<<6 + bits.TrailingZeros64(x)
 			return s.code(a, v) < s.code(b, v)
@@ -164,31 +172,23 @@ func (s *symmetry) less(a, b []uint64) bool {
 	return false
 }
 
-// image writes e's image of key into cand.
-func (s *symmetry) image(e *symElem, key []uint64) {
-	w := s.w
-	for seg := 0; seg < 3; seg++ {
-		in, out := key[seg*w:(seg+1)*w], s.cand[seg*w:(seg+1)*w]
-		clear(out)
-		if w == 1 {
-			x := in[0]
-			for j := 0; x != 0; j++ {
-				if b := x & 0xff; b != 0 {
-					out[0] |= e.tab[j<<8|int(b)]
-				}
-				x >>= 8
-			}
-			continue
+// image writes e's image of key into dst: key with node x of each moved
+// pair set to what node u(x) holds in key, in registers for one word.
+func (s *symmetry) image(dst []uint64, e *symElem, key []uint64) {
+	if s.w == 1 {
+		red, blue, comp, r, b, c := key[0], key[1], key[2], key[0], key[1], key[2]
+		for _, p := range e.moved {
+			x, ux := uint(p.x&63), uint(p.ux&63)
+			r, b, c = r&^(1<<x)|(red>>ux&1)<<x, b&^(1<<x)|(blue>>ux&1)<<x, c&^(1<<x)|(comp>>ux&1)<<x
 		}
-		for j := 0; j < s.nb; j++ {
-			b := in[j>>3] >> (8 * (j & 7)) & 0xff
-			if b == 0 {
-				continue
-			}
-			row := e.tab[(j<<8|int(b))*w:][:w]
-			for k, r := range row {
-				out[k] |= r
-			}
+		dst[0], dst[1], dst[2] = r, b, c
+		return
+	}
+	copy(dst, key)
+	for _, p := range e.moved {
+		xk, xb, uk, ub := int(p.x>>6), uint(p.x&63), int(p.ux>>6), uint(p.ux&63)
+		for seg := 0; seg < 3*s.w; seg += s.w {
+			dst[seg+xk] = dst[seg+xk]&^(1<<xb) | (key[seg+uk]>>ub&1)<<xb
 		}
 	}
 }

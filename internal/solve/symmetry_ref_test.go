@@ -1,0 +1,148 @@
+package solve
+
+import (
+	"math/rand"
+	"testing"
+
+	"rbpebble/internal/canon"
+	"rbpebble/internal/dag"
+	"rbpebble/internal/daggen"
+	"rbpebble/internal/pebble"
+	"rbpebble/internal/reduce"
+	"rbpebble/internal/ugraph"
+)
+
+// refCanonize is the definition of the representative, kept as the
+// reference for symmetry.canonize. Level by level it builds the full
+// image of the key under the inverse of every transversal element,
+// node by node through the permutation (node x of the image holds what
+// node u(x) holds in the key), and applies the first smallest image
+// under less, the identity's first. It returns the representative and
+// the element applied at each level (-1: identity), and counts in ties
+// the candidates that tied a non-identity best at the base point.
+func refCanonize(s *symmetry, key pebble.PackedKey, ties *int) (pebble.PackedKey, []int) {
+	w := s.w
+	cur := append(pebble.PackedKey(nil), key...)
+	choice := make([]int, len(s.levels))
+	img := make(pebble.PackedKey, 3*w)
+	for li, l := range s.levels {
+		choice[li] = -1
+		best := append(pebble.PackedKey(nil), cur...)
+		for ei, e := range l.elems {
+			clear(img)
+			for x, ux := range e.u {
+				for seg := 0; seg < 3; seg++ {
+					img[seg*w+x/64] |= cur[seg*w+int(ux)/64] >> (int(ux) % 64) & 1 << (x % 64)
+				}
+			}
+			if choice[li] >= 0 && s.code(img, l.base) == s.code(best, l.base) {
+				*ties++
+			}
+			if s.less(img, best) {
+				choice[li] = ei
+				copy(best, img)
+			}
+		}
+		cur = best
+	}
+	return cur, choice
+}
+
+// canonizeFuzzGraphs are the graphs FuzzCanonizeMatchesReference draws
+// from: fft(3) (19 transversal elements), a two-word fft, a binary
+// tree, the 85-node Theorem 2 reduction of the Petersen graph (two-word
+// keys, 33 elements) and a random layered DAG with three transposition
+// levels.
+var canonizeFuzzGraphs = []struct {
+	name string
+	g    func() *dag.DAG
+}{
+	{"fft(3)", func() *dag.DAG { return daggen.FFT(3) }},
+	{"wide", wideFFT},
+	{"bintree(4)", func() *dag.DAG { return daggen.BinaryTree(4) }},
+	{"hampath(Petersen)", func() *dag.DAG { return reduce.NewHamPath(ugraph.Petersen()).G }},
+	{"layered5x5-s2", func() *dag.DAG { return daggen.RandomLayered(5, 5, 2, 2) }},
+}
+
+// canonicalSymmetry returns the symmetry serial A* searches g with: the
+// group of g's canonical relabeling.
+func canonicalSymmetry(g *dag.DAG) *symmetry {
+	_, perm := canon.Canonical(g)
+	q := g.Relabel(perm)
+	return newSymmetry(q, 3*((q.N()+63)/64), func() bool { return false })
+}
+
+// canonizeFuzzKeys is the number of random keys one fuzz case canonizes.
+const canonizeFuzzKeys = 64
+
+// FuzzCanonizeMatchesReference requires canonize, which compares
+// candidates on the nodes they move and builds only the winner's
+// image, to return exactly the reference's representative and per-level
+// choice on random keys. A key sets each of its bits at rate
+// (density%4+1)/8, so sparse keys, whose nodes mostly tie at code 0,
+// are common. Under plain go test it runs the seed slice and requires
+// it to cover every graph, a non-identity choice and a tie between two
+// non-identity candidates.
+func FuzzCanonizeMatchesReference(f *testing.F) {
+	nseeds := 0
+	for i := 0; i < 4*len(canonizeFuzzGraphs); i++ {
+		f.Add(int64(i), uint8(i), uint8(i/len(canonizeFuzzGraphs)))
+		nseeds++
+	}
+	syms := make([]*symmetry, len(canonizeFuzzGraphs))
+	graphs := make([]int, len(canonizeFuzzGraphs))
+	var runs, keys, applied, ties int
+	f.Fuzz(func(t *testing.T, seed int64, graph, density uint8) {
+		runs++
+		gi := int(graph) % len(canonizeFuzzGraphs)
+		if syms[gi] == nil {
+			if syms[gi] = canonicalSymmetry(canonizeFuzzGraphs[gi].g()); syms[gi] == nil {
+				t.Fatalf("%s: no symmetry", canonizeFuzzGraphs[gi].name)
+			}
+		}
+		s := syms[gi]
+		n := len(s.levels[0].elems[0].u)
+		graphs[gi]++
+		rng := rand.New(rand.NewSource(seed))
+		rate := int(density%4) + 1
+		for trial := 0; trial < canonizeFuzzKeys; trial++ {
+			key := make(pebble.PackedKey, 3*s.w)
+			for v := 0; v < n; v++ {
+				for seg := 0; seg < 3; seg++ {
+					if rng.Intn(8) < rate {
+						key[seg*s.w+v/64] |= 1 << (v % 64)
+					}
+				}
+			}
+			want, wantChoice := refCanonize(s, key, &ties)
+			got := append(pebble.PackedKey(nil), key...)
+			s.canonize(got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s, key %x: representative %x, reference %x", canonizeFuzzGraphs[gi].name, key, got, want)
+				}
+			}
+			for li, ei := range wantChoice {
+				if s.choice[li] != ei {
+					t.Fatalf("%s, key %x: choice %v, reference %v", canonizeFuzzGraphs[gi].name, key, s.choice, wantChoice)
+				}
+				if ei >= 0 {
+					applied++
+				}
+			}
+			keys++
+		}
+	})
+	if runs != nseeds {
+		return // fuzzing, or a filtered run: the counts cover another set
+	}
+	f.Logf("%d keys compared; %d non-identity choices, %d ties between non-identity candidates", keys, applied, ties)
+	for gi, c := range graphs {
+		if c == 0 {
+			f.Errorf("the seed slice missed %s", canonizeFuzzGraphs[gi].name)
+		}
+	}
+	if applied == 0 || ties == 0 {
+		f.Errorf("the seed slice missed a path: %d non-identity choices, %d non-identity ties", applied, ties)
+	}
+}

@@ -71,6 +71,45 @@ func TestSymmetryCanonizeStaysInOrbit(t *testing.T) {
 	}
 }
 
+// TestSymmetryMovedPairs: every element lists each node it moves once,
+// as the pair (x, u(x)); the base point's pair comes first and the
+// compared pairs ascend; and the pairs left out of comparisons are
+// exactly the largest node of each cycle.
+func TestSymmetryMovedPairs(t *testing.T) {
+	for _, c := range canonizeFuzzGraphs {
+		s := canonicalSymmetry(c.g())
+		for _, l := range s.levels {
+			for _, e := range l.elems {
+				if e.moved[0].x != int32(l.base) {
+					t.Fatalf("%s: first pair %v, base point %d", c.name, e.moved[0], l.base)
+				}
+				seen := map[int32]bool{}
+				for i, p := range e.moved {
+					if p.ux != int32(e.u[p.x]) || p.ux == p.x || seen[p.x] {
+						t.Fatalf("%s: pair %v of %v", c.name, p, e.u)
+					}
+					seen[p.x] = true
+					if i > 0 && i < e.cmp && p.x <= e.moved[i-1].x {
+						t.Fatalf("%s: compared pairs out of order: %v", c.name, e.moved[:e.cmp])
+					}
+					top := true
+					for y := e.u[p.x]; y != dag.NodeID(p.x); y = e.u[y] {
+						top = top && int32(y) < p.x
+					}
+					if top != (i >= e.cmp) {
+						t.Fatalf("%s: pair %v (index %d, %d compared) is the largest of its cycle: %t", c.name, p, i, e.cmp, top)
+					}
+				}
+				for x, ux := range e.u {
+					if int(ux) != x && !seen[int32(x)] {
+						t.Fatalf("%s: moved node %d has no pair", c.name, x)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestExactSymmetryWideKeys: symmetry-reduced A* on two-word keys
 // reaches IDA*'s optimum (an engine without symmetry), and its trace
 // replays at that cost.
