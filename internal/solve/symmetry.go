@@ -29,11 +29,10 @@ import (
 // minimum, which only costs merges) and a deterministic function of the
 // state, so reconstruct can re-derive every step.
 type symmetry struct {
-	w      int        // words per bitset; a packed key has 3w
-	levels []symLevel // the chain's levels with more than one element
-	img    []uint64   // scratch image
-	alt    []uint64   // scratch image of a tied candidate
-	choice []int      // per level, the element applied (-1: identity)
+	w        int        // words per bitset; a packed key has 3w
+	levels   []symLevel // the chain's levels with more than one element
+	img, alt []uint64   // scratch images of the best element and a tied one
+	choice   []int      // per level, the element applied (-1: identity)
 
 	// back maps searched (canonical) node IDs to the caller's; state is
 	// scratch on the searched DAG, where reconstruct replays moves.
@@ -105,7 +104,8 @@ func newSymElem(u canon.Perm) symElem {
 // canonize replaces key with its representative, recording in choice
 // the element applied at each level.
 func (s *symmetry) canonize(key pebble.PackedKey) {
-	for li, l := range s.levels {
+	for li := range s.levels {
+		l := &s.levels[li]
 		best, bestCode, built := -1, s.code(key, l.base), false // built: s.img is best's image
 		for ei := range l.elems {
 			e := &l.elems[ei]
