@@ -98,9 +98,9 @@ func TestExactCancelEngines(t *testing.T) {
 
 // TestExactCancelDuringSymmetrySetUp cancels before the call on a large
 // symmetric instance (|Aut| = 9,216), whose canonical labeling and
-// automorphism group search take milliseconds. The set-up polls Cancel,
-// so the search stops before its first expansion and reports the
-// caller's already-certified floor.
+// automorphism group search take over ten milliseconds. The set-up
+// polls Cancel, so the search stops before its first expansion and
+// reports the caller's already-certified floor.
 func TestExactCancelDuringSymmetrySetUp(t *testing.T) {
 	p := Problem{G: daggen.RandomLayered(20, 20, 2, 1), Model: pebble.NewModel(pebble.Oneshot), R: 3}
 	cancel := make(chan struct{})

@@ -464,8 +464,8 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 	// reference. It searches p's canonical relabeling; reconstruct maps
 	// the trace back to orig's node IDs.
 	// The set-up polls Cancel too: on a large DAG, canonical labeling
-	// and the automorphism group search take milliseconds before the
-	// first expansion gate.
+	// and the automorphism group search can take over ten milliseconds
+	// before the first expansion gate.
 	guard := newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery)
 	orig := p
 	var sym *symmetry
