@@ -1,15 +1,15 @@
 // Root benchmark harness: one benchmark per table and figure of the
 // paper. Each bench regenerates its artifact via the experiments package
-// (reporting key measurements as custom metrics) so that
+// and fails when one of the report's checks does not hold, so that
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. The rendered tables themselves come
-// from `go run ./cmd/rbexp`.
+// reproduces the full evaluation and tests its claims. The rendered
+// tables themselves come from `go run ./cmd/rbexp`.
 package rbpebble_test
 
 import (
-	"strconv"
+	"strings"
 	"testing"
 
 	"rbpebble/internal/experiments"
@@ -23,6 +23,9 @@ func benchReport(b *testing.B, run func() *experiments.Report) {
 	}
 	if rep == nil || len(rep.Rows) == 0 {
 		b.Fatal("experiment produced no rows")
+	}
+	if failed := rep.Failed(); len(failed) > 0 {
+		b.Fatalf("failing checks: %s", strings.Join(failed, "; "))
 	}
 	b.ReportMetric(float64(len(rep.Rows)), "rows")
 }
@@ -52,20 +55,12 @@ func BenchmarkFig2H2C(b *testing.B) {
 }
 
 // BenchmarkFig4Tradeoff regenerates the Figure 3/4 time-memory tradeoff
-// diagram across all four models, and reports the measured maximal drop
-// per added red pebble (the paper's 2n).
+// diagram across all four models; its checks hold the strategy's drop
+// per added red pebble to the paper's 2n.
 func BenchmarkFig4Tradeoff(b *testing.B) {
-	p := experiments.DefaultTradeoffParams()
-	var rep *experiments.Report
-	for i := 0; i < b.N; i++ {
-		rep = experiments.Fig4Tradeoff(p)
-	}
-	// Column 2 is the oneshot curve; the drop between the first two rows
-	// approximates 2n.
-	first, _ := strconv.Atoi(rep.Rows[0][2])
-	second, _ := strconv.Atoi(rep.Rows[1][2])
-	b.ReportMetric(float64(first-second), "drop/pebble")
-	b.ReportMetric(float64(2*p.Chain), "predicted")
+	benchReport(b, func() *experiments.Report {
+		return experiments.Fig4Tradeoff(experiments.DefaultTradeoffParams())
+	})
 }
 
 // BenchmarkThm2HamPath regenerates the Theorem 2 NP-hardness table:
@@ -85,16 +80,11 @@ func BenchmarkThm3VertexCover(b *testing.B) {
 }
 
 // BenchmarkThm4Greedy regenerates the Figure 8 greedy-vs-optimal
-// separation and reports the largest measured ratio.
+// separation; its checks hold that the ratio grows with k'.
 func BenchmarkThm4Greedy(b *testing.B) {
-	p := experiments.DefaultThm4Params()
-	var rep *experiments.Report
-	for i := 0; i < b.N; i++ {
-		rep = experiments.Thm4Greedy(p)
-	}
-	last := rep.Rows[len(rep.Rows)-1]
-	ratio, _ := strconv.ParseFloat(last[len(last)-1], 64)
-	b.ReportMetric(ratio, "greedy/opt")
+	benchReport(b, func() *experiments.Report {
+		return experiments.Thm4Greedy(experiments.DefaultThm4Params())
+	})
 }
 
 // BenchmarkLemma1Length regenerates the optimal-pebbling-length bound

@@ -1,10 +1,12 @@
 // Command rbexp regenerates the paper's tables and figures from the
 // library's implementations and prints them as aligned text reports.
+// Each report ends with its checks, computed from its own rows, and a
+// verdict derived from them; rbexp exits 1 when any check fails.
 //
 // Usage:
 //
 //	rbexp              # run every experiment
-//	rbexp -list        # list experiment IDs
+//	rbexp -list        # list experiment IDs and titles without running any
 //	rbexp -run "Table" # run experiments whose ID contains the substring
 package main
 
@@ -19,33 +21,36 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		run      = flag.String("run", "", "run only experiments whose ID contains this substring")
-		deadline = flag.Duration("deadline", 0, "top rung of the anytime ablation's budget ladder (Ablation E; 0 = 200ms)")
+		list = flag.Bool("list", false, "list experiment IDs and titles and exit")
+		run  = flag.String("run", "", "run only experiments whose ID contains this substring")
 	)
 	flag.Parse()
-	experiments.AnytimeDeadline = *deadline
 
-	reports := experiments.All()
-	if *list {
-		for _, r := range reports {
-			fmt.Printf("%-28s %s\n", r.ID, r.Title)
-		}
-		return
-	}
-	ran := 0
-	for _, r := range reports {
-		if *run != "" && !strings.Contains(r.ID, *run) {
+	ran, failed := 0, 0
+	for _, e := range experiments.Registry {
+		if !strings.Contains(e.ID, *run) {
 			continue
 		}
+		ran++
+		if *list {
+			fmt.Printf("%-32s %s\n", e.ID, e.Title)
+			continue
+		}
+		r := e.Build()
 		if _, err := r.WriteTo(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "rbexp:", err)
 			os.Exit(1)
 		}
-		ran++
+		if len(r.Failed()) > 0 {
+			failed++
+		}
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "rbexp: no experiment matches %q (try -list)\n", *run)
 		os.Exit(2)
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "rbexp: %d report(s) with failing checks\n", failed)
+		os.Exit(1)
 	}
 }

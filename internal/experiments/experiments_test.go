@@ -5,224 +5,81 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
-func cell(t *testing.T, rep *Report, row int, col string) string {
+// holds fails the test unless rep has the expected number of rows, at
+// least one check, and every check holds.
+func holds(t *testing.T, rep *Report, rows int) {
 	t.Helper()
-	for i, h := range rep.Header {
-		if h == col {
-			return rep.Rows[row][i]
-		}
+	if len(rep.Rows) != rows || len(rep.Checks) == 0 {
+		t.Fatalf("%d rows (want %d), %d checks:\n%s", len(rep.Rows), rows, len(rep.Checks), rep.Render())
 	}
-	t.Fatalf("%s: no column %q", rep.ID, col)
-	return ""
-}
-
-func cellInt(t *testing.T, rep *Report, row int, col string) int {
-	t.Helper()
-	v, err := strconv.Atoi(cell(t, rep, row, col))
-	if err != nil {
-		t.Fatalf("%s row %d col %s: %v", rep.ID, row, col, err)
+	if failed := rep.Failed(); len(failed) > 0 {
+		t.Fatalf("failing checks: %s\n%s", strings.Join(failed, "; "), rep.Render())
 	}
-	return v
-}
-
-func cellFloat(t *testing.T, rep *Report, row int, col string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(cell(t, rep, row, col), 64)
-	if err != nil {
-		t.Fatalf("%s row %d col %s: %v", rep.ID, row, col, err)
-	}
-	return v
 }
 
 func TestTable1(t *testing.T) {
 	rep := Table1()
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
+	holds(t, rep, 4)
 	if !strings.Contains(rep.Render(), "nodel") {
 		t.Fatal("render missing model names")
 	}
 }
 
-func TestTable2Invariants(t *testing.T) {
-	rep := Table2()
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	for i := range rep.Rows {
-		model := cell(t, rep, i, "model")
-		minC := cellFloat(t, rep, i, "minCost(meas)")
-		maxC := cellFloat(t, rep, i, "maxCost(meas)")
-		bound := float64(cellInt(t, rep, i, "(2Δ+1)n"))
-		if minC > maxC {
-			t.Fatalf("%s: min > max", model)
-		}
-		if maxC > bound+1 { // +εn < 1 slack for compcost
-			t.Fatalf("%s: max %v above bound %v", model, maxC, bound)
-		}
-		switch {
-		case strings.HasPrefix(model, "oneshot"), strings.HasPrefix(model, "base"):
-			if minC != 0 {
-				t.Fatalf("%s: min cost %v, want 0", model, minC)
-			}
-		default:
-			if minC <= 0 {
-				t.Fatalf("%s: min cost should be positive", model)
-			}
-		}
-	}
-	// Greedy/opt ratio must be largest in oneshot or base.
-	oneshotRatio := cellFloat(t, rep, 1, "greedy/opt")
-	nodelRatio := cellFloat(t, rep, 2, "greedy/opt")
-	if oneshotRatio <= nodelRatio {
-		t.Fatalf("oneshot greedy ratio %v <= nodel %v", oneshotRatio, nodelRatio)
-	}
-}
-
-func TestFig1(t *testing.T) {
-	rep := Fig1CD(Fig1Params{GroupSize: 3, Heights: []int{1, 3}})
-	for i := range rep.Rows {
-		if cellInt(t, rep, i, "cost@R'") != 0 {
-			t.Fatal("gadget not free at required R")
-		}
-	}
-	if cellInt(t, rep, 1, "opt@R'-1") <= cellInt(t, rep, 0, "opt@R'-1") {
-		t.Fatal("cost does not grow with h")
-	}
-}
-
-func TestFig2(t *testing.T) {
-	rep := Fig2H2C()
-	for i := range rep.Rows {
-		if cell(t, rep, i, "opt (exact)") != cell(t, rep, i, "claimed") {
-			t.Fatalf("row %d: optimum differs from claimed 4", i)
-		}
-	}
-}
-
-func TestFig4Monotone(t *testing.T) {
-	rep := Fig4Tradeoff(TradeoffParams{D: 3, Chain: 30})
-	prev := 1 << 30
-	for i := range rep.Rows {
-		c := cellInt(t, rep, i, "oneshot")
-		pred := cellInt(t, rep, i, "predicted")
-		if c > prev {
-			t.Fatal("oneshot curve not monotone decreasing")
-		}
-		if c > pred {
-			t.Fatalf("measured %d above closed form %d", c, pred)
-		}
-		nodel := cellInt(t, rep, i, "nodel")
-		if nodel <= c && i < len(rep.Rows)-0 {
-			// nodel must sit above oneshot by ≈ chain length.
-			t.Fatalf("nodel %d not above oneshot %d", nodel, c)
-		}
-		prev = c
-	}
-	// Last row (R = 2d+2) is free in oneshot.
-	if cellInt(t, rep, len(rep.Rows)-1, "oneshot") != 0 {
-		t.Fatal("not free at R = 2d+2")
-	}
-}
-
+func TestTable2Invariants(t *testing.T) { holds(t, Table2(), 4) }
+func TestFig1(t *testing.T)             { holds(t, Fig1CD(Fig1Params{GroupSize: 3, Heights: []int{1, 3}}), 2) }
+func TestFig2(t *testing.T)             { holds(t, Fig2H2C(), 3) }
+func TestFig4Monotone(t *testing.T)     { holds(t, Fig4Tradeoff(TradeoffParams{D: 3, Chain: 30}), 4) }
 func TestThm2AllVerified(t *testing.T) {
-	rep := Thm2HamPath(Thm2Params{RandomN: []int{6}, Seed: 1})
-	for i := range rep.Rows {
-		if cell(t, rep, i, "at-threshold") != cell(t, rep, i, "hasHP") {
-			t.Fatalf("row %d: threshold does not track HP", i)
-		}
-		if cell(t, rep, i, "verified") != "true" {
-			t.Fatalf("row %d: engine verification failed", i)
-		}
-	}
-	if strings.Contains(rep.Verdict, "MISMATCH") {
-		t.Fatal(rep.Verdict)
-	}
+	holds(t, Thm2HamPath(Thm2Params{RandomN: []int{6}, Seed: 1}), 9)
 }
-
 func TestThm3SlopeConverges(t *testing.T) {
-	rep := Thm3VertexCover(Thm3Params{KPrimes: []int{10, 40}})
-	// For each source, the cost ratio at k'=40 must be closer to the
-	// cover ratio than at k'=10 (or already equal).
-	for i := 0; i+1 < len(rep.Rows); i += 2 {
-		cr := cellFloat(t, rep, i, "coverRatio")
-		d10 := cellFloat(t, rep, i, "costRatio") - cr
-		d40 := cellFloat(t, rep, i+1, "costRatio") - cr
-		abs := func(x float64) float64 {
-			if x < 0 {
-				return -x
-			}
-			return x
-		}
-		if abs(d40) > abs(d10)+1e-9 {
-			t.Fatalf("rows %d/%d: ratio did not converge (%.3f vs %.3f)", i, i+1, d40, d10)
-		}
-		// Cost must be at least the common-node lower bound.
-		if cellInt(t, rep, i, "cost(VCmin)") < cellInt(t, rep, i, "2k'|VCmin|") {
-			t.Fatalf("row %d: cost below common lower bound", i)
-		}
-	}
+	holds(t, Thm3VertexCover(Thm3Params{KPrimes: []int{10, 40}}), 6)
 }
-
 func TestThm4SeparationGrows(t *testing.T) {
-	rep := Thm4Greedy(Thm4Params{L: 3, KPrimes: []int{8, 32}})
-	for i := range rep.Rows {
-		if cell(t, rep, i, "followed-misguide") != "true" {
-			t.Fatalf("row %d: greedy escaped the misguidance", i)
-		}
-	}
-	if cellFloat(t, rep, 1, "ratio") <= cellFloat(t, rep, 0, "ratio") {
-		t.Fatal("separation ratio did not grow with k'")
-	}
+	holds(t, Thm4Greedy(Thm4Params{L: 3, KPrimes: []int{8, 32}}), 2)
 }
-
-func TestLemma1Bounded(t *testing.T) {
-	rep := Lemma1Length(Lemma1Params{Seeds: []int64{1, 2}})
-	for i := range rep.Rows {
-		if r := cellFloat(t, rep, i, "steps/Δn"); r > 5 {
-			t.Fatalf("row %d: steps/Δn = %v exceeds the Lemma 1 constant", i, r)
-		}
-	}
-}
-
-func TestConventionsWithinBounds(t *testing.T) {
-	rep := Conventions()
-	// Row 1: blue sinks, shift ≤ 1 sink. Row 2: blue sources, shift ≤ 3.
-	if s := cellInt(t, rep, 1, "shift"); s < 0 || s > 1 {
-		t.Fatalf("blue-sink shift = %d", s)
-	}
-	if s := cellInt(t, rep, 2, "shift"); s < 0 || s > 3 {
-		t.Fatalf("blue-source shift = %d", s)
-	}
-	if s := cellInt(t, rep, 3, "shift"); s < 0 || s > 1 {
-		t.Fatalf("single-source shift = %d", s)
-	}
-}
+func TestLemma1Bounded(t *testing.T)           { holds(t, Lemma1Length(Lemma1Params{Seeds: []int64{1, 2}}), 6) }
+func TestConventionsWithinBounds(t *testing.T) { holds(t, Conventions(), 4) }
+func TestMultilevelExperiment(t *testing.T)    { holds(t, Multilevel(), 3) }
 
 func TestAblations(t *testing.T) {
-	ev := AblationEviction()
-	for i := range ev.Rows {
-		belady := cellInt(t, ev, i, "belady")
-		for _, col := range []string{"lru", "fifo", "random", "store-all"} {
-			if cellInt(t, ev, i, col) < belady {
-				t.Fatalf("row %d: %s beat Belady", i, col)
-			}
-		}
-		if cellInt(t, ev, i, "store-all") > cellInt(t, ev, i, "(2Δ+1)n") {
-			t.Fatalf("row %d: store-all above universal bound", i)
-		}
+	holds(t, AblationEviction(), 4)
+	holds(t, AblationExactPruning(), 4)
+	holds(t, AblationGreedyRules(), 6)
+}
+
+// TestAblationAnytime runs the ladder with a short top deadline; the
+// certified-interval checks hold at any scale. A positive lower bound on
+// the top rung depends on host speed, so no check reads it, but at 60ms
+// every engine has popped states: fft(3) R=3's root bound is 0, so only
+// a sub-millisecond rung may certify [0, upper].
+func TestAblationAnytime(t *testing.T) {
+	rep := AblationAnytime(AnytimeParams{Deadline: 60 * time.Millisecond})
+	holds(t, rep, 4)
+	if lo, err := strconv.Atoi(rep.Rows[2][2]); err != nil || lo <= 0 {
+		t.Fatalf("top-rung interval %v certifies nothing", rep.Rows[2])
 	}
-	pr := AblationExactPruning()
-	for i := range pr.Rows {
-		if cell(t, pr, i, "equal") != "true" {
-			t.Fatalf("pruning changed the optimum in row %d", i)
+}
+
+// TestRegistry checks that IDs are unique and that constructors leave
+// ID and Title unset: the registry entry is their only source, so what
+// rbexp -list prints without running anything is what each report
+// carries. Every check holds on the default parameters.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Registry {
+		if e.ID == "" || e.Title == "" || seen[e.ID] {
+			t.Fatalf("registry entry %q/%q: empty or repeated", e.ID, e.Title)
 		}
-	}
-	gr := AblationGreedyRules()
-	if len(gr.Rows) == 0 {
-		t.Fatal("no greedy rule rows")
+		seen[e.ID] = true
+		rep := e.build()
+		if rep.ID != "" || rep.Title != "" {
+			t.Errorf("%s: constructor sets its own ID or title", e.ID)
+		}
+		t.Run(e.ID, func(t *testing.T) { holds(t, rep, len(rep.Rows)) })
 	}
 }
 
@@ -232,10 +89,12 @@ func TestRunAllRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Table 1", "Table 2", "Figure 1", "Figure 2", "Figures 3+4",
-		"Theorem 2", "Theorem 3", "Theorem 4", "Lemma 1", "Appendix C", "Ablation"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("RunAll output missing %q", want)
+	for _, e := range Registry {
+		if !strings.Contains(out, "=== "+e.ID+" — "+e.Title+" ===\n") {
+			t.Fatalf("RunAll output missing %q", e.ID)
 		}
+	}
+	if n := strings.Count(out, "\nverdict: all checks hold "); n != len(Registry) {
+		t.Fatalf("%d of %d verdicts say all checks hold", n, len(Registry))
 	}
 }

@@ -14,8 +14,6 @@ import (
 // the classic parallelism/communication tradeoff.
 func ParallelPebbling() *Report {
 	rep := &Report{
-		ID:     "Extension — parallel",
-		Title:  "Multi-processor pebbling (related work [8])",
 		Claim:  "(extension) assignment quality is structure-dependent; cross-edges grow with P while aggregate fast memory also grows, so total traffic can move either way; per-processor load spreads as P grows",
 		Header: []string{"workload", "P", "assign", "cross-edges", "total", "max/proc"},
 	}
@@ -25,8 +23,11 @@ func ParallelPebbling() *Report {
 		panic(err)
 	}
 	r := 8
-	for _, p := range []int{1, 2, 4, 8} {
-		for _, a := range []struct {
+	local, rrBelowOne, blocksGrow, spreads := true, true, true, true
+	var first, prev [2]parpeb.Result
+	for i, p := range []int{1, 2, 4, 8} {
+		var res [2]parpeb.Result
+		for j, a := range []struct {
 			name   string
 			assign parpeb.Assignment
 		}{
@@ -34,16 +35,27 @@ func ParallelPebbling() *Report {
 			{"blocks", parpeb.Blocks(order, g.N(), p)},
 		} {
 			cfg := parpeb.Config{P: p, R: r, Oneshot: true}
-			_, res, err := parpeb.Execute(g, cfg, order, a.assign)
-			if err != nil {
+			if _, res[j], err = parpeb.Execute(g, cfg, order, a.assign); err != nil {
 				panic(err)
 			}
 			rep.Rows = append(rep.Rows, []string{
 				fmt.Sprintf("fft(4) n=%d", g.N()), itoa(p), a.name,
-				itoa(res.CrossEdges), itoa(res.Total), itoa(res.MaxProc),
+				itoa(res[j].CrossEdges), itoa(res[j].Total), itoa(res[j].MaxProc),
 			})
 		}
+		if i == 0 {
+			first = res
+		} else {
+			local = local && res[0].CrossEdges < res[1].CrossEdges
+			rrBelowOne = rrBelowOne && res[0].Total < first[0].Total
+			blocksGrow = blocksGrow && res[1].Total > prev[1].Total
+			spreads = spreads && res[0].MaxProc < prev[0].MaxProc && res[1].MaxProc < prev[1].MaxProc
+		}
+		prev = res
 	}
-	rep.Verdict = "on the butterfly, round-robin keeps straight edges local (fewer cross-edges than blocks) and extra aggregate capacity outweighs communication, so its total falls with P; blocks pay more as P grows; max/proc falls in both — the tradeoffs the multi-shade game models"
+	rep.check("round-robin has fewer cross-edges than blocks at every P > 1", local)
+	rep.check("round-robin's total at every P > 1 is below its P = 1 total", rrBelowOne)
+	rep.check("blocks' total grows with P", blocksGrow)
+	rep.check("max/proc falls as P grows, for both assignments", spreads)
 	return rep
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"rbpebble/internal/dag"
 	"rbpebble/internal/daggen"
@@ -10,50 +11,6 @@ import (
 	"rbpebble/internal/sched"
 	"rbpebble/internal/solve"
 )
-
-// NewGridInstance measures one row of the Theorem 4 table: whether greedy
-// followed the misguided order, and the greedy/optimal cost ratio.
-func NewGridInstance(l, kprime int) []string {
-	gg := gadgets.NewGreedyGrid(l, kprime)
-	p := solve.Problem{G: gg.G, Model: pebble.NewModel(pebble.Oneshot), R: gg.R()}
-	order, err := solve.GreedyOrder(p, solve.MostRedInputs)
-	if err != nil {
-		panic(err)
-	}
-	// Did greedy follow the adversarial column order?
-	tpos := gg.TargetPos()
-	var visits []gadgets.GridPos
-	for _, v := range order {
-		if pos, ok := tpos[v]; ok {
-			visits = append(visits, pos)
-		}
-	}
-	followed := true
-	want := gg.GreedyExpectedVisits()
-	if len(visits) != len(want) {
-		followed = false
-	} else {
-		for i := range want {
-			if visits[i] != want[i] {
-				followed = false
-				break
-			}
-		}
-	}
-	greedy, err := solve.Greedy(p, solve.MostRedInputs)
-	if err != nil {
-		panic(err)
-	}
-	_, opt, err := sched.Execute(gg.G, p.Model, gg.R(), pebble.Convention{}, gg.VisitOrder(gg.OptimalVisits()), sched.Options{Policy: sched.Belady})
-	if err != nil {
-		panic(err)
-	}
-	return []string{
-		itoa(kprime), itoa(gg.G.N()), btoa(followed),
-		itoa(greedy.Result.Cost.Transfers), itoa(opt.Cost.Transfers),
-		ftoa(float64(greedy.Result.Cost.Transfers) / float64(opt.Cost.Transfers)),
-	}
-}
 
 // Lemma1Params configures the pebbling-length experiment.
 type Lemma1Params struct {
@@ -69,12 +26,12 @@ func DefaultLemma1Params() Lemma1Params { return Lemma1Params{Seeds: []int64{1, 
 // polynomial bound exists there).
 func Lemma1Length(p Lemma1Params) *Report {
 	rep := &Report{
-		ID:     "Lemma 1",
-		Title:  "Length of optimal pebblings",
 		Claim:  "optimal pebblings have O(Δ·n) steps in oneshot, nodel, compcost",
 		Header: []string{"workload", "model", "n", "Δ", "steps(opt)", "steps/Δn"},
 	}
-	maxRatio := 0.0
+	// Lemma 1's constant for oneshot and nodel; compcost's bound grows
+	// with 1/ε, so holding its rows to this one too is stricter.
+	limit, bounded := pebble.StepUpperBoundFactor(pebble.NewModel(pebble.Oneshot)), true
 	for _, seed := range p.Seeds {
 		g := daggen.RandomLayered(3, 3, 2, seed)
 		n, delta := g.N(), g.MaxInDegree()
@@ -85,16 +42,14 @@ func Lemma1Length(p Lemma1Params) *Report {
 				panic(err)
 			}
 			ratio := float64(opt.Result.Steps) / float64(delta*n)
-			if ratio > maxRatio {
-				maxRatio = ratio
-			}
+			bounded = bounded && opt.Result.Steps <= limit*delta*n
 			rep.Rows = append(rep.Rows, []string{
 				fmt.Sprintf("layered(seed=%d)", seed), m.String(),
 				itoa(n), itoa(delta), itoa(opt.Result.Steps), ftoa(ratio),
 			})
 		}
 	}
-	rep.Verdict = fmt.Sprintf("max measured steps/Δn = %.2f — a small constant, consistent with O(Δ·n)", maxRatio)
+	rep.check(fmt.Sprintf("steps/Δn ≤ %d on every row", limit), bounded)
 	return rep
 }
 
@@ -103,68 +58,39 @@ func Lemma1Length(p Lemma1Params) *Report {
 // #sources (loads) / #sinks (stores), never asymptotically.
 func Conventions() *Report {
 	rep := &Report{
-		ID:     "Appendix C",
-		Title:  "Alternative starting/finishing conventions",
 		Claim:  "requiring blue sinks adds ≤ #sinks; blue-start sources add ≤ #sources (after the single-source transform, exactly 1)",
 		Header: []string{"workload", "convention", "opt", "shift", "bound"},
 	}
 	g := daggen.Pyramid(2)
 	m := pebble.NewModel(pebble.Oneshot)
 	r := 4
-	base, err := solve.Exact(solve.Problem{G: g, Model: m, R: r}, solve.ExactOptions{})
-	if err != nil {
-		panic(err)
+	opt := func(g *dag.DAG, r int, conv pebble.Convention) int {
+		sol, err := solve.Exact(solve.Problem{G: g, Model: m, R: r, Convention: conv}, solve.ExactOptions{})
+		if err != nil {
+			panic(err)
+		}
+		return sol.Result.Cost.Transfers
 	}
-	rep.Rows = append(rep.Rows, []string{"pyramid(2)", "paper (free sources, any sink)", itoa(base.Result.Cost.Transfers), "0", "-"})
-
-	blueSinks, err := solve.Exact(solve.Problem{G: g, Model: m, R: r,
-		Convention: pebble.Convention{SinksMustBeBlue: true}}, solve.ExactOptions{})
-	if err != nil {
-		panic(err)
+	base := opt(g, r, pebble.Convention{})
+	rep.Rows = append(rep.Rows, []string{"pyramid(2)", "paper (free sources, any sink)", itoa(base), "0", "-"})
+	shift := func(workload, convention string, cost, bound int, what string) {
+		rep.Rows = append(rep.Rows, []string{workload, convention, itoa(cost), itoa(cost - base), fmt.Sprintf("≤ %d %s", bound, what)})
+		rep.check(fmt.Sprintf("%s shifts the optimum by 0..%d %s", convention, bound, what), cost >= base && cost-base <= bound)
 	}
-	rep.Rows = append(rep.Rows, []string{
-		"pyramid(2)", "sinks must be blue",
-		itoa(blueSinks.Result.Cost.Transfers),
-		itoa(blueSinks.Result.Cost.Transfers - base.Result.Cost.Transfers),
-		fmt.Sprintf("≤ %d sinks", len(g.Sinks())),
-	})
-
-	blueSources, err := solve.Exact(solve.Problem{G: g, Model: m, R: r,
-		Convention: pebble.Convention{SourcesStartBlue: true}}, solve.ExactOptions{})
-	if err != nil {
-		panic(err)
-	}
-	rep.Rows = append(rep.Rows, []string{
-		"pyramid(2)", "sources start blue",
-		itoa(blueSources.Result.Cost.Transfers),
-		itoa(blueSources.Result.Cost.Transfers - base.Result.Cost.Transfers),
-		fmt.Sprintf("≤ %d sources", len(g.Sources())),
-	})
-
+	shift("pyramid(2)", "sinks must be blue", opt(g, r, pebble.Convention{SinksMustBeBlue: true}), len(g.Sinks()), "sinks")
+	shift("pyramid(2)", "sources start blue", opt(g, r, pebble.Convention{SourcesStartBlue: true}), len(g.Sources()), "sources")
 	// Single-source transform: the blue-start penalty collapses to 1.
 	tg := g.Clone()
 	gadgets.SingleSource(tg)
-	single, err := solve.Exact(solve.Problem{G: tg, Model: m, R: r + 1,
-		Convention: pebble.Convention{SourcesStartBlue: true}}, solve.ExactOptions{})
-	if err != nil {
-		panic(err)
-	}
-	rep.Rows = append(rep.Rows, []string{
-		"pyramid(2)+s0", "sources start blue, single source",
-		itoa(single.Result.Cost.Transfers),
-		itoa(single.Result.Cost.Transfers - base.Result.Cost.Transfers),
-		"≤ 1",
-	})
-	rep.Verdict = "every shift within its bound — the conventions are cost-equivalent up to lower-order terms"
+	shift("pyramid(2)+s0", "sources start blue, single source", opt(tg, r+1, pebble.Convention{SourcesStartBlue: true}), 1, "source")
 	return rep
 }
 
 // AblationEviction compares the eviction policies inside a fixed compute
 // order across workloads (the sched-layer design choice).
 func AblationEviction() *Report {
+	ordered, bounded := true, true
 	rep := &Report{
-		ID:     "Ablation A",
-		Title:  "Eviction policy within a fixed topological order",
 		Claim:  "(design choice) Belady ≤ LRU/FIFO/Random ≤ naive store-all ≤ (2Δ+1)n",
 		Header: []string{"workload", "R", "belady", "lru", "fifo", "random", "store-all", "(2Δ+1)n"},
 	}
@@ -184,17 +110,24 @@ func AblationEviction() *Report {
 			panic(err)
 		}
 		row := []string{w.name, itoa(r)}
+		var cost []int
 		for _, pol := range []sched.Policy{sched.Belady, sched.LRU, sched.FIFO, sched.Random, sched.EvictAllStore} {
 			_, res, err := sched.Execute(g, pebble.NewModel(pebble.Oneshot), r, pebble.Convention{}, order, sched.Options{Policy: pol, Seed: 7})
 			if err != nil {
 				panic(err)
 			}
+			cost = append(cost, res.Cost.Transfers)
 			row = append(row, itoa(res.Cost.Transfers))
 		}
-		row = append(row, itoa((2*g.MaxInDegree()+1)*g.N()))
-		rep.Rows = append(rep.Rows, row)
+		bound := (2*g.MaxInDegree() + 1) * g.N()
+		for _, c := range cost[1:4] {
+			ordered = ordered && cost[0] <= c && c <= cost[4]
+		}
+		bounded = bounded && cost[4] <= bound
+		rep.Rows = append(rep.Rows, append(row, itoa(bound)))
 	}
-	rep.Verdict = "Belady dominates on every workload; all policies respect the universal bound"
+	rep.check("Belady ≤ LRU, FIFO, Random ≤ store-all on every workload", ordered)
+	rep.check("store-all ≤ (2Δ+1)n on every workload", bounded)
 	return rep
 }
 
@@ -212,11 +145,10 @@ func AblationEviction() *Report {
 // The pyramid(5) R=Δ+1 row is the S-partition packing's design target.
 func AblationExactPruning() *Report {
 	rep := &Report{
-		ID:     "Ablation B",
-		Title:  "Exact solver pruning and the A* lower bound (oneshot)",
 		Claim:  "(design choice) pruning and the admissible bound preserve the optimum while shrinking the search",
 		Header: []string{"workload", "opt", "equal", "states(a*)", "states(no-prune)", "states(dijkstra)", "dijkstra/a*"},
 	}
+	allEqual, smaller := true, true
 	igDAG, _, _ := daggen.InputGroups(2, 2)
 	for _, w := range []struct {
 		name string
@@ -245,24 +177,42 @@ func AblationExactPruning() *Report {
 		}
 		equal := a.Result.Cost.Transfers == b.Result.Cost.Transfers &&
 			a.Result.Cost.Transfers == d.Result.Cost.Transfers
+		allEqual = allEqual && equal
+		smaller = smaller && sa.Expanded < sb.Expanded && sa.Expanded < sd.Expanded
 		rep.Rows = append(rep.Rows, []string{
 			w.name, itoa(a.Result.Cost.Transfers), btoa(equal),
 			itoa(sa.Expanded), itoa(sb.Expanded), itoa(sd.Expanded),
 			ftoa(float64(sd.Expanded) / float64(max(sa.Expanded, 1))),
 		})
 	}
-	rep.Verdict = "identical optima across all solver configurations; the bound and the reductions riding on it expand far fewer states than Dijkstra"
+	rep.check("all three configurations find the same optimum", allEqual)
+	rep.check("A* expands fewer states than no-prune and Dijkstra on every workload", smaller)
 	return rep
 }
 
 // AblationGreedyRules compares the three §8 greedy tie-breaking rules on
-// neutral workloads (where indegrees differ, the rules can diverge).
+// neutral workloads and on the Theorem 4 grid (ℓ=4), where the
+// prescribed diagonal order is the reference.
 func AblationGreedyRules() *Report {
 	rep := &Report{
-		ID:     "Ablation C",
-		Title:  "Greedy rule variants (§8)",
-		Claim:  "(design choice) the three rules coincide on uniform-indegree DAGs and stay within the universal bound elsewhere",
-		Header: []string{"workload", "most-red", "fewest-blue", "red-ratio"},
+		Claim:  "(design choice) every rule stays within (2Δ+1)n; the rules differ even at uniform indegree; the Theorem 4 grid misleads all three, though not equally",
+		Header: []string{"workload", "R", "most-red", "fewest-blue", "red-ratio", "(2Δ+1)n", "diagonal"},
+	}
+	bounded, fftDiffers, misled, fewestBest := true, false, true, true
+	prev := []int{0, 0, 0}
+	run := func(name string, g *dag.DAG, r int, diagonal string) []int {
+		row, cost := []string{name, itoa(r)}, []int{}
+		for _, rule := range solve.AllGreedyRules() {
+			sol, err := solve.Greedy(solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: r}, rule)
+			if err != nil {
+				panic(err)
+			}
+			cost = append(cost, sol.Result.Cost.Transfers)
+			row = append(row, itoa(sol.Result.Cost.Transfers))
+			bounded = bounded && sol.Result.Cost.Transfers <= (2*g.MaxInDegree()+1)*g.N()
+		}
+		rep.Rows = append(rep.Rows, append(row, itoa((2*g.MaxInDegree()+1)*g.N()), diagonal))
+		return cost
 	}
 	for _, w := range []struct {
 		name string
@@ -272,18 +222,24 @@ func AblationGreedyRules() *Report {
 		{"stencil(8,4)", daggen.Stencil1D(8, 4)},
 		{"layered(4,5)", daggen.RandomLayered(4, 5, 3, 9)},
 	} {
-		g := w.g
-		r := pebble.MinFeasibleR(g) + 1
-		row := []string{w.name}
-		for _, rule := range solve.AllGreedyRules() {
-			sol, err := solve.Greedy(solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: r}, rule)
-			if err != nil {
-				panic(err)
-			}
-			row = append(row, itoa(sol.Result.Cost.Transfers))
+		cost := run(w.name, w.g, pebble.MinFeasibleR(w.g)+1, "-")
+		if w.name == "fft(3)" {
+			fftDiffers = slices.Min(cost) < slices.Max(cost)
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
-	rep.Verdict = "rule choice shifts cost only modestly on neutral workloads; the Theorem 4 grid defeats all three identically"
+	for _, kp := range []int{8, 16, 32} {
+		gg := gadgets.NewGreedyGrid(4, kp)
+		diagonal := diagonalCost(gg, pebble.NewModel(pebble.Oneshot)).Transfers
+		cost := run(fmt.Sprintf("grid(ℓ=4,k'=%d)", kp), gg.G, gg.R(), itoa(diagonal))
+		for i, c := range cost {
+			misled = misled && c > diagonal && c > prev[i]
+		}
+		fewestBest = fewestBest && cost[1] < cost[0] && cost[1] < cost[2]
+		prev = cost
+	}
+	rep.check("every rule stays within (2Δ+1)n on every workload", bounded)
+	rep.check("the rules differ on fft(3), whose indegree is uniform", fftDiffers)
+	rep.check("on the grid every rule pays more than the diagonal order, and more at each larger k'", misled)
+	rep.check("on the grid fewest-blue pays less than most-red and red-ratio at every k'", fewestBest)
 	return rep
 }

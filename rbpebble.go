@@ -401,8 +401,10 @@ type (
 )
 
 var (
-	// AllExperiments regenerates every table and figure.
+	// AllExperiments regenerates every table and figure; each report
+	// carries the checks that test the paper's claim on its rows.
 	AllExperiments = experiments.All
-	// RunAllExperiments renders every report to a writer.
+	// RunAllExperiments renders every report to a writer and returns an
+	// error naming the reports whose checks fail.
 	RunAllExperiments = experiments.RunAll
 )
