@@ -45,7 +45,7 @@ func main() {
 		modelName = flag.String("model", "oneshot", "model: base|oneshot|nodel|compcost")
 		epsDenom  = flag.Int("eps", 100, "compcost ε denominator (ε = 1/eps)")
 		r         = flag.Int("r", 0, "red pebble limit (default Δ+1)")
-		solver    = flag.String("solver", "topobelady", "solver: exact|dfs|orderopt|greedy|topo|topobelady")
+		solver    = flag.String("solver", "topobelady", "solver: exact|dfs|greedy|topo|topobelady")
 		rule      = flag.String("rule", "most-red-inputs", "greedy rule: most-red-inputs|fewest-blue-inputs|red-ratio")
 		tracePath = flag.String("trace", "", "write the verified move trace to this file")
 		maxStates = flag.Int("maxstates", 0, "exact solver state budget (0 = default)")
@@ -156,8 +156,6 @@ func main() {
 		if errors.Is(err, solve.ErrMemoryBudget) {
 			fatalMemBudget(*maxTableB, stats.LowerBound, stats.Incumbent)
 		}
-	case *solver == "orderopt":
-		sol, err = solve.OrderOpt(p, solve.OrderOptOptions{})
 	case *solver == "greedy":
 		gr, perr := parseRule(*rule)
 		if perr != nil {

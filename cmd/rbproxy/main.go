@@ -19,6 +19,14 @@
 // node's solve spans. GET /debug/solves merges the fleet's telemetry
 // rings; GET /debug/trace/{id} resolves a trace anywhere in the fleet.
 //
+// Every proxy->node call retries up to 3 attempts with jittered
+// exponential backoff (50 ms doubling, capped at 2 s), and a node's
+// circuit breaker opens after 4 consecutive transport failures for 5 s.
+// That policy and the 256-trace routing ring are fixed; the flags,
+// which default to cluster.DefaultProxyConfig(), set addresses, limits
+// on outside input, membership timing, the forward timeout and tenant
+// quotas.
+//
 // Usage:
 //
 //	rbproxy -addr :8080 &
@@ -40,69 +48,50 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"rbpebble/internal/cluster"
 	"rbpebble/internal/obs"
 )
 
 func main() {
+	// Every flag that tunes the library starts from the library's own
+	// default, so the help text and the proxy agree with
+	// cluster.ProxyConfig{}.
+	cfg := cluster.DefaultProxyConfig()
+	flag.DurationVar(&cfg.ProbeInterval, "probe", cfg.ProbeInterval, "member health-probe interval")
+	flag.DurationVar(&cfg.MemberTTL, "ttl", cfg.MemberTTL, "membership lease TTL for joined nodes")
+	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", cfg.MaxBodyBytes, "largest accepted request body in bytes")
+	flag.IntVar(&cfg.MaxNodes, "max-nodes", cfg.MaxNodes, "largest accepted instance (guards the routing parse)")
+	flag.DurationVar(&cfg.Comm.AttemptTimeout, "forward-timeout", cfg.Comm.AttemptTimeout, "per-attempt forward timeout (must exceed the nodes' max solve deadline)")
+	flag.Float64Var(&cfg.TenantRate, "tenant-rate", cfg.TenantRate, "per-tenant admission rate in solve items/second (0 = quotas disabled; tenant = X-Rbpebble-Tenant header)")
+	flag.IntVar(&cfg.TenantBurst, "tenant-burst", cfg.TenantBurst, "per-tenant token-bucket burst in solve items (0 = one second's worth of -tenant-rate)")
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		members     = flag.String("members", "", "comma-separated static rbserve replicas (host:port); optional when nodes use -join")
-		probe       = flag.Duration("probe", 2*time.Second, "member health-probe interval")
-		ttl         = flag.Duration("ttl", 15*time.Second, "membership lease TTL for joined nodes")
-		maxBody     = flag.Int64("max-body", 64<<20, "largest accepted request body in bytes")
-		maxNodes    = flag.Int("max-nodes", 100000, "largest accepted instance (guards the routing parse)")
-		fwdLimit    = flag.Duration("forward-timeout", 60*time.Second, "per-attempt forward timeout (must exceed the nodes' max solve deadline)")
-		retries     = flag.Int("retries", 3, "max attempts per idempotent forward (comm layer)")
-		backoff     = flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
-		brkFails    = flag.Int("breaker-fails", 4, "consecutive transport failures that open a node's circuit breaker")
-		brkCool     = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker fails fast before a half-open trial")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission rate in solve items/second (0 = quotas disabled; tenant = X-Rbpebble-Tenant header)")
-		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst in solve items (0 = one second's worth of -tenant-rate)")
-		logFormat   = flag.String("log-format", "text", "structured log format: text or json")
-		pprofAddr   = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty = disabled)")
-		traceCap    = flag.Int("trace-cap", 0, "retained routing traces for /debug/trace (0 = default 256)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		members   = flag.String("members", "", "comma-separated static rbserve replicas (host:port); optional when nodes use -join")
+		logFormat = flag.String("log-format", "text", "structured log format: text or json")
+		pprofAddr = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty = disabled)")
 	)
 	flag.Parse()
 
 	logger := obs.NewLogger(*logFormat, os.Stderr)
 	slog.SetDefault(logger)
+	cfg.Logger = logger
 
-	var memberList []string
 	for _, m := range strings.Split(*members, ",") {
 		if m = strings.TrimSpace(m); m != "" {
-			memberList = append(memberList, m)
+			cfg.Members = append(cfg.Members, m)
 		}
 	}
 
-	p := cluster.NewProxy(cluster.ProxyConfig{
-		Members:       memberList,
-		ProbeInterval: *probe,
-		MemberTTL:     *ttl,
-		MaxBodyBytes:  *maxBody,
-		MaxNodes:      *maxNodes,
-		TenantRate:    *tenantRate,
-		TenantBurst:   *tenantBurst,
-		TraceCap:      *traceCap,
-		Logger:        logger,
-		Comm: cluster.CommConfig{
-			AttemptTimeout:   *fwdLimit,
-			MaxAttempts:      *retries,
-			BackoffBase:      *backoff,
-			BreakerThreshold: *brkFails,
-			BreakerCooldown:  *brkCool,
-		},
-	})
+	p := cluster.NewProxy(cfg)
 	defer p.Close()
 	srv := &http.Server{Addr: *addr, Handler: obs.AccessLog(logger, p.Handler())}
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("rbproxy: listening",
-		slog.String("addr", *addr), slog.Int("static_members", len(memberList)),
-		slog.Duration("probe", *probe), slog.Duration("ttl", *ttl))
+		slog.String("addr", *addr), slog.Int("static_members", len(cfg.Members)),
+		slog.Duration("probe", cfg.ProbeInterval), slog.Duration("ttl", cfg.MemberTTL))
 
 	if *pprofAddr != "" {
 		go func() {

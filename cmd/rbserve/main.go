@@ -1,9 +1,17 @@
 // Command rbserve serves red-blue pebbling solves over HTTP: a JSON API
 // backed by the anytime orchestrator, a canonical instance cache with
 // singleflight deduplication, and one two-lane scheduler for sync, async
-// and batched solves alike: cache-served work and work within
-// -fast-budget run on the fast lane, exact solves on the heavy lane, so
-// -heavy-workers bounds the node's concurrent exact solves.
+// and batched solves alike: cache-served work and work whose budget is
+// at most 150 ms run on the fast lane, exact solves on the heavy lane,
+// so -heavy-workers bounds the node's concurrent exact solves.
+//
+// The flags set addresses and paths, limits on outside input, host
+// capacity and request and lifecycle settings; each defaults to
+// service.DefaultConfig(). The rest of a node's shape is fixed: lane
+// queues of 256 (fast) and 64 (heavy) units, a batch canonicalization
+// pool of GOMAXPROCS goroutines, the 256 newest traces and 512 newest
+// solve records retained for the debug endpoints, and a background
+// refiner ceiling of budget tier 12.
 //
 // Usage:
 //
@@ -47,7 +55,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -64,41 +71,37 @@ import (
 )
 
 func main() {
+	// Every flag that tunes the library starts from the library's own
+	// default, so the help text and the node agree with service.Config{}.
+	cfg := service.DefaultConfig()
+	flag.IntVar(&cfg.CacheSize, "cache", cfg.CacheSize, "solution cache entries (LRU)")
+	flag.DurationVar(&cfg.DefaultDeadline, "deadline", cfg.DefaultDeadline, "default per-request solve budget")
+	flag.DurationVar(&cfg.MaxDeadline, "max-deadline", cfg.MaxDeadline, "largest accepted per-request budget")
+	flag.IntVar(&cfg.MaxNodes, "max-nodes", cfg.MaxNodes, "largest accepted instance")
+	flag.DurationVar(&cfg.GracePeriod, "grace", cfg.GracePeriod, "graceful-shutdown window for in-flight solves on SIGTERM")
+	flag.IntVar(&cfg.MaxBatchItems, "batch-items", cfg.MaxBatchItems, "largest accepted POST /solve/batch item count")
+	flag.IntVar(&cfg.FastLaneWorkers, "fast-workers", cfg.FastLaneWorkers, "fast-lane workers (cache-served and sub-budget solves)")
+	flag.IntVar(&cfg.HeavyLaneWorkers, "heavy-workers", cfg.HeavyLaneWorkers, "heavy-lane workers: the node's concurrent exact solves, sync and async")
+	flag.Int64Var(&cfg.MaxTableBytes, "mem-budget", cfg.MaxTableBytes, "per-solve visited-table memory budget in bytes (0 = unlimited); solves over budget abort with a certified partial interval, background refinement runs at half")
+	flag.DurationVar(&cfg.RefinerInterval, "refine-interval", cfg.RefinerInterval, "background refiner idle scan cadence (0 = disabled)")
 	var (
-		addr           = flag.String("addr", ":8080", "listen address")
-		cacheSize      = flag.Int("cache", 256, "solution cache entries (LRU)")
-		deadline       = flag.Duration("deadline", 2*time.Second, "default per-request solve budget")
-		maxDeadline    = flag.Duration("max-deadline", 30*time.Second, "largest accepted per-request budget")
-		maxNodes       = flag.Int("max-nodes", 100000, "largest accepted instance")
-		grace          = flag.Duration("grace", 10*time.Second, "graceful-shutdown window for in-flight solves on SIGTERM")
-		join           = flag.String("join", "", "rbproxy address (host:port) to register with for dynamic membership")
-		advertise      = flag.String("advertise", "", "address other cluster members reach this node at (default: 127.0.0.1 + -addr port)")
-		batchItems     = flag.Int("batch-items", 256, "largest accepted POST /solve/batch item count")
-		canonWorkers   = flag.Int("canon-workers", 0, "batch canonicalization pool size (0 = GOMAXPROCS)")
-		fastWorkers    = flag.Int("fast-workers", 4, "fast-lane workers (cache-served and sub-budget solves)")
-		heavyWorkers   = flag.Int("heavy-workers", 2, "heavy-lane workers: the node's concurrent exact solves, sync and async")
-		fastQueue      = flag.Int("fast-queue", 256, "fast-lane queue depth before shedding")
-		heavyQueue     = flag.Int("heavy-queue", 64, "heavy-lane queue depth before shedding")
-		fastBudget     = flag.Duration("fast-budget", 150*time.Millisecond, "largest per-item deadline the fast lane accepts for uncached work")
-		memBudget      = flag.Int64("mem-budget", 0, "per-solve visited-table memory budget in bytes (0 = unlimited); solves over budget abort with a certified partial interval, background refinement runs at half")
-		refineInterval = flag.Duration("refine-interval", 0, "background refiner idle scan cadence (0 = disabled)")
-		refineMaxTier  = flag.Int("refine-max-tier", 12, "highest budget tier background refinement may escalate a cached interval to")
-		logFormat      = flag.String("log-format", "text", "structured log format: text or json")
-		pprofAddr      = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty = disabled)")
-		eventLog       = flag.String("event-log", "", "append solve records and live search-engine snapshots as JSONL to this file")
-		logMaxBytes    = flag.Int64("log-max-bytes", 0, "rotate the -event-log file at this size (0 = never rotate)")
-		logKeep        = flag.Int("log-keep", 3, "rotated generations of the -event-log file to keep")
-		traceCap       = flag.Int("trace-cap", 0, "retained solve traces for /debug/trace (0 = default 256)")
-		telemetryCap   = flag.Int("telemetry-cap", 0, "retained telemetry records for /debug/solves (0 = default 512)")
+		addr        = flag.String("addr", ":8080", "listen address")
+		join        = flag.String("join", "", "rbproxy address (host:port) to register with for dynamic membership")
+		advertise   = flag.String("advertise", "", "address other cluster members reach this node at (default: 127.0.0.1 + -addr port)")
+		logFormat   = flag.String("log-format", "text", "structured log format: text or json")
+		pprofAddr   = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty = disabled)")
+		eventLog    = flag.String("event-log", "", "append solve records and live search-engine snapshots as JSONL to this file")
+		logMaxBytes = flag.Int64("log-max-bytes", 0, "rotate the -event-log file at this size (0 = never rotate)")
+		logKeep     = flag.Int("log-keep", 3, "rotated generations of the -event-log file to keep")
 	)
 	flag.Parse()
 
 	logger := obs.NewLogger(*logFormat, os.Stderr)
 	slog.SetDefault(logger)
+	cfg.Logger = logger
 
 	// The event log appends forever by default; -log-max-bytes rotates
 	// it so a long-lived node's telemetry cannot fill the disk.
-	var eventSink io.Writer
 	if *eventLog != "" {
 		w, err := obs.NewRotatingWriter(*eventLog, *logMaxBytes, *logKeep)
 		if err != nil {
@@ -106,55 +109,35 @@ func main() {
 			os.Exit(1)
 		}
 		defer w.Close()
-		eventSink = w
+		cfg.EventSink = w
 	}
 
 	// The agent pointer is set only in -join mode, after the server
 	// exists; the Replicate hook must tolerate both windows.
 	var agentPtr atomic.Pointer[cluster.Agent]
+	cfg.Replicate = func(e instcache.Entry) {
+		if a := agentPtr.Load(); a != nil {
+			a.Replicate(e)
+		}
+	}
+	// Ownership filter for the background refiner: only keys this node
+	// would be routed anyway are worth its idle cycles. Solo (or
+	// pre-join) nodes own everything.
+	cfg.RefinerOwns = func(key string) bool {
+		if a := agentPtr.Load(); a != nil {
+			return a.Owns(key)
+		}
+		return true
+	}
 
-	s := service.New(service.Config{
-		CacheSize:        *cacheSize,
-		DefaultDeadline:  *deadline,
-		MaxDeadline:      *maxDeadline,
-		MaxNodes:         *maxNodes,
-		GracePeriod:      *grace,
-		MaxBatchItems:    *batchItems,
-		CanonWorkers:     *canonWorkers,
-		FastLaneWorkers:  *fastWorkers,
-		HeavyLaneWorkers: *heavyWorkers,
-		FastLaneQueue:    *fastQueue,
-		HeavyLaneQueue:   *heavyQueue,
-		FastLaneBudget:   *fastBudget,
-		MaxTableBytes:    *memBudget,
-		RefinerInterval:  *refineInterval,
-		RefinerMaxTier:   *refineMaxTier,
-		TraceCap:         *traceCap,
-		TelemetryCap:     *telemetryCap,
-		EventSink:        eventSink,
-		Logger:           logger,
-		Replicate: func(e instcache.Entry) {
-			if a := agentPtr.Load(); a != nil {
-				a.Replicate(e)
-			}
-		},
-		// Ownership filter for the background refiner: only keys this
-		// node would be routed anyway are worth its idle cycles. Solo (or
-		// pre-join) nodes own everything.
-		RefinerOwns: func(key string) bool {
-			if a := agentPtr.Load(); a != nil {
-				return a.Owns(key)
-			}
-			return true
-		},
-	})
+	s := service.New(cfg)
 	srv := &http.Server{Addr: *addr, Handler: obs.AccessLog(logger, s.Handler())}
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("rbserve: listening",
-		slog.String("addr", *addr), slog.Duration("deadline", *deadline),
-		slog.Int("cache", *cacheSize), slog.Int("heavy_workers", *heavyWorkers))
+		slog.String("addr", *addr), slog.Duration("deadline", cfg.DefaultDeadline),
+		slog.Int("cache", cfg.CacheSize), slog.Int("heavy_workers", cfg.HeavyLaneWorkers))
 
 	if *pprofAddr != "" {
 		// pprof lives on its own listener and mux so profiling stays off
@@ -201,7 +184,7 @@ func main() {
 		// its end are canceled cooperatively and land their partial
 		// certified intervals in the cache, where the handoff picks them
 		// up.
-		logger.Info("rbserve: draining", slog.String("signal", sig.String()), slog.Duration("grace", *grace))
+		logger.Info("rbserve: draining", slog.String("signal", sig.String()), slog.Duration("grace", cfg.GracePeriod))
 		s.Drain()
 		agent := agentPtr.Load()
 		if agent != nil {
@@ -215,7 +198,7 @@ func main() {
 		// for the handoff so the drain cannot starve it.
 		reserve := time.Duration(0)
 		if agent != nil {
-			reserve = *grace / 5
+			reserve = cfg.GracePeriod / 5
 			if reserve < 250*time.Millisecond {
 				reserve = 250 * time.Millisecond
 			}
@@ -223,7 +206,7 @@ func main() {
 				reserve = 3 * time.Second
 			}
 		}
-		deadline := time.Now().Add(*grace)
+		deadline := time.Now().Add(cfg.GracePeriod)
 		ctx, cancel := context.WithDeadline(context.Background(), deadline.Add(-reserve))
 		if err := srv.Shutdown(ctx); err != nil {
 			logger.Warn("rbserve: http shutdown", slog.Any("err", err))

@@ -58,9 +58,6 @@ type Options struct {
 	// with strictly increasing Seq. Called on Solve's goroutine; must
 	// be fast.
 	OnSearch func(obs.SearchSnapshot)
-	// SnapshotEvery is the engine's search-snapshot cadence (zero =
-	// the engine's ~100ms default).
-	SnapshotEvery time.Duration
 	// Warm, when non-nil, resumes refinement from a previously certified
 	// interval of the SAME instance (e.g. a cached deadline-limited
 	// result): the cached incumbent is replay-verified and installed
@@ -69,6 +66,10 @@ type Options struct {
 	// repeated hard instance keeps the previous request's interval
 	// instead of starting over.
 	Warm *WarmStart
+
+	// snapshotEvery is the engine's search-snapshot cadence (zero =
+	// the engine's ~100ms default); a test seam.
+	snapshotEvery time.Duration
 }
 
 // WarmStart carries a previously certified interval into a new solve.
@@ -176,7 +177,7 @@ func refinementOptions(opts Options, incumbentScaled, lowerScaled int64) solve.E
 		MaxStates:         unbounded,
 		MaxTableBytes:     opts.MaxTableBytes,
 		InitialLowerBound: lowerScaled,
-		ProgressEvery:     opts.SnapshotEvery,
+		ProgressEvery:     opts.snapshotEvery,
 	}
 	if incumbentScaled < math.MaxInt64 {
 		// Exclusive bound: keep equal-cost completions so the engine

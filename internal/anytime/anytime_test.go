@@ -160,7 +160,7 @@ func TestInfeasible(t *testing.T) {
 // interval. The orchestrator's table budget and snapshot cadence must
 // reach the engine too.
 func TestRefinementOptionsSeedEngines(t *testing.T) {
-	exact := refinementOptions(Options{MaxTableBytes: 1 << 20, SnapshotEvery: 5 * time.Millisecond}, 31, 8)
+	exact := refinementOptions(Options{MaxTableBytes: 1 << 20, snapshotEvery: 5 * time.Millisecond}, 31, 8)
 	if exact.PruneBound != 32 {
 		t.Fatalf("ExactOptions.PruneBound = %d, want 32", exact.PruneBound)
 	}

@@ -56,7 +56,7 @@ func TestParallelStreamsCertifiedLowerBound(t *testing.T) {
 		var engines []string
 		res, err := Solve(context.Background(), p, Options{
 			OnProgress:    log.add,
-			SnapshotEvery: time.Millisecond,
+			snapshotEvery: time.Millisecond,
 			OnSearch: func(sn obs.SearchSnapshot) {
 				mu.Lock()
 				engines = append(engines, sn.Engine)

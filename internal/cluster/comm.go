@@ -28,6 +28,16 @@ var ErrBreakerOpen = errors.New("cluster: circuit breaker open")
 
 // CommConfig tunes the hardened proxy->node HTTP client. Zero values
 // select the defaults.
+//
+// The retry and breaker policy is fixed: at most 3 attempts per call,
+// a jittered exponential backoff between them from 50ms capped at 2s,
+// and a per-member breaker that opens after 4 consecutive transport
+// failures and fails fast for 5s before admitting one half-open trial
+// call. Idempotent calls (GET, DELETE) are retried on any transport
+// error; POSTs only on dial-level errors (connection refused, no
+// route) where no request bytes were sent — replaying a POST that may
+// have been processed could double-submit an async job. A successful
+// trial closes the breaker, a failed one re-arms the cooldown.
 type CommConfig struct {
 	// Client performs the individual attempts. Default: a plain client
 	// with no overall timeout — per-attempt deadlines come from
@@ -37,29 +47,20 @@ type CommConfig struct {
 	// Client's Timeout when set, else 60s — it must outlive the longest
 	// node-side solve deadline).
 	AttemptTimeout time.Duration
-	// MaxAttempts bounds the attempts per call when the failure is
-	// retryable (default 3). Idempotent calls (GET, DELETE) are retried
-	// on any transport error; POSTs only on dial-level errors
-	// (connection refused, no route) where no request bytes were sent —
-	// replaying a POST that may have been processed could double-submit
-	// an async job.
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// between attempts: attempt i sleeps uniform[d/2, d) where
-	// d = min(BackoffBase << (i-1), BackoffMax). Defaults 50ms / 2s.
-	BackoffBase, BackoffMax time.Duration
-	// BreakerThreshold opens a member's breaker after this many
-	// consecutive transport failures (default 4); BreakerCooldown is how
-	// long an open breaker fails fast before admitting one half-open
-	// trial call (default 5s). A successful trial closes the breaker, a
-	// failed one re-arms the cooldown.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// OnBreakerOpen fires once per closed->open transition (outside the
 	// breaker lock). The proxy uses it to demote the member in its
 	// member table immediately instead of waiting for the next probe.
 	OnBreakerOpen func(member string)
 
+	// The policy above, as test seams: maxAttempts bounds the attempts
+	// per call; attempt i sleeps uniform[d/2, d) where
+	// d = min(backoffBase << (i-1), backoffMax); breakerThreshold
+	// consecutive transport failures open a member's breaker for
+	// breakerCooldown.
+	maxAttempts             int
+	backoffBase, backoffMax time.Duration
+	breakerThreshold        int
+	breakerCooldown         time.Duration
 	// sleep and now are test seams; nil selects real time.
 	sleep func(ctx context.Context, d time.Duration) error
 	now   func() time.Time
@@ -87,6 +88,11 @@ type CommClient struct {
 
 // NewComm returns a CommClient with cfg's policy.
 func NewComm(cfg CommConfig) *CommClient {
+	cfg = cfg.withDefaults()
+	return &CommClient{cfg: cfg, client: cfg.Client, breakers: make(map[string]*breaker)}
+}
+
+func (cfg CommConfig) withDefaults() CommConfig {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
@@ -97,20 +103,20 @@ func NewComm(cfg CommConfig) *CommClient {
 			cfg.AttemptTimeout = 60 * time.Second
 		}
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
+	if cfg.maxAttempts <= 0 {
+		cfg.maxAttempts = 3
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
+	if cfg.backoffBase <= 0 {
+		cfg.backoffBase = 50 * time.Millisecond
 	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
+	if cfg.backoffMax <= 0 {
+		cfg.backoffMax = 2 * time.Second
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 4
+	if cfg.breakerThreshold <= 0 {
+		cfg.breakerThreshold = 4
 	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * time.Second
+	if cfg.breakerCooldown <= 0 {
+		cfg.breakerCooldown = 5 * time.Second
 	}
 	if cfg.sleep == nil {
 		cfg.sleep = sleepCtx
@@ -118,7 +124,7 @@ func NewComm(cfg CommConfig) *CommClient {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	return &CommClient{cfg: cfg, client: cfg.Client, breakers: make(map[string]*breaker)}
+	return cfg
 }
 
 // Get issues GET http://member+path with the retry/breaker policy
@@ -143,7 +149,7 @@ func (c *CommClient) Do(ctx context.Context, member, method, path, contentType s
 		return nil, fmt.Errorf("%s: %w", member, ErrBreakerOpen)
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.cfg.maxAttempts; attempt++ {
 		if attempt > 0 {
 			if err := c.cfg.sleep(ctx, c.backoff(attempt)); err != nil {
 				break // caller context canceled mid-backoff
@@ -277,7 +283,7 @@ func (c *CommClient) allow(member string) bool {
 	}
 	// Half-open: admit this caller as the trial and push the window so
 	// concurrent callers keep failing fast until the trial resolves.
-	b.until = now.Add(c.cfg.BreakerCooldown)
+	b.until = now.Add(c.cfg.breakerCooldown)
 	return true
 }
 
@@ -299,11 +305,11 @@ func (c *CommClient) markFailure(member string) {
 	}
 	b.fails++
 	opened := false
-	if b.fails >= c.cfg.BreakerThreshold && !b.open {
+	if b.fails >= c.cfg.breakerThreshold && !b.open {
 		b.open, opened = true, true
 	}
 	if b.open {
-		b.until = now.Add(c.cfg.BreakerCooldown)
+		b.until = now.Add(c.cfg.breakerCooldown)
 	}
 	c.mu.Unlock()
 	if opened && c.cfg.OnBreakerOpen != nil {
@@ -312,13 +318,13 @@ func (c *CommClient) markFailure(member string) {
 }
 
 // backoff returns the jittered exponential delay before attempt
-// (attempt >= 1): uniform in [d/2, d) with d doubling from BackoffBase
-// and capped at BackoffMax. The jitter keeps a fleet of proxies from
+// (attempt >= 1): uniform in [d/2, d) with d doubling from backoffBase
+// and capped at backoffMax. The jitter keeps a fleet of proxies from
 // hammering a recovering node in lockstep.
 func (c *CommClient) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase << (attempt - 1)
-	if d <= 0 || d > c.cfg.BackoffMax {
-		d = c.cfg.BackoffMax
+	d := c.cfg.backoffBase << (attempt - 1)
+	if d <= 0 || d > c.cfg.backoffMax {
+		d = c.cfg.backoffMax
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }

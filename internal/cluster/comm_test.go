@@ -66,7 +66,7 @@ func newTestComm(rt *scriptedRT, cfg CommConfig) *CommClient {
 
 func TestCommGetRetriesTransportFailures(t *testing.T) {
 	rt := &scriptedRT{outcome: []error{writeFailed(), writeFailed(), nil}}
-	c := newTestComm(rt, CommConfig{MaxAttempts: 3})
+	c := newTestComm(rt, CommConfig{maxAttempts: 3})
 	resp, err := c.Get(context.Background(), "node:1", "/healthz")
 	if err != nil {
 		t.Fatalf("Get after retries: %v", err)
@@ -79,7 +79,7 @@ func TestCommGetRetriesTransportFailures(t *testing.T) {
 
 func TestCommGetExhaustsBudget(t *testing.T) {
 	rt := &scriptedRT{outcome: []error{writeFailed(), writeFailed(), writeFailed(), nil}}
-	c := newTestComm(rt, CommConfig{MaxAttempts: 3, BreakerThreshold: 100})
+	c := newTestComm(rt, CommConfig{maxAttempts: 3, breakerThreshold: 100})
 	if _, err := c.Get(context.Background(), "node:1", "/healthz"); err == nil {
 		t.Fatal("want error after exhausting attempts")
 	}
@@ -92,7 +92,7 @@ func TestCommPostNotRetriedAfterBytesSent(t *testing.T) {
 	// A write error means request bytes may have reached the node: a
 	// replay could double-submit, so the POST must fail after 1 attempt.
 	rt := &scriptedRT{outcome: []error{writeFailed(), nil}}
-	c := newTestComm(rt, CommConfig{MaxAttempts: 3})
+	c := newTestComm(rt, CommConfig{maxAttempts: 3})
 	if _, err := c.Post(context.Background(), "node:1", "/solve", "application/json", []byte("{}")); err == nil {
 		t.Fatal("want error, POST must not be replayed after a write failure")
 	}
@@ -105,7 +105,7 @@ func TestCommPostRetriedOnDialError(t *testing.T) {
 	// Connection refused happens before any bytes are sent — safe to
 	// retry even for a POST.
 	rt := &scriptedRT{outcome: []error{dialRefused(), nil}}
-	c := newTestComm(rt, CommConfig{MaxAttempts: 3})
+	c := newTestComm(rt, CommConfig{maxAttempts: 3})
 	resp, err := c.Post(context.Background(), "node:1", "/solve", "application/json", []byte("{}"))
 	if err != nil {
 		t.Fatalf("Post after dial retry: %v", err)
@@ -120,9 +120,9 @@ func TestCommBreakerOpensAndFailsFast(t *testing.T) {
 	rt := &scriptedRT{outcome: []error{writeFailed(), writeFailed(), writeFailed(), writeFailed()}}
 	var opened []string
 	c := newTestComm(rt, CommConfig{
-		MaxAttempts:      1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
+		maxAttempts:      1,
+		breakerThreshold: 2,
+		breakerCooldown:  time.Hour,
 		OnBreakerOpen:    func(m string) { opened = append(opened, m) },
 	})
 	ctx := context.Background()
@@ -154,9 +154,9 @@ func TestCommBreakerHalfOpenRecovery(t *testing.T) {
 	rt := &scriptedRT{outcome: []error{writeFailed(), writeFailed(), nil}}
 	clock := time.Now()
 	c := newTestComm(rt, CommConfig{
-		MaxAttempts:      1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Second,
+		maxAttempts:      1,
+		breakerThreshold: 2,
+		breakerCooldown:  time.Second,
 		now:              func() time.Time { return clock },
 	})
 	ctx := context.Background()
@@ -180,7 +180,7 @@ func TestCommBreakerHalfOpenRecovery(t *testing.T) {
 }
 
 func TestCommBackoffBounds(t *testing.T) {
-	c := NewComm(CommConfig{BackoffBase: 100 * time.Millisecond, BackoffMax: 400 * time.Millisecond})
+	c := NewComm(CommConfig{backoffBase: 100 * time.Millisecond, backoffMax: 400 * time.Millisecond})
 	for attempt := 1; attempt <= 5; attempt++ {
 		want := 100 * time.Millisecond << (attempt - 1)
 		if want > 400*time.Millisecond {
@@ -204,9 +204,9 @@ func TestProbeRespectsBreaker(t *testing.T) {
 	rt := &scriptedRT{outcome: []error{dialRefused(), dialRefused()}} // then 200s
 	clock := time.Now()
 	comm := newTestComm(rt, CommConfig{
-		MaxAttempts:      1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
+		maxAttempts:      1,
+		breakerThreshold: 2,
+		breakerCooldown:  time.Minute,
 		now:              func() time.Time { return clock },
 	})
 	ms := NewMembership(time.Minute)

@@ -52,7 +52,7 @@ func startNode(t *testing.T, addr, proxyAddr string) *elasticNode {
 		Self:           n.addr,
 		Export:         n.svc.ExportCache,
 		RejoinInterval: 50 * time.Millisecond,
-		Comm:           NewComm(CommConfig{AttemptTimeout: 5 * time.Second, MaxAttempts: 2, BackoffBase: 10 * time.Millisecond}),
+		Comm:           NewComm(CommConfig{AttemptTimeout: 5 * time.Second, maxAttempts: 2, backoffBase: 10 * time.Millisecond}),
 	})
 	n.agentPtr.Store(n.agent)
 	return n
@@ -103,10 +103,10 @@ func newElasticCluster(t *testing.T, n int) *elasticCluster {
 		MemberTTL:     time.Second,
 		Comm: CommConfig{
 			AttemptTimeout:   10 * time.Second,
-			MaxAttempts:      2,
-			BackoffBase:      5 * time.Millisecond,
-			BreakerThreshold: 3,
-			BreakerCooldown:  250 * time.Millisecond,
+			maxAttempts:      2,
+			backoffBase:      5 * time.Millisecond,
+			breakerThreshold: 3,
+			breakerCooldown:  250 * time.Millisecond,
 		},
 	})
 	ec.ts = httptest.NewServer(ec.proxy.Handler())

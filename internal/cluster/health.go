@@ -36,11 +36,8 @@ type Prober struct {
 const probeTimeout = time.Second
 
 // NewProber returns a started prober (poll loop runs until Stop) that
-// probes ms's members through comm. interval <= 0 selects 2s.
+// probes ms's members through comm every interval (> 0).
 func NewProber(ms *Membership, comm *CommClient, interval time.Duration) *Prober {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
 	p := &Prober{ms: ms, comm: comm, interval: interval, stop: make(chan struct{})}
 	p.wg.Add(1)
 	go p.loop()

@@ -45,11 +45,8 @@ type Membership struct {
 }
 
 // NewMembership returns an empty table with the given dynamic lease
-// TTL (<= 0 selects the 15s default).
+// TTL (> 0).
 func NewMembership(ttl time.Duration) *Membership {
-	if ttl <= 0 {
-		ttl = defaultMemberTTL
-	}
 	return &Membership{ttl: ttl, now: time.Now, members: make(map[string]*memberInfo)}
 }
 

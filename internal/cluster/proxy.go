@@ -21,7 +21,8 @@ import (
 	"rbpebble/internal/service"
 )
 
-// ProxyConfig tunes a Proxy. Zero values select the defaults.
+// ProxyConfig tunes a Proxy. Zero values select the defaults, which
+// DefaultProxyConfig returns filled in.
 type ProxyConfig struct {
 	// Members are the statically-seeded rbserve replicas, as host:port.
 	// They never TTL-expire. May be empty: nodes can join dynamically
@@ -35,14 +36,15 @@ type ProxyConfig struct {
 	// renewing for this long is declared dead and removed from the
 	// member table (default 15s).
 	MemberTTL time.Duration
-	// MaxBodyBytes caps the request body (default 64 MiB), matching the
-	// node-side limit so the proxy rejects oversized bodies before
-	// buffering them for failover replay.
+	// MaxBodyBytes caps the request body (default: the node's,
+	// service.Config.MaxBodyBytes) so the proxy rejects oversized
+	// bodies before buffering them for failover replay.
 	MaxBodyBytes int64
 	// MaxNodes rejects instances above this size before the routing
-	// parse materializes the graph (default 100000, matching the
-	// rbserve default) — a tiny body declaring two billion nodes must
-	// not allocate at the routing tier any more than at a node.
+	// parse materializes the graph (default: the node's,
+	// service.Config.MaxNodes) — a tiny body declaring two billion
+	// nodes must not allocate at the routing tier any more than at a
+	// node.
 	MaxNodes int
 	// TenantRate/TenantBurst configure per-tenant token-bucket
 	// admission (tokens/second and bucket size; one token = one solve
@@ -56,9 +58,6 @@ type ProxyConfig struct {
 	// Comm.OnBreakerOpen itself: an opening breaker demotes the member
 	// in the member table. The health prober probes through it too.
 	Comm CommConfig
-	// TraceCap bounds the proxy's /debug/trace/{id} recorder ring
-	// (default 256 most recent traces).
-	TraceCap int
 	// Logger receives structured membership/breaker lifecycle logs
 	// (default: discard).
 	Logger *slog.Logger
@@ -99,21 +98,42 @@ type Proxy struct {
 	once sync.Once
 }
 
-// NewProxy returns a started Proxy.
-func NewProxy(cfg ProxyConfig) *Proxy {
+// traceCap bounds the proxy's /debug/trace/{id} recorder ring (most
+// recent traces).
+const traceCap = 256
+
+// DefaultProxyConfig returns the configuration NewProxy runs with when
+// given ProxyConfig{}: every default filled in.
+func DefaultProxyConfig() ProxyConfig { return ProxyConfig{}.withDefaults() }
+
+func (cfg ProxyConfig) withDefaults() ProxyConfig {
+	if cfg.ProbeInterval == 0 {
+		cfg.ProbeInterval = 2 * time.Second
+	}
+	if cfg.MemberTTL <= 0 {
+		cfg.MemberTTL = defaultMemberTTL
+	}
+	node := service.DefaultConfig()
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
+		cfg.MaxBodyBytes = node.MaxBodyBytes
 	}
 	if cfg.MaxNodes <= 0 {
-		cfg.MaxNodes = 100000
+		cfg.MaxNodes = node.MaxNodes
 	}
+	cfg.Comm = cfg.Comm.withDefaults()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
+	return cfg
+}
+
+// NewProxy returns a started Proxy.
+func NewProxy(cfg ProxyConfig) *Proxy {
+	cfg = cfg.withDefaults()
 	p := &Proxy{
 		cfg:        cfg,
 		membership: NewMembership(cfg.MemberTTL),
-		recorder:   obs.NewRecorder(cfg.TraceCap),
+		recorder:   obs.NewRecorder(traceCap),
 		log:        cfg.Logger,
 		stop:       make(chan struct{}),
 	}

@@ -44,7 +44,7 @@ func startRefinerNode(t *testing.T, addr, proxyAddr string) *elasticNode {
 		Self:           n.addr,
 		Export:         n.svc.ExportCache,
 		RejoinInterval: 50 * time.Millisecond,
-		Comm:           NewComm(CommConfig{AttemptTimeout: 5 * time.Second, MaxAttempts: 2, BackoffBase: 10 * time.Millisecond}),
+		Comm:           NewComm(CommConfig{AttemptTimeout: 5 * time.Second, maxAttempts: 2, backoffBase: 10 * time.Millisecond}),
 	})
 	n.agentPtr.Store(n.agent)
 	return n

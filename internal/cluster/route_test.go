@@ -106,7 +106,7 @@ func newRoutingProxy(t *testing.T, members ...string) (*Proxy, *httptest.Server)
 	p := NewProxy(ProxyConfig{
 		Members:       members,
 		ProbeInterval: -1,
-		Comm:          CommConfig{AttemptTimeout: 5 * time.Second, BackoffBase: time.Millisecond},
+		Comm:          CommConfig{AttemptTimeout: 5 * time.Second, backoffBase: time.Millisecond},
 	})
 	ts := httptest.NewServer(p.Handler())
 	t.Cleanup(func() {
@@ -255,7 +255,7 @@ func TestAgentReportsRefusedReplies(t *testing.T) {
 	a := NewAgent(AgentConfig{
 		Proxy: strings.TrimPrefix(proxy.URL, "http://"),
 		Self:  "127.0.0.1:9",
-		Comm:  NewComm(CommConfig{AttemptTimeout: 5 * time.Second, BackoffBase: time.Millisecond}),
+		Comm:  NewComm(CommConfig{AttemptTimeout: 5 * time.Second, backoffBase: time.Millisecond}),
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))

@@ -13,12 +13,8 @@ type Recorder struct {
 	byID  map[string]*Trace
 }
 
-// NewRecorder creates a recorder retaining up to capacity traces
-// (minimum 1; a non-positive capacity gets the default of 256).
+// NewRecorder creates a recorder retaining up to capacity (> 0) traces.
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &Recorder{cap: capacity, byID: make(map[string]*Trace, capacity)}
 }
 

@@ -132,13 +132,10 @@ type SolveLog struct {
 	events *EventLog
 }
 
-// NewSolveLog creates a ring retaining up to capacity records
-// (non-positive capacity gets the default of 512) mirroring each
-// record to events as a solve row (nil events: no mirror).
+// NewSolveLog creates a ring retaining up to capacity (> 0) records,
+// mirroring each record to events as a solve row (nil events: no
+// mirror).
 func NewSolveLog(capacity int, events *EventLog) *SolveLog {
-	if capacity <= 0 {
-		capacity = 512
-	}
 	return &SolveLog{cap: capacity, ring: make([]SolveRecord, capacity), events: events}
 }
 

@@ -153,35 +153,3 @@ func (c Cost) Less(d Cost, m Model) bool { return c.Scaled(m) < d.Scaled(m) }
 func (c Cost) String() string {
 	return fmt.Sprintf("{transfers: %d, computes: %d}", c.Transfers, c.Computes)
 }
-
-// OpCosts describes the cost of each operation under a model, as printed
-// in the paper's Table 1.
-type OpCosts struct {
-	Model     Model
-	Load      string // blue -> red
-	Store     string // red -> blue
-	Compute   string
-	Delete    string
-	Described string
-}
-
-// Table1Row returns the operation-cost row for model m, mirroring the
-// paper's Table 1.
-func Table1Row(m Model) OpCosts {
-	row := OpCosts{Model: m, Load: "1", Store: "1"}
-	switch m.Kind {
-	case Base:
-		row.Compute, row.Delete = "0", "0"
-		row.Described = "Baseline model"
-	case Oneshot:
-		row.Compute, row.Delete = "0,∞,∞,...", "0"
-		row.Described = "Each node only computable once"
-	case NoDel:
-		row.Compute, row.Delete = "0", "∞"
-		row.Described = "Pebbles cannot be deleted"
-	case CompCost:
-		row.Compute, row.Delete = fmt.Sprintf("ε=1/%d", m.EpsDenom), "0"
-		row.Described = "Computation also has a cost of ε"
-	}
-	return row
-}

@@ -175,9 +175,6 @@ func (s *State) RedSet() *bitset.Set { return s.red.Clone() }
 // BlueSet returns a copy of the current blue set.
 func (s *State) BlueSet() *bitset.Set { return s.blue.Clone() }
 
-// ComputedSet returns a copy of the computed set.
-func (s *State) ComputedSet() *bitset.Set { return s.computed.Clone() }
-
 // Clone returns an independent copy of the state (sharing the immutable
 // DAG).
 func (s *State) Clone() *State {

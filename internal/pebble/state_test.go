@@ -442,21 +442,6 @@ func TestModelStrings(t *testing.T) {
 	}
 }
 
-func TestTable1Rows(t *testing.T) {
-	for _, k := range AllKinds() {
-		row := Table1Row(NewModel(k))
-		if row.Load != "1" || row.Store != "1" || row.Described == "" {
-			t.Fatalf("Table1Row(%s) = %+v", k, row)
-		}
-	}
-	if Table1Row(NewModel(NoDel)).Delete != "∞" {
-		t.Fatal("nodel delete should be ∞")
-	}
-	if Table1Row(NewModel(Oneshot)).Compute != "0,∞,∞,..." {
-		t.Fatal("oneshot compute row wrong")
-	}
-}
-
 func TestPackedRoundTrip(t *testing.T) {
 	g := diamond()
 	st, err := NewState(g, NewModel(Oneshot), 3, Convention{})

@@ -47,27 +47,24 @@ type Config struct {
 	Busy func() bool
 	// Interval is the idle scan cadence (default 2s).
 	Interval time.Duration
-	// MaxTier caps the budget tier a refinement may escalate to
-	// (default 12: budgets up to ~4s). A key whose stored interval
-	// already reached MaxTier is left alone — its headroom is spent.
-	MaxTier int
-	// MaxPerCycle bounds how many candidates one scan refines before
-	// rescanning (default 2) so a fresh foreground burst is noticed
-	// between solves even without preemption.
-	MaxPerCycle int
 	// Logf, when set, receives refiner lifecycle logs.
 	Logf func(format string, args ...any)
 }
 
+const (
+	// maxTier caps the budget tier a refinement may escalate to (tier
+	// 12: budgets of 2-4 s). A key whose stored interval already
+	// reached it is left alone — its headroom is spent.
+	maxTier = 12
+	// perCycle bounds how many candidates one scan refines before
+	// rescanning, so a fresh foreground burst is noticed between solves
+	// even without preemption.
+	perCycle = 2
+)
+
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second
-	}
-	if c.MaxTier <= 0 {
-		c.MaxTier = 12
-	}
-	if c.MaxPerCycle <= 0 {
-		c.MaxPerCycle = 2
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -216,7 +213,7 @@ func (r *Refiner) Status() Status {
 	return Status{
 		Enabled:    true,
 		IntervalMS: r.cfg.Interval.Milliseconds(),
-		MaxTier:    r.cfg.MaxTier,
+		MaxTier:    maxTier,
 		Busy:       busy,
 		CurrentKey: r.currentKey,
 		LastScan:   r.lastScan,
@@ -253,7 +250,7 @@ func (r *Refiner) cycle() {
 	cands := r.scan()
 	refined := 0
 	for _, c := range cands {
-		if refined >= r.cfg.MaxPerCycle {
+		if refined >= perCycle {
 			return
 		}
 		select {
@@ -272,7 +269,7 @@ func (r *Refiner) cycle() {
 // scan exports the cache and filters candidates through ownership,
 // resolvability and cooldown.
 func (r *Refiner) scan() []Candidate {
-	all := Candidates(r.cfg.Export(), r.cfg.MaxTier)
+	all := Candidates(r.cfg.Export(), maxTier)
 	now := time.Now()
 	cands := all[:0]
 	for _, c := range all {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -222,17 +223,17 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // prepare validates and canonically labels every requested instance
-// concurrently under a bounded worker pool, inside one canonicalize
-// span. This is the per-request fixed cost a batch exists to amortize;
-// it never touches the cache or the lanes, so it runs at full
-// parallelism without admission control. deadlineMS and includeTrace
+// concurrently under a pool of GOMAXPROCS workers, inside one
+// canonicalize span. This is the per-request fixed cost a batch exists
+// to amortize; it never touches the cache or the lanes, so it runs at
+// full parallelism without admission control. deadlineMS and includeTrace
 // are the batch-wide defaults an item's own fields override.
 func (s *Server) prepare(ctx context.Context, reqs []SolveRequest, deadlineMS int, includeTrace bool) []reqItem {
 	items := make([]reqItem, len(reqs))
 	_, csp := obs.StartSpan(ctx, "canonicalize")
 	defer csp.End()
 	csp.SetAttr("items", strconv.Itoa(len(reqs)))
-	sem := make(chan struct{}, s.cfg.CanonWorkers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i := range reqs {
 		wg.Add(1)
@@ -266,7 +267,7 @@ func (s *Server) prepare(ctx context.Context, reqs []SolveRequest, deadlineMS in
 // under its widest member deadline so no member is served a weaker
 // tier than it asked for — probes every unit with one batched cache
 // probe, and classifies each: probe-served units and units whose whole
-// budget fits FastLaneBudget ride the fast lane, anything that may
+// budget fits fastLaneBudget ride the fast lane, anything that may
 // hold a worker for a long exact solve queues on the heavy lane. Each
 // unit is then submitted as run(u) under a lane-queue span, or marked
 // shed when its lane is full. Units are returned in order of their
@@ -304,7 +305,7 @@ func (s *Server) admit(ctx context.Context, items []reqItem, start time.Time, ru
 		u := units[i]
 		u.probed = v
 		u.lane = laneHeavy
-		if v != nil || u.deadline <= s.cfg.FastLaneBudget {
+		if v != nil || u.deadline <= fastLaneBudget {
 			u.lane = laneFast
 		}
 	}

@@ -155,7 +155,7 @@ func TestBatchItemErrorsDontPoisonSiblings(t *testing.T) {
 // deadline through the fast lane — no head-of-line blocking across
 // cost classes.
 func TestBatchFastLaneUnderHeavySaturation(t *testing.T) {
-	s := New(Config{HeavyLaneWorkers: 1, HeavyLaneQueue: 2, FastLaneWorkers: 1})
+	s := New(Config{HeavyLaneWorkers: 1, heavyLaneQueue: 2, FastLaneWorkers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -222,7 +222,7 @@ func TestBatchFastLaneUnderHeavySaturation(t *testing.T) {
 // further heavy groups are shed with per-item 429s, and a batch that is
 // shed whole gets the whole-request 429 + Retry-After.
 func TestBatchAdmissionControlSheds(t *testing.T) {
-	s := New(Config{HeavyLaneWorkers: 1, HeavyLaneQueue: 1, FastLaneWorkers: 1})
+	s := New(Config{HeavyLaneWorkers: 1, heavyLaneQueue: 1, FastLaneWorkers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -25,7 +25,7 @@ import (
 // request, the next async submission is shed with 429 and a
 // Retry-After estimate instead of queuing unboundedly.
 func TestAsyncQueueShedsWith429(t *testing.T) {
-	s := New(Config{HeavyLaneWorkers: 1, HeavyLaneQueue: 1})
+	s := New(Config{HeavyLaneWorkers: 1, heavyLaneQueue: 1})
 	defer s.Close()
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })

@@ -77,8 +77,8 @@ type lanes struct {
 
 func newLanes(cfg Config) *lanes {
 	return &lanes{
-		fast:  newLane(laneFast, cfg.FastLaneWorkers, cfg.FastLaneQueue),
-		heavy: newLane(laneHeavy, cfg.HeavyLaneWorkers, cfg.HeavyLaneQueue),
+		fast:  newLane(laneFast, cfg.FastLaneWorkers, fastLaneQueue),
+		heavy: newLane(laneHeavy, cfg.HeavyLaneWorkers, cfg.heavyLaneQueue),
 	}
 }
 

@@ -122,7 +122,7 @@ func TestTraceEndToEnd(t *testing.T) {
 // TestTraceHeaderOnShedAndDrain: the trace header must ride rejection
 // responses too — a 429 lane shed and a draining 503.
 func TestTraceHeaderOnShedAndDrain(t *testing.T) {
-	s := New(Config{HeavyLaneWorkers: 1, HeavyLaneQueue: 1})
+	s := New(Config{HeavyLaneWorkers: 1, heavyLaneQueue: 1})
 	defer s.Close()
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)

@@ -189,7 +189,6 @@ func TestRefineKeyThroughSharedCore(t *testing.T) {
 	replicated := make(chan instcache.Entry, 16)
 	s := New(Config{
 		RefinerInterval: 5 * time.Millisecond,
-		RefinerMaxTier:  8,
 		MaxTableBytes:   tableBytes,
 		Replicate: func(e instcache.Entry) {
 			select {
@@ -221,8 +220,9 @@ func TestRefineKeyThroughSharedCore(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Seed at 100 ms (tier 7); the refiner escalates to tier 8.
-	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":100}`, dagJSON(t, g))
+	// Seed at 1024 ms (tier 11); the refiner escalates once, to its
+	// ceiling, tier 12.
+	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":1024}`, dagJSON(t, g))
 	if code, sr, raw := postSolve(t, ts, body); code != http.StatusOK || sr.Lower != 10 || sr.Upper != 100 {
 		t.Fatalf("seed solve: %d %s", code, raw)
 	}
@@ -233,8 +233,8 @@ func TestRefineKeyThroughSharedCore(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("refiner never ran a refinement")
 	}
-	if want := 128 * time.Millisecond; opts.Budget != want {
-		t.Errorf("refinement budget %s, want tier 8's nominal %s", opts.Budget, want)
+	if want := 2048 * time.Millisecond; opts.Budget != want {
+		t.Errorf("refinement budget %s, want tier 12's nominal %s", opts.Budget, want)
 	}
 	if opts.MaxTableBytes != tableBytes/2 {
 		t.Errorf("refinement MaxTableBytes %d, want %d", opts.MaxTableBytes, tableBytes/2)
@@ -253,7 +253,7 @@ func TestRefineKeyThroughSharedCore(t *testing.T) {
 	for tightened := false; !tightened; {
 		select {
 		case e := <-replicated:
-			tightened = e.Value.Tier == 8 && e.Value.LowerScaled == 20 && e.Value.UpperScaled == 100
+			tightened = e.Value.Tier == 12 && e.Value.LowerScaled == 20 && e.Value.UpperScaled == 100
 		case <-deadline:
 			t.Fatal("the refinement's tightened entry never reached Config.Replicate")
 		}
@@ -269,7 +269,7 @@ func TestRefineKeyThroughSharedCore(t *testing.T) {
 	if rec == nil {
 		t.Fatal("no refine record on /debug/solves")
 	}
-	if rec.Tier != 8 || rec.BudgetMS != 128 || rec.LowerScaled != 20 || rec.UpperScaled != 100 || rec.Err != "" {
+	if rec.Tier != 12 || rec.BudgetMS != 2048 || rec.LowerScaled != 20 || rec.UpperScaled != 100 || rec.Err != "" {
 		t.Errorf("refine record = %+v", *rec)
 	}
 }

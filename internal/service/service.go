@@ -48,7 +48,8 @@ import (
 	"rbpebble/internal/solve"
 )
 
-// Config tunes a Server. Zero values select the defaults.
+// Config tunes a Server. Zero values select the defaults, which
+// DefaultConfig returns filled in.
 type Config struct {
 	// CacheSize bounds the solution LRU (default 256 entries).
 	CacheSize int
@@ -68,27 +69,13 @@ type Config struct {
 	// MaxBatchItems caps how many instances one POST /solve/batch may
 	// carry (default 256).
 	MaxBatchItems int
-	// CanonWorkers bounds the concurrency of the batch canonicalization
-	// pool (default GOMAXPROCS): batch items are decoded once and
-	// canonically labeled in parallel before any of them queues for a
-	// solve.
-	CanonWorkers int
 	// FastLaneWorkers/HeavyLaneWorkers size the two scheduling lanes
 	// (defaults 4 and 2) that run every solve: sync, async and batched.
 	// The fast lane runs work a cache probe can serve and work whose
-	// whole budget is below FastLaneBudget; the heavy lane runs
+	// whole budget is at most fastLaneBudget; the heavy lane runs
 	// everything that may hold a worker for a long exact solve, so
 	// HeavyLaneWorkers bounds the node's concurrent exact solves.
 	FastLaneWorkers, HeavyLaneWorkers int
-	// FastLaneQueue/HeavyLaneQueue bound the per-lane backlogs
-	// (defaults 256 and 64); a full lane sheds its items with 429 +
-	// Retry-After instead of queueing cheap work behind expensive work.
-	FastLaneQueue, HeavyLaneQueue int
-	// FastLaneBudget is the largest per-item deadline the fast lane
-	// accepts for uncached work (default 150ms): an item that can hold
-	// a fast-lane worker for at most this long cannot head-of-line
-	// block the cache-served traffic behind it.
-	FastLaneBudget time.Duration
 	// Replicate, when set, receives every cache entry this node newly
 	// produced (proven-optimal values and tightened intervals, in
 	// canonical numbering) so the cluster agent can push it to the
@@ -96,12 +83,6 @@ type Config struct {
 	// cache. Called from the request path; implementations must not
 	// block.
 	Replicate func(instcache.Entry)
-	// TraceCap bounds the /debug/trace/{id} recorder ring (default 256
-	// most recent traces).
-	TraceCap int
-	// TelemetryCap bounds the /debug/solves telemetry ring (default 512
-	// most recent solve records).
-	TelemetryCap int
 	// EventSink, when non-nil, receives the node's event log (rbserve
 	// -event-log): one JSON line per solve record and per live engine
 	// snapshot sampled during a solve, each stamped with the solve's
@@ -115,11 +96,9 @@ type Config struct {
 	// RefinerInterval enables the background refiner at this idle scan
 	// cadence (0 = disabled). When enabled the node spends its idle
 	// cycles re-solving the widest certified intervals in its cache at
-	// the next budget tier, strictly preempted by foreground work.
+	// the next budget tier, up to the refiner's ceiling of tier 12 (a
+	// 2,048 ms budget), strictly preempted by foreground work.
 	RefinerInterval time.Duration
-	// RefinerMaxTier caps the budget tier a background refinement may
-	// escalate to (default 12: budgets up to ~4s).
-	RefinerMaxTier int
 	// RefinerOwns, when set, filters background refinement to keys whose
 	// first owner among the cluster's members is this node (nil = solo
 	// node: refine all).
@@ -127,7 +106,32 @@ type Config struct {
 	// Logger receives structured request/job lifecycle logs with trace
 	// and job IDs attached (default: discard).
 	Logger *slog.Logger
+
+	// heavyLaneQueue bounds the heavy lane's backlog (default 64); a
+	// test seam, so a test can fill the lane with a unit or two.
+	heavyLaneQueue int
 }
+
+const (
+	// fastLaneQueue bounds the fast lane's backlog; a full lane sheds
+	// its items with 429 + Retry-After instead of queueing cheap work
+	// behind expensive work.
+	fastLaneQueue = 256
+	// fastLaneBudget is the largest per-item deadline the fast lane
+	// accepts for uncached work: an item that can hold a fast-lane
+	// worker for at most this long cannot head-of-line block the
+	// cache-served traffic behind it.
+	fastLaneBudget = 150 * time.Millisecond
+	// traceCap bounds the /debug/trace/{id} recorder ring and
+	// telemetryCap the /debug/solves telemetry ring (most recent
+	// traces and solve records).
+	traceCap     = 256
+	telemetryCap = 512
+)
+
+// DefaultConfig returns the configuration New runs with when given
+// Config{}: every default filled in.
+func DefaultConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
@@ -151,26 +155,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 256
 	}
-	if c.CanonWorkers <= 0 {
-		c.CanonWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.FastLaneWorkers <= 0 {
 		c.FastLaneWorkers = 4
 	}
 	if c.HeavyLaneWorkers <= 0 {
 		c.HeavyLaneWorkers = 2
 	}
-	if c.FastLaneQueue <= 0 {
-		c.FastLaneQueue = 256
-	}
-	if c.HeavyLaneQueue <= 0 {
-		c.HeavyLaneQueue = 64
-	}
-	if c.FastLaneBudget <= 0 {
-		c.FastLaneBudget = 150 * time.Millisecond
-	}
-	if c.RefinerMaxTier <= 0 {
-		c.RefinerMaxTier = 12
+	if c.heavyLaneQueue <= 0 {
+		c.heavyLaneQueue = 64
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -478,9 +470,9 @@ func New(cfg Config) *Server {
 		version:   mainVersion(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.recorder = obs.NewRecorder(s.cfg.TraceCap)
+	s.recorder = obs.NewRecorder(traceCap)
 	s.events = obs.NewEventLog(s.cfg.EventSink)
-	s.tel = obs.NewSolveLog(s.cfg.TelemetryCap, s.events)
+	s.tel = obs.NewSolveLog(telemetryCap, s.events)
 	s.log = s.cfg.Logger
 	s.cache = instcache.New(s.cfg.CacheSize)
 	s.lanes = newLanes(s.cfg)
@@ -505,7 +497,6 @@ func New(cfg Config) *Server {
 			Resolvable: s.knowsKey,
 			Busy:       s.refinerBusy,
 			Interval:   s.cfg.RefinerInterval,
-			MaxTier:    s.cfg.RefinerMaxTier,
 			Logf: func(format string, args ...any) {
 				s.log.Info(fmt.Sprintf(format, args...))
 			},
@@ -1248,14 +1239,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // retryAfterSeconds estimates how long the current lane backlog is
 // worth: each unit queued on the heavy lane is worth roughly a default
-// budget, while the fast lane drains in FastLaneBudget-sized slices.
+// budget, while the fast lane drains in fastLaneBudget-sized slices.
 // The estimate is the max of the two — a shed request retries when the
 // lane it would land in has drained, not when the other one has.
 // Clamped to [1s, 60s].
 func (s *Server) retryAfterSeconds() int {
 	heavy := float64(s.lanes.heavy.depth()+1) * s.cfg.DefaultDeadline.Seconds() /
 		float64(s.cfg.HeavyLaneWorkers)
-	fast := float64(s.lanes.fast.depth()) * s.cfg.FastLaneBudget.Seconds() /
+	fast := float64(s.lanes.fast.depth()) * fastLaneBudget.Seconds() /
 		float64(s.cfg.FastLaneWorkers)
 	backlog := heavy
 	if fast > backlog {

@@ -19,6 +19,10 @@ import (
 // guess.
 const oracleStateCap = 300_000
 
+// oracleOrderCap bounds OrderOpt's enumeration the same way: a oneshot
+// case with more topological orders skips that reference only.
+const oracleOrderCap = 20_000
+
 var oracleConventions = [...]pebble.Convention{
 	{},
 	{SourcesStartBlue: true},
@@ -69,6 +73,9 @@ func oracleSeeds() [][5]uint8 {
 // FuzzExactMatchesDijkstra requires A* with every reduction on (and
 // IDA* in oneshot and nodel, which shares its move generator) to return
 // the unpruned Dijkstra optimum, with a trace that replays at that cost.
+// In oneshot, OrderOpt — order enumeration with Belady eviction, which
+// shares no move generator and no heuristic with the engines — must
+// find the same optimum wherever its order cap allows it to finish.
 // Where that optimum OPT is positive it also checks A*'s certified early
 // stops against it: PruneBound = OPT must exhaust certifying exactly
 // OPT, PruneBound = OPT+1 must still find OPT, and a state budget of
@@ -80,7 +87,7 @@ func FuzzExactMatchesDijkstra(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(int64(s[0]), s[1], s[2], s[3], s[4])
 	}
-	var runs, skipped, stops, trips int
+	var runs, skipped, stops, trips, orders, orderSkips int
 	var compared [4]int
 	f.Fuzz(func(t *testing.T, seed int64, shape, kind, conv, slack uint8) {
 		runs++
@@ -115,6 +122,15 @@ func FuzzExactMatchesDijkstra(f *testing.F) {
 			sol, err := ExactDFS(p, ExactDFSOptions{})
 			check("IDA*", sol, err)
 		}
+		if p.Model.Kind == pebble.Oneshot {
+			sol, err := OrderOpt(p, OrderOptOptions{MaxOrders: oracleOrderCap})
+			if errors.Is(err, ErrOrderLimit) {
+				orderSkips++
+			} else {
+				orders++
+				check("OrderOpt", sol, err)
+			}
+		}
 		if want > 0 {
 			stops++
 			var st ExactStats
@@ -139,11 +155,14 @@ func FuzzExactMatchesDijkstra(f *testing.F) {
 	if runs != len(seeds) {
 		return // fuzzing, or a filtered run: the counts cover another set
 	}
-	f.Logf("compared %v cases by model, skipped %d; early stops checked on %d, state limit tripped on %d",
-		compared, skipped, stops, trips)
+	f.Logf("compared %v cases by model, skipped %d; early stops checked on %d, state limit tripped on %d; OrderOpt compared on %d oneshot cases, over its order cap on %d",
+		compared, skipped, stops, trips, orders, orderSkips)
 	for k, n := range compared {
 		if n < 4 {
 			f.Errorf("%s: only %d of the slice's cases compared (%d skipped in all)", pebble.AllKinds()[k], n, skipped)
 		}
+	}
+	if orders < 4 {
+		f.Errorf("OrderOpt: only %d of the slice's oneshot cases compared (%d over its order cap)", orders, orderSkips)
 	}
 }

@@ -27,9 +27,10 @@ type OrderOptOptions struct {
 // optimal offline eviction for a fixed order, so the best (order, Belady)
 // pair is a global optimum.
 //
-// The number of topological orders can be factorial; OrderOpt is intended
-// for the small instances used to cross-validate construction-specific
-// strategies and the Exact solver.
+// It is a test-only reference: it shares neither the exact engines'
+// move generator nor their heuristic, so it checks A* and the Dijkstra
+// reference independently. The number of topological orders can be
+// factorial, so it only suits small instances.
 func OrderOpt(p Problem, opts OrderOptOptions) (Solution, error) {
 	if p.Model.Kind != pebble.Oneshot {
 		return Solution{}, fmt.Errorf("solve: OrderOpt applies to the oneshot model, got %s", p.Model)
@@ -137,44 +138,4 @@ func OrderOpt(p Problem, opts OrderOptOptions) (Solution, error) {
 		return Solution{}, errors.New("solve: no topological order found (cyclic graph?)")
 	}
 	return *best, nil
-}
-
-// CountTopoOrders returns the number of topological orders of g, stopping
-// at limit (returns limit+1 if there are more). Useful to decide whether
-// OrderOpt is feasible.
-func CountTopoOrders(g *dag.DAG, limit int) int {
-	n := g.N()
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = g.InDegree(dag.NodeID(v))
-	}
-	count := 0
-	var rec func(placed int)
-	rec = func(placed int) {
-		if count > limit {
-			return
-		}
-		if placed == n {
-			count++
-			return
-		}
-		for v := 0; v < n; v++ {
-			if indeg[v] == 0 {
-				indeg[v] = -1
-				for _, w := range g.Succs(dag.NodeID(v)) {
-					indeg[w]--
-				}
-				rec(placed + 1)
-				for _, w := range g.Succs(dag.NodeID(v)) {
-					indeg[w]++
-				}
-				indeg[v] = 0
-				if count > limit {
-					return
-				}
-			}
-		}
-	}
-	rec(0)
-	return count
 }

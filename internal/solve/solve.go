@@ -2,8 +2,7 @@
 // over game states (A* with an admissible model-aware lower bound,
 // packed-state deduplication and symmetry reduction; small instances,
 // all models), a depth-first IDA* second
-// implementation, an exhaustive order-enumeration optimum for the
-// oneshot model, the three greedy strategies analyzed in §8 of the
+// implementation, the three greedy strategies analyzed in §8 of the
 // paper, and the naive topological baseline realizing the (2Δ+1)·n
 // universal upper bound.
 package solve

@@ -260,18 +260,6 @@ func TestOrderOptOrderLimit(t *testing.T) {
 	}
 }
 
-func TestCountTopoOrders(t *testing.T) {
-	if c := CountTopoOrders(daggen.Chain(5), 100); c != 1 {
-		t.Fatalf("chain orders = %d", c)
-	}
-	if c := CountTopoOrders(dag.New(3), 100); c != 6 {
-		t.Fatalf("antichain orders = %d", c)
-	}
-	if c := CountTopoOrders(dag.New(5), 10); c != 11 {
-		t.Fatalf("limit overflow = %d, want limit+1", c)
-	}
-}
-
 func TestGreedyRunsAndIsVerified(t *testing.T) {
 	for _, rule := range AllGreedyRules() {
 		for seed := int64(0); seed < 5; seed++ {

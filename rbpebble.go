@@ -16,7 +16,7 @@
 //   - DAG substrate and workload generators (Pyramid, FFT, MatMul, ...)
 //   - the game engine: moves, per-model legality, exact cost accounting
 //   - schedulers: compute order + eviction policy → verified pebbling
-//   - solvers: exact state-space search, order enumeration, greedy
+//   - solvers: exact state-space search, greedy
 //   - the paper's gadgets (CD, H2C, tradeoff DAG, greedy grid) and
 //     reductions (Hamiltonian Path, Vertex Cover)
 //   - the anytime layer: deadline-driven orchestration that runs the
@@ -186,8 +186,6 @@ type (
 	// (State.AppendPacked/RestorePacked), the representation the exact
 	// solvers key their visited tables on.
 	PackedKey = pebble.PackedKey
-	// OrderOptOptions configures the order-enumeration optimum.
-	OrderOptOptions = solve.OrderOptOptions
 	// ExactDFSOptions configures the depth-first (IDA*) exact solver.
 	ExactDFSOptions = solve.ExactDFSOptions
 	// RandomOrdersOptions configures the sampling heuristic.
@@ -218,8 +216,6 @@ var (
 	// with HeuristicOff), over packed states in an open-addressing
 	// table, storing one state per automorphism orbit of the DAG.
 	Exact = solve.Exact
-	// OrderOpt finds the oneshot optimum by order enumeration + Belady.
-	OrderOpt = solve.OrderOpt
 	// Greedy runs a §8 greedy strategy.
 	Greedy = solve.Greedy
 	// GreedyOrder returns the compute order a greedy rule induces.
