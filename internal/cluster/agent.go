@@ -22,16 +22,17 @@ type AgentConfig struct {
 	// Export snapshots this node's cache for the drain handoff
 	// (typically service.Server.ExportCache).
 	Export func() []instcache.Entry
-	// Comm performs the agent's calls (default: a fresh CommClient with
-	// 5s attempt timeouts — membership traffic is small and latency-
-	// sensitive).
-	Comm *CommClient
-	// RejoinInterval is the heartbeat cadence before the first
-	// successful join reports the real lease (default 2s). After a
-	// successful join the agent renews at TTL/3.
-	RejoinInterval time.Duration
 	// Logf, when set, receives agent lifecycle logs.
 	Logf func(format string, args ...any)
+
+	// Test seams; the zero values select the defaults. comm performs
+	// the agent's calls (default: a fresh CommClient with 5s attempt
+	// timeouts — membership traffic is small and latency-sensitive).
+	// rejoinInterval is the heartbeat cadence before the first
+	// successful join reports the real lease (default 2s); after a
+	// successful join the agent renews at TTL/3.
+	comm           *CommClient
+	rejoinInterval time.Duration
 }
 
 // Agent is the rbserve side of dynamic membership: it registers the
@@ -58,16 +59,16 @@ type Agent struct {
 
 // NewAgent returns a started Agent (heartbeat loop runs until Stop).
 func NewAgent(cfg AgentConfig) *Agent {
-	if cfg.Comm == nil {
-		cfg.Comm = NewComm(CommConfig{AttemptTimeout: 5 * time.Second})
+	if cfg.comm == nil {
+		cfg.comm = NewComm(CommConfig{AttemptTimeout: 5 * time.Second})
 	}
-	if cfg.RejoinInterval <= 0 {
-		cfg.RejoinInterval = 2 * time.Second
+	if cfg.rejoinInterval <= 0 {
+		cfg.rejoinInterval = 2 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	a := &Agent{cfg: cfg, comm: cfg.Comm, stop: make(chan struct{}), kick: make(chan struct{}, 1)}
+	a := &Agent{cfg: cfg, comm: cfg.comm, stop: make(chan struct{}), kick: make(chan struct{}, 1)}
 	a.wg.Add(1)
 	go a.loop()
 	return a
@@ -75,11 +76,11 @@ func NewAgent(cfg AgentConfig) *Agent {
 
 func (a *Agent) loop() {
 	defer a.wg.Done()
-	interval := a.cfg.RejoinInterval
+	interval := a.cfg.rejoinInterval
 	for {
 		if ttl, err := a.join(context.Background()); err != nil {
 			a.cfg.Logf("cluster agent: join %s: %v", a.cfg.Proxy, err)
-			interval = a.cfg.RejoinInterval
+			interval = a.cfg.rejoinInterval
 		} else if ttl > 0 {
 			interval = ttl / 3
 		}

@@ -43,8 +43,8 @@ func startRefinerNode(t *testing.T, addr, proxyAddr string) *elasticNode {
 		Proxy:          proxyAddr,
 		Self:           n.addr,
 		Export:         n.svc.ExportCache,
-		RejoinInterval: 50 * time.Millisecond,
-		Comm:           NewComm(CommConfig{AttemptTimeout: 5 * time.Second, maxAttempts: 2, backoffBase: 10 * time.Millisecond}),
+		rejoinInterval: 50 * time.Millisecond,
+		comm:           NewComm(CommConfig{AttemptTimeout: 5 * time.Second, maxAttempts: 2, backoffBase: 10 * time.Millisecond}),
 	})
 	n.agentPtr.Store(n.agent)
 	return n

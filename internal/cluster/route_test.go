@@ -255,7 +255,7 @@ func TestAgentReportsRefusedReplies(t *testing.T) {
 	a := NewAgent(AgentConfig{
 		Proxy: strings.TrimPrefix(proxy.URL, "http://"),
 		Self:  "127.0.0.1:9",
-		Comm:  NewComm(CommConfig{AttemptTimeout: 5 * time.Second, backoffBase: time.Millisecond}),
+		comm:  NewComm(CommConfig{AttemptTimeout: 5 * time.Second, backoffBase: time.Millisecond}),
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))

@@ -45,7 +45,8 @@ type Config struct {
 	// solves running, lane backlogs nonempty) the refiner schedules
 	// nothing. nil = never busy.
 	Busy func() bool
-	// Interval is the idle scan cadence (default 2s).
+	// Interval is the idle scan cadence. It is required: New panics
+	// unless it is > 0.
 	Interval time.Duration
 	// Logf, when set, receives refiner lifecycle logs.
 	Logf func(format string, args ...any)
@@ -63,9 +64,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -169,8 +167,12 @@ type Refiner struct {
 	cooldown map[string]time.Time
 }
 
-// New returns a started Refiner.
+// New returns a started Refiner. It panics if cfg.Interval is not
+// positive.
 func New(cfg Config) *Refiner {
+	if cfg.Interval <= 0 {
+		panic("refine: Config.Interval must be > 0")
+	}
 	r := &Refiner{cfg: cfg.withDefaults(), cooldown: map[string]time.Time{}}
 	r.base, r.stop = context.WithCancel(context.Background())
 	r.wg.Add(1)

@@ -48,6 +48,17 @@ func TestCandidatesOrderingAndFilters(t *testing.T) {
 	}
 }
 
+// TestNewRequiresInterval pins that Interval has no default: New
+// refuses a refiner without a positive scan cadence.
+func TestNewRequiresInterval(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New with a zero Interval did not panic")
+		}
+	}()
+	New(Config{})
+}
+
 // TestRefinerTightensWhenIdle drives a full loop: one wide interval in
 // the export, an idle gate, and a Solve that tightens — the refiner
 // must run it, count the tightening and accumulate the gap reduction.

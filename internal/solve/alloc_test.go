@@ -9,7 +9,7 @@ import (
 )
 
 // TestSerialSearchAllocGuard pins serial A*'s allocation to the memory
-// it ends up holding: on pyramid(6) R=4 (about 88k distinct states) the
+// it ends up holding: on pyramid(6) R=4 (31,728 distinct states) the
 // whole solve may allocate at most twice the final footprint of its
 // table, node log and open list. Search memory that grows by copying
 // allocates every slab several times over and fails this.

@@ -81,12 +81,17 @@ func BenchmarkLowerBound(b *testing.B) {
 		{"Layered5x5s6", Problem{G: layered, Model: pebble.NewModel(pebble.Oneshot), R: pebble.MinFeasibleR(layered)}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			lb, keys := recordLowerBoundStates(b, bc.p)
+			c, keys, table := recordSearchStates(b, bc.p)
+			for ref, k := range keys {
+				if h, _ := c.lb.estimate(k); h != table.h(int32(ref)) {
+					b.Fatalf("state %d: estimate %d, the search cached %d", ref, h, table.h(int32(ref)))
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, k := range keys {
-					lbSink, _ = lb.estimate(k)
+					lbSink, _ = c.lb.estimate(k)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/estimate")
@@ -97,9 +102,51 @@ func BenchmarkLowerBound(b *testing.B) {
 
 var lbSink int64
 
-// recordLowerBoundStates solves p with serial A* and returns the lower
-// bound the search used with every state key its table holds.
-func recordLowerBoundStates(b *testing.B, p Problem) (*lowerBound, []pebble.PackedKey) {
+// BenchmarkAppendMoves measures move generation on its own: ns per
+// generation, child keys included, over every distinct state that
+// serial A* stores on pyramid(5) R=4 nodel and on the random layered
+// 5x5 DAG of seed 6 (oneshot, R = Δ+1). The states are recorded from a
+// full solve, in the canonical labeling the search expanded them in,
+// and their count is pinned.
+func BenchmarkAppendMoves(b *testing.B) {
+	layered := daggen.RandomLayered(5, 5, 2, 6)
+	for _, bc := range []struct {
+		name   string
+		p      Problem
+		states int
+	}{
+		{"Pyramid5R4NoDel", Problem{G: daggen.Pyramid(5), Model: pebble.NewModel(pebble.NoDel), R: 4}, 84123},
+		{"Layered5x5s6", Problem{G: layered, Model: pebble.NewModel(pebble.Oneshot), R: pebble.MinFeasibleR(layered)}, 147748},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, keys, _ := recordSearchStates(b, bc.p)
+			if len(keys) != bc.states {
+				b.Fatalf("search stored %d states, want %d", len(keys), bc.states)
+			}
+			moves := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, k := range keys {
+					c.moveBuf = c.moveBuf[:0]
+					c.appendMoves(k)
+					for _, mv := range c.moveBuf {
+						c.keyBuf = c.childKey(c.keyBuf, k, mv)
+					}
+					moves += len(c.moveBuf)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/generation")
+			b.ReportMetric(float64(moves)/float64(b.N*len(keys)), "moves/generation")
+		})
+	}
+}
+
+// recordSearchStates solves p with serial A* and returns a search
+// context on the canonical form the search ran on (its lower bound is
+// the one the search used), a copy of every state key the search's
+// table holds, indexed by ref, and the table.
+func recordSearchStates(b *testing.B, p Problem) (*searchCtx, []pebble.PackedKey, *stateTable) {
 	b.Helper()
 	start, err := pebble.NewState(p.G, p.Model, p.R, p.Convention)
 	if err != nil {
@@ -111,15 +158,11 @@ func recordLowerBoundStates(b *testing.B, p Problem) (*lowerBound, []pebble.Pack
 	}
 	// The search ran on this same deterministic canonical form.
 	q, qstart, _ := symmetricForm(p, start, func() bool { return false })
-	lb := newLowerBound(q, HeuristicAuto, qstart.AppendPacked(nil))
 	keys := make([]pebble.PackedKey, m.table.count())
 	for ref := range keys {
 		keys[ref] = append(pebble.PackedKey(nil), m.table.key(int32(ref))...)
-		if h, _ := lb.estimate(keys[ref]); h != m.table.h(int32(ref)) {
-			b.Fatalf("state %d: estimate %d, the search cached %d", ref, h, m.table.h(int32(ref)))
-		}
 	}
-	return lb, keys
+	return newSearchCtx(q, ExactOptions{}, qstart), keys, m.table
 }
 
 // BenchmarkCanonize measures orbit representatives on their own: ns per
@@ -182,20 +225,13 @@ func recordCanonizeKeys(b *testing.B, p Problem, maxStates, expanded, distinct i
 	// The search ran on this same deterministic canonical form.
 	q, qstart, sym := symmetricForm(p, start, func() bool { return false })
 	c := newSearchCtx(q, ExactOptions{}, qstart)
-	st := qstart.Clone()
 	var keys []pebble.PackedKey
 	for i := 0; i < canonizeSample; i++ {
 		key := m.table.key(int32(i * m.table.count() / canonizeSample))
-		st.RestorePacked(key)
 		c.moveBuf = c.moveBuf[:0]
-		c.appendMoves(st, key)
+		c.appendMoves(key)
 		for _, mv := range c.moveBuf {
-			undo, err := st.ApplyForUndo(mv)
-			if err != nil {
-				b.Fatal(err)
-			}
-			keys = append(keys, st.AppendPacked(nil))
-			st.Undo(undo)
+			keys = append(keys, c.childKey(nil, key, mv))
 		}
 	}
 	return sym, keys

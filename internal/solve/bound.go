@@ -30,7 +30,7 @@ func RootLowerBound(p Problem, h Heuristic) (int64, error) {
 		return 0, nil
 	}
 	key := start.AppendPacked(nil)
-	v, dead := newLowerBound(p, h, key).estimate(key)
+	v, dead := newLowerBound(p, newNodeMasks(p), h, key).estimate(key)
 	if dead {
 		return 0, ErrInfeasible
 	}

@@ -89,10 +89,11 @@ var ErrVisitLimit = errors.New("solve: DFS visit limit exceeded")
 // implementation of the exact optimum (the first being the best-first
 // search in Exact) — the two cross-validate each other in the tests.
 //
-// The recursion shares the best-first solver's machinery: moves are
-// generated from the red frontier, each candidate is applied and undone
-// on the single live state (no cloning), the memo table is keyed on the
-// packed state encoding, and the admissible lower bound prunes branches.
+// The recursion shares the best-first solver's machinery: moves come
+// from the same generator, which reads the packed state encoding, each
+// one is applied and undone on the single live state (no cloning), the
+// memo table is keyed on the packed encoding, and the admissible lower
+// bound prunes branches.
 //
 // Supported models: oneshot and nodel, whose optimal pebblings have
 // O(Δ·n) steps (Lemma 1), giving the recursion a sound depth bound. The
@@ -395,7 +396,7 @@ func (d *dfsSearch) recIDA() bool {
 	// through a cheap prefix the first time avoids the re-expansion
 	// cascade when a cheaper path finds it later.
 	base := len(c.moveBuf)
-	c.appendMoves(st, c.keyBuf)
+	c.appendMoves(c.keyBuf)
 	orderMovesForDFS(c, c.moveBuf[base:])
 	end := len(c.moveBuf)
 	ok := true

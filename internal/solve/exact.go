@@ -3,10 +3,8 @@ package solve
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"time"
 
-	"rbpebble/internal/bitset"
 	"rbpebble/internal/canon"
 	"rbpebble/internal/dag"
 	"rbpebble/internal/obs"
@@ -172,9 +170,11 @@ func (m *serialMem) bytes() int64 {
 // The search core is allocation-free on the hot path: states are packed
 // into []uint64 keys deduplicated in an open-addressing table, the open
 // list is a bucketQueue (f-indexed buckets, each a g-ordered heap, with
-// an overflow heap for f >= 2^15), move generation is restricted to the
-// red frontier, and candidate moves are applied and undone on a single
-// scratch state instead of cloning.
+// an overflow heap for f >= 2^15), and each state is expanded straight
+// from its key: moves are generated by word operations on the key and
+// static node masks (see appendMoves), each child key is the parent's
+// with at most three bits flipped, and the goal test is a mask test on
+// the sinks. No pebble.State is built per expansion.
 //
 // With the safe reductions on (pruning and the heuristic), move
 // generation keeps only a normal form that some optimal completion from
@@ -208,48 +208,50 @@ func Exact(p Problem, opts ExactOptions) (Solution, error) {
 	return exactSerial(p, opts, start, maxStates, new(serialMem))
 }
 
-// searchCtx bundles the scratch structures of one search: everything
-// is reused across expansions, so the steady-state loop allocates only
-// when the table, heap or node log grow.
+// searchCtx bundles what one search reads and reuses per expansion:
+// the problem's scale, the move-generation switches, the static node
+// masks, the lower bound and the scratch buffers. Everything is reused
+// across expansions, so the steady-state loop allocates only when the
+// table, heap or node log grow.
 type searchCtx struct {
 	p        Problem
-	g        *dag.DAG
 	scale    int64 // scaled cost of a transfer
 	compCost int64 // scaled cost of a compute
-	sources  []dag.NodeID
-	prune    bool
 
 	// normal restricts move generation to the normal form (heuristic
-	// on, pruning on), and macro adds the dead-pebble quotient in
-	// oneshot: see appendMoves.
-	normal, macro bool
+	// on, pruning on), macro adds the dead-pebble quotient in oneshot,
+	// and dominance applies the oneshot dominance rules to stores and
+	// deletes (pruning on): see appendMoves.
+	normal, macro, dominance bool
+	oneshot                  bool
 
-	scratch *pebble.State
-	lb      *lowerBound
-	cand    *bitset.Set // compute-candidate scratch set
-	candBuf []uint64    // reused word snapshot of cand
-	moveBuf []pebble.Move
-	keyBuf  pebble.PackedKey
+	masks        *nodeMasks
+	lb           *lowerBound
+	computeCands []uint64 // compute-candidate scratch words
+	deadSet      []uint64 // the state's dead pebbles, under dominance
+	moveBuf      []pebble.Move
+	keyBuf       pebble.PackedKey // child key, or IDA*'s current key
 }
 
 func newSearchCtx(p Problem, opts ExactOptions, start *pebble.State) *searchCtx {
+	prune := !opts.DisablePruning
 	c := &searchCtx{
 		p:       p,
-		g:       p.G,
 		scale:   1,
-		sources: p.G.Sources(),
-		prune:   !opts.DisablePruning,
-		scratch: start.Clone(),
-		cand:    bitset.New(p.G.N()),
+		oneshot: p.Model.Kind == pebble.Oneshot,
+		masks:   newNodeMasks(p),
 		keyBuf:  start.AppendPacked(nil),
 	}
-	c.lb = newLowerBound(p, opts.Heuristic, c.keyBuf)
+	c.computeCands = make([]uint64, c.masks.w)
+	c.deadSet = make([]uint64, c.masks.w)
+	c.lb = newLowerBound(p, c.masks, opts.Heuristic, c.keyBuf)
 	if p.Model.Kind == pebble.CompCost {
 		c.scale = int64(p.Model.EpsDenom)
 		c.compCost = 1
 	}
-	c.normal = c.prune && c.lb.enabled
-	c.macro = c.normal && p.Model.Kind == pebble.Oneshot
+	c.normal = prune && c.lb.enabled
+	c.macro = c.normal && c.oneshot
+	c.dominance = prune && c.oneshot
 	return c
 }
 
@@ -263,197 +265,6 @@ func (c *searchCtx) moveCost(m pebble.Move) int64 {
 	default:
 		return 0
 	}
-}
-
-// appendMoves appends every legal move from st that survives the safe
-// reductions onto the shared move buffer (callers manage the buffer: the
-// best-first loop truncates it first, the DFS keeps a stack of levels in
-// it). key is st's packed encoding, whose words double as the red/blue
-// iteration sets, so the generator only visits nodes adjacent to the
-// current pebbles — compute candidates are the sources plus successors
-// of red nodes; loads scan the blue set; stores and deletes scan the
-// pebbled sets — instead of testing all n nodes against all four move
-// kinds.
-//
-// With the safe reductions on (c.normal: pruning and heuristic on, every
-// model) it generates only the moves of a normal form that some optimal
-// completion from every state obeys:
-//
-//   - (1) Evict only when full: Store and Delete of a red pebble only
-//     when all R red pebbles are placed, except a sink's Store under
-//     SinksMustBeBlue; never Delete of a blue pebble.
-//   - (2) Load only for a ready consumer: Load(v) only if some successor
-//     w of v is not red (in oneshot, not yet computed) and every
-//     predecessor of w holds a pebble.
-//
-// The argument: take a shortest optimal completion T from st. Deleting a
-// blue pebble never enables a move, so T has none. Let C = Compute(w) be
-// T's first compute, and Q the loads and evictions before it. In a
-// shortest optimal T no node is both loaded and evicted in Q (the pair
-// is wasted cost or wasted moves), and no evicted node is w or an input
-// of w. A load in Q of a node that is not an input of w moves to just
-// after C: the node stays blue one stretch longer, which frees a red
-// slot and touches no other move. Rebuild Q as: load the inputs of w,
-// evicting one node of Q's evictions whenever the red set is full and a
-// slot is needed (for a load or for C itself); the evictions not needed
-// move to just after C. Every move stays legal and the cost is
-// unchanged, and the rebuilt completion starts with a move that rule (1)
-// or (2) keeps: an eviction at a full red set, a load of an input of w
-// (w is not red, and each input of w is red or about to be loaded, so
-// holds a pebble), or C. A completion without computes keeps only the
-// sink Stores under SinksMustBeBlue, the exception in (1). Induction on
-// the length of T then gives an optimal completion in normal form from
-// every state, so the optimum, and the cost-to-go of every state, is
-// unchanged.
-//
-// Both rules depend only on the state and are invariant under node
-// relabeling, so they commute with DAG automorphisms: symmetry reduction
-// stays sound, duplicate detection compares like with like, and the
-// heuristic stays admissible for the reduced move set (no state's
-// cost-to-go rises). The min-open-f certificate, PruneBound and warm
-// starts rest on exactly that, so they stay sound too.
-func (c *searchCtx) appendMoves(st *pebble.State, key pebble.PackedKey) {
-	w := len(key) / 3
-	red, blue := key[:w], key[w:2*w]
-
-	// Dead-pebble quotient (oneshot only): a pebbled non-sink node whose
-	// successors are all computed can never be useful again — its value
-	// has no remaining consumer and recomputation is banned, so deleting
-	// it is free and safe, and any completion that keeps it around can be
-	// rewritten to delete it first at no extra cost. Forcing that delete
-	// as the single candidate move collapses every family of states that
-	// differ only in dead pebbles. Applied only with the heuristic and
-	// pruning on, so HeuristicOff remains the faithful seed search.
-	if c.macro {
-		for wi := 0; wi < w; wi++ {
-			wd := red[wi] | blue[wi]
-			for wd != 0 {
-				v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
-				wd &= wd - 1
-				if c.deadPebble(st, v) {
-					c.moveBuf = append(c.moveBuf, pebble.Move{Kind: pebble.Delete, Node: v})
-					return
-				}
-			}
-		}
-	}
-
-	full := st.RedCount() >= c.p.R
-	// Compute: sources and successors of red nodes are the only nodes
-	// whose inputs can all be red. Check finishes the legality test.
-	if !full {
-		c.cand.Reset()
-		for _, s := range c.sources {
-			c.cand.Set(int(s))
-		}
-		for wi, wd := range red {
-			for wd != 0 {
-				u := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
-				wd &= wd - 1
-				for _, v := range c.g.Succs(u) {
-					c.cand.Set(int(v))
-				}
-			}
-		}
-		c.candBuf = c.cand.AppendWords(c.candBuf[:0])
-		for wi, wd := range c.candBuf {
-			for wd != 0 {
-				v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
-				wd &= wd - 1
-				c.consider(st, pebble.Move{Kind: pebble.Compute, Node: v})
-			}
-		}
-		// Load: any blue node, while a red slot is free; in normal form
-		// only one with a ready consumer (rule 2).
-		for wi, wd := range blue {
-			for wd != 0 {
-				v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
-				wd &= wd - 1
-				if c.normal && !c.readyConsumer(key, v) {
-					continue
-				}
-				c.consider(st, pebble.Move{Kind: pebble.Load, Node: v})
-			}
-		}
-	}
-	// Store: any red node; in normal form only with the red set full,
-	// or a sink that must end blue (rule 1).
-	for wi, wd := range red {
-		for wd != 0 {
-			v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
-			wd &= wd - 1
-			if c.normal && !full && !(c.p.Convention.SinksMustBeBlue && c.g.IsSink(v)) {
-				continue
-			}
-			c.consider(st, pebble.Move{Kind: pebble.Store, Node: v})
-		}
-	}
-	// Delete: any pebbled node (banned wholesale in nodel); in normal
-	// form only a red one with the red set full (rule 1).
-	if c.p.Model.Kind == pebble.NoDel || (c.normal && !full) {
-		return
-	}
-	for wi := 0; wi < w; wi++ {
-		wd := red[wi]
-		if !c.normal {
-			wd |= blue[wi]
-		}
-		for wd != 0 {
-			v := dag.NodeID(wi*64 + bits.TrailingZeros64(wd))
-			wd &= wd - 1
-			c.consider(st, pebble.Move{Kind: pebble.Delete, Node: v})
-		}
-	}
-}
-
-// readyConsumer reports whether blue node v has a successor that a
-// Compute could use it for next (rule 2 of appendMoves): one that is not
-// red, not yet computed in oneshot, and whose every input holds a
-// pebble. key is the state's packed encoding.
-func (c *searchCtx) readyConsumer(key pebble.PackedKey, v dag.NodeID) bool {
-	w := len(key) / 3
-	red, blue, computed := key[:w], key[w:2*w], key[2*w:]
-	oneshot := c.p.Model.Kind == pebble.Oneshot
-	for _, x := range c.g.Succs(v) {
-		if hasBit(red, x) || (oneshot && hasBit(computed, x)) {
-			continue
-		}
-		if c.lb.predsPebbled(x, red, blue) {
-			return true
-		}
-	}
-	return false
-}
-
-// hasBit reports whether node v's bit is set in the packed words ws.
-func hasBit(ws []uint64, v dag.NodeID) bool {
-	return ws[v>>6]&(1<<(uint(v)&63)) != 0
-}
-
-// deadPebble reports whether pebbled node v can never matter again in
-// the oneshot model: it is not a sink and every successor is already
-// computed.
-func (c *searchCtx) deadPebble(st *pebble.State, v dag.NodeID) bool {
-	succs := c.g.Succs(v)
-	if len(succs) == 0 {
-		return false // sink: its pebble is (or will be) the goal
-	}
-	for _, x := range succs {
-		if !st.WasComputed(x) {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *searchCtx) consider(st *pebble.State, m pebble.Move) {
-	if !st.CanApply(m) {
-		return
-	}
-	if c.prune && prunedMove(c.p, st, m) {
-		return
-	}
-	c.moveBuf = append(c.moveBuf, m)
 }
 
 // exactSerial is the sequential A* loop. It builds its table, node log
@@ -527,8 +338,7 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 			continue // stale entry
 		}
 		key := table.key(nd.ref)
-		c.scratch.RestorePacked(key)
-		if c.scratch.Complete() {
+		if c.complete(key) {
 			lower = e.g // proven optimal
 			report()
 			return reconstruct(orig, table, nodes, e.node, sym), nil
@@ -549,14 +359,10 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 		}
 
 		c.moveBuf = c.moveBuf[:0]
-		c.appendMoves(c.scratch, key)
+		c.appendMoves(key)
 		for _, m := range c.moveBuf {
-			undo, err := c.scratch.ApplyForUndo(m)
-			if err != nil {
-				panic("solve: legalMoves emitted illegal move: " + err.Error())
-			}
 			childG := e.g + c.moveCost(m)
-			c.keyBuf = c.scratch.AppendPacked(c.keyBuf[:0])
+			c.keyBuf = c.childKey(c.keyBuf, key, m)
 			if sym != nil {
 				sym.canonize(c.keyBuf)
 			}
@@ -568,12 +374,10 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 				table.setH(childRef, h)
 				if dead {
 					table.setBest(childRef, costDead)
-					c.scratch.Undo(undo)
 					continue
 				}
 			} else {
 				if table.best(childRef) <= childG {
-					c.scratch.Undo(undo)
 					continue
 				}
 				h = table.h(childRef)
@@ -584,14 +388,12 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 				// table entry keeps costUnreached so a cheaper path may
 				// still reopen it, and the payload caches h for that
 				// reopening.
-				c.scratch.Undo(undo)
 				continue
 			}
 			table.setBest(childRef, childG)
 			node := nodes.push(searchNode{parent: e.node, ref: childRef, move: packMove(m)})
 			open.push(heapEntry{f: childG + h, g: childG, node: node})
 			pushed++
-			c.scratch.Undo(undo)
 		}
 	}
 	if opts.PruneBound > 0 {
@@ -685,50 +487,4 @@ func reconstruct(p Problem, table *stateTable, nodes *chunkList[searchNode], idx
 	}
 	tr := &pebble.Trace{Model: p.Model, R: p.R, Convention: p.Convention, Moves: moves}
 	return verify(p, tr)
-}
-
-// prunedMove applies dominance rules that cannot exclude every optimal
-// solution. All rules are specific to the oneshot model, where a node's
-// value exists only once: recomputation is impossible, so every node must
-// be computed exactly once, and a deleted value can never return.
-//
-//   - Deleting a pebble from a sink makes the instance unwinnable (the
-//     sink cannot be recomputed and a node holds only one pebble).
-//   - Deleting a node that still has uncomputed successors likewise makes
-//     those successors uncomputable.
-//   - Storing a dead node (all successors computed, not a sink) is wasted
-//     cost: Delete frees the red slot for free.
-//
-// In base and compcost the analogous prunes are NOT safe: deleting a red
-// sink and recomputing it later (cost 0 or ε) can beat storing it
-// (cost 1).
-func prunedMove(p Problem, st *pebble.State, m pebble.Move) bool {
-	if p.Model.Kind != pebble.Oneshot {
-		return false
-	}
-	g := p.G
-	switch m.Kind {
-	case pebble.Delete:
-		if g.IsSink(m.Node) {
-			return true
-		}
-		for _, w := range g.Succs(m.Node) {
-			if !st.WasComputed(w) {
-				return true
-			}
-		}
-		return false
-	case pebble.Store:
-		if g.IsSink(m.Node) {
-			return false
-		}
-		for _, w := range g.Succs(m.Node) {
-			if !st.WasComputed(w) {
-				return false
-			}
-		}
-		return true // dead non-sink: Delete dominates Store
-	default:
-		return false
-	}
 }

@@ -78,15 +78,14 @@ type lowerBound struct {
 	compCost int64 // scaled cost of one compute (1 under compcost, else 0)
 	w        int   // words per node set; a packed key holds three
 
-	// Static node sets: the sinks; the nodes that can never be computed
-	// (the sources under SourcesStartBlue), a dead position's witnesses
-	// once needed; and the nodes whose blue pebble forces a Load (see
+	// m holds the static node sets the bound shares with the move
+	// generator: the sinks, the predecessor masks and the nodes that can
+	// never be computed (the sources under SourcesStartBlue), a dead
+	// position's witnesses once needed.
+	m *nodeMasks
+	// forced holds the nodes whose blue pebble forces a Load (see
 	// loadForced).
-	sinks, uncomputable, forced []uint64
-	// preds holds node v's predecessor mask at words [v*w, (v+1)*w), on
-	// graphs of at most capMaxN nodes; larger graphs read the adjacency
-	// lists instead (see orPreds), which keeps the set-up linear.
-	preds []uint64
+	forced []uint64
 
 	// Per-estimate scratch sets: the mustCompute closure, its frontier
 	// and next layer, the union of the closure's predecessors, the
@@ -106,8 +105,8 @@ type lowerBound struct {
 }
 
 // capMaxN bounds the graph size for which the oneshot certificates and
-// the predecessor masks are precomputed (both take quadratic n·(n/64)
-// words).
+// the predecessor and successor masks are precomputed (all take
+// quadratic n·(n/64) words).
 const capMaxN = 512
 
 // capCandidate is one precomputed compute event w, a capacity certificate:
@@ -122,12 +121,14 @@ type capCandidate struct {
 	shell, anc []uint64
 }
 
-func newLowerBound(p Problem, mode Heuristic, startKey pebble.PackedKey) *lowerBound {
+func newLowerBound(p Problem, m *nodeMasks, mode Heuristic, startKey pebble.PackedKey) *lowerBound {
 	lb := &lowerBound{
 		p:       p,
+		m:       m,
 		enabled: mode != HeuristicOff,
 		oneshot: p.Model.Kind == pebble.Oneshot,
 		scale:   1,
+		w:       m.w,
 	}
 	if p.Model.Kind == pebble.CompCost {
 		lb.scale = int64(p.Model.EpsDenom)
@@ -136,43 +137,19 @@ func newLowerBound(p Problem, mode Heuristic, startKey pebble.PackedKey) *lowerB
 	if !lb.enabled {
 		return lb
 	}
-	g := p.G
-	n := g.N()
-	w := (n + 63) / 64
-	lb.w = w
-	// Every static set and scratch set shares one slab, the
-	// predecessor masks included where they are built.
-	const sets = 9
-	words := sets * w
-	if n <= capMaxN {
-		words += n * w
-	}
-	slab := make([]uint64, words)
+	// The forced set and the per-estimate scratch sets share one slab.
+	w := lb.w
+	slab := make([]uint64, 7*w)
 	carve := func() []uint64 {
 		s := slab[:w:w]
 		slab = slab[w:]
 		return s
 	}
-	lb.sinks, lb.uncomputable, lb.forced = carve(), carve(), carve()
+	lb.forced = carve()
 	lb.mc, lb.front, lb.next, lb.predU, lb.charged, lb.union = carve(), carve(), carve(), carve(), carve(), carve()
-	if n <= capMaxN {
-		lb.preds = slab
-		for v := 0; v < n; v++ {
-			for _, u := range g.Preds(dag.NodeID(v)) {
-				setBit(lb.preds[v*w:], u)
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		id := dag.NodeID(v)
-		if g.IsSink(id) {
-			setBit(lb.sinks, id)
-		}
-		if p.Convention.SourcesStartBlue && g.IsSource(id) {
-			setBit(lb.uncomputable, id)
-		}
-		if lb.loadForced(id) {
-			setBit(lb.forced, id)
+	for v := 0; v < p.G.N(); v++ {
+		if lb.loadForced(dag.NodeID(v)) {
+			setBit(lb.forced, dag.NodeID(v))
 		}
 	}
 	lb.buildCapCandidates(startKey)
@@ -196,9 +173,9 @@ func (lb *lowerBound) estimate(key pebble.PackedKey) (int64, bool) {
 	stores := 0
 	for i := range mc {
 		if lb.p.Convention.SinksMustBeBlue {
-			stores += bits.OnesCount64(lb.sinks[i] &^ blue[i]) // one Store onto each
+			stores += bits.OnesCount64(lb.m.sinks[i] &^ blue[i]) // one Store onto each
 		}
-		mc[i] = lb.sinks[i] &^ (red[i] | blue[i])
+		mc[i] = lb.m.sinks[i] &^ (red[i] | blue[i])
 		front[i] = mc[i]
 		predU[i] = 0
 	}
@@ -208,7 +185,7 @@ func (lb *lowerBound) estimate(key pebble.PackedKey) (int64, bool) {
 		clear(next)
 		for i, f := range front {
 			for ; f != 0; f &= f - 1 {
-				lb.orPreds(next, dag.NodeID(i*64+bits.TrailingZeros64(f)))
+				lb.m.orPreds(next, dag.NodeID(i*64+bits.TrailingZeros64(f)))
 			}
 		}
 		grew = false
@@ -225,7 +202,7 @@ func (lb *lowerBound) estimate(key pebble.PackedKey) (int64, bool) {
 		// A needed node that can never be computed (again) makes the
 		// position unwinnable: recompute is forbidden in oneshot, and
 		// sources are not computable under SourcesStartBlue.
-		if mc[i]&lb.uncomputable[i] != 0 || (lb.oneshot && mc[i]&comp[i] != 0) {
+		if mc[i]&lb.m.uncomputable[i] != 0 || (lb.oneshot && mc[i]&comp[i] != 0) {
 			return 0, true
 		}
 		musts += bits.OnesCount64(mc[i])
@@ -238,42 +215,6 @@ func (lb *lowerBound) estimate(key pebble.PackedKey) (int64, bool) {
 		ht = ta
 	}
 	return lb.compCost*int64(musts) + ht, false
-}
-
-// orPreds ORs node v's predecessor set into dst.
-func (lb *lowerBound) orPreds(dst []uint64, v dag.NodeID) {
-	if lb.preds == nil {
-		for _, u := range lb.p.G.Preds(v) {
-			setBit(dst, u)
-		}
-		return
-	}
-	if lb.w == 1 {
-		dst[0] |= lb.preds[v]
-		return
-	}
-	for i, m := range lb.preds[int(v)*lb.w : (int(v)+1)*lb.w] {
-		dst[i] |= m
-	}
-}
-
-// predsPebbled reports whether every predecessor of v holds a pebble in
-// the state whose red and blue words are given.
-func (lb *lowerBound) predsPebbled(v dag.NodeID, red, blue []uint64) bool {
-	if lb.preds == nil {
-		for _, u := range lb.p.G.Preds(v) {
-			if !hasBit(red, u) && !hasBit(blue, u) {
-				return false
-			}
-		}
-		return true
-	}
-	for i, m := range lb.preds[int(v)*lb.w : (int(v)+1)*lb.w] {
-		if m&^(red[i]|blue[i]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // buildCapCandidates precomputes the oneshot certificates on small
@@ -356,10 +297,10 @@ func (lb *lowerBound) capShell(reach *pebble.Reach, needed0 []uint64, v dag.Node
 	for i := range cone {
 		cone[i] &= needed0[i]
 		for c := cone[i]; c != 0; c &= c - 1 {
-			lb.orPreds(shell, dag.NodeID(i*64+bits.TrailingZeros64(c)))
+			lb.m.orPreds(shell, dag.NodeID(i*64+bits.TrailingZeros64(c)))
 		}
 	}
-	pv := lb.preds[int(v)*lb.w:]
+	pv := lb.m.preds[int(v)*lb.w:]
 	for i := range shell {
 		shell[i] &^= pv[i]
 	}

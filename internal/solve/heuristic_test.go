@@ -104,7 +104,7 @@ func FuzzLowerBoundMatchesReference(f *testing.F) {
 		for step := 0; step < lbWalkSteps; step++ {
 			key = st.AppendPacked(key[:0])
 			c.moveBuf = c.moveBuf[:0]
-			c.appendMoves(st, key)
+			c.appendMoves(key)
 			if s != nil {
 				s.canonize(key)
 			}

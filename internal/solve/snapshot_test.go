@@ -178,7 +178,7 @@ func TestSnapshotsNilListener(t *testing.T) {
 
 // TestNilListenerAllocGuard pins the contract in allocation terms: a
 // listener-less serial A* solve must stay near its baseline (the
-// pyramid(5) R=4 solve measured here sits at ~226 allocs/op). The bound
+// pyramid(5) R=4 solve measured here sits at ~225 allocs/op). The bound
 // has headroom for runtime noise, not for a regression that attaches
 // sampling machinery to runs nobody is watching.
 func TestNilListenerAllocGuard(t *testing.T) {
@@ -189,6 +189,6 @@ func TestNilListenerAllocGuard(t *testing.T) {
 		}
 	})
 	if allocs > 400 {
-		t.Errorf("nil-listener serial A* allocated %.0f times/op, want <= 400 (baseline ~226)", allocs)
+		t.Errorf("nil-listener serial A* allocated %.0f times/op, want <= 400 (baseline ~225)", allocs)
 	}
 }

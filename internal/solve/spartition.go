@@ -100,7 +100,7 @@ func (lb *lowerBound) buildPairConstraints(needed0 []uint64) {
 	g := lb.p.G
 	w := lb.w
 	full := func(v dag.NodeID) bool { return g.InDegree(v) == lb.p.R-1 }
-	hasPred := func(v, p dag.NodeID) bool { return hasBit(lb.preds[int(v)*w:], p) }
+	hasPred := func(v, p dag.NodeID) bool { return hasBit(lb.m.preds[int(v)*w:], p) }
 	b := lb.union
 	var slab []uint64
 build:
@@ -258,7 +258,7 @@ func (lb *lowerBound) arrivalTerm(blue, comp []uint64) int64 {
 				}
 			}
 			setBit(union, v)
-			lb.orPreds(union, v)
+			lb.m.orPreds(union, v)
 		}
 	}
 	if events < 2 {
