@@ -78,8 +78,9 @@ type Options struct {
 // trace degrades to a cold start rather than an invalid answer.
 type WarmStart struct {
 	// Moves is the cached incumbent trace in this instance's node IDs
-	// (translate with instcache.FromCanonical when it crossed the
-	// canonical cache). Empty means no incumbent, only a lower bound.
+	// (the service solves every instance in canonical numbering, so a
+	// trace from its canonical cache needs no translation). Empty means
+	// no incumbent, only a lower bound.
 	Moves []pebble.Move
 	// LowerScaled is the certified scaled lower bound (0 = none).
 	LowerScaled int64

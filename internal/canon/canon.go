@@ -1,5 +1,5 @@
-// Package canon computes canonical labelings and automorphism groups of
-// DAGs with one individualize-and-refine search.
+// Package canon computes, with one individualize-and-refine search per
+// DAG, its canonical labeling and its automorphism group.
 //
 // The canonical key is computed by color refinement (1-WL) over the
 // DAG followed by bounded individualize-and-refine tie-breaking: within
@@ -15,8 +15,8 @@
 // The same search yields automorphisms: two leaves that serialize
 // identically differ by one. Every automorphism found is checked edge
 // by edge, prunes the sibling branches it maps onto explored ones, and
-// becomes a generator of the group that Automorphisms returns as a
-// stabilizer chain.
+// becomes a generator of the group Labeling.Group builds on request
+// (a cache key needs none) as a stabilizer chain.
 package canon
 
 import (
@@ -30,14 +30,14 @@ import (
 )
 
 // maxN bounds the graph size that gets full canonical labeling.
-// Beyond it Canonical degrades to the representation-exact key (the
-// identity labeling) and Automorphisms to the trivial group: isomorphic
-// relabelings of huge graphs stop sharing cache lines, but identical
-// representations — the common retry/duplicate case — still do, and
-// the key stays O(n + m) instead of the superlinear refinement search a
-// request-path attacker could lean on. Within the bound, refinement
-// runs to full stabilization (at most n rounds), so path-like graphs
-// become discrete without any individualization.
+// Beyond it Search degrades to the representation-exact key (the
+// identity labeling) and the trivial group: isomorphic relabelings of
+// huge graphs stop sharing cache lines, but identical representations
+// — the common retry/duplicate case — still do, and the key stays
+// O(n + m) instead of the superlinear refinement search a request-path
+// attacker could lean on. Within the bound, refinement runs to full
+// stabilization (at most n rounds), so path-like graphs become discrete
+// without any individualization.
 const maxN = 512
 
 // searchBudget caps the number of individualization branches explored
@@ -48,35 +48,46 @@ const maxN = 512
 // group found may be a proper subgroup.
 const searchBudget = 128
 
-// Canonical computes a canonical form of g: a digest identifying the
-// graph up to isomorphism (within the size and search budgets; see the
-// package comment) and the permutation perm with perm[orig] =
-// canonical ID. Labels are ignored: they do not affect pebbling cost.
-func Canonical(g *dag.DAG) ([sha256.Size]byte, []dag.NodeID) {
+// Labeling is what one search finds out about a DAG g. Labels are
+// ignored: they do not affect pebbling cost.
+type Labeling struct {
+	// Digest identifies g up to isomorphism (within the size and search
+	// budgets; see the package comment).
+	Digest [sha256.Size]byte
+	// Perm is the canonical labeling: Perm[orig] = canonical ID.
+	Perm []dag.NodeID
+	// Canonical reports whether g is already in canonical numbering:
+	// its identity serialization equals the canonical one, that is,
+	// Perm is an automorphism and relabeling g by it gives g back.
+	Canonical bool
+	gens      []Perm // the automorphisms found, in g's numbering
+}
+
+// Search runs the labeling search of g.
+func Search(g *dag.DAG) Labeling {
 	n := g.N()
 	if n == 0 {
-		return sha256.Sum256(nil), nil
+		return Labeling{Digest: sha256.Sum256(nil), Canonical: true}
 	}
 	if n > maxN {
 		perm := identity(n)
-		return sha256.Sum256(serialize(g, perm)), perm
+		return Labeling{Digest: sha256.Sum256(serialize(g, perm)), Perm: perm, Canonical: true}
 	}
 	s := search(g)
-	return sha256.Sum256(s.bestSer), s.bestPerm
+	return Labeling{Digest: sha256.Sum256(s.bestSer), Perm: s.bestPerm,
+		Canonical: isAutomorphism(g, s.bestPerm), gens: s.gens}
 }
 
-// Automorphisms returns the automorphism group of g (labels ignored)
-// as a stabilizer chain. When the labeling search runs out of budget
-// the chain holds the subgroup generated by the automorphisms it found.
-// Above maxN nodes, and for a group whose chain would hold more than
+// Symmetric reports whether the search found an automorphism other
+// than the identity. When it is false, Group is the trivial group.
+func (l Labeling) Symmetric() bool { return len(l.gens) > 0 }
+
+// Group builds g's automorphism group, in g's own numbering, as a
+// stabilizer chain. When the search ran out of budget the chain holds
+// the subgroup generated by the automorphisms it found. Above maxN
+// nodes, and for a group whose chain would hold more than
 // maxTransversal elements, it is the trivial group.
-func Automorphisms(g *dag.DAG) *Group {
-	n := g.N()
-	if n == 0 || n > maxN {
-		return &Group{}
-	}
-	return newGroup(n, search(g).gens)
-}
+func (l Labeling) Group() *Group { return newGroup(len(l.Perm), l.gens) }
 
 // searcher is one individualize-and-refine search. Leaves are visited
 // in depth-first order; the canonical leaf is the first one with the
@@ -162,7 +173,7 @@ func (s *searcher) leaf(colors []int32) {
 	case s.bestSer == nil:
 		s.firstSer, s.firstPerm, s.firstPath = ser, perm, path
 		s.bestSer, s.bestPerm, s.bestPath = ser, perm, path
-	case lessBytes(ser, s.bestSer):
+	case bytes.Compare(ser, s.bestSer) < 0:
 		s.bestSer, s.bestPerm, s.bestPath = ser, perm, path
 	case bytes.Equal(ser, s.firstSer):
 		s.automorphism(s.firstPerm, s.firstPath, perm)
@@ -414,15 +425,6 @@ func serialize(g *dag.DAG, perm []dag.NodeID) []byte {
 		}
 	}
 	return buf
-}
-
-func lessBytes(a, b []byte) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 func identity(n int) []dag.NodeID {

@@ -79,7 +79,8 @@ var pinnedKeys = []struct {
 
 func TestCanonicalKeysPinned(t *testing.T) {
 	for _, k := range pinnedKeys {
-		d, perm := Canonical(k.g())
+		l := Search(k.g())
+		d, perm := l.Digest, l.Perm
 		ps := make([]string, len(perm))
 		for i, v := range perm {
 			ps[i] = fmt.Sprint(v)
@@ -108,7 +109,8 @@ func TestGroupOrders(t *testing.T) {
 		{"chain(6)", daggen.Chain(6), 1},
 		{"singleton", dag.New(1), 1},
 	} {
-		gr := Automorphisms(c.g)
+		l := Search(c.g)
+		gr := l.Group()
 		if got := gr.Order().Int64(); got != c.order {
 			t.Errorf("%s: |Aut| = %d, want %d", c.name, got, c.order)
 		}
@@ -116,7 +118,7 @@ func TestGroupOrders(t *testing.T) {
 			t.Errorf("%s: Trivial() = %v for order %d", c.name, gr.Trivial(), c.order)
 		}
 		if c.order <= 1<<14 {
-			if got := closureSize(c.g.N(), gr.Generators()); got != c.order {
+			if got := closureSize(c.g.N(), l.gens); got != c.order {
 				t.Errorf("%s: generators close to %d elements, want %d", c.name, got, c.order)
 			}
 		}
@@ -152,8 +154,9 @@ func TestGroupElementsAreAutomorphisms(t *testing.T) {
 		"matmul(2)":  daggen.MatMul(2),
 		"layered":    daggen.RandomLayered(6, 6, 2, 3),
 	} {
-		gr := Automorphisms(g)
-		for _, p := range gr.Generators() {
+		l := Search(g)
+		gr := l.Group()
+		for _, p := range l.gens {
 			if !isAutomorphism(g, p) {
 				t.Fatalf("%s: generator %v is not an automorphism", name, p)
 			}
@@ -197,37 +200,74 @@ func TestCanonicalInvariance(t *testing.T) {
 		"layered":   daggen.RandomLayered(3, 4, 2, 5),
 		"singleton": dag.New(1),
 	} {
-		d0, perm0 := Canonical(g)
-		order := Automorphisms(g).Order()
+		l0 := Search(g)
+		order := l0.Group().Order()
 		for trial := 0; trial < 5; trial++ {
 			h := relabel(g, randPerm(g.N(), rng))
-			d1, perm1 := Canonical(h)
-			if d0 != d1 {
+			l1 := Search(h)
+			if l0.Digest != l1.Digest {
 				t.Fatalf("%s: digest changed under relabeling (trial %d)", name, trial)
 			}
-			if !bytes.Equal(serialize(g, perm0), serialize(h, perm1)) {
+			if !bytes.Equal(serialize(g, l0.Perm), serialize(h, l1.Perm)) {
 				t.Fatalf("%s: permutations map onto different graphs (trial %d)", name, trial)
 			}
-			if o := Automorphisms(h).Order(); o.Cmp(order) != 0 {
+			if o := l1.Group().Order(); o.Cmp(order) != 0 {
 				t.Fatalf("%s: group order %s changed to %s under relabeling", name, order, o)
 			}
 		}
 	}
 }
 
-// TestLargeGraphsTrivial: above maxN nodes Canonical keys the identity
-// labeling and Automorphisms returns the trivial group, both fast.
+// TestCanonicalFlag: Canonical holds exactly when g's identity
+// serialization is the canonical one, and a graph relabeled by its own
+// labeling reads as canonical, with the same digest and group order
+// (fft(4) spends the whole search budget).
+func TestCanonicalFlag(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	notCanonical := 0
+	for name, g := range map[string]*dag.DAG{
+		"pyramid4":       daggen.Pyramid(4),
+		"fft3":           daggen.FFT(3),
+		"fft4":           daggen.FFT(4),
+		"chain9":         daggen.Chain(9),
+		"chain9-shuffle": relabel(daggen.Chain(9), randPerm(9, rng)),
+		"grid33":         daggen.Grid(3, 3),
+		"layered":        daggen.RandomLayered(3, 4, 2, 5),
+		"singleton":      dag.New(1),
+		"empty":          dag.New(0),
+	} {
+		l := Search(g)
+		if want := bytes.Equal(serialize(g, identity(g.N())), serialize(g, l.Perm)); l.Canonical != want {
+			t.Errorf("%s: Canonical = %t, identity serialization canonical: %t", name, l.Canonical, want)
+		}
+		if !l.Canonical {
+			notCanonical++
+		}
+		c := Search(relabel(g, l.Perm))
+		if !c.Canonical || c.Digest != l.Digest || c.Group().Order().Cmp(l.Group().Order()) != 0 {
+			t.Errorf("%s relabeled by its labeling: canonical %t, same digest %t, group order %s (was %s)",
+				name, c.Canonical, c.Digest == l.Digest, c.Group().Order(), l.Group().Order())
+		}
+	}
+	if notCanonical == 0 {
+		t.Error("no input read as non-canonical")
+	}
+}
+
+// TestLargeGraphsTrivial: above maxN nodes Search keys the identity
+// labeling, reads the graph as canonical and builds the trivial group,
+// all fast.
 func TestLargeGraphsTrivial(t *testing.T) {
 	start := time.Now()
 	g := daggen.Chain(4000)
-	_, perm := Canonical(g)
-	for v, c := range perm {
+	l := Search(g)
+	for v, c := range l.Perm {
 		if c != dag.NodeID(v) {
 			t.Fatalf("perm[%d] = %d above maxN, want the identity", v, c)
 		}
 	}
-	if gr := Automorphisms(g); !gr.Trivial() {
-		t.Fatalf("Automorphisms above maxN has order %s", gr.Order())
+	if gr := l.Group(); !gr.Trivial() || l.Symmetric() || !l.Canonical {
+		t.Fatalf("above maxN: group order %s, symmetric %t, canonical %t", gr.Order(), l.Symmetric(), l.Canonical)
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("chain(4000) took %s", d)
@@ -256,23 +296,23 @@ func FuzzCanonicalInvariance(f *testing.F) {
 		if err != nil || g.N() == 0 || g.N() > 64 {
 			return
 		}
-		d0, perm0 := Canonical(g)
-		if len(perm0) != g.N() {
-			t.Fatalf("perm length %d != n %d", len(perm0), g.N())
+		l0 := Search(g)
+		if len(l0.Perm) != g.N() {
+			t.Fatalf("perm length %d != n %d", len(l0.Perm), g.N())
 		}
-		gr := Automorphisms(g)
-		for _, p := range gr.Generators() {
+		gr := l0.Group()
+		for _, p := range l0.gens {
 			if !isAutomorphism(g, p) {
 				t.Fatalf("generator %v is not an automorphism", p)
 			}
 		}
 		rng := rand.New(rand.NewSource(seed))
 		h := relabel(g, randPerm(g.N(), rng))
-		d1, _ := Canonical(h)
-		if d0 != d1 {
+		l1 := Search(h)
+		if l0.Digest != l1.Digest {
 			t.Fatalf("digest not invariant under relabeling (n=%d)", g.N())
 		}
-		if o0, o1 := gr.Order(), Automorphisms(h).Order(); o0.Cmp(o1) != 0 {
+		if o0, o1 := gr.Order(), l1.Group().Order(); o0.Cmp(o1) != 0 {
 			t.Fatalf("group order %s changed to %s under relabeling (n=%d)", o0, o1, g.N())
 		}
 	})
@@ -285,7 +325,7 @@ func BenchmarkCanonicalPyramid6(b *testing.B) {
 	g := daggen.Pyramid(6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Canonical(g)
+		Search(g)
 	}
 }
 
@@ -295,6 +335,6 @@ func BenchmarkAutomorphismsFFT3(b *testing.B) {
 	g := daggen.FFT(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Automorphisms(g)
+		Search(g).Group()
 	}
 }

@@ -25,7 +25,6 @@ const maxTransversal = 4096
 type Group struct {
 	base   []dag.NodeID
 	levels [][]Perm // levels[i][0] is the identity
-	gens   []Perm
 }
 
 // Trivial reports whether the group holds only the identity.
@@ -41,9 +40,6 @@ func (gr *Group) Base() []dag.NodeID { return gr.base }
 // point b_i to the j-th point of its basic orbit, and element 0 is the
 // identity. The slice is shared; callers must not modify it.
 func (gr *Group) Transversal(i int) []Perm { return gr.levels[i] }
-
-// Generators returns the automorphisms the chain was built from.
-func (gr *Group) Generators() []Perm { return gr.gens }
 
 // Order returns the number of elements of the group: the product of
 // the basic orbit lengths.
@@ -110,7 +106,7 @@ func newGroup(n int, gens []Perm) *Group {
 			return &Group{}
 		}
 	}
-	gr := &Group{gens: gens}
+	gr := &Group{}
 	for _, l := range c.levels {
 		if len(l.orbit) == 1 {
 			continue

@@ -13,7 +13,7 @@ import (
 // package canon because reduce imports solve, which imports canon.
 func TestHamPathK5Group(t *testing.T) {
 	g := reduce.NewHamPath(ugraph.Complete(5)).G
-	if got := canon.Automorphisms(g).Order().Int64(); got != 120 {
+	if got := canon.Search(g).Group().Order().Int64(); got != 120 {
 		t.Fatalf("|Aut(HamPath(K5))| = %d, want 120", got)
 	}
 }

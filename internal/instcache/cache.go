@@ -14,10 +14,10 @@ import (
 )
 
 // Value is one cached solution, stored in canonical node numbering so
-// every isomorphic requester can share it (translate with
-// ToCanonical/FromCanonical around the cache). The JSON form is the
-// node-to-node wire format for drain handoff and replication —
-// canonical numbering makes it portable across nodes by construction.
+// every isomorphic requester can share it (solve the instance relabeled
+// by its key's permutation; FromCanonical translates on the way out).
+// The JSON form is the node-to-node wire format for drain handoff and
+// replication — canonical numbering makes it portable across nodes.
 type Value struct {
 	// Moves is the incumbent trace in canonical node IDs.
 	Moves []pebble.Move `json:"moves,omitempty"`

@@ -30,14 +30,14 @@ type Instance struct {
 
 // Key returns the canonical cache key of the instance — the canonical
 // graph digest combined with every cost-relevant parameter — and the
-// canonical permutation (perm[orig] = canonical ID) needed to translate
-// traces in and out of canonical node numbering.
+// canonical permutation (perm[orig] = canonical ID) that relabels the
+// instance into canonical numbering. It builds no automorphism group.
 func (in Instance) Key() (string, []dag.NodeID) {
-	digest, perm := canon.Canonical(in.G)
+	l := canon.Search(in.G)
 	key := fmt.Sprintf("%x|%s|eps%d|r%d|sb%t|bb%t",
-		digest, in.Model.Kind, in.Model.EpsDenom, in.R,
+		l.Digest, in.Model.Kind, in.Model.EpsDenom, in.R,
 		in.Convention.SourcesStartBlue, in.Convention.SinksMustBeBlue)
-	return key, perm
+	return key, l.Perm
 }
 
 // ToCanonical maps a move sequence from original node IDs to canonical

@@ -282,7 +282,7 @@ func (s *Server) admit(ctx context.Context, items []reqItem, start time.Time, ru
 		u := byKey[it.key]
 		if u == nil {
 			u = &unit{
-				keyedSolve: keyedSolve{key: it.key, p: it.p, perm: it.perm, tableBytes: s.cfg.MaxTableBytes},
+				keyedSolve: keyedSolve{key: it.key, p: it.p, tableBytes: s.cfg.MaxTableBytes},
 				start:      start,
 				done:       make(chan struct{}),
 			}
@@ -359,7 +359,7 @@ func (s *Server) await(u *unit) bool {
 // request start; a member's translation failure poisons only that
 // member.
 func (s *Server) runUnit(ctx context.Context, u *unit, items []reqItem, out []BatchItem) {
-	kr, err := s.serveKey(ctx, u.keyedSolve, u.probed, u.start)
+	kr, err := s.serveKey(ctx, u.keyedSolve, items[u.members[0]].perm, u.probed, u.start)
 	for n, idx := range u.members {
 		item := BatchItem{Index: idx, Lane: u.lane}
 		switch {

@@ -239,7 +239,13 @@ func TestRefineKeyThroughSharedCore(t *testing.T) {
 	if opts.MaxTableBytes != tableBytes/2 {
 		t.Errorf("refinement MaxTableBytes %d, want %d", opts.MaxTableBytes, tableBytes/2)
 	}
-	seed, err := solve.TopoBelady(solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: 3})
+	// Flights solve the canonical problem, so the cached incumbent, and
+	// the warm start built from it, is TopoBelady's trace on pyramid(3)
+	// relabeled by its key's permutation.
+	cp := solve.Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: 3}
+	_, perm := instcache.Instance{G: cp.G, Model: cp.Model, R: cp.R}.Key()
+	cp.G = cp.G.Relabel(perm)
+	seed, err := solve.TopoBelady(cp)
 	if err != nil {
 		t.Fatal(err)
 	}

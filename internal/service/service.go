@@ -401,13 +401,13 @@ type Server struct {
 	// (or worse, a cancel) could land on another node's job.
 	jobPrefix string
 
-	// known remembers the parsed problem and canonical permutation
-	// behind each cache key this node has served: cache keys are
-	// digests and cannot be decoded back into instances, so the
+	// known remembers, while the refiner runs, the problem in canonical
+	// numbering behind each cache key this node has solved: cache keys
+	// are digests and cannot be decoded back into instances, so the
 	// background refiner can only re-solve keys recorded here. Bounded
 	// FIFO (2x the cache size) — a forgotten key is simply skipped.
 	knownMu    sync.Mutex
-	known      map[string]keyedProblem
+	known      map[string]solve.Problem
 	knownOrder []string
 
 	// refiner is the background interval refiner (nil unless
@@ -448,13 +448,6 @@ type Server struct {
 	once     sync.Once
 }
 
-// keyedProblem is one entry of the key -> problem registry (see
-// Server.known).
-type keyedProblem struct {
-	p    solve.Problem
-	perm []dag.NodeID
-}
-
 // New returns a started Server (its lane workers run until Close).
 func New(cfg Config) *Server {
 	var idSeed [6]byte
@@ -463,7 +456,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg.withDefaults(),
 		jobs:      make(map[string]*job),
 		jobPrefix: hex.EncodeToString(idSeed[:]),
-		known:     make(map[string]keyedProblem),
+		known:     make(map[string]solve.Problem),
 		solveFn:   anytime.Solve,
 		closed:    make(chan struct{}),
 		start:     time.Now(),
@@ -668,12 +661,12 @@ type keyedResult struct {
 }
 
 // keyedSolve is one solve of a canonical cache key, foreground or
-// background: the problem in its requester's numbering, the
-// permutation into canonical numbering, and what the solve may spend.
+// background: the problem, which a flight solves in canonical numbering
+// (a probe hit, which only records it, keeps the requester's), and what
+// the solve may spend.
 type keyedSolve struct {
 	key      string
 	p        solve.Problem
-	perm     []dag.NodeID
 	deadline time.Duration
 	// tier is the cache tier the solve probes and is credited at.
 	tier int
@@ -692,20 +685,24 @@ type keyedSolve struct {
 
 // serveKey is the foreground solve of a lane unit — sync, async and
 // batched alike: the admission probe's value when the probe hit,
-// otherwise one solveKey round trip. ctx is this request's own: its
-// cancellation (job DELETE, shutdown grace expiry) or its wait bound
-// ends its wait, and the shared solve stops only once no other request
-// still waits on it. start stamps a probe hit's record.
-func (s *Server) serveKey(ctx context.Context, k keyedSolve, probed *instcache.Value, start time.Time) (keyedResult, error) {
+// otherwise one solveKey round trip on k's problem relabeled by perm,
+// its key's permutation. ctx is this request's own: its cancellation
+// (job DELETE, shutdown grace expiry) or its wait bound ends its wait,
+// and the shared solve stops only once no other request still waits on
+// it. start stamps a probe hit's record.
+func (s *Server) serveKey(ctx context.Context, k keyedSolve, perm []dag.NodeID, probed *instcache.Value, start time.Time) (keyedResult, error) {
 	if probed != nil {
 		s.record(ctx, k, "hit", *probed, nil, start, nil)
 		return keyedResult{Val: *probed, Hit: true}, nil
+	}
+	k.p.G = k.p.G.Relabel(perm)
+	if s.refiner != nil {
+		s.rememberKey(k.key, k.p)
 	}
 	// Foreground work preempts background refinement the moment it
 	// arrives: the refiner's in-flight solve is canceled cooperatively
 	// (it still certifies its partial interval) and its admission gate
 	// sees fgActive > 0 until this request's solve is done.
-	s.rememberKey(k.key, k.p, k.perm)
 	s.fgActive.Add(1)
 	defer s.fgActive.Add(-1)
 	if s.refiner != nil {
@@ -779,7 +776,7 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 			}
 		}
 		return instcache.Value{
-			Moves:       instcache.ToCanonical(res.Solution.Trace.Moves, k.perm),
+			Moves:       res.Solution.Trace.Moves,
 			UpperScaled: res.UpperScaled,
 			LowerScaled: res.LowerScaled,
 			Optimal:     res.Optimal,
@@ -816,9 +813,9 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 
 // solveOptions builds one flight's orchestrator options: the deadline
 // and table-memory budget of k, its live progress hooks, and the warm
-// start from the cached certified interval (its incumbent trace
-// translated back into k's numbering seeds the engines' bounds; its
-// lower bound skips already-completed work).
+// start from the cached certified interval (its incumbent trace, in the
+// canonical numbering the flight solves in, seeds the engines' bounds;
+// its lower bound skips already-completed work).
 func (s *Server) solveOptions(k keyedSolve, warm *instcache.Value, traceID string) anytime.Options {
 	opts := anytime.Options{
 		Budget:        k.deadline,
@@ -846,7 +843,7 @@ func (s *Server) solveOptions(k keyedSolve, warm *instcache.Value, traceID strin
 	}
 	if warm != nil {
 		opts.Warm = &anytime.WarmStart{
-			Moves:       instcache.FromCanonical(warm.Moves, k.perm),
+			Moves:       warm.Moves,
 			LowerScaled: warm.LowerScaled,
 			Source:      "cache:" + warm.Source,
 		}
@@ -890,16 +887,16 @@ func (s *Server) record(ctx context.Context, k keyedSolve, disposition string, v
 	s.tel.Append(rec)
 }
 
-// rememberKey records the problem behind a cache key so the background
-// refiner can re-solve it later. Bounded FIFO at twice the cache size:
-// keys evicted here simply stop being refinement candidates.
-func (s *Server) rememberKey(key string, p solve.Problem, perm []dag.NodeID) {
+// rememberKey records the canonical problem behind a cache key so the
+// background refiner can re-solve it later. Bounded FIFO at twice the
+// cache size: keys evicted here stop being refinement candidates.
+func (s *Server) rememberKey(key string, p solve.Problem) {
 	s.knownMu.Lock()
 	defer s.knownMu.Unlock()
 	if _, ok := s.known[key]; ok {
 		return
 	}
-	s.known[key] = keyedProblem{p: p, perm: perm}
+	s.known[key] = p
 	s.knownOrder = append(s.knownOrder, key)
 	for len(s.knownOrder) > 2*s.cfg.CacheSize {
 		delete(s.known, s.knownOrder[0])
@@ -909,17 +906,15 @@ func (s *Server) rememberKey(key string, p solve.Problem, perm []dag.NodeID) {
 
 // knowsKey reports whether the refiner can materialize key's problem.
 func (s *Server) knowsKey(key string) bool {
-	s.knownMu.Lock()
-	defer s.knownMu.Unlock()
-	_, ok := s.known[key]
+	_, ok := s.lookupKey(key)
 	return ok
 }
 
-func (s *Server) lookupKey(key string) (keyedProblem, bool) {
+func (s *Server) lookupKey(key string) (solve.Problem, bool) {
 	s.knownMu.Lock()
 	defer s.knownMu.Unlock()
-	kp, ok := s.known[key]
-	return kp, ok
+	p, ok := s.known[key]
+	return p, ok
 }
 
 // refinerBusy is the background refiner's admission gate: any live
@@ -946,7 +941,7 @@ var errUnknownKey = errors.New("service: no problem registered for cache key")
 // does not count as foreground work. Returns the scaled gap of the
 // stored interval after the attempt.
 func (s *Server) refineKey(ctx context.Context, key string, tier int) (int64, error) {
-	kp, ok := s.lookupKey(key)
+	p, ok := s.lookupKey(key)
 	if !ok {
 		return 0, errUnknownKey
 	}
@@ -957,7 +952,7 @@ func (s *Server) refineKey(ctx context.Context, key string, tier int) (int64, er
 		deadline = s.cfg.MaxDeadline
 	}
 	kr, err := s.solveKey(ctx, keyedSolve{
-		key: key, p: kp.p, perm: kp.perm, deadline: deadline, tier: tier,
+		key: key, p: p, deadline: deadline, tier: tier,
 		tableBytes: s.cfg.MaxTableBytes / 2,
 		refine:     true,
 	})

@@ -182,10 +182,11 @@ func (m *serialMem) bytes() int64 {
 // for a ready consumer (see searchCtx.appendMoves) — and serial A* also
 // stores one representative per automorphism orbit of states: the
 // pebbling models ignore node labels, so states that differ by a DAG
-// automorphism have the same cost-to-go. It searches the DAG's
-// canonical relabeling, so its effort does not depend on how the
-// caller numbered the nodes, and maps the trace back (see
-// symmetry.go). HeuristicOff stays the faithful Dijkstra reference, and
+// automorphism have the same cost-to-go. On a DAG with symmetry it
+// searches the canonical relabeling, so its effort does not depend on
+// how the caller numbered the nodes, and maps the trace back (see
+// symmetry.go); a DAG without symmetry is searched in the caller's
+// numbering. HeuristicOff stays the faithful Dijkstra reference, and
 // IDA* (ExactDFS) shares the move rules but searches without symmetry.
 //
 // The returned solution is replay-verified. Exact returns ErrStateLimit
@@ -272,11 +273,11 @@ func (c *searchCtx) moveCost(m pebble.Move) int64 {
 func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates int, m *serialMem) (Solution, error) {
 	// Symmetry reduction rides with the other safe reductions (pruning
 	// and heuristic on), so HeuristicOff stays the faithful Dijkstra
-	// reference. It searches p's canonical relabeling; reconstruct maps
-	// the trace back to orig's node IDs.
-	// The set-up polls Cancel too: on a large DAG, canonical labeling
-	// and the automorphism group search can take over ten milliseconds
-	// before the first expansion gate.
+	// reference. A symmetric p is searched in canonical numbering;
+	// reconstruct maps the trace back to orig's node IDs.
+	// The set-up polls Cancel too: on a large DAG, the labeling search
+	// and the group's chain can take over ten milliseconds before the
+	// first expansion gate.
 	guard := newSearchGuard(opts.Cancel, opts.MaxTableBytes, opts.Progress, opts.ProgressEvery)
 	orig := p
 	var sym *symmetry
@@ -415,24 +416,30 @@ func exactSerial(p Problem, opts ExactOptions, start *pebble.State, maxStates in
 // symmetricForm prepares a symmetry-reduced search of p: when p's DAG
 // has a nontrivial automorphism group it returns p relabeled into its
 // canonical form, with its start state, and the symmetry (which maps
-// canonical IDs back to p's). Searching the canonical form makes
-// the chain, the representatives and so the whole search the same for
+// canonical IDs back to p's). Searching the canonical form makes the
+// chain, the representatives and so the whole search the same for
 // every labeling of the instance (within the labeling search's budget).
-// Otherwise it returns p and start unchanged and a nil symmetry. It
-// polls stop between its steps and gives up (the nil-symmetry result)
-// once stop reports true.
+// Otherwise it returns p and start unchanged and a nil symmetry: the
+// search runs in the caller's numbering. One labeling search of p
+// serves when it finds no automorphism or p is already canonical
+// (relabeling gives p's DAG back); otherwise a second one finds the
+// relabeled DAG's group. It polls stop between its steps and gives up
+// (the nil-symmetry result) once stop reports true.
 func symmetricForm(p Problem, start *pebble.State, stop func() bool) (Problem, *pebble.State, *symmetry) {
 	if stop() {
 		return p, start, nil
 	}
-	_, perm := canon.Canonical(p.G)
-	if stop() {
+	l := canon.Search(p.G)
+	if !l.Symmetric() || stop() {
 		return p, start, nil
 	}
-	q := p
-	q.G = p.G.Relabel(perm)
-	sym := newSymmetry(q.G, start.PackedWords(), stop)
-	if sym == nil {
+	q, ql := p, l // ql is the labeling search of q's DAG
+	if !l.Canonical {
+		q.G = p.G.Relabel(l.Perm)
+		ql = canon.Search(q.G)
+	}
+	sym := newSymmetry(ql.Group(), start.PackedWords())
+	if sym == nil || stop() {
 		return p, start, nil
 	}
 	qstart, err := pebble.NewState(q.G, q.Model, q.R, q.Convention)
@@ -440,8 +447,8 @@ func symmetricForm(p Problem, start *pebble.State, stop func() bool) (Problem, *
 		panic("solve: canonical relabeling changed feasibility: " + err.Error())
 	}
 	sym.state = qstart.Clone()
-	sym.back = make([]dag.NodeID, len(perm))
-	for v, c := range perm {
+	sym.back = make([]dag.NodeID, len(l.Perm))
+	for v, c := range l.Perm {
 		sym.back[c] = dag.NodeID(v)
 	}
 	return q, qstart, sym

@@ -61,12 +61,11 @@ type symElem struct {
 
 type symPair struct{ x, ux int32 }
 
-// newSymmetry returns the symmetry of g's automorphism group for packed
-// keys of kw words, or nil when the group is trivial (a search without
-// symmetry pays nothing per state) or stop reports true after it.
-func newSymmetry(g *dag.DAG, kw int, stop func() bool) *symmetry {
-	gr := canon.Automorphisms(g)
-	if gr.Trivial() || stop() {
+// newSymmetry returns the symmetry of the automorphism group gr for
+// packed keys of kw words, or nil when the group is trivial (a search
+// without symmetry pays nothing per state).
+func newSymmetry(gr *canon.Group, kw int) *symmetry {
+	if gr.Trivial() {
 		return nil
 	}
 	s := &symmetry{w: kw / 3}

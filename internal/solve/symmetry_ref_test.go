@@ -2,6 +2,7 @@ package solve
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rbpebble/internal/canon"
@@ -67,9 +68,22 @@ var canonizeFuzzGraphs = []struct {
 // canonicalSymmetry returns the symmetry serial A* searches g with: the
 // group of g's canonical relabeling.
 func canonicalSymmetry(g *dag.DAG) *symmetry {
-	_, perm := canon.Canonical(g)
-	q := g.Relabel(perm)
-	return newSymmetry(q, 3*((q.N()+63)/64), func() bool { return false })
+	_, sym := refSymmetricForm(g)
+	return sym
+}
+
+// refSymmetricForm is the reference for symmetricForm: the two-search
+// form. One labeling search relabels g into canonical numbering, and a
+// second one, on the relabeled DAG, finds the group. It returns the
+// relabeled DAG and its symmetry, or g and nil when that group is
+// trivial.
+func refSymmetricForm(g *dag.DAG) (*dag.DAG, *symmetry) {
+	q := g.Relabel(canon.Search(g).Perm)
+	sym := newSymmetry(canon.Search(q).Group(), 3*((q.N()+63)/64))
+	if sym == nil {
+		return g, nil
+	}
+	return q, sym
 }
 
 // canonizeFuzzKeys is the number of random keys one fuzz case canonizes.
@@ -144,5 +158,123 @@ func FuzzCanonizeMatchesReference(f *testing.F) {
 	}
 	if applied == 0 || ties == 0 {
 		f.Errorf("the seed slice missed a path: %d non-identity choices, %d non-identity ties", applied, ties)
+	}
+}
+
+// symFormFuzzGraph decodes a fuzz input into a DAG: small random
+// layered DAGs (often symmetric), sparse random DAGs (mostly
+// asymmetric), fft(3), binary trees, pyramids and fft(4), whose
+// labeling search runs out of its budget.
+func symFormFuzzGraph(seed int64, shape uint8) *dag.DAG {
+	a := int(shape / 6 % 4)
+	switch shape % 6 {
+	case 0:
+		return daggen.RandomLayered(2+a, 2+int(shape/24%4), 2, seed)
+	case 1:
+		n := 6 + 5*a
+		return daggen.RandomTriangular(n, 2.5/float64(n), seed)
+	case 2:
+		return daggen.FFT(3)
+	case 3:
+		return daggen.BinaryTree(3 + a%2)
+	case 4:
+		return daggen.Pyramid(3 + a)
+	default:
+		return daggen.FFT(4)
+	}
+}
+
+// FuzzSymmetricFormMatchesReference requires symmetricForm, which runs
+// one labeling search and a second only when its input is symmetric and
+// not in canonical numbering, to prepare the search refSymmetricForm's
+// two searches prepare: the same searched DAG (the input graph itself
+// when the input is already canonical), the same chain bases and
+// transversals, and a back map that is an isomorphism from the searched
+// DAG onto the caller's. The input is a symFormFuzzGraph as generated
+// (form%3 == 0), under a random relabeling (1), or in its own canonical
+// numbering (2). Under plain go test it runs the seed slice and
+// requires it to cover a trivial group, a symmetric canonical input, a
+// symmetric input that needs relabeling, and fft(4).
+func FuzzSymmetricFormMatchesReference(f *testing.F) {
+	nseeds := 0
+	for shape := 0; shape < 12; shape++ {
+		for form := 0; form < 3; form++ {
+			f.Add(int64(shape*3+form), uint8(shape), uint8(form))
+			nseeds++
+		}
+	}
+	never := func() bool { return false }
+	var runs, trivial, canonical, relabeled, fft4 int
+	f.Fuzz(func(t *testing.T, seed int64, shape, form uint8) {
+		runs++
+		g := symFormFuzzGraph(seed, shape)
+		switch form % 3 {
+		case 1:
+			rng := rand.New(rand.NewSource(seed))
+			perm := make([]dag.NodeID, g.N())
+			for v, w := range rng.Perm(g.N()) {
+				perm[v] = dag.NodeID(w)
+			}
+			g = g.Relabel(perm)
+		case 2:
+			g = g.Relabel(canon.Search(g).Perm)
+		}
+		p := Problem{G: g, Model: pebble.NewModel(pebble.Oneshot), R: pebble.MinFeasibleR(g)}
+		start, err := pebble.NewState(p.G, p.Model, p.R, p.Convention)
+		if err != nil {
+			t.Skip(err)
+		}
+		q, qstart, sym := symmetricForm(p, start, never)
+		refQ, refSym := refSymmetricForm(g)
+		if (sym == nil) != (refSym == nil) {
+			t.Fatalf("symmetry %t, reference %t", sym != nil, refSym != nil)
+		}
+		if shape%6 == 5 {
+			fft4++
+		}
+		if sym == nil {
+			trivial++
+			if q.G != g || qstart != start {
+				t.Fatal("a search without symmetry must run on the input")
+			}
+			return
+		}
+		if canon.Search(g).Canonical {
+			canonical++
+			if q.G != g {
+				t.Fatal("canonical input was relabeled")
+			}
+		} else {
+			relabeled++
+		}
+		n := g.N()
+		if q.G.N() != n || q.G.M() != refQ.M() || q.G.M() != g.M() {
+			t.Fatalf("searched DAG has %d nodes and %d edges, reference %d and %d", q.G.N(), q.G.M(), refQ.N(), refQ.M())
+		}
+		seen := make([]bool, n)
+		for u := 0; u < n; u++ {
+			for _, v := range q.G.Succs(dag.NodeID(u)) {
+				if !refQ.HasEdge(dag.NodeID(u), v) {
+					t.Fatalf("searched edge %d->%d is not in the reference's DAG", u, v)
+				}
+				if !g.HasEdge(sym.back[u], sym.back[v]) {
+					t.Fatalf("back map sends edge %d->%d to a non-edge", u, v)
+				}
+			}
+			if b := sym.back[u]; b < 0 || int(b) >= n || seen[b] {
+				t.Fatalf("back map %v is not a permutation", sym.back)
+			}
+			seen[sym.back[u]] = true
+		}
+		if !reflect.DeepEqual(sym.levels, refSym.levels) {
+			t.Fatal("chain bases or transversals differ from the reference's")
+		}
+	})
+	if runs != nseeds {
+		return // fuzzing, or a filtered run: the counts cover another set
+	}
+	f.Logf("%d trivial, %d canonical, %d relabeled, %d fft(4)", trivial, canonical, relabeled, fft4)
+	if trivial == 0 || canonical == 0 || relabeled == 0 || fft4 == 0 {
+		f.Errorf("the seed slice missed a path: %d trivial, %d canonical, %d relabeled, %d fft(4)", trivial, canonical, relabeled, fft4)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rbpebble/internal/canon"
 	"rbpebble/internal/dag"
 	"rbpebble/internal/daggen"
 	"rbpebble/internal/pebble"
@@ -32,7 +33,7 @@ func TestSymmetryCanonizeStaysInOrbit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for name, g := range map[string]*dag.DAG{"fft(3)": daggen.FFT(3), "wide": wideFFT(), "bintree(4)": daggen.BinaryTree(4)} {
 		w := (g.N() + 63) / 64
-		sym := newSymmetry(g, 3*w, func() bool { return false })
+		sym := newSymmetry(canon.Search(g).Group(), 3*w)
 		if sym == nil {
 			t.Fatalf("%s: no symmetry", name)
 		}

@@ -28,6 +28,8 @@
 package rbpebble
 
 import (
+	"crypto/sha256"
+
 	"rbpebble/internal/anytime"
 	"rbpebble/internal/canon"
 	"rbpebble/internal/cluster"
@@ -60,6 +62,15 @@ type (
 
 // NewDAG returns a DAG with n nodes and no edges.
 func NewDAG(n int) *DAG { return dag.New(n) }
+
+// CanonicalDAG computes an isomorphism-invariant digest and canonical
+// node permutation (perm[orig] = canonical ID) of a DAG — the identity
+// the rbserve instance cache deduplicates on. It runs one labeling
+// search and builds no automorphism group.
+func CanonicalDAG(g *DAG) ([sha256.Size]byte, []NodeID) {
+	l := canon.Search(g)
+	return l.Digest, l.Perm
+}
 
 // ---- Workload generators ----
 
@@ -268,10 +279,6 @@ var (
 	// RootLowerBound returns the admissible heuristic's instant lower
 	// bound on an instance's optimal scaled cost.
 	RootLowerBound = solve.RootLowerBound
-	// CanonicalDAG computes an isomorphism-invariant digest and
-	// canonical node permutation of a DAG — the identity the rbserve
-	// instance cache deduplicates on.
-	CanonicalDAG = canon.Canonical
 	// NewServer builds the rbserve HTTP service (solve endpoints, the
 	// fast and heavy solve lanes, canonical cache, metrics) for
 	// embedding; cmd/rbserve is the standalone binary.
