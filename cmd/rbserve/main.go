@@ -9,9 +9,8 @@
 // capacity and request and lifecycle settings; each defaults to
 // service.DefaultConfig(). The rest of a node's shape is fixed: lane
 // queues of 256 (fast) and 64 (heavy) units, a batch canonicalization
-// pool of GOMAXPROCS goroutines, the 256 newest traces and 512 newest
-// solve records retained for the debug endpoints, and a background
-// refiner ceiling of budget tier 12.
+// pool of GOMAXPROCS goroutines, and the 256 newest traces and 512
+// newest solve records retained for the debug endpoints.
 //
 // Usage:
 //
@@ -43,12 +42,8 @@
 //
 //	rbserve -addr :8081 -join 127.0.0.1:8080
 //
-// With -refine-interval, an idle node re-solves its widest cached
-// certified intervals at escalating budgets in the background
-// (preempted instantly by foreground work; see GET /debug/refiner),
-// and -mem-budget caps per-solve table memory — over-budget solves
-// abort with a certified partial interval instead of swelling the
-// heap.
+// -mem-budget caps per-solve table memory: over-budget solves abort
+// with a certified partial interval instead of swelling the heap.
 package main
 
 import (
@@ -82,8 +77,7 @@ func main() {
 	flag.IntVar(&cfg.MaxBatchItems, "batch-items", cfg.MaxBatchItems, "largest accepted POST /solve/batch item count")
 	flag.IntVar(&cfg.FastLaneWorkers, "fast-workers", cfg.FastLaneWorkers, "fast-lane workers (cache-served and sub-budget solves)")
 	flag.IntVar(&cfg.HeavyLaneWorkers, "heavy-workers", cfg.HeavyLaneWorkers, "heavy-lane workers: the node's concurrent exact solves, sync and async")
-	flag.Int64Var(&cfg.MaxTableBytes, "mem-budget", cfg.MaxTableBytes, "per-solve visited-table memory budget in bytes (0 = unlimited); solves over budget abort with a certified partial interval, background refinement runs at half")
-	flag.DurationVar(&cfg.RefinerInterval, "refine-interval", cfg.RefinerInterval, "background refiner idle scan cadence (0 = disabled)")
+	flag.Int64Var(&cfg.MaxTableBytes, "mem-budget", cfg.MaxTableBytes, "per-solve visited-table memory budget in bytes (0 = unlimited); solves over budget abort with a certified partial interval")
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		join        = flag.String("join", "", "rbproxy address (host:port) to register with for dynamic membership")
@@ -119,15 +113,6 @@ func main() {
 		if a := agentPtr.Load(); a != nil {
 			a.Replicate(e)
 		}
-	}
-	// Ownership filter for the background refiner: only keys this node
-	// would be routed anyway are worth its idle cycles. Solo (or
-	// pre-join) nodes own everything.
-	cfg.RefinerOwns = func(key string) bool {
-		if a := agentPtr.Load(); a != nil {
-			return a.Owns(key)
-		}
-		return true
 	}
 
 	s := service.New(cfg)

@@ -182,14 +182,14 @@ func TestRefinementOptionsSeedEngines(t *testing.T) {
 // the first one's certified interval, returns an interval at least as
 // tight on both ends.
 func TestWarmStartTightensInterval(t *testing.T) {
-	// fft(3) R=3 in nodel: serial A* needs seconds to close it.
-	p := solve.Problem{G: daggen.FFT(3), Model: pebble.NewModel(pebble.NoDel), R: 3}
+	// fft(4) R=3 oneshot stays open for about 100 s under serial A*.
+	p := solve.Problem{G: daggen.FFT(4), Model: pebble.NewModel(pebble.Oneshot), R: 3}
 	first, err := Solve(context.Background(), p, Options{Budget: 80 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) nodel R=3 in 80ms; warm-start tightening not observable")
+		t.Skip("host closed fft(4) R=3 in 80ms; warm-start tightening not observable")
 	}
 	second, err := Solve(context.Background(), p, Options{
 		Budget: 80 * time.Millisecond,

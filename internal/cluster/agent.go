@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,12 +43,6 @@ type Agent struct {
 	cfg      AgentConfig
 	comm     *CommClient
 	draining atomic.Bool
-
-	// members mirrors the proxy's routable members, taken from each
-	// join response. It backs Owns — the background refiner's ownership
-	// filter — so a node only spends idle cycles on keys it would be
-	// routed anyway.
-	members atomic.Pointer[[]string]
 
 	stop chan struct{}
 	kick chan struct{} // forces an immediate heartbeat (drain announcement)
@@ -103,25 +96,7 @@ func (a *Agent) join(ctx context.Context) (time.Duration, error) {
 	if err := a.comm.Call(ctx, a.cfg.Proxy, http.MethodPost, "/cluster/join", in, &jr); err != nil {
 		return 0, err
 	}
-	if len(jr.MemberList) > 0 { // an empty list keeps the last mirror
-		if old := a.members.Load(); old == nil || !slices.Equal(*old, jr.MemberList) {
-			a.cfg.Logf("cluster agent: member mirror updated (%d members)", len(jr.MemberList))
-		}
-		a.members.Store(&jr.MemberList)
-	}
 	return time.Duration(jr.TTLMS) * time.Millisecond, nil
-}
-
-// Owns reports whether this node is the first owner of key among the
-// mirrored members — the background refiner's ownership filter. Before
-// the first join response carrying a member list, every key is owned:
-// a solo or just-started node refines everything rather than nothing.
-func (a *Agent) Owns(key string) bool {
-	members := a.members.Load()
-	if members == nil {
-		return true
-	}
-	return Owners(key, *members)[0] == a.cfg.Self
 }
 
 // SetDraining flips the drain flag and fires an immediate heartbeat so

@@ -422,15 +422,10 @@ type joinRequest struct {
 }
 
 // JoinResponse tells the joining node its lease: renew well within
-// TTLMS (nodes use TTL/3) or be declared dead. MemberList lets the
-// node mirror the proxy's placement locally (Owners over the list), so
-// its background refiner can compute key ownership without a round
-// trip per key; it holds only the routable members (up, not draining),
-// the ones the proxy routes keys to.
+// TTLMS (nodes use TTL/3) or be declared dead.
 type JoinResponse struct {
-	TTLMS      int64    `json:"ttl_ms"`
-	Members    int      `json:"members"`
-	MemberList []string `json:"member_list,omitempty"`
+	TTLMS   int64 `json:"ttl_ms"`
+	Members int   `json:"members"`
 }
 
 // handleJoin registers or renews a member lease. Heartbeat renewals
@@ -447,11 +442,7 @@ func (p *Proxy) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.membership.Join(req.Member, req.Draining)
-	writeJSON(w, JoinResponse{
-		TTLMS:      p.membership.TTL().Milliseconds(),
-		Members:    p.membership.Size(),
-		MemberList: p.membership.Routable(),
-	})
+	writeJSON(w, JoinResponse{TTLMS: p.membership.TTL().Milliseconds(), Members: p.membership.Size()})
 }
 
 // handleLeave deregisters a member immediately (the graceful goodbye

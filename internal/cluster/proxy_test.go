@@ -140,17 +140,17 @@ func TestProxyRoutesByCanonicalKey(t *testing.T) {
 // warm-start, and certify an interval no wider than the first.
 func TestProxyWarmStartConvergence(t *testing.T) {
 	tc := newTestCluster(t, 2)
-	// fft(3) R=3 in nodel: serial A* needs seconds to close it.
-	g := daggen.FFT(3)
-	body := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":100}`, dagJSON(t, g))
+	// fft(4) R=3 oneshot stays open for about 100 s under serial A*.
+	g := daggen.FFT(4)
+	body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":100}`, dagJSON(t, g))
 	code, first, node1 := tc.post(t, body)
 	if code != http.StatusOK {
 		t.Fatalf("first: code=%d", code)
 	}
 	if first.Optimal {
-		t.Skip("host closed fft(3) nodel R=3 in 100ms; convergence not observable")
+		t.Skip("host closed fft(4) R=3 in 100ms; convergence not observable")
 	}
-	iso := fmt.Sprintf(`{"dag":%s,"model":"nodel","r":3,"deadline_ms":100}`, dagJSON(t, relabeled(g)))
+	iso := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3,"deadline_ms":100}`, dagJSON(t, relabeled(g)))
 	code, second, node2 := tc.post(t, iso)
 	if code != http.StatusOK {
 		t.Fatalf("second: code=%d", code)

@@ -287,44 +287,3 @@ func metricsDump(t *testing.T, baseURL string) string {
 	buf.ReadFrom(resp.Body)
 	return buf.String()
 }
-
-// TestJoinListsOnlyRoutableMembers: the join response's member list —
-// what each node's ownership mirror places keys over — holds only the
-// members the proxy routes to. A member that is down but still
-// heartbeating is left out; otherwise its keys would go to the next
-// owner, whose mirror says another node owns them, and no refiner
-// would touch them.
-func TestJoinListsOnlyRoutableMembers(t *testing.T) {
-	live := httptest.NewServer(http.NotFoundHandler())
-	defer live.Close()
-	liveAddr := strings.TrimPrefix(live.URL, "http://")
-	dead := deadAddr(t)
-	_, ts := newRoutingProxy(t)
-	join := func(member string) JoinResponse {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/cluster/join", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"member":%q}`, member)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var jr JoinResponse
-		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-			t.Fatal(err)
-		}
-		return jr
-	}
-	join(liveAddr)
-	if jr := join(dead); len(jr.MemberList) != 2 {
-		t.Fatalf("member list %v, want both members while both are up", jr.MemberList)
-	}
-	// A lookup that cannot reach the dead member demotes it.
-	resp, err := http.Get(ts.URL + "/debug/trace/no-such-trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if jr := join(dead); fmt.Sprint(jr.MemberList) != fmt.Sprint([]string{liveAddr}) {
-		t.Fatalf("member list after demotion %v, want only %s", jr.MemberList, liveAddr)
-	}
-}

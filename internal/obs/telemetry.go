@@ -101,7 +101,7 @@ type SolveRecord struct {
 	// BudgetMS is the solve budget; Tier its cache credit bucket.
 	BudgetMS int64 `json:"budget_ms"`
 	Tier     int   `json:"tier"`
-	// Disposition: hit | warm | shared | cold | refine.
+	// Disposition: hit | warm | shared | cold.
 	Disposition string `json:"disposition"`
 	Canceled    bool   `json:"canceled,omitempty"`
 	Expanded    uint64 `json:"expanded,omitempty"`

@@ -282,7 +282,7 @@ func (s *Server) admit(ctx context.Context, items []reqItem, start time.Time, ru
 		u := byKey[it.key]
 		if u == nil {
 			u = &unit{
-				keyedSolve: keyedSolve{key: it.key, p: it.p, tableBytes: s.cfg.MaxTableBytes},
+				keyedSolve: keyedSolve{key: it.key, p: it.p},
 				start:      start,
 				done:       make(chan struct{}),
 			}

@@ -61,24 +61,3 @@ func TestWorkIndependentOfNumbering(t *testing.T) {
 		}
 	}
 }
-
-// TestNoKeyRegistryWithoutRefiner: the key registry exists for the
-// background refiner alone, so with the refiner off (the default) cold
-// solves register nothing.
-func TestNoKeyRegistryWithoutRefiner(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	for _, g := range []*dag.DAG{daggen.Pyramid(3), daggen.Chain(4), daggen.FFT(2)} {
-		body := fmt.Sprintf(`{"dag":%s,"model":"oneshot","r":3}`, dagJSON(t, g))
-		if code, sr, raw := postSolve(t, ts, body); code != http.StatusOK || sr.Cached {
-			t.Fatalf("cold solve: %d %s", code, raw)
-		}
-	}
-	s.knownMu.Lock()
-	defer s.knownMu.Unlock()
-	if len(s.known) != 0 || len(s.knownOrder) != 0 {
-		t.Fatalf("%d keys registered with the refiner off", len(s.known))
-	}
-}

@@ -29,7 +29,6 @@ func TestDefaults(t *testing.T) {
 		{"GracePeriod", c.GracePeriod, 10 * time.Second},
 		{"MaxBatchItems", c.MaxBatchItems, 256},
 		{"MaxTableBytes", c.MaxTableBytes, int64(0)},
-		{"RefinerInterval", c.RefinerInterval, time.Duration(0)},
 		{"fast lane workers", s.lanes.fast.workers, 4},
 		{"heavy lane workers", s.lanes.heavy.workers, 2},
 		{"fast lane queue", cap(s.lanes.fast.tasks), 256},
@@ -67,12 +66,5 @@ func TestDefaults(t *testing.T) {
 	}
 	if n := len(s.tel.Recent(0)); n != 512 {
 		t.Errorf("telemetry ring holds %d records, want 512", n)
-	}
-
-	// An enabled refiner escalates cached intervals up to tier 12.
-	r := New(Config{RefinerInterval: time.Hour})
-	defer r.Close()
-	if st, ok := r.RefinerStatus(); !ok || st.MaxTier != 12 {
-		t.Errorf("refiner status = %+v (enabled %t), want tier ceiling 12", st, ok)
 	}
 }

@@ -16,7 +16,6 @@
 //	GET    /debug/solves              recent per-solve telemetry records
 //	GET    /debug/trace/{id}          one request's span tree
 //	GET    /debug/jobs/{id}/search    a job's live engine snapshot
-//	GET    /debug/refiner             the background refiner's state
 //
 // A POST /solve is a one-item batch: both endpoints run the same
 // prepare → admit → runUnit path (see batch.go).
@@ -44,7 +43,6 @@ import (
 	"rbpebble/internal/instcache"
 	"rbpebble/internal/obs"
 	"rbpebble/internal/pebble"
-	"rbpebble/internal/refine"
 	"rbpebble/internal/solve"
 )
 
@@ -88,21 +86,11 @@ type Config struct {
 	// snapshot sampled during a solve, each stamped with the solve's
 	// trace ID (see obs.EventRow).
 	EventSink io.Writer
-	// MaxTableBytes caps each foreground solve's visited-table memory
-	// (0 = unlimited): an exact engine that outgrows the budget aborts
-	// with a certified partial interval instead of taking the node down.
+	// MaxTableBytes caps each solve's visited-table memory (0 =
+	// unlimited): an exact engine that outgrows the budget aborts with a
+	// certified partial interval instead of taking the node down.
 	// Threaded to anytime.Options.MaxTableBytes.
 	MaxTableBytes int64
-	// RefinerInterval enables the background refiner at this idle scan
-	// cadence (0 = disabled). When enabled the node spends its idle
-	// cycles re-solving the widest certified intervals in its cache at
-	// the next budget tier, up to the refiner's ceiling of tier 12 (a
-	// 2,048 ms budget), strictly preempted by foreground work.
-	RefinerInterval time.Duration
-	// RefinerOwns, when set, filters background refinement to keys whose
-	// first owner among the cluster's members is this node (nil = solo
-	// node: refine all).
-	RefinerOwns func(key string) bool
 	// Logger receives structured request/job lifecycle logs with trace
 	// and job IDs attached (default: discard).
 	Logger *slog.Logger
@@ -401,21 +389,6 @@ type Server struct {
 	// (or worse, a cancel) could land on another node's job.
 	jobPrefix string
 
-	// known remembers, while the refiner runs, the problem in canonical
-	// numbering behind each cache key this node has solved: cache keys
-	// are digests and cannot be decoded back into instances, so the
-	// background refiner can only re-solve keys recorded here. Bounded
-	// FIFO (2x the cache size) — a forgotten key is simply skipped.
-	knownMu    sync.Mutex
-	known      map[string]solve.Problem
-	knownOrder []string
-
-	// refiner is the background interval refiner (nil unless
-	// Config.RefinerInterval > 0). fgActive counts live foreground
-	// solves — the refiner's admission gate and preemption trigger.
-	refiner  *refine.Refiner
-	fgActive atomic.Int64
-
 	m metrics
 
 	// recorder retains recent traces for GET /debug/trace/{id}; tel is
@@ -456,7 +429,6 @@ func New(cfg Config) *Server {
 		cfg:       cfg.withDefaults(),
 		jobs:      make(map[string]*job),
 		jobPrefix: hex.EncodeToString(idSeed[:]),
-		known:     make(map[string]solve.Problem),
 		solveFn:   anytime.Solve,
 		closed:    make(chan struct{}),
 		start:     time.Now(),
@@ -481,20 +453,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/solves", s.handleDebugSolves)
 	s.mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
 	s.mux.HandleFunc("GET /debug/jobs/{id}/search", s.handleDebugJobSearch)
-	s.mux.HandleFunc("GET /debug/refiner", s.handleDebugRefiner)
-	if s.cfg.RefinerInterval > 0 {
-		s.refiner = refine.New(refine.Config{
-			Export:     s.cache.Export,
-			Solve:      s.refineKey,
-			Owns:       s.cfg.RefinerOwns,
-			Resolvable: s.knowsKey,
-			Busy:       s.refinerBusy,
-			Interval:   s.cfg.RefinerInterval,
-			Logf: func(format string, args ...any) {
-				s.log.Info(fmt.Sprintf(format, args...))
-			},
-		})
-	}
 	return s
 }
 
@@ -514,17 +472,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // (so a routing proxy stops sending new work here) and new solve
 // submissions are refused with 503. Requests already in flight keep
 // running. Drain is the first step of a graceful shutdown and may be
-// called on its own. The background refiner is stopped first — its
-// in-flight refinement is canceled cooperatively and lands its
-// certified partial interval in the cache before this returns, so the
-// drain handoff exports every tightening instead of racing the last
-// one.
-func (s *Server) Drain() {
-	s.draining.Store(true)
-	if s.refiner != nil {
-		s.refiner.Stop()
-	}
-}
+// called on its own.
+func (s *Server) Drain() { s.draining.Store(true) }
 
 // Draining reports whether Drain (or Shutdown) has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -535,9 +484,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // lane channels are never closed, so submissions racing a shutdown get
 // a 503 rather than a panic.
 func (s *Server) Close() {
-	if s.refiner != nil {
-		s.refiner.Stop()
-	}
 	s.once.Do(func() { close(s.closed) })
 	s.wg.Wait()
 	s.baseCancel()
@@ -660,20 +606,15 @@ type keyedResult struct {
 	Hit, Shared, Warmed bool
 }
 
-// keyedSolve is one solve of a canonical cache key, foreground or
-// background: the problem, which a flight solves in canonical numbering
-// (a probe hit, which only records it, keeps the requester's), and what
-// the solve may spend.
+// keyedSolve is one solve of a canonical cache key: the problem, which
+// a flight solves in canonical numbering (a probe hit, which only
+// records it, keeps the requester's), and its budget.
 type keyedSolve struct {
 	key      string
 	p        solve.Problem
 	deadline time.Duration
 	// tier is the cache tier the solve probes and is credited at.
 	tier int
-	// tableBytes caps the solve's visited-table memory (0 = unlimited).
-	tableBytes int64
-	// refine marks a background refinement (see refineKey).
-	refine bool
 	// onLower and onSearch, when non-nil, receive the orchestrator's
 	// certified scaled lower-bound improvements and live engine
 	// snapshots while the solve runs (async jobs feed their live gauges
@@ -683,8 +624,8 @@ type keyedSolve struct {
 	onSearch func(obs.SearchSnapshot)
 }
 
-// serveKey is the foreground solve of a lane unit — sync, async and
-// batched alike: the admission probe's value when the probe hit,
+// serveKey is the solve of a lane unit — sync, async and batched
+// alike: the admission probe's value when the probe hit,
 // otherwise one solveKey round trip on k's problem relabeled by perm,
 // its key's permutation. ctx is this request's own: its cancellation
 // (job DELETE, shutdown grace expiry) or its wait bound ends its wait,
@@ -696,18 +637,6 @@ func (s *Server) serveKey(ctx context.Context, k keyedSolve, perm []dag.NodeID, 
 		return keyedResult{Val: *probed, Hit: true}, nil
 	}
 	k.p.G = k.p.G.Relabel(perm)
-	if s.refiner != nil {
-		s.rememberKey(k.key, k.p)
-	}
-	// Foreground work preempts background refinement the moment it
-	// arrives: the refiner's in-flight solve is canceled cooperatively
-	// (it still certifies its partial interval) and its admission gate
-	// sees fgActive > 0 until this request's solve is done.
-	s.fgActive.Add(1)
-	defer s.fgActive.Add(-1)
-	if s.refiner != nil {
-		s.refiner.Preempt()
-	}
 	// This request's wait, and so its count on the flight, is bounded
 	// by its own deadline (plus grace for the orchestrator's
 	// non-interruptible heuristic phase) and by its cancellation —
@@ -729,15 +658,14 @@ type flightRun struct {
 	canceled bool
 }
 
-// solveKey is the keyed-solve core every solve on this node runs
-// through: the cache flight — warm-started from the cached certified
-// interval when one exists, so repeated hard instances tighten across
-// requests and refinements — then the telemetry record and, when this
+// solveKey runs serveKey's cache flight — warm-started from the cached
+// certified interval when one exists, so repeated hard instances
+// tighten across requests — then the telemetry record and, when this
 // caller's own flight produced the stored entry, its replication. ctx
-// bounds this caller's wait and counts it on the flight. A foreground
-// solve runs under the flight's context, which the cache cancels once
-// no caller still waits on it; a refinement runs under ctx itself. A
-// canceled solve still returns a certified partial interval.
+// bounds this caller's wait and counts it on the flight. The solve runs
+// under the flight's context, which the cache cancels once no caller
+// still waits on it; a canceled solve still returns a certified
+// partial interval.
 func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error) {
 	start := time.Now()
 	// The cache span covers the whole flight: a hit ends it in
@@ -750,11 +678,6 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 	var run *flightRun
 	val, hit, shared, warmed, err := s.cache.Flight(dctx, k.key, k.tier, func(fctx context.Context, warm *instcache.Value) (instcache.Value, error) {
 		s.m.solves.Add(1)
-		if k.refine {
-			// Background work stops with the refiner's run context, even
-			// when a foreground request has latched onto it.
-			fctx = dctx
-		}
 		res, err := s.solveFn(fctx, k.p, s.solveOptions(k, warm, obs.TraceIDFrom(dctx)))
 		if err != nil {
 			return instcache.Value{}, err
@@ -764,10 +687,9 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 		}
 		run = &flightRun{res: res, canceled: fctx.Err() != nil}
 		// A solve canceled well short of its budget (DELETE, shutdown
-		// grace, refiner preemption) only earned a lower tier: crediting
-		// the full tier would let its weak interval be served to
-		// smaller-budget requests that could genuinely tighten it. The
-		// half-budget threshold keeps normal deadline-limited solves
+		// grace) only earned a lower tier: crediting the full tier would
+		// let its weak interval be served to smaller-budget requests
+		// that could genuinely tighten it. The half-budget threshold keeps normal deadline-limited solves
 		// (elapsed ≈ budget, possibly a hair under) at their tier.
 		tier := k.tier
 		if res.Elapsed > 0 && res.Elapsed*2 < k.deadline {
@@ -787,8 +709,6 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 	dsp.End()
 	disposition := "cold"
 	switch {
-	case k.refine:
-		disposition = "refine"
 	case hit:
 		disposition = "hit"
 	case shared:
@@ -802,8 +722,7 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 	}
 	if !hit && !shared && s.cfg.Replicate != nil {
 		// This caller's own flight produced (or tightened) the stored
-		// entry — a foreground result or a background tightening alike:
-		// push it toward the key's next owner so a hard crash of
+		// entry: push it toward the key's next owner so a hard crash of
 		// this node doesn't lose it. Waiters latched onto the flight
 		// would just duplicate the push.
 		s.cfg.Replicate(instcache.Entry{Key: k.key, Value: val})
@@ -812,14 +731,14 @@ func (s *Server) solveKey(ctx context.Context, k keyedSolve) (keyedResult, error
 }
 
 // solveOptions builds one flight's orchestrator options: the deadline
-// and table-memory budget of k, its live progress hooks, and the warm
-// start from the cached certified interval (its incumbent trace, in the
-// canonical numbering the flight solves in, seeds the engines' bounds;
-// its lower bound skips already-completed work).
+// of k, the node's table-memory budget, k's live progress hooks, and
+// the warm start from the cached certified interval (its incumbent
+// trace, in the canonical numbering the flight solves in, seeds the
+// engines' bounds; its lower bound skips already-completed work).
 func (s *Server) solveOptions(k keyedSolve, warm *instcache.Value, traceID string) anytime.Options {
 	opts := anytime.Options{
 		Budget:        k.deadline,
-		MaxTableBytes: k.tableBytes,
+		MaxTableBytes: s.cfg.MaxTableBytes,
 	}
 	if k.onLower != nil {
 		opts.OnProgress = func(sn anytime.Snapshot) {
@@ -852,7 +771,7 @@ func (s *Server) solveOptions(k keyedSolve, warm *instcache.Value, traceID strin
 }
 
 // record appends the telemetry record of one served key. Every
-// completion — hit, cold, warm, shared or refine; finished, canceled
+// completion — hit, cold, warm or shared; finished, canceled
 // or failed — appends one: the feature store the portfolio scheduler
 // trains on must see the failures and cancellations too. run is nil
 // unless this caller led the flight.
@@ -885,104 +804,6 @@ func (s *Server) record(ctx context.Context, k keyedSolve, disposition string, v
 		}
 	}
 	s.tel.Append(rec)
-}
-
-// rememberKey records the canonical problem behind a cache key so the
-// background refiner can re-solve it later. Bounded FIFO at twice the
-// cache size: keys evicted here stop being refinement candidates.
-func (s *Server) rememberKey(key string, p solve.Problem) {
-	s.knownMu.Lock()
-	defer s.knownMu.Unlock()
-	if _, ok := s.known[key]; ok {
-		return
-	}
-	s.known[key] = p
-	s.knownOrder = append(s.knownOrder, key)
-	for len(s.knownOrder) > 2*s.cfg.CacheSize {
-		delete(s.known, s.knownOrder[0])
-		s.knownOrder = s.knownOrder[1:]
-	}
-}
-
-// knowsKey reports whether the refiner can materialize key's problem.
-func (s *Server) knowsKey(key string) bool {
-	_, ok := s.lookupKey(key)
-	return ok
-}
-
-func (s *Server) lookupKey(key string) (solve.Problem, bool) {
-	s.knownMu.Lock()
-	defer s.knownMu.Unlock()
-	p, ok := s.known[key]
-	return p, ok
-}
-
-// refinerBusy is the background refiner's admission gate: any live
-// foreground solve or lane backlog pauses refinement scheduling —
-// background work runs only on genuinely idle cycles.
-func (s *Server) refinerBusy() bool {
-	return s.fgActive.Load() > 0 || s.lanes.fast.depth() > 0 || s.lanes.heavy.depth() > 0
-}
-
-// errUnknownKey marks a refinement request for a key whose problem this
-// node never parsed (e.g. the entry arrived via replication); the
-// refiner backs the key off and moves on.
-var errUnknownKey = errors.New("service: no problem registered for cache key")
-
-// refineKey is the background refiner's solve path: re-solve key at
-// the given budget tier through the same solveKey core foreground
-// requests use (warm start from the stored interval, effective-tier
-// demotion, replication of the tightened entry), under half the node's
-// table-memory budget so an ambitious refinement cannot pressure live
-// traffic. ctx is the refiner's run context — canceled on preemption
-// or drain, which the orchestrator turns into a certified partial
-// interval that still lands in the cache. The refinement runs under
-// ctx even when a foreground request latches onto its flight, and it
-// does not count as foreground work. Returns the scaled gap of the
-// stored interval after the attempt.
-func (s *Server) refineKey(ctx context.Context, key string, tier int) (int64, error) {
-	p, ok := s.lookupKey(key)
-	if !ok {
-		return 0, errUnknownKey
-	}
-	// The tier's nominal budget: TierForBudget(2^(t-1) ms) == t, the
-	// smallest budget that earns the tier.
-	deadline := time.Duration(1<<(tier-1)) * time.Millisecond
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-	kr, err := s.solveKey(ctx, keyedSolve{
-		key: key, p: p, deadline: deadline, tier: tier,
-		tableBytes: s.cfg.MaxTableBytes / 2,
-		refine:     true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if kr.Val.Optimal {
-		return 0, nil
-	}
-	return kr.Val.UpperScaled - kr.Val.LowerScaled, nil
-}
-
-// RefinerStatus reports the background refiner's live state; ok is
-// false when the refiner is disabled.
-func (s *Server) RefinerStatus() (refine.Status, bool) {
-	if s.refiner == nil {
-		return refine.Status{}, false
-	}
-	return s.refiner.Status(), true
-}
-
-// handleDebugRefiner is GET /debug/refiner: the refiner's admission
-// state, current candidates and counters.
-func (s *Server) handleDebugRefiner(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.RefinerStatus()
-	if !ok {
-		writeJSON(w, refine.Status{Enabled: false})
-		return
-	}
-	writeJSON(w, st)
 }
 
 // buildResponse translates a canonical cache value back into one
@@ -1289,10 +1110,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		drainingGauge = 1
 	}
-	var refRuns, refTightened, refPreempted, refGapSum uint64
-	if s.refiner != nil {
-		refRuns, refTightened, refPreempted, refGapSum = s.refiner.Counters()
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	for _, kv := range []struct {
 		name string
@@ -1326,10 +1143,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"rbserve_lane_shed_total", s.lanes.fast.shed.Load() + s.lanes.heavy.shed.Load()},
 		{"rbserve_telemetry_records_total", s.tel.Total()},
 		{"rbserve_solves_memlimited_total", s.m.solvesMemLimited.Load()},
-		{"rbserve_refiner_runs_total", refRuns},
-		{"rbserve_refiner_tightened_total", refTightened},
-		{"rbserve_refiner_preempted_total", refPreempted},
-		{"rbserve_refiner_gap_sum", refGapSum},
 		{"rbserve_draining", drainingGauge},
 	} {
 		fmt.Fprintf(w, "%s %d\n", kv.name, kv.v)
